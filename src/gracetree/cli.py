@@ -45,7 +45,6 @@ from .search import (
     DEFAULT_TIME_BUDGET,
     VERDICT_NO,
     VERDICT_TIMEOUT,
-    VERDICT_YES,
     SearchConstraints,
     is_zero_rotatable,
 )
@@ -215,7 +214,9 @@ def _build_parser() -> _Parser:
     _add_budgets(p_rot)
     p_rot.add_argument("--csv", metavar="FILE", help="write per-orbit CSV here")
     p_rot.add_argument("--json", metavar="FILE", help="write the full report JSON here")
-    p_rot.add_argument("--no-timing", action="store_true", help="blank the CSV timing column")
+    p_rot.add_argument(
+        "--no-timing", action="store_true", help="blank the CSV timing column and JSON timings"
+    )
     p_rot.set_defaults(func=cmd_rotate0)
 
     p_sweep = sub.add_parser("sweep", help="evaluate 0-rotatability over a tree family")
@@ -301,6 +302,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _exit_code(verdicts: set[str]) -> int:
+    if VERDICT_NO in verdicts:
+        return 3
+    if VERDICT_TIMEOUT in verdicts:
+        return 4
+    return 0
+
+
 def cmd_rotate0(args) -> int:
     t = _load_tree(args)
     nodes, secs = _resolve_budgets(args)
@@ -313,12 +322,8 @@ def cmd_rotate0(args) -> int:
     if args.csv:
         _write_text(args.csv, rotatability_to_csv(report, include_timing=not args.no_timing))
     if args.json:
-        _write_text(args.json, report.to_json() + "\n")
-    if report.verdict == VERDICT_NO:
-        return 3
-    if report.verdict == VERDICT_TIMEOUT:
-        return 4
-    return 0
+        _write_text(args.json, report.to_json(include_timing=not args.no_timing) + "\n")
+    return _exit_code({report.verdict})
 
 
 def cmd_sweep(args) -> int:
@@ -332,20 +337,8 @@ def cmd_sweep(args) -> int:
         time_budget=secs,
     )
     rows = run_sweep(spec, jobs=max(1, args.jobs))
-    any_no = False
-    any_timeout = False
     for row in rows:
-        if VERDICT_NO in row.verdicts:
-            verdict = VERDICT_NO
-            any_no = True
-        elif VERDICT_TIMEOUT in row.verdicts:
-            verdict = VERDICT_TIMEOUT
-            any_timeout = True
-        else:
-            verdict = VERDICT_YES
-        print(
-            f"{row.tree_label:<16} n={row.n:<5} orbits={len(row.orbit_reps):<3} {verdict}"
-        )
+        print(f"{row.tree_id:<16} n={row.n:<5} orbits={len(row.entries):<3} {row.verdict}")
     print(f"swept {len(rows)} trees from family {args.family}")
     if args.csv:
         _write_text(args.csv, sweep_to_csv(rows, include_timing=not args.no_timing))
@@ -354,17 +347,13 @@ def cmd_sweep(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for row in rows:
             doc = {
-                "tree": {"kind": "rst", "degrees": [int(k) for k in row.tree_label.split(",")]},
+                "tree": {"kind": "rst", "degrees": [int(k) for k in row.tree_id.split(",")]},
                 "n": row.n,
                 "witnesses": {str(rep): list(labels) for rep, labels in row.witnesses},
             }
-            name = row.tree_label.replace(",", "-") + ".json"
+            name = row.tree_id.replace(",", "-") + ".json"
             (outdir / name).write_text(json.dumps(doc, indent=2) + "\n")
-    if any_no:
-        return 3
-    if any_timeout:
-        return 4
-    return 0
+    return _exit_code({row.verdict for row in rows})
 
 
 def cmd_tree(args) -> int:

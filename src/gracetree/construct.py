@@ -371,16 +371,6 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     return f, ConstructionTrace(method, tuple(steps))
 
 
-def search_trace(labels: Sequence[int], pins: Sequence[tuple[int, int]] = ()) -> ConstructionTrace:
-    """Trace wrapper for a labelling found by backtracking search."""
-    step = {
-        "op": "search",
-        "labels": [int(x) for x in labels],
-        "pins": [[int(v), int(x)] for v, x in pins],
-    }
-    return ConstructionTrace(METHOD_SEARCH, (step,))
-
-
 def _check(recorded: Sequence[int], recomputed: Sequence[int], op: str) -> None:
     if list(recorded) != list(recomputed):
         raise ValueError(f"trace step {op!r} does not replay: recorded labels differ")
@@ -461,11 +451,6 @@ def replay_trace(
                 full[gi] = h_cur[hi]
             cur = tuple(full)
             _check(step["labels"], cur, op)
-        elif op == "search":
-            cur = tuple(int(x) for x in step["labels"])
-            for v, x in step.get("pins", ()):
-                if cur[v] != x:
-                    raise ValueError(f"search trace violates pin {v}->{x}")
         else:
             raise ValueError(f"unknown trace op {op!r}")
 

@@ -9,22 +9,23 @@ collide with nothing, which prunes hard and, more importantly, makes
 the enumeration visit each graceful labelling exactly once, so the
 same engine both finds witnesses and counts.
 
-A second, deliberately naive counter that tries every permutation is
-kept alongside as an independent cross-check.
+On top of the engine sits the per-orbit 0-rotatability decider, which
+can try closed-form constructions before it searches.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
+from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
 from .model import (
     GeneralTree,
     RootedSymmetricTree,
+    UnsupportedConstruction,
     automorphism_mapping,
     to_general,
     vertex_orbits,
@@ -310,36 +311,6 @@ def count_graceful(t: TreeLike, bound: int = 10, force: bool = False) -> int:
     return count
 
 
-def count_graceful_naive(t: TreeLike, bound: int = 9, force: bool = False) -> int:
-    """Count graceful labellings by trying every permutation.
-
-    Independent of the backtracking engine on purpose: it shares no
-    state machinery, only the definition.  Feasible to about 9 vertices.
-    """
-    g = _general(t)
-    n = g.n
-    if n > bound and not force:
-        raise ValueError(
-            f"naive counting on {n} vertices exceeds the bound {bound}; pass force=True"
-        )
-    if n == 1:
-        return 1
-    edges = g.edges
-    full = (1 << n) - 2
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        for u, v in edges:
-            bit = 1 << abs(perm[u] - perm[v])
-            if mask & bit:
-                break
-            mask |= bit
-        else:
-            if mask == full:
-                count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class OrbitVerdict:
     """Outcome for one vertex orbit: can its vertices carry label 0?"""
@@ -352,7 +323,7 @@ class OrbitVerdict:
     nodes: int
     elapsed: float
 
-    def to_dict(self) -> dict:
+    def to_dict(self, include_timing: bool = True) -> dict:
         return {
             "representative": self.representative,
             "orbit": list(self.orbit),
@@ -360,7 +331,7 @@ class OrbitVerdict:
             "method": self.method,
             "witness": list(self.witness.labels) if self.witness else None,
             "nodes": self.nodes,
-            "elapsed": self.elapsed,
+            "elapsed": self.elapsed if include_timing else None,
         }
 
 
@@ -368,12 +339,17 @@ class OrbitVerdict:
 class RotatabilityReport:
     """Per-orbit answers to "is there a graceful labelling with 0 here?".
 
-    A tree is 0-rotatable exactly when every orbit answers yes.
+    A tree is 0-rotatable exactly when every orbit answers yes.  A sweep
+    also records the tree's family and level count; ``elapsed_s`` covers
+    the whole decision, orbit computation included.
     """
 
     tree_id: str
     n: int
     entries: tuple[OrbitVerdict, ...]
+    family: str = ""
+    q: int = 0
+    elapsed_s: float = 0.0
 
     @property
     def verdict(self) -> str:
@@ -384,23 +360,40 @@ class RotatabilityReport:
         return VERDICT_YES
 
     @property
-    def all_zero_rotatable(self) -> bool:
+    def all_yes(self) -> bool:
         return self.verdict == VERDICT_YES
 
     @property
-    def total_nodes(self) -> int:
+    def nodes(self) -> int:
         return sum(e.nodes for e in self.entries)
 
-    def to_dict(self) -> dict:
+    @property
+    def orbit_reps(self) -> tuple[int, ...]:
+        return tuple(e.representative for e in self.entries)
+
+    @property
+    def verdicts(self) -> tuple[str, ...]:
+        return tuple(e.verdict for e in self.entries)
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        return tuple(e.method for e in self.entries)
+
+    @property
+    def witnesses(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(representative, labels) for each yes orbit, in orbit order."""
+        return tuple((e.representative, e.witness.labels) for e in self.entries if e.witness)
+
+    def to_dict(self, include_timing: bool = True) -> dict:
         return {
             "tree": self.tree_id,
             "n": self.n,
             "verdict": self.verdict,
-            "orbits": [e.to_dict() for e in self.entries],
+            "orbits": [e.to_dict(include_timing) for e in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    def to_json(self, include_timing: bool = True) -> str:
+        return json.dumps(self.to_dict(include_timing), indent=2)
 
 
 def _stash_complement(
@@ -423,21 +416,36 @@ def _stash_complement(
     cache[rep] = flipped
 
 
+_VERDICT_OF_STATUS = {
+    STATUS_FOUND: VERDICT_YES,
+    STATUS_EXHAUSTED: VERDICT_NO,
+    STATUS_TIMEOUT: VERDICT_TIMEOUT,
+}
+
+
 def is_zero_rotatable(
     t: TreeLike,
     constraints: SearchConstraints | None = None,
     tree_id: str = "",
+    construct: Callable[[int], tuple[Labelling, str]] | None = None,
 ) -> RotatabilityReport:
-    """Decide by search whether every vertex can carry label 0.
+    """Decide, orbit by orbit, whether every vertex can carry label 0.
 
-    One search per vertex orbit, each pinning the orbit's smallest
-    vertex to 0.  Complements of found witnesses settle other orbits
+    Per orbit: a cached complement witness wins, then ``construct(rep)``
+    when given (it returns ``(witness, method)`` or raises
+    UnsupportedConstruction), then a search pinning the orbit's smallest
+    vertex to 0.  Complements of new witnesses settle other orbits
     without searching.  Budgets from ``constraints`` apply per orbit.
     """
+    start = time.perf_counter()
     g = _general(t)
     base = constraints if constraints is not None else SearchConstraints()
     base.validate(g.n)
     orbits = vertex_orbits(g)
+    # The constructive route names its methods as the sweep CSV always has.
+    by_complement, by_search = (
+        ("complement", "search") if construct is None else (METHOD_COMPLEMENT, METHOD_SEARCH)
+    )
     cache: dict[int, Labelling] = {}
     entries = []
     for orbit in orbits.orbits:
@@ -449,18 +457,26 @@ def is_zero_rotatable(
             continue
         cached = cache.get(rep)
         if cached is not None:
-            entries.append(OrbitVerdict(rep, orbit, VERDICT_YES, "complement", cached, 0, 0.0))
+            entries.append(OrbitVerdict(rep, orbit, VERDICT_YES, by_complement, cached, 0, 0.0))
             continue
-        out = find_graceful(g, base.with_pin(rep, 0))
-        if out.status == STATUS_FOUND:
-            entries.append(
-                OrbitVerdict(rep, orbit, VERDICT_YES, "search", out.labelling, out.nodes, out.elapsed)
+        entry = None
+        if construct is not None:
+            t0 = time.perf_counter()
+            try:
+                witness, method = construct(rep)
+            except UnsupportedConstruction:
+                pass
+            else:
+                elapsed = time.perf_counter() - t0
+                entry = OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed)
+        if entry is None:
+            out = find_graceful(g, base.with_pin(rep, 0))
+            entry = OrbitVerdict(
+                rep, orbit, _VERDICT_OF_STATUS[out.status], by_search, out.labelling,
+                out.nodes, out.elapsed,
             )
-            _stash_complement(g, orbits, cache, out.labelling)
-        elif out.status == STATUS_EXHAUSTED:
-            entries.append(OrbitVerdict(rep, orbit, VERDICT_NO, "search", None, out.nodes, out.elapsed))
-        else:
-            entries.append(
-                OrbitVerdict(rep, orbit, VERDICT_TIMEOUT, "search", None, out.nodes, out.elapsed)
-            )
-    return RotatabilityReport(tree_id or f"n{g.n}", g.n, tuple(entries))
+        if entry.witness is not None:
+            _stash_complement(g, orbits, cache, entry.witness)
+        entries.append(entry)
+    elapsed_s = time.perf_counter() - start
+    return RotatabilityReport(tree_id or f"n{g.n}", g.n, tuple(entries), elapsed_s=elapsed_s)

@@ -12,33 +12,23 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .construct import METHOD_COMPLEMENT, METHOD_SEARCH, ZeroAtRequest, zero_at
+from .construct import ZeroAtRequest, zero_at
 from .labelling import Labelling
-from .model import (
-    GeneralTree,
-    RootedSymmetricTree,
-    UnsupportedConstruction,
-    build,
-    to_general,
-    vertex_orbits,
-)
+from .model import RootedSymmetricTree, build
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
-    STATUS_EXHAUSTED,
-    STATUS_FOUND,
-    VERDICT_NO,
-    VERDICT_TIMEOUT,
-    VERDICT_YES,
     RotatabilityReport,
     SearchConstraints,
-    _stash_complement,
-    find_graceful,
+    is_zero_rotatable,
 )
+
+# Unused here, but perfbench/spans.py wraps them at this module's lookup site.
+from .model import to_general, vertex_orbits  # noqa: F401
+from .search import find_graceful  # noqa: F401
 
 FAMILY_RST_ALL = "rst_all"
 FAMILY_SPIDER = "symmetric_spider"
@@ -162,26 +152,6 @@ def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
     return seqs
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """Per-tree sweep result with one verdict and method per orbit."""
-
-    family: str
-    tree_label: str
-    n: int
-    q: int
-    orbit_reps: tuple[int, ...]
-    verdicts: tuple[str, ...]
-    methods: tuple[str, ...]
-    nodes: int
-    elapsed_s: float
-    witnesses: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def all_yes(self) -> bool:
-        return all(v == VERDICT_YES for v in self.verdicts)
-
-
 def sequence_label(seq: tuple[int, ...]) -> str:
     return ",".join(str(k) for k in seq)
 
@@ -191,72 +161,28 @@ def evaluate_sequence(
     family: str = "",
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     time_budget: float | None = DEFAULT_TIME_BUDGET,
-) -> ReportRow:
+) -> RotatabilityReport:
     """Answer 0-rotatability for one tree, constructions first.
 
     Per orbit: a cached complement witness wins, then a closed-form
     construction, then pinned search within the budgets.
     """
     t = build(seq)
-    g = to_general(t)
-    orbits = vertex_orbits(g)
-    start = time.perf_counter()
-    verdicts: list[str] = []
-    methods: list[str] = []
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
-    cache: dict[int, Labelling] = {}
-    total_nodes = 0
 
-    for orbit in orbits.orbits:
-        rep = orbit[0]
-        cached = cache.get(rep)
-        if cached is not None:
-            verdicts.append(VERDICT_YES)
-            methods.append(METHOD_COMPLEMENT)
-            witnesses.append((rep, cached.labels))
-            continue
-        witness: Labelling | None = None
-        try:
-            witness, trace = zero_at(ZeroAtRequest(t, rep, 0))
-            verdicts.append(VERDICT_YES)
-            methods.append(trace.method)
-        except UnsupportedConstruction:
-            cons = SearchConstraints(
-                pins=((rep, 0),), node_budget=node_budget, time_budget=time_budget
-            )
-            out = find_graceful(g, cons)
-            total_nodes += out.nodes
-            methods.append(METHOD_SEARCH)
-            if out.status == STATUS_FOUND:
-                witness = out.labelling
-                verdicts.append(VERDICT_YES)
-            elif out.status == STATUS_EXHAUSTED:
-                verdicts.append(VERDICT_NO)
-            else:
-                verdicts.append(VERDICT_TIMEOUT)
-        if witness is not None:
-            witnesses.append((rep, witness.labels))
-            _stash_complement(g, orbits, cache, witness)
+    def construct(rep: int) -> tuple[Labelling, str]:
+        witness, trace = zero_at(ZeroAtRequest(t, rep, 0))
+        return witness, trace.method
 
-    return ReportRow(
-        family=family,
-        tree_label=sequence_label(seq),
-        n=t.n,
-        q=t.q,
-        orbit_reps=orbits.representatives,
-        verdicts=tuple(verdicts),
-        methods=tuple(methods),
-        nodes=total_nodes,
-        elapsed_s=time.perf_counter() - start,
-        witnesses=tuple(witnesses),
-    )
+    cons = SearchConstraints(node_budget=node_budget, time_budget=time_budget)
+    report = is_zero_rotatable(t, cons, sequence_label(seq), construct)
+    return replace(report, family=family, q=t.q)
 
 
-def _evaluate_star(args: tuple) -> ReportRow:
+def _evaluate_star(args: tuple) -> RotatabilityReport:
     return evaluate_sequence(*args)
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ReportRow]:
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
     """Evaluate the whole family, optionally across worker processes.
 
     Output order always matches enumerate_family(spec).
@@ -273,7 +199,7 @@ def _fmt_elapsed(seconds: float, include_timing: bool) -> str:
     return f"{seconds:.3f}" if include_timing else ""
 
 
-def sweep_to_csv(rows: list[ReportRow], include_timing: bool = True) -> str:
+def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) -> str:
     """Render sweep rows under the gracetree.sweep/1 schema.
 
     With timing excluded the output is byte-stable across runs.
@@ -286,10 +212,10 @@ def sweep_to_csv(rows: list[ReportRow], include_timing: bool = True) -> str:
             [
                 SWEEP_SCHEMA,
                 row.family,
-                row.tree_label,
+                row.tree_id,
                 row.n,
                 row.q,
-                len(row.orbit_reps),
+                len(row.entries),
                 " ".join(str(r) for r in row.orbit_reps),
                 " ".join(row.verdicts),
                 " ".join(row.methods),
@@ -302,8 +228,8 @@ def sweep_to_csv(rows: list[ReportRow], include_timing: bool = True) -> str:
 
 
 def rotatability_to_csv(report: RotatabilityReport, include_timing: bool = True) -> str:
-    """Render a search-based rotatability report, one row per orbit,
-    under the gracetree.rotate0/1 schema."""
+    """Render a rotatability report, one row per orbit, under the
+    gracetree.rotate0/1 schema."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROTATE0_COLUMNS)

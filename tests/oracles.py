@@ -12,7 +12,7 @@ from typing import Iterator
 
 import networkx as nx
 
-from gracetree import GeneralTree
+from gracetree import GeneralTree, RootedSymmetricTree, to_general
 
 
 def enumerate_graceful(t: GeneralTree) -> Iterator[tuple[int, ...]]:
@@ -26,6 +26,36 @@ def enumerate_graceful(t: GeneralTree) -> Iterator[tuple[int, ...]]:
         diffs = sorted(abs(perm[u] - perm[v]) for u, v in t.edges)
         if diffs == want:
             yield perm
+
+
+def count_graceful_naive(t, bound: int = 9, force: bool = False) -> int:
+    """Count graceful labellings by trying every permutation.
+
+    Independent of the backtracking engine on purpose: it shares no
+    state machinery, only the definition.  Feasible to about 9 vertices.
+    """
+    g = to_general(t) if isinstance(t, RootedSymmetricTree) else t
+    n = g.n
+    if n > bound and not force:
+        raise ValueError(
+            f"naive counting on {n} vertices exceeds the bound {bound}; pass force=True"
+        )
+    if n == 1:
+        return 1
+    edges = g.edges
+    full = (1 << n) - 2
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        mask = 0
+        for u, v in edges:
+            bit = 1 << abs(perm[u] - perm[v])
+            if mask & bit:
+                break
+            mask |= bit
+        else:
+            if mask == full:
+                count += 1
+    return count
 
 
 def zero_positions(t: GeneralTree) -> set[int]:

@@ -24,7 +24,6 @@ from gracetree import (
     complement,
     compose_theorem2,
     count_graceful,
-    count_graceful_naive,
     decompose,
     edge_labels,
     evaluate_sequence,
@@ -40,7 +39,7 @@ from gracetree import (
     to_general,
 )
 
-from oracles import all_trees, random_tree
+from oracles import all_trees, count_graceful_naive, random_tree
 
 
 @contextmanager
@@ -227,8 +226,8 @@ def test_criterion_9_deep_spider_probe_completes(capsys):
         rows = run_sweep(spec)
         assert len(rows) == 2
         for row in rows:
-            assert VERDICT_TIMEOUT not in row.verdicts, row.tree_label
+            assert VERDICT_TIMEOUT not in row.verdicts, row.tree_id
             announce(
-                f"  probe {row.tree_label:<8} n={row.n:<3} "
+                f"  probe {row.tree_id:<8} n={row.n:<3} "
                 f"verdicts={' '.join(row.verdicts)} methods={' '.join(row.methods)}"
             )

@@ -117,6 +117,17 @@ def test_rotate0_yes_and_outputs(capsys, tmp_path):
     assert report["verdict"] == "yes"
 
 
+def test_rotate0_json_byte_stable_without_timing(capsys, tmp_path):
+    texts = []
+    for name in ("a.json", "b.json"):
+        json_file = tmp_path / name
+        code, _, _ = run(capsys, "rotate0", "--rst", "2,2", "--json", str(json_file), "--no-timing")
+        assert code == 0
+        texts.append(json_file.read_text())
+    assert texts[0] == texts[1]
+    assert all(o["elapsed"] is None for o in json.loads(texts[0])["orbits"])
+
+
 def test_rotate0_counterexample_exit(capsys):
     code, out, _ = run(capsys, "rotate0", "--rst", "1,1,1,2")
     assert code == 3

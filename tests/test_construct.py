@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from gracetree import (
     ConstructionTrace,
     METHOD_COMPLEMENT,
-    METHOD_SEARCH,
     METHOD_STAR,
     METHOD_THEOREM1,
     METHOD_THEOREM2_EVEN,
@@ -21,7 +20,6 @@ from gracetree import (
     lemma1_product,
     path_sequence,
     replay_trace,
-    search_trace,
     theorem1_label,
     to_general,
     zero_at,
@@ -251,17 +249,6 @@ def test_replay_rejects_tampering():
     steps[-1]["labels"] = bad
     with pytest.raises(ValueError):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
-
-
-def test_replay_search_traces():
-    t = build(path_sequence(4))
-    good = search_trace((3, 0, 2, 1), pins=((1, 0),))
-    assert replay_trace(t, good).labels == (3, 0, 2, 1)
-    assert good.method == METHOD_SEARCH
-    with pytest.raises(ValueError):
-        replay_trace(t, search_trace((3, 0, 2, 1), pins=((0, 0),)))
-    with pytest.raises(ValueError):
-        replay_trace(t, search_trace((0, 1, 2, 3)))
 
 
 def test_trace_dict_roundtrip():

@@ -8,7 +8,6 @@ from gracetree import (
     build,
     complement,
     count_graceful,
-    count_graceful_naive,
     find_graceful,
     is_graceful,
     is_zero_rotatable,
@@ -16,7 +15,13 @@ from gracetree import (
     to_general,
     vertex_orbits,
 )
-from oracles import all_trees, enumerate_graceful, random_tree, zero_positions
+from oracles import (
+    all_trees,
+    count_graceful_naive,
+    enumerate_graceful,
+    random_tree,
+    zero_positions,
+)
 
 
 def test_constraints_validation():
@@ -148,7 +153,7 @@ def test_complement_of_witness_is_witness():
 def test_rotatability_golden_yes():
     rep = is_zero_rotatable(build((2, 2)), tree_id="2,2")
     assert rep.verdict == "yes"
-    assert rep.all_zero_rotatable
+    assert rep.all_yes
     assert rep.tree_id == "2,2"
     assert [e.representative for e in rep.entries] == [0, 1, 3]
     methods = [e.method for e in rep.entries]
@@ -163,7 +168,7 @@ def test_rotatability_golden_no():
     assert rep.verdict == "no"
     by_rep = {e.representative: e.verdict for e in rep.entries}
     assert by_rep[2] == "no"
-    assert not rep.all_zero_rotatable
+    assert not rep.all_yes
 
 
 def test_rotatability_timeout():
@@ -191,4 +196,4 @@ def test_rotatability_report_json():
     assert doc["verdict"] == "yes"
     assert len(doc["orbits"]) == 3
     assert rep.to_json().startswith("{")
-    assert rep.total_nodes >= 0
+    assert rep.nodes >= 0

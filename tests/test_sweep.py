@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+import gracetree.search
 from gracetree import (
     METHOD_SEARCH,
     RootedSymmetricTree,
@@ -73,7 +75,7 @@ def test_spec_validation():
 
 def test_evaluate_sequence_constructive():
     row = evaluate_sequence((2, 2), family="q3")
-    assert row.tree_label == "2,2"
+    assert row.tree_id == "2,2"
     assert row.n == 7 and row.q == 3
     assert row.all_yes
     assert METHOD_SEARCH not in row.methods
@@ -106,7 +108,7 @@ def test_run_sweep_jobs_agree():
     spec = SweepSpec("q3", nmax=12)
     serial = run_sweep(spec, jobs=1)
     parallel = run_sweep(spec, jobs=2)
-    strip = lambda r: (r.family, r.tree_label, r.n, r.q, r.orbit_reps, r.verdicts, r.methods, r.nodes, r.witnesses)
+    strip = lambda r: (r.family, r.tree_id, r.n, r.q, r.orbit_reps, r.verdicts, r.methods, r.nodes, r.witnesses)
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
@@ -149,3 +151,47 @@ def test_rotate0_csv():
 
 def test_sequence_label():
     assert sequence_label((3, 1, 4)) == "3,1,4"
+
+
+ROTATE0_HEADER = "schema,tree,n,orbit_rep,orbit_size,verdict,method,witness,nodes,elapsed_s\n"
+
+
+def test_rotate0_csv_golden_yes():
+    rep = is_zero_rotatable(build((2, 2)), tree_id="2,2")
+    assert rotatability_to_csv(rep, include_timing=False) == ROTATE0_HEADER + (
+        'gracetree.rotate0/1,"2,2",7,0,1,yes,search,0 6 4 1 3 2 5,28,\n'
+        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,6 0 2 5 3 4 1,0,\n'
+        'gracetree.rotate0/1,"2,2",7,3,4,yes,search,2 6 5 0 1 3 4,18,\n'
+    )
+
+
+def test_rotate0_csv_golden_no():
+    rep = is_zero_rotatable(build((1, 1, 1, 2)), tree_id="1,1,1,2")
+    assert rotatability_to_csv(rep, include_timing=False) == ROTATE0_HEADER + (
+        'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search,0 5 1 4 2 3,6,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement,5 0 4 1 3 2,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,2,1,no,search,,27,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,search,1 2 4 0 5 3,24,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,complement,4 3 1 5 0 2,0,\n'
+    )
+
+
+def test_sweep_csv_golden_row_search_fallback():
+    row = evaluate_sequence((1, 1, 1, 2), family="rst_all")
+    line = sweep_to_csv([row], include_timing=False).split("\n")[1]
+    assert line == (
+        'gracetree.sweep/1,rst_all,"1,1,1,2",6,5,5,0 1 2 3 4,yes yes no yes yes,'
+        "theorem1 complement_of search_fallback theorem2_odd complement_of,false,27,"
+    )
+
+
+def test_sweep_elapsed_covers_orbit_computation(monkeypatch):
+    real = gracetree.search.vertex_orbits
+
+    def slow_orbits(g):
+        time.sleep(0.2)
+        return real(g)
+
+    monkeypatch.setattr(gracetree.search, "vertex_orbits", slow_orbits)
+    row = evaluate_sequence((2, 2), family="q3")
+    assert row.elapsed_s >= 0.2
