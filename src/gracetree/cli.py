@@ -4,9 +4,10 @@ Subcommands: ``label`` (closed-form graceful labellings), ``verify``
 (check a labelling), ``rotate0`` (search-based 0-rotatability of one
 tree), ``sweep`` (family-wide runs), and ``tree`` (export structure).
 
-Exit codes: 0 success / all-yes, 1 usage or I/O problems, 2 a checked
-labelling is not graceful, 3 a definite counterexample was found, 4
-inconclusive because a search budget ran out, 130 interrupted.
+Exit codes: 0 success / all-yes, 1 usage or I/O problems or a tree too
+deep or too large to process, 2 a checked labelling is not graceful, 3 a
+definite counterexample was found, 4 inconclusive because a search
+budget ran out, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -381,6 +382,12 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: recursion limit reached; the tree is too deep for this command", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -85,29 +85,27 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     """Graceful labelling straight from vertex addresses.
 
     The root gets 0.  A vertex at level r with address (x_1, ..., x_{r-1})
-    gets, with h_j the per-level subtree sizes,
+    has the sum A = sum_j x_j h_{j+1}, with h_j the per-level subtree
+    sizes, and gets
 
-        even r:  (k_1 - x_1) h_2 - sum_{j>=2} x_j h_{j+1} - (r - 2)/2
-        odd  r:  sum_{j>=1} x_j h_{j+1} + (r - 1)/2
+        even r:  k_1 h_2 - A - (r - 2)/2
+        odd  r:  A + (r - 1)/2
 
-    so the whole labelling costs one address decode per vertex.
+    A child's sum is its parent's plus x_{r-1} h_r, so the labels are
+    built one level at a time, without decoding any address.
     """
     hs = t.level_numbers
-    k1 = t.seq.degrees[0]
-    labels = [0] * t.n
-    for i in range(1, t.n):
-        digits = t.address_of(i).indices
-        r = len(digits) + 1
+    top = t.seq.degrees[0] * hs[1] if t.q > 1 else 0
+    labels = [0]
+    sums = [0]
+    for r in range(2, t.q + 1):
+        steps = [x * hs[r - 1] for x in range(t.seq.degrees[r - 2])]
+        sums = [a + s for a in sums for s in steps]
         if r % 2 == 0:
-            acc = (k1 - digits[0]) * hs[1]
-            for j in range(1, r - 1):
-                acc -= digits[j] * hs[j + 1]
-            labels[i] = acc - (r - 2) // 2
+            base = top - (r - 2) // 2
+            labels.extend(base - a for a in sums)
         else:
-            acc = 0
-            for j in range(r - 1):
-                acc += digits[j] * hs[j + 1]
-            labels[i] = acc + (r - 1) // 2
+            labels.extend(a + (r - 1) // 2 for a in sums)
     return Labelling(tuple(labels))
 
 

@@ -344,6 +344,16 @@ def rooted_sequence_at(t: GeneralTree, root: int) -> tuple[int, ...] | None:
     return tuple(seq)
 
 
+def _is_caterpillar(adj: Sequence[Sequence[int]]) -> bool:
+    """True when no inner vertex has more than two inner neighbours,
+    that is, when deleting the leaves leaves a path."""
+    deg = [len(a) for a in adj]
+    return all(
+        deg[v] < 2 or sum(1 for w in adj[v] if deg[w] >= 2) <= 2
+        for v in range(len(adj))
+    )
+
+
 def classify(t: GeneralTree) -> StructureFlags:
     """Classify the shape of ``t``.
 
@@ -354,14 +364,7 @@ def classify(t: GeneralTree) -> StructureFlags:
     adj = t.adjacency
     deg = [len(a) for a in adj]
     is_path = all(d <= 2 for d in deg)
-
-    is_caterpillar = True
-    for v in range(n):
-        if deg[v] < 2:
-            continue
-        if sum(1 for w in adj[v] if deg[w] >= 2) > 2:
-            is_caterpillar = False
-            break
+    is_caterpillar = _is_caterpillar(adj)
 
     branch_points = [v for v in range(n) if deg[v] > 2]
     is_spider = len(branch_points) <= 1
@@ -426,44 +429,41 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     """
     if t.q < 2:
         raise ValueError("decomposition needs at least 2 levels")
-    k1 = t.seq.degrees[0]
-    branch = [
-        i
-        for i in range(1, t.n)
-        if t.address_of(i).indices[0] == k1 - 1
-    ]
-    p_map = (0, *branch)
-    local = {g: l for l, g in enumerate(p_map)}
+    degrees = t.seq.degrees
+    k1 = degrees[0]
+    # On every level the last root branch is the last 1/k1 of the level
+    # and H is the rest, both in index order.
+    p_map = [0]
+    h_map = [0]
     p_edges = []
-    for g in branch:
-        parent = t.parent_index(g)
-        p_edges.append((local[parent], local[g]))
+    above = 0  # local index of the branch's first vertex one level up
+    for r in range(2, t.q + 1):
+        lo, hi = t.level_offsets[r - 1], t.level_offsets[r]
+        split = hi - (hi - lo) // k1
+        first = len(p_map)
+        k = degrees[r - 2]
+        p_edges.extend((above + j // k, first + j) for j in range(hi - split))
+        p_map.extend(range(split, hi))
+        h_map.extend(range(lo, split))
+        above = first
     caterpillar_p = GeneralTree(len(p_map), tuple(p_edges))
-    flags = classify(caterpillar_p)
-    if not flags.is_caterpillar:
+    if not _is_caterpillar(caterpillar_p.adjacency):
         raise UnsupportedConstruction(
             UnsupportedConstruction.NOT_CATERPILLAR,
-            f"last branch of {t.seq.degrees} plus the root is not a caterpillar",
+            f"last branch of {degrees} plus the root is not a caterpillar",
         )
 
-    h_degrees = (k1 - 1,) + t.seq.degrees[1:] if k1 > 1 else (0,)
-    subtree_h = RootedSymmetricTree(h_degrees)
-    if subtree_h.n == 1:
-        h_map: tuple[int, ...] = (0,)
-    else:
-        h_map = tuple(
-            t.index_of(subtree_h.address_of(i).indices) for i in range(subtree_h.n)
-        )
+    subtree_h = RootedSymmetricTree((k1 - 1,) + degrees[1:] if k1 > 1 else (0,))
     p = len(p_map)
     if p != t.level_numbers[1] + 1 or p + subtree_h.n != t.n + 1:
         raise RuntimeError("decomposition size bookkeeping failed")
     return BroomDecomposition(
         tree=t,
         caterpillar_p=caterpillar_p,
-        p_map=p_map,
+        p_map=tuple(p_map),
         p=p,
         subtree_h=subtree_h,
-        h_map=h_map,
+        h_map=tuple(h_map),
         root_identification=0,
     )
 
@@ -492,52 +492,79 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def _subtree_codes(
-    adj: Sequence[Sequence[int]], root: int
-) -> tuple[list, list[int]]:
-    """Canonical subtree codes for the rooting at ``root``.
+def _intern(ids: dict, key: tuple) -> int:
+    return ids.setdefault(key, len(ids))
 
-    code(v) is the sorted tuple of its children's codes, so two rooted
-    trees are isomorphic exactly when their root codes are equal.
-    Returns (codes, parent).
+
+def _subtree_codes(
+    adj: Sequence[Sequence[int]], root: int, ids: dict
+) -> tuple[list[int], list[int], list[int]]:
+    """Interned AHU codes for the rooting at ``root``.
+
+    code(v) is the id, in the caller's table ``ids``, of the sorted
+    tuple of its children's codes.  Rootings coded against one table
+    are isomorphic exactly when their root codes are equal.  Returns
+    (codes, parent, breadth-first order).
     """
-    n = len(adj)
-    parent = [-1] * n
+    parent = [-1] * len(adj)
     parent[root] = root
     order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    for v in order:
         for w in adj[v]:
             if parent[w] < 0:
                 parent[w] = v
                 order.append(w)
-                queue.append(w)
     parent[root] = -1
-    codes: list = [None] * n
+    codes = [0] * len(adj)
     for v in reversed(order):
-        kids = sorted(codes[w] for w in adj[v] if parent[w] == v)
-        codes[v] = tuple(kids)
-    return codes, parent
+        codes[v] = _intern(ids, tuple(sorted(codes[w] for w in adj[v] if parent[w] == v)))
+    return codes, parent, order
 
 
-def rooted_code(t: GeneralTree, root: int):
-    """Canonical form of ``t`` rooted at ``root``."""
-    codes, _ = _subtree_codes(t.adjacency, root)
-    return codes[root]
+def _centre(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The one or two vertices left after peeling leaves layer by layer."""
+    deg = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(deg) if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return tuple(layer)
 
 
 def vertex_orbits(t: GeneralTree) -> OrbitPartition:
-    """Group vertices by the canonical code of the tree rooted at them.
+    """Vertex orbits under the automorphism group, in linear time.
 
-    Two vertices share an orbit exactly when some automorphism maps one
-    to the other.
+    Every automorphism fixes the centre, or maps the central edge onto
+    itself.  So the tree is coded once from the centre, each half of a
+    central edge from its own end, and a vertex's orbit id interns its
+    parent's orbit id with its own code: two vertices share an orbit
+    exactly when their ids are equal.
     """
-    groups: dict = {}
+    adj = t.adjacency
+    centre = _centre(adj)
+    ids: dict = {}
+    codes, parent, order = _subtree_codes(adj, centre[0], ids)
+    if len(centre) == 2:
+        a, b = centre
+        codes[a] = _intern(ids, tuple(sorted(codes[w] for w in adj[a] if w != b)))
+        parent[b] = -1
+    orbit_ids: dict = {}
+    orbit = [0] * t.n
+    for v in order:
+        p = parent[v]
+        orbit[v] = _intern(orbit_ids, (orbit[p] if p >= 0 else -1, codes[v]))
+    groups: dict[int, list[int]] = {}
     for v in range(t.n):
-        groups.setdefault(rooted_code(t, v), []).append(v)
-    orbits = sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda o: o[0])
-    return OrbitPartition(tuple(orbits))
+        groups.setdefault(orbit[v], []).append(v)
+    # Each orbit enters ``groups`` at its smallest vertex, so in order.
+    return OrbitPartition(tuple(tuple(vs) for vs in groups.values()))
 
 
 def automorphism_mapping(t: GeneralTree, src: int, dst: int) -> tuple[int, ...]:
@@ -548,8 +575,9 @@ def automorphism_mapping(t: GeneralTree, src: int, dst: int) -> tuple[int, ...]:
     vertices are not in the same orbit.
     """
     adj = t.adjacency
-    cs, ps = _subtree_codes(adj, src)
-    cd, pd = _subtree_codes(adj, dst)
+    ids: dict = {}
+    cs, ps, _ = _subtree_codes(adj, src, ids)
+    cd, pd, _ = _subtree_codes(adj, dst, ids)
     if cs[src] != cd[dst]:
         raise ValueError(f"vertices {src} and {dst} are not automorphism-equivalent")
     perm = [-1] * t.n

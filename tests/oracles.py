@@ -124,3 +124,80 @@ def random_tree(rnd, n: int) -> GeneralTree:
     """Uniform-ish random labelled tree from a parent array."""
     edges = tuple((rnd.randrange(i), i) for i in range(1, n))
     return GeneralTree(n, edges)
+
+
+def _nested_codes(t: GeneralTree, root: int) -> tuple:
+    """Nested-tuple canonical code of ``t`` rooted at ``root``."""
+    adj = t.adjacency
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    codes: list = [None] * t.n
+    for v in reversed(order):
+        codes[v] = tuple(sorted(codes[w] for w in adj[v] if parent[w] == v))
+    return codes[root]
+
+
+def orbits_by_rooted_codes(t: GeneralTree) -> list[tuple[int, ...]]:
+    """Vertex orbits: vertices whose rootings have equal codes, sorted.
+
+    Re-roots the tree at every vertex, so it is quadratic, and deep
+    trees overflow the stack when the nested codes are compared.
+    """
+    groups: dict = {}
+    for v in range(t.n):
+        groups.setdefault(_nested_codes(t, v), []).append(v)
+    return sorted(tuple(vs) for vs in groups.values())
+
+
+def theorem1_label_by_addresses(t: RootedSymmetricTree) -> tuple[int, ...]:
+    """The direct labelling, decoding each vertex's address digits."""
+    hs = t.level_numbers
+    k1 = t.seq.degrees[0]
+    labels = [0] * t.n
+    for i in range(1, t.n):
+        digits = t.address_of(i).indices
+        r = len(digits) + 1
+        if r % 2 == 0:
+            acc = (k1 - digits[0]) * hs[1]
+            for j in range(1, r - 1):
+                acc -= digits[j] * hs[j + 1]
+            labels[i] = acc - (r - 2) // 2
+        else:
+            acc = 0
+            for j in range(r - 1):
+                acc += digits[j] * hs[j + 1]
+            labels[i] = acc + (r - 1) // 2
+    return tuple(labels)
+
+
+def decompose_by_addresses(
+    t: RootedSymmetricTree,
+) -> tuple[GeneralTree, tuple[int, ...], tuple[int, ...]]:
+    """``(P, p_map, h_map)`` of the last-branch split, from address digits.
+
+    P is the root plus every vertex whose first digit is the last one,
+    on local indices in ``p_map`` order; H's vertex with address ``a``
+    is the tree's vertex with address ``a``.
+    """
+    k1 = t.seq.degrees[0]
+    p_map = (0,) + tuple(i for i in range(1, t.n) if t.address_of(i).indices[0] == k1 - 1)
+    local = {g: i for i, g in enumerate(p_map)}
+    p = GeneralTree(len(p_map), tuple((local[t.parent_index(g)], local[g]) for g in p_map[1:]))
+    if k1 == 1:
+        return p, p_map, (0,)
+    h = RootedSymmetricTree((k1 - 1,) + t.seq.degrees[1:])
+    return p, p_map, tuple(t.index_of(h.address_of(i)) for i in range(h.n))
+
+
+def is_caterpillar(t: GeneralTree) -> bool:
+    """Whether deleting the leaves leaves a path (or nothing)."""
+    g = nx.Graph(t.edges)
+    g.add_nodes_from(range(t.n))
+    spine = g.subgraph([v for v in g if g.degree(v) >= 2])
+    return all(d <= 2 for _, d in spine.degree())

@@ -144,6 +144,25 @@ def test_rotate0_timeout_exit_and_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_deep_or_oversized_tree_is_an_error_not_a_traceback(capsys, monkeypatch):
+    # Orbits of the path are computed without recursion; the search
+    # still recurses once per vertex and runs out of stack.
+    code, out, err = run(
+        capsys, "rotate0", "--path", "1200", "--budget-nodes", "5000", "--budget-secs", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: recursion limit reached")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("gracetree.cli.is_zero_rotatable", out_of_memory)
+    code, _, err = run(capsys, "rotate0", "--rst", "2,2")
+    assert code == 1
+    assert err == "error: out of memory\n"
+
+
 def test_sweep_cli(capsys, tmp_path):
     csv_file = tmp_path / "s.csv"
     wit_dir = tmp_path / "wit"

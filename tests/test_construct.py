@@ -24,6 +24,8 @@ from gracetree import (
     to_general,
     zero_at,
 )
+from gracetree.sweep import SweepSpec, enumerate_family
+from oracles import theorem1_label_by_addresses
 
 sequences = (
     st.lists(st.integers(1, 5), min_size=1, max_size=5)
@@ -49,6 +51,12 @@ def test_theorem1_goldens():
     t = build((2, 3, 4))
     f = theorem1_label(t)
     assert f[t.index_of((1, 2, 3))] == 2
+
+
+def test_theorem1_matches_address_definition():
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=40)):
+        t = build(seq)
+        assert theorem1_label(t).labels == theorem1_label_by_addresses(t), seq
 
 
 @given(sequences)
@@ -205,6 +213,31 @@ def test_zero_at_rejects_middle_levels():
     with pytest.raises(UnsupportedConstruction) as exc:
         zero_at(ZeroAtRequest(t, t.index_of((0, 0, 0)), 0))
     assert exc.value.reason == UnsupportedConstruction.NO_CONSTRUCTION
+
+
+@pytest.mark.parametrize(
+    "spine, level, end",
+    [(600, "q", "first"), (600, "q-1", "first"), (1_150, "2", "last")],
+)
+def test_zero_at_on_deep_brooms(spine, level, end):
+    # Spines deep enough that nested-tuple subtree codes overflowed the
+    # stack when the result was moved onto its target.
+    t = build((3,) + (1,) * spine + (3,))
+    r = {"2": 2, "q-1": t.q - 1, "q": t.q}[level]
+    vertices = t.vertices_at_level(r)
+    target = vertices[0] if end == "first" else vertices[-1]
+    f, trace = zero_at(ZeroAtRequest(t, target, 0))
+    assert f[target] == 0
+    assert is_graceful(to_general(t), f)
+    assert replay_trace(t, trace).labels == f.labels
+
+
+def test_zero_at_on_a_long_broom_level_four():
+    t = build((2, 1, 1, 5000))
+    target = t.vertices_at_level(4)[0]
+    f, _ = zero_at(ZeroAtRequest(t, target, 0))
+    assert f[target] == 0
+    assert is_graceful(to_general(t), f)
 
 
 def test_zero_at_validation():

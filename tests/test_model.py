@@ -1,7 +1,8 @@
 import json
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
@@ -23,7 +24,15 @@ from gracetree import (
     tree_to_json,
     vertex_orbits,
 )
-from oracles import all_trees, brute_orbits, random_tree
+from gracetree.sweep import SweepSpec, enumerate_family
+from oracles import (
+    all_trees,
+    brute_orbits,
+    decompose_by_addresses,
+    is_caterpillar,
+    orbits_by_rooted_codes,
+    random_tree,
+)
 
 sequences = (
     st.lists(st.integers(1, 4), min_size=1, max_size=4)
@@ -211,6 +220,18 @@ def test_decompose_golden():
     assert flags.is_caterpillar
 
 
+def test_decompose_matches_address_definition():
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=40)):
+        t = build(seq)
+        p, p_map, h_map = decompose_by_addresses(t)
+        if not is_caterpillar(p):
+            with pytest.raises(UnsupportedConstruction):
+                decompose(t)
+            continue
+        dec = decompose(t)
+        assert (dec.caterpillar_p, dec.p_map, dec.h_map) == (p, p_map, h_map), seq
+
+
 def test_decompose_trivial_subtree():
     t = build((1, 1))
     dec = decompose(t)
@@ -244,6 +265,72 @@ def test_orbits_match_brute_force_all_small_trees():
 @settings(max_examples=60)
 def test_orbits_match_brute_force_random(g):
     assert list(vertex_orbits(g).orbits) == brute_orbits(g)
+
+
+@st.composite
+def shuffled_trees(draw, min_n=2, max_n=80):
+    g = draw(general_trees(min_n, max_n))
+    perm = draw(st.permutations(range(g.n)))
+    return GeneralTree(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+@st.composite
+def bicentral_trees(draw, isomorphic_halves):
+    """Two rooted halves of equal height joined root to root, so the
+    joining edge is the central edge; vertex indices are shuffled."""
+
+    def half():
+        parents = [-1]
+        for i in range(1, draw(st.integers(1, 27))):
+            parents.append(draw(st.integers(0, i - 1)))
+        return parents
+
+    a = half()
+    b = list(a) if isomorphic_halves else half()
+
+    def depths(parents):
+        d = [0] * len(parents)
+        for i in range(1, len(parents)):
+            d[i] = d[parents[i]] + 1
+        return d
+
+    da, db = depths(a), depths(b)
+    short, d = (a, da) if max(da) < max(db) else (b, db)
+    tip = d.index(max(d))
+    for _ in range(abs(max(da) - max(db))):
+        short.append(tip)
+        tip = len(short) - 1
+    off = len(a)
+    edges = [(a[i], i) for i in range(1, off)]
+    edges += [(off + b[i], off + i) for i in range(1, len(b))]
+    edges.append((0, off))
+    n = off + len(b)
+    perm = draw(st.permutations(range(n)))
+    return GeneralTree(n, tuple((perm[u], perm[v]) for u, v in edges)), (perm[0], perm[off])
+
+
+@given(shuffled_trees())
+@settings(max_examples=80)
+def test_orbits_match_rooted_code_oracle(g):
+    assert list(vertex_orbits(g).orbits) == orbits_by_rooted_codes(g)
+
+
+@pytest.mark.parametrize("isomorphic_halves", [True, False])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_orbits_match_oracle_on_bicentral_trees(isomorphic_halves, data):
+    g, ends = data.draw(bicentral_trees(isomorphic_halves))
+    assert set(nx.center(nx.Graph(g.edges))) == set(ends)
+    expected = orbits_by_rooted_codes(g)
+    swapped = any(ends[0] in o and ends[1] in o for o in expected)
+    assume(swapped == isomorphic_halves)
+    assert list(vertex_orbits(g).orbits) == expected
+
+
+def test_orbits_of_a_deep_path():
+    n = 5000
+    g = to_general(build(path_sequence(n)))
+    assert vertex_orbits(g).orbits == tuple((i, n - 1 - i) for i in range(n // 2))
 
 
 @given(general_trees(min_n=2, max_n=9), st.data())
