@@ -30,13 +30,12 @@ from .construct import (
 )
 from .labelling import Labelling, edge_labels, is_graceful
 from .model import (
-    GeneralTree,
     RootedSymmetricTree,
+    Tree,
     UnsupportedConstruction,
     build,
     path_sequence,
     to_dot,
-    to_general,
     tree_from_json,
     tree_to_dict,
     tree_to_json,
@@ -106,7 +105,7 @@ def _add_tree_source(p: argparse.ArgumentParser) -> None:
     group.add_argument("--tree", metavar="FILE", help="tree JSON file (- for stdin)")
 
 
-def _load_tree(args) -> RootedSymmetricTree | GeneralTree:
+def _load_tree(args) -> Tree:
     if args.rst is not None:
         return build(_parse_sequence(args.rst))
     if args.path is not None:
@@ -164,7 +163,7 @@ def _resolve_budgets(args) -> tuple[int | None, float | None]:
     return nodes, secs
 
 
-def _tree_id(t: RootedSymmetricTree | GeneralTree) -> str:
+def _tree_id(t: Tree) -> str:
     if isinstance(t, RootedSymmetricTree):
         return sequence_label(t.seq.degrees)
     return f"n{t.n}"
@@ -252,7 +251,6 @@ def _build_parser() -> _Parser:
 
 def cmd_label(args) -> int:
     t = _require_rst(_load_tree(args))
-    g = to_general(t)
     if args.zero_at is not None:
         desired = 0 if args.desired == "0" else t.n - 1
         f, trace = zero_at(ZeroAtRequest(t, args.zero_at, desired))
@@ -264,7 +262,7 @@ def cmd_label(args) -> int:
         f = theorem1_label(t)
         method = METHOD_STAR if t.q <= 2 else METHOD_THEOREM1
         trace = ConstructionTrace(method, ({"op": "theorem1", "labels": list(f.labels)},))
-    if not is_graceful(g, f):
+    if not is_graceful(t, f):
         print("error: produced labelling failed verification", file=sys.stderr)
         return 2
     doc = {
@@ -278,25 +276,28 @@ def cmd_label(args) -> int:
         doc["trace"] = trace.to_dict()
     _write_text(args.out or "-", json.dumps(doc, indent=2) + "\n")
     if args.dot:
-        _write_text(args.dot, to_dot(g, f.labels))
+        _write_text(args.dot, to_dot(t, f.labels))
     return 0
 
 
 def cmd_verify(args) -> int:
     t = _load_tree(args)
-    g = to_general(t) if isinstance(t, RootedSymmetricTree) else t
     doc = json.loads(_read_text(args.labels))
     raw = doc["labels"] if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise ValueError("labelling document must be a list or carry a 'labels' list")
-    if len(raw) != g.n:
-        raise ValueError(f"labelling has {len(raw)} entries for a {g.n}-vertex tree")
-    labels = tuple(int(x) for x in raw)
-    if sorted(labels) != list(range(g.n)):
+    if len(raw) != t.n:
+        raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
+    for x in raw:
+        # bool is an int subclass, and int() would truncate a float.
+        if type(x) is not int:
+            raise ValueError(f"labelling entry {json.dumps(x)} is not an integer")
+    labels = tuple(raw)
+    if sorted(labels) != list(range(t.n)):
         print("not graceful: labels are not a permutation of 0..n-1")
         return 2
-    diffs = edge_labels(g, labels)
-    if sorted(diffs) != list(range(1, g.n)):
+    diffs = edge_labels(t, labels)
+    if sorted(diffs) != list(range(1, t.n)):
         print(f"not graceful: edge differences {sorted(diffs)} are not 1..n-1")
         return 2
     print("graceful")
@@ -359,11 +360,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_tree(args) -> int:
     t = _load_tree(args)
-    g = to_general(t) if isinstance(t, RootedSymmetricTree) else t
     if args.json or not args.dot:
         _write_text(args.json or "-", tree_to_json(t) + "\n")
     if args.dot:
-        _write_text(args.dot, to_dot(g))
+        _write_text(args.dot, to_dot(t))
     return 0
 
 

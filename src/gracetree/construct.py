@@ -34,14 +34,16 @@ from .labelling import (
 )
 from .model import (
     BroomDecomposition,
-    GeneralTree,
     RootedSymmetricTree,
+    Tree,
     UnsupportedConstruction,
     VertexAddress,
     automorphism_mapping,
     decompose,
-    to_general,
 )
+
+# Unused here, but perfbench/spans.py wraps it at this module's lookup site.
+from .model import to_general  # noqa: F401
 
 METHOD_THEOREM1 = "theorem1"
 METHOD_THEOREM2_ODD = "theorem2_odd"
@@ -50,16 +52,6 @@ METHOD_LEMMA1 = "lemma1"
 METHOD_COMPLEMENT = "complement_of"
 METHOD_STAR = "star_direct"
 METHOD_SEARCH = "search_fallback"
-
-ALL_METHODS = (
-    METHOD_THEOREM1,
-    METHOD_THEOREM2_ODD,
-    METHOD_THEOREM2_EVEN,
-    METHOD_LEMMA1,
-    METHOD_COMPLEMENT,
-    METHOD_STAR,
-    METHOD_SEARCH,
-)
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
             "labels": list(f.labels),
         },
     )
-    if not is_graceful(to_general(t), f):
+    if not is_graceful(t, f):
         raise RuntimeError("swap product broke gracefulness; this is a bug")
     return f, ConstructionTrace(METHOD_LEMMA1, steps)
 
@@ -247,7 +239,7 @@ def compose_theorem2(
             raise RuntimeError("branch and subtree overlap inconsistently; this is a bug")
         full[gi] = h_labels[hi]
     f = Labelling(tuple(full))
-    if not is_graceful(to_general(t), f):
+    if not is_graceful(t, f):
         raise RuntimeError("composed labelling is not graceful; this is a bug")
 
     steps = [
@@ -328,7 +320,6 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     if desired not in (0, n - 1):
         raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
     level = t.level_of_index(target)
-    g = to_general(t)
 
     if level <= 2:
         base = theorem1_label(t)
@@ -358,13 +349,13 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
 
     holder = f.vertex_with_label(desired)
     if holder != target:
-        perm = automorphism_mapping(g, holder, target)
+        perm = automorphism_mapping(t, holder, target)
         f = relabel_vertices(f, perm)
         steps.append(
             {"op": "relabel_vertices", "perm": list(perm), "labels": list(f.labels)}
         )
 
-    if f[target] != desired or not is_graceful(g, f):
+    if f[target] != desired or not is_graceful(t, f):
         raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
     return f, ConstructionTrace(method, tuple(steps))
 
@@ -374,21 +365,18 @@ def _check(recorded: Sequence[int], recomputed: Sequence[int], op: str) -> None:
         raise ValueError(f"trace step {op!r} does not replay: recorded labels differ")
 
 
-def replay_trace(
-    t: Union[RootedSymmetricTree, GeneralTree], trace: ConstructionTrace
-) -> Labelling:
+def _rooted(t: Tree) -> RootedSymmetricTree:
+    if not isinstance(t, RootedSymmetricTree):
+        raise ValueError("trace needs a rooted symmetric tree to replay")
+    return t
+
+
+def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
     """Re-execute a construction trace and cross-check every snapshot.
 
     Raises ValueError on any mismatch between a recorded snapshot and
     its recomputation.  Returns the final labelling, verified graceful.
     """
-    if isinstance(t, RootedSymmetricTree):
-        rst: RootedSymmetricTree | None = t
-        g = to_general(t)
-    else:
-        rst = None
-        g = t
-
     cur: tuple[int, ...] | None = None
     dec: BroomDecomposition | None = None
     broom_local: tuple[int, ...] | None = None
@@ -397,9 +385,7 @@ def replay_trace(
     for step in trace.steps:
         op = step["op"]
         if op == "theorem1":
-            if rst is None:
-                raise ValueError("trace needs a rooted symmetric tree to replay")
-            cur = theorem1_label(rst).labels
+            cur = theorem1_label(_rooted(t)).labels
             _check(step["labels"], cur, op)
         elif op == "apply_permutation":
             prod = TranspositionProduct(tuple(tuple(s) for s in step["swaps"]))
@@ -412,9 +398,7 @@ def replay_trace(
             cur = relabel_vertices(Labelling(cur), tuple(step["perm"])).labels
             _check(step["labels"], cur, op)
         elif op == "decompose":
-            if rst is None:
-                raise ValueError("trace needs a rooted symmetric tree to replay")
-            dec = decompose(rst)
+            dec = decompose(_rooted(t))
             if (
                 list(dec.subtree_h.seq.degrees) != list(step["h_degrees"])
                 or list(dec.p_map) != list(step["p_map"])
@@ -440,7 +424,7 @@ def replay_trace(
         elif op == "merge":
             if dec is None or broom_local is None or h_cur is None:
                 raise ValueError("trace step 'merge' is missing its inputs")
-            full = [-1] * g.n
+            full = [-1] * t.n
             for li, gi in enumerate(dec.p_map):
                 full[gi] = broom_local[li]
             for hi, gi in enumerate(dec.h_map):
@@ -455,6 +439,6 @@ def replay_trace(
     if cur is None:
         raise ValueError("trace produced no labelling")
     f = Labelling(cur)
-    if not is_graceful(g, f):
+    if not is_graceful(t, f):
         raise ValueError("trace replays to a non-graceful labelling")
     return f

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .model import GeneralTree
+from .model import Tree
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _raw(labels: LabelsLike) -> tuple[int, ...]:
     return tuple(int(x) for x in labels)
 
 
-def edge_labels(t: GeneralTree, labels: LabelsLike) -> tuple[int, ...]:
+def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
     """Edge differences in the tree's canonical edge order."""
     raw = _raw(labels)
     if len(raw) != t.n:
@@ -63,7 +63,7 @@ def edge_labels(t: GeneralTree, labels: LabelsLike) -> tuple[int, ...]:
     return tuple(abs(raw[u] - raw[v]) for u, v in t.edges)
 
 
-def is_graceful(t: GeneralTree, labels: LabelsLike) -> bool:
+def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     """True when ``labels`` is a graceful labelling of ``t``.
 
     Non-bijective label sequences of the right length are merely

@@ -147,10 +147,10 @@ class RootedSymmetricTree:
     """A tree built from a daughter degree sequence.
 
     Exposes arithmetic index/address conversion, parent/child lookup,
-    and per-level bookkeeping.  Instances are immutable.
+    per-level bookkeeping, and the same ``edges`` and ``adjacency`` as
+    the equal GeneralTree, each built on first use.  Instances are
+    immutable.
     """
-
-    __slots__ = ("seq", "level_numbers", "q", "n", "level_sizes", "level_offsets")
 
     def __init__(self, seq: SequenceLike) -> None:
         seq = _coerce_sequence(seq)
@@ -183,6 +183,21 @@ class RootedSymmetricTree:
 
     def __repr__(self) -> str:
         return f"RootedSymmetricTree({self.seq.degrees!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(parent, child) for every child in index order, one level at a
+        time; this is the sorted order GeneralTree normalises to."""
+        edges: list[tuple[int, int]] = []
+        for r in range(1, self.q):
+            k = self.seq.degrees[r - 1]
+            lo, first = self.level_offsets[r - 1], self.level_offsets[r]
+            edges.extend((lo + j // k, first + j) for j in range(self.level_sizes[r]))
+        return tuple(edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.n, self.edges)
 
     def level_of_index(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -284,20 +299,28 @@ class GeneralTree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return _adjacency(self.n, self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
 
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    # Edges come sorted with u < v, so every (w, v) with w < v precedes
+    # every (v, w) and each neighbour list is built in ascending order.
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
+
+
+Tree = Union[GeneralTree, RootedSymmetricTree]
+
+
 def to_general(t: RootedSymmetricTree) -> GeneralTree:
     """Forget the rooting; keeps the breadth-first vertex indexing."""
-    edges = tuple((t.parent_index(i), i) for i in range(1, t.n))
-    return GeneralTree(t.n, edges)
+    return GeneralTree(t.n, t.edges)
 
 
 @dataclass(frozen=True)
@@ -311,7 +334,7 @@ class StructureFlags:
     is_symmetric_banana: bool
 
 
-def rooted_sequence_at(t: GeneralTree, root: int) -> tuple[int, ...] | None:
+def rooted_sequence_at(t: Tree, root: int) -> tuple[int, ...] | None:
     """Daughter degree sequence of ``t`` rooted at ``root``.
 
     Returns None unless every level is child-count uniform with all
@@ -354,7 +377,7 @@ def _is_caterpillar(adj: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def classify(t: GeneralTree) -> StructureFlags:
+def classify(t: Tree) -> StructureFlags:
     """Classify the shape of ``t``.
 
     A path with an odd vertex count (or with n <= 2) counts as a
@@ -432,21 +455,16 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     degrees = t.seq.degrees
     k1 = degrees[0]
     # On every level the last root branch is the last 1/k1 of the level
-    # and H is the rest, both in index order.
+    # and H is the rest, both in index order.  P on its local indices is
+    # the tree whose root has that one branch.
     p_map = [0]
     h_map = [0]
-    p_edges = []
-    above = 0  # local index of the branch's first vertex one level up
     for r in range(2, t.q + 1):
         lo, hi = t.level_offsets[r - 1], t.level_offsets[r]
         split = hi - (hi - lo) // k1
-        first = len(p_map)
-        k = degrees[r - 2]
-        p_edges.extend((above + j // k, first + j) for j in range(hi - split))
         p_map.extend(range(split, hi))
         h_map.extend(range(lo, split))
-        above = first
-    caterpillar_p = GeneralTree(len(p_map), tuple(p_edges))
+    caterpillar_p = to_general(RootedSymmetricTree((1,) + degrees[1:]))
     if not _is_caterpillar(caterpillar_p.adjacency):
         raise UnsupportedConstruction(
             UnsupportedConstruction.NOT_CATERPILLAR,
@@ -474,19 +492,12 @@ class OrbitPartition:
 
     orbits: tuple[tuple[int, ...], ...]
 
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(o[0] for o in self.orbits)
-
     @cached_property
-    def _index(self) -> dict[int, tuple[int, ...]]:
-        return {v: o for o in self.orbits for v in o}
-
-    def orbit_of(self, v: int) -> tuple[int, ...]:
-        return self._index[v]
+    def _index(self) -> dict[int, int]:
+        return {v: o[0] for o in self.orbits for v in o}
 
     def representative_of(self, v: int) -> int:
-        return self._index[v][0]
+        return self._index[v]
 
     def __len__(self) -> int:
         return len(self.orbits)
@@ -538,7 +549,7 @@ def _centre(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(layer)
 
 
-def vertex_orbits(t: GeneralTree) -> OrbitPartition:
+def vertex_orbits(t: Tree) -> OrbitPartition:
     """Vertex orbits under the automorphism group, in linear time.
 
     Every automorphism fixes the centre, or maps the central edge onto
@@ -567,7 +578,7 @@ def vertex_orbits(t: GeneralTree) -> OrbitPartition:
     return OrbitPartition(tuple(tuple(vs) for vs in groups.values()))
 
 
-def automorphism_mapping(t: GeneralTree, src: int, dst: int) -> tuple[int, ...]:
+def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
     """A tree automorphism (as an index permutation) sending src to dst.
 
     Children with equal subtree codes are paired in (code, index) order,
@@ -597,38 +608,50 @@ def automorphism_mapping(t: GeneralTree, src: int, dst: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def tree_to_dict(t: Union[GeneralTree, RootedSymmetricTree]) -> dict:
+def tree_to_dict(t: Tree) -> dict:
     if isinstance(t, RootedSymmetricTree):
         return {"kind": "rst", "degrees": list(t.seq.degrees)}
     return {"kind": "general", "n": t.n, "edges": [list(e) for e in t.edges]}
 
 
-def tree_to_json(t: Union[GeneralTree, RootedSymmetricTree]) -> str:
+def tree_to_json(t: Tree) -> str:
     return json.dumps(tree_to_dict(t))
 
 
-def tree_from_dict(d: dict) -> Union[GeneralTree, RootedSymmetricTree]:
+def _is_int(x) -> bool:
+    # JSON integers only: bool is an int subclass, and int() truncates floats.
+    return type(x) is int
+
+
+def tree_from_dict(d: dict) -> Tree:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError('tree document needs a "kind" field')
     kind = d["kind"]
     if kind == "rst":
         degrees = d.get("degrees")
-        if not isinstance(degrees, list) or not degrees:
-            raise ValueError('rst document needs a non-empty "degrees" list')
+        if not isinstance(degrees, list) or not degrees or not all(map(_is_int, degrees)):
+            raise ValueError('rst document needs a non-empty "degrees" list of integers')
         return RootedSymmetricTree(degrees)
     if kind == "general":
         if "n" not in d or "edges" not in d:
             raise ValueError('general document needs "n" and "edges"')
-        return GeneralTree(d["n"], tuple(tuple(e) for e in d["edges"]))
+        n, edges = d["n"], d["edges"]
+        if not _is_int(n):
+            raise ValueError('"n" must be an integer')
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError('"edges" must be a list of [u, v] integer pairs')
+        return GeneralTree(n, tuple(map(tuple, edges)))
     raise ValueError(f"unknown tree kind {kind!r}")
 
 
-def tree_from_json(text: str) -> Union[GeneralTree, RootedSymmetricTree]:
+def tree_from_json(text: str) -> Tree:
     return tree_from_dict(json.loads(text))
 
 
 def to_dot(
-    t: GeneralTree,
+    t: Tree,
     labels: Sequence[int] | None = None,
     name: str = "gracetree",
 ) -> str:

@@ -22,14 +22,10 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
-from .model import (
-    GeneralTree,
-    RootedSymmetricTree,
-    UnsupportedConstruction,
-    automorphism_mapping,
-    to_general,
-    vertex_orbits,
-)
+from .model import Tree, UnsupportedConstruction, automorphism_mapping, vertex_orbits
+
+# Unused here, but perfbench/spans.py wraps it at this module's lookup site.
+from .model import to_general  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -109,15 +105,8 @@ class SearchOutcome:
     elapsed: float
 
 
-TreeLike = Union[GeneralTree, RootedSymmetricTree]
-
-
-def _general(t: TreeLike) -> GeneralTree:
-    return t if isinstance(t, GeneralTree) else to_general(t)
-
-
 def _run(
-    t: GeneralTree, cons: SearchConstraints, count_mode: bool
+    t: Tree, cons: SearchConstraints, count_mode: bool
 ) -> tuple[str, tuple[int, ...] | None, int, int, float]:
     """Shared engine.  Returns (status, labels, count, nodes, elapsed)."""
     n = t.n
@@ -268,21 +257,20 @@ def _run(
     return status, found, count, nodes, elapsed
 
 
-def find_graceful(t: TreeLike, constraints: SearchConstraints | None = None) -> SearchOutcome:
+def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> SearchOutcome:
     """Search for one graceful labelling honouring the constraints.
 
     Status is "found" with a verified witness, "exhausted" when no
     labelling satisfies the constraints, or "timeout" when a budget ran
     out first (inconclusive).
     """
-    g = _general(t)
     cons = constraints if constraints is not None else SearchConstraints()
-    cons.validate(g.n)
-    status, labels, _, nodes, elapsed = _run(g, cons, count_mode=False)
+    cons.validate(t.n)
+    status, labels, _, nodes, elapsed = _run(t, cons, count_mode=False)
     witness = None
     if status == STATUS_FOUND:
         witness = Labelling(labels)
-        if not is_graceful(g, witness):
+        if not is_graceful(t, witness):
             raise RuntimeError("search returned a non-graceful labelling; this is a bug")
         for v, x in cons.pins:
             if witness[v] != x:
@@ -293,19 +281,18 @@ def find_graceful(t: TreeLike, constraints: SearchConstraints | None = None) -> 
     return SearchOutcome(status, witness, nodes, elapsed)
 
 
-def count_graceful(t: TreeLike, bound: int = 10, force: bool = False) -> int:
+def count_graceful(t: Tree, bound: int = 10, force: bool = False) -> int:
     """Exact number of graceful labellings of ``t``.
 
     The count grows roughly like n!, so trees larger than ``bound``
     vertices are rejected unless ``force`` is set.  Runs unbudgeted.
     """
-    g = _general(t)
-    if g.n > bound and not force:
+    if t.n > bound and not force:
         raise ValueError(
-            f"counting on {g.n} vertices exceeds the bound {bound}; pass force=True"
+            f"counting on {t.n} vertices exceeds the bound {bound}; pass force=True"
         )
     cons = SearchConstraints(node_budget=None, time_budget=None)
-    status, _, count, _, _ = _run(g, cons, count_mode=True)
+    status, _, count, _, _ = _run(t, cons, count_mode=True)
     if status == STATUS_TIMEOUT:
         raise RuntimeError("unbudgeted count stopped early; this is a bug")
     return count
@@ -397,20 +384,20 @@ class RotatabilityReport:
 
 
 def _stash_complement(
-    g: GeneralTree,
+    t: Tree,
     orbits,
     cache: dict[int, Labelling],
     witness: Labelling,
 ) -> None:
     # The complement of a witness is graceful and moves 0 to wherever
     # n-1 sat, which settles that vertex's whole orbit for free.
-    top_holder = witness.vertex_with_label(g.n - 1)
+    top_holder = witness.vertex_with_label(t.n - 1)
     rep = orbits.representative_of(top_holder)
     if rep in cache:
         return
     flipped = complement(witness)
     if top_holder != rep:
-        flipped = relabel_vertices(flipped, automorphism_mapping(g, top_holder, rep))
+        flipped = relabel_vertices(flipped, automorphism_mapping(t, top_holder, rep))
     if flipped[rep] != 0:
         raise RuntimeError("complement transport misplaced label 0; this is a bug")
     cache[rep] = flipped
@@ -424,7 +411,7 @@ _VERDICT_OF_STATUS = {
 
 
 def is_zero_rotatable(
-    t: TreeLike,
+    t: Tree,
     constraints: SearchConstraints | None = None,
     tree_id: str = "",
     construct: Callable[[int], tuple[Labelling, str]] | None = None,
@@ -438,10 +425,9 @@ def is_zero_rotatable(
     without searching.  Budgets from ``constraints`` apply per orbit.
     """
     start = time.perf_counter()
-    g = _general(t)
     base = constraints if constraints is not None else SearchConstraints()
-    base.validate(g.n)
-    orbits = vertex_orbits(g)
+    base.validate(t.n)
+    orbits = vertex_orbits(t)
     # The constructive route names its methods as the sweep CSV always has.
     by_complement, by_search = (
         ("complement", "search") if construct is None else (METHOD_COMPLEMENT, METHOD_SEARCH)
@@ -450,7 +436,7 @@ def is_zero_rotatable(
     entries = []
     for orbit in orbits.orbits:
         rep = orbit[0]
-        if g.n == 1:
+        if t.n == 1:
             entries.append(
                 OrbitVerdict(rep, orbit, VERDICT_YES, "trivial", Labelling((0,)), 0, 0.0)
             )
@@ -470,13 +456,13 @@ def is_zero_rotatable(
                 elapsed = time.perf_counter() - t0
                 entry = OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed)
         if entry is None:
-            out = find_graceful(g, base.with_pin(rep, 0))
+            out = find_graceful(t, base.with_pin(rep, 0))
             entry = OrbitVerdict(
                 rep, orbit, _VERDICT_OF_STATUS[out.status], by_search, out.labelling,
                 out.nodes, out.elapsed,
             )
         if entry.witness is not None:
-            _stash_complement(g, orbits, cache, entry.witness)
+            _stash_complement(t, orbits, cache, entry.witness)
         entries.append(entry)
     elapsed_s = time.perf_counter() - start
-    return RotatabilityReport(tree_id or f"n{g.n}", g.n, tuple(entries), elapsed_s=elapsed_s)
+    return RotatabilityReport(tree_id or f"n{t.n}", t.n, tuple(entries), elapsed_s=elapsed_s)

@@ -216,3 +216,36 @@ def test_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--path", "3", "--labels", str(tmp_path / "nope.json"))
     assert code == 1
     assert "error" in err.lower() or err
+
+
+@pytest.mark.parametrize("entries", ["[0, 1.7, 2]", "[0, true, 2]", "[0, null, 2]", "[0, [1], 2]"])
+def test_verify_rejects_non_integer_labels(capsys, tmp_path, entries):
+    labels = tmp_path / "l.json"
+    labels.write_text('{"labels": %s}' % entries)
+    code, out, err = run(capsys, "verify", "--rst", "2", "--labels", str(labels))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: labelling entry ") and "not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "general", "n": 3, "edges": [[0, 1], [1]]},
+        {"kind": "general", "n": 3, "edges": [5, 6]},
+        {"kind": "general", "n": 3, "edges": None},
+        {"kind": "general", "n": 3, "edges": [[0, 1], [1, 2.0]]},
+        {"kind": "general", "n": None, "edges": [[0, 1], [1, 2]]},
+        {"kind": "rst", "degrees": [None]},
+        {"kind": "rst", "degrees": [2.5, 1]},
+        {"kind": "rst", "degrees": [True, 1]},
+    ],
+)
+def test_malformed_tree_file_is_an_error_not_a_traceback(capsys, tmp_path, doc):
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "tree", "--tree", str(tree))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

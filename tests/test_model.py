@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
@@ -152,14 +152,28 @@ def test_general_tree_validation():
 
 
 @given(sequences)
+@example((0,))
+@example(path_sequence(5000).degrees)
 def test_to_general_preserves_structure(seq):
     t = build(seq)
     g = to_general(t)
     assert g.n == t.n
     assert len(g.edges) == t.n - 1
+    edge_set = set(g.edges)
     for i in range(1, t.n):
         p = t.parent_index(i)
-        assert (min(i, p), max(i, p)) in g.edges
+        assert (min(i, p), max(i, p)) in edge_set
+    # The tree's own edges are the per-vertex parent links, already in
+    # the order GeneralTree normalises to, and its adjacency is the same.
+    assert t.edges == tuple((t.parent_index(i), i) for i in range(1, t.n))
+    assert g.edges == t.edges
+    assert t.adjacency == g.adjacency
+
+
+def test_build_leaves_edges_unmaterialised():
+    t = build((3000, 3000))
+    assert t.n == 9_003_001
+    assert "edges" not in vars(t) and "adjacency" not in vars(t)
 
 
 def test_classify_paths_and_stars():

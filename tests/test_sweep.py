@@ -3,11 +3,14 @@ import time
 
 import pytest
 
+import gracetree.construct
 import gracetree.search
 from gracetree import (
     METHOD_SEARCH,
+    GeneralTree,
     RootedSymmetricTree,
     SweepSpec,
+    ZeroAtRequest,
     build,
     enumerate_family,
     evaluate_sequence,
@@ -18,6 +21,7 @@ from gracetree import (
     sequence_label,
     sweep_to_csv,
     to_general,
+    zero_at,
 )
 from gracetree.sweep import ROTATE0_SCHEMA, SWEEP_COLUMNS, SWEEP_SCHEMA
 
@@ -195,3 +199,33 @@ def test_sweep_elapsed_covers_orbit_computation(monkeypatch):
     monkeypatch.setattr(gracetree.search, "vertex_orbits", slow_orbits)
     row = evaluate_sequence((2, 2), family="q3")
     assert row.elapsed_s >= 0.2
+
+
+def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
+    # A rooted symmetric tree carries its own edges and adjacency, so the
+    # only GeneralTrees a pass builds are decompose's caterpillars P.
+    built = []
+    validate = GeneralTree.__post_init__
+
+    def counting(self):
+        validate(self)
+        built.append(self.n)
+
+    monkeypatch.setattr(GeneralTree, "__post_init__", counting)
+    p_sizes = []
+    real_decompose = gracetree.construct.decompose
+
+    def spy(t):
+        p_sizes.append(t.level_numbers[1] + 1)
+        return real_decompose(t)
+
+    monkeypatch.setattr(gracetree.construct, "decompose", spy)
+
+    # (2,1,2) is fully constructed, (1,1,1,2) also searches.
+    for seq in [(2, 1, 2), (1, 1, 1, 2)]:
+        evaluate_sequence(seq, node_budget=50_000, time_budget=None)
+    t = build((2, 1, 1, 3))
+    for target in (0, 1, 5, 12):
+        zero_at(ZeroAtRequest(t, target, 0))
+    assert p_sizes
+    assert built == p_sizes
