@@ -141,19 +141,27 @@ def _add_budgets(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _env_budget(name: str, parse):
+    text = os.environ[name]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name}={text!r} is not a valid {parse.__name__}") from None
+
+
 def _resolve_budgets(args) -> tuple[int | None, float | None]:
     nodes: int | None
     secs: float | None
     if args.budget_nodes is not None:
         nodes = args.budget_nodes
     elif os.environ.get(ENV_NODES):
-        nodes = int(os.environ[ENV_NODES])
+        nodes = _env_budget(ENV_NODES, int)
     else:
         nodes = DEFAULT_NODE_BUDGET
     if args.budget_secs is not None:
         secs = args.budget_secs
     elif os.environ.get(ENV_SECS):
-        secs = float(os.environ[ENV_SECS])
+        secs = _env_budget(ENV_SECS, float)
     else:
         secs = DEFAULT_TIME_BUDGET
     if nodes is not None and nodes <= 0:
@@ -283,6 +291,8 @@ def cmd_label(args) -> int:
 def cmd_verify(args) -> int:
     t = _load_tree(args)
     doc = json.loads(_read_text(args.labels))
+    if isinstance(doc, dict) and "labels" not in doc:
+        raise ValueError("labelling document has no 'labels' key")
     raw = doc["labels"] if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise ValueError("labelling document must be a list or carry a 'labels' list")

@@ -9,6 +9,15 @@ collide with nothing, which prunes hard and, more importantly, makes
 the enumeration visit each graceful labelling exactly once, so the
 same engine both finds witnesses and counts.
 
+The search state is three Python ints handed down each call as bit
+sets: the free labels, the pending differences (realized by edges whose
+endpoints are both labelled, still to be reached on the way down) and
+the open edges (at least one endpoint unlabelled).  A child gets new
+ints, so backtracking only resets the vertex labels it set.  Candidate
+edges are the set bits of the open mask in edge-index order, so edges
+already closed cost nothing, and the label pairs for an edge with no
+labelled endpoint are the set bits of ``free & (free >> d)``.
+
 On top of the engine sits the per-orbit 0-rotatability decider, which
 can try closed-form constructions before it searches.
 """
@@ -88,8 +97,9 @@ class SearchConstraints:
                 raise ValueError(f"forbidden pair {v}->{x} out of range for n={n}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node budget must be positive or None")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time budget must be positive or None")
+        # NaN compares false with everything, so it would never expire.
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError(f"time budget must be positive or None, not {self.time_budget}")
 
     def with_pin(self, v: int, x: int) -> "SearchConstraints":
         return replace(self, pins=self.pins + ((v, x),))
@@ -120,136 +130,135 @@ def _run(
             return STATUS_FOUND, (0,), 1, 0, elapsed
         return STATUS_EXHAUSTED, None, 0, 0, elapsed
 
-    adj = t.adjacency
     edges = t.edges
+    # nbrs[v]: (neighbour, index of the edge to it) for each neighbour.
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        nbrs[u].append((v, i))
+        nbrs[v].append((u, i))
     label = [-1] * n
-    used = [False] * n
-
-    pending: dict[int, tuple[int, int]] = {}
-    feasible = True
+    free = (1 << n) - 1
+    pending = 0
+    opened = (1 << len(edges)) - 1
     for v, x in cons.pins:
-        if (v, x) in forbidden or used[x] or label[v] >= 0:
-            feasible = False
-            break
+        if (v, x) in forbidden or not free >> x & 1 or label[v] >= 0:
+            return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
         label[v] = x
-        used[x] = True
-    if feasible:
-        for u, v in edges:
-            if label[u] >= 0 and label[v] >= 0:
-                d = abs(label[u] - label[v])
-                if d == 0 or d in pending:
-                    feasible = False
-                    break
-                pending[d] = (u, v)
-    if not feasible:
-        return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+        free ^= 1 << x
+    for i, (u, v) in enumerate(edges):
+        if label[u] >= 0 and label[v] >= 0:
+            bit = 1 << abs(label[u] - label[v])
+            if pending & bit:
+                return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+            pending |= bit
+            opened ^= 1 << i
 
+    top = n - 1
     sym_break = not count_mode and not cons.pins and not cons.forbid
-    node_budget = cons.node_budget
-    time_budget = cons.time_budget
-    deadline = start + time_budget if time_budget is not None else None
+    stop_at = cons.node_budget + 1 if cons.node_budget is not None else 0
+    deadline = start + cons.time_budget if cons.time_budget is not None else None
+    clock = time.perf_counter
     nodes = 0
     count = 0
     found: tuple[int, ...] | None = None
 
-    def note_node() -> None:
-        nonlocal nodes
+    def place(d: int, free: int, pending: int, opened: int) -> bool:
+        """Realize differences d..1 from the state bit sets: ``free``
+        labels, ``pending`` differences, ``opened`` edge indices."""
+        nonlocal nodes, count, found
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes == stop_at:
             raise _Stop
-        if deadline is not None and (nodes & 255) == 0 and time.perf_counter() > deadline:
+        if deadline is not None and not nodes & 255 and clock() > deadline:
             raise _Stop
-
-    def assign(pairs: tuple[tuple[int, int], ...], d: int, skip: tuple[int, int]):
-        """Label the given vertices; queue implied differences.
-
-        Returns the list of queued differences, or None (state restored)
-        when any implied difference is >= d, zero, or already queued.
-        """
-        for v, x in pairs:
-            label[v] = x
-            used[x] = True
-        added: list[int] = []
-        ok = True
-        for v, x in pairs:
-            for w in adj[v]:
-                lw = label[w]
-                if lw < 0:
-                    continue
-                e = (v, w) if v < w else (w, v)
-                if e == skip:
-                    continue
-                dd = abs(x - lw)
-                if dd == 0 or dd >= d or dd in pending:
-                    ok = False
-                    break
-                pending[dd] = e
-                added.append(dd)
-            if not ok:
-                break
-        if ok:
-            return added
-        for dd in added:
-            del pending[dd]
-        for v, x in pairs:
-            label[v] = -1
-            used[x] = False
-        return None
-
-    def place(d: int) -> bool:
-        nonlocal count, found
-        note_node()
         if d == 0:
             count += 1
             if count_mode:
                 return False
             found = tuple(label)
             return True
-        if d in pending:
-            e = pending.pop(d)
-            hit = place(d - 1)
-            pending[d] = e
-            return hit
-        for u, v in edges:
-            lu, lv = label[u], label[v]
-            if lu >= 0 and lv >= 0:
-                continue
-            cands: list[tuple[tuple[int, int], ...]] = []
-            if lu >= 0:
-                for x in (lu - d, lu + d):
-                    if 0 <= x < n and not used[x] and (v, x) not in forbidden:
-                        cands.append(((v, x),))
-            elif lv >= 0:
-                for x in (lv - d, lv + d):
-                    if 0 <= x < n and not used[x] and (u, x) not in forbidden:
-                        cands.append(((u, x),))
-            elif sym_break and d == n - 1:
-                cands.append(((u, 0), (v, n - 1)))
-            else:
-                for a in range(n - d):
-                    b = a + d
-                    if used[a] or used[b]:
+        bit = 1 << d
+        if pending & bit:
+            return place(d - 1, free, pending ^ bit, opened)
+        rest = opened
+        while rest:
+            ebit = rest & -rest
+            rest ^= ebit
+            u, v = edges[ebit.bit_length() - 1]
+            lu = label[u]
+            lv = label[v]
+            if lu >= 0 or lv >= 0:
+                # Label the free endpoint at distance d from the other.
+                if lu >= 0:
+                    vtx, near, skip = v, lu, u
+                else:
+                    vtx, near, skip = u, lv, v
+                for x in (near - d, near + d):
+                    if x < 0 or not free >> x & 1 or forbidden and (vtx, x) in forbidden:
                         continue
-                    if (u, a) not in forbidden and (v, b) not in forbidden:
-                        cands.append(((u, a), (v, b)))
-                    if (u, b) not in forbidden and (v, a) not in forbidden:
-                        cands.append(((u, b), (v, a)))
-            for pairs in cands:
-                added = assign(pairs, d, (u, v))
-                if added is None:
-                    continue
-                if place(d - 1):
-                    return True
-                for dd in added:
-                    del pending[dd]
-                for vtx, val in pairs:
+                    label[vtx] = x
+                    p = pending
+                    shut = ebit
+                    for w, i in nbrs[vtx]:
+                        lw = label[w]
+                        if lw < 0 or w == skip:
+                            continue
+                        dd = x - lw if x > lw else lw - x
+                        b = 1 << dd
+                        if dd >= d or p & b:
+                            break
+                        p |= b
+                        shut |= 1 << i
+                    else:
+                        if place(d - 1, free ^ (1 << x), p, opened ^ shut):
+                            return True
                     label[vtx] = -1
-                    used[val] = False
+                continue
+            # Neither endpoint is labelled: try each free pair at distance d.
+            # Unpinned, the complement of a witness is one too, so the edge
+            # taking 0 and n-1 is tried in one orientation only.
+            if sym_break and d == top:
+                cands = [(0, top)]
+            else:
+                cands = []
+                pairs = free & (free >> d)
+                while pairs:
+                    low = pairs & -pairs
+                    pairs ^= low
+                    a = low.bit_length() - 1
+                    cands.append((a, a + d))
+                    cands.append((a + d, a))
+            for xu, xv in cands:
+                if forbidden and ((u, xu) in forbidden or (v, xv) in forbidden):
+                    continue
+                label[u] = xu
+                label[v] = xv
+                p = pending
+                shut = ebit
+                for vtx, x, skip in ((u, xu, v), (v, xv, u)):
+                    for w, i in nbrs[vtx]:
+                        lw = label[w]
+                        if lw < 0 or w == skip:
+                            continue
+                        dd = x - lw if x > lw else lw - x
+                        b = 1 << dd
+                        if dd >= d or p & b:
+                            p = -1
+                            break
+                        p |= b
+                        shut |= 1 << i
+                    if p < 0:
+                        break
+                else:
+                    if place(d - 1, free ^ (1 << xu) ^ (1 << xv), p, opened ^ shut):
+                        return True
+                label[u] = -1
+                label[v] = -1
         return False
 
     status = STATUS_EXHAUSTED
     try:
-        if place(n - 1):
+        if place(top, free, pending, opened):
             status = STATUS_FOUND
     except _Stop:
         status = STATUS_TIMEOUT

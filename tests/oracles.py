@@ -2,17 +2,23 @@
 
 Everything here answers the same questions as the package by the most
 direct means available (raw permutation enumeration, full automorphism
-listing), sharing no machinery with the code under test.
+listing), sharing no machinery with the code under test.  The one
+exception is ``run_reference``, the search engine as it was before its
+state became bit sets: it is kept to check that the faster engine visits
+the same nodes in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Iterator
 
 import networkx as nx
 
-from gracetree import GeneralTree, RootedSymmetricTree, to_general
+from gracetree import GeneralTree, RootedSymmetricTree, SearchConstraints, to_general
+from gracetree.model import Tree
+from gracetree.search import STATUS_EXHAUSTED, STATUS_FOUND, STATUS_TIMEOUT
 
 
 def enumerate_graceful(t: GeneralTree) -> Iterator[tuple[int, ...]]:
@@ -201,3 +207,164 @@ def is_caterpillar(t: GeneralTree) -> bool:
     g.add_nodes_from(range(t.n))
     spine = g.subgraph([v for v in g if g.degree(v) >= 2])
     return all(d <= 2 for _, d in spine.degree())
+
+
+class _Stop(Exception):
+    """A budget ran out mid-search."""
+
+
+def run_reference(
+    t: Tree, cons: SearchConstraints, count_mode: bool
+) -> tuple[str, tuple[int, ...] | None, int, int, float]:
+    """The recursive engine as it was before the bitset kernel.
+
+    Returns (status, labels, count, nodes, elapsed) like
+    ``gracetree.search._run``, which must match it field for field
+    except elapsed: same nodes, same order, same timeout node count.
+    """
+    n = t.n
+    start = time.perf_counter()
+    forbidden: set[tuple[int, int]] = set(cons.forbid)
+
+    if n == 1:
+        ok = all(x == 0 for _, x in cons.pins) and (0, 0) not in forbidden
+        elapsed = time.perf_counter() - start
+        if ok:
+            return STATUS_FOUND, (0,), 1, 0, elapsed
+        return STATUS_EXHAUSTED, None, 0, 0, elapsed
+
+    adj = t.adjacency
+    edges = t.edges
+    label = [-1] * n
+    used = [False] * n
+
+    pending: dict[int, tuple[int, int]] = {}
+    feasible = True
+    for v, x in cons.pins:
+        if (v, x) in forbidden or used[x] or label[v] >= 0:
+            feasible = False
+            break
+        label[v] = x
+        used[x] = True
+    if feasible:
+        for u, v in edges:
+            if label[u] >= 0 and label[v] >= 0:
+                d = abs(label[u] - label[v])
+                if d == 0 or d in pending:
+                    feasible = False
+                    break
+                pending[d] = (u, v)
+    if not feasible:
+        return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+
+    sym_break = not count_mode and not cons.pins and not cons.forbid
+    node_budget = cons.node_budget
+    time_budget = cons.time_budget
+    deadline = start + time_budget if time_budget is not None else None
+    nodes = 0
+    count = 0
+    found: tuple[int, ...] | None = None
+
+    def note_node() -> None:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise _Stop
+        if deadline is not None and (nodes & 255) == 0 and time.perf_counter() > deadline:
+            raise _Stop
+
+    def assign(pairs: tuple[tuple[int, int], ...], d: int, skip: tuple[int, int]):
+        """Label the given vertices; queue implied differences.
+
+        Returns the list of queued differences, or None (state restored)
+        when any implied difference is >= d, zero, or already queued.
+        """
+        for v, x in pairs:
+            label[v] = x
+            used[x] = True
+        added: list[int] = []
+        ok = True
+        for v, x in pairs:
+            for w in adj[v]:
+                lw = label[w]
+                if lw < 0:
+                    continue
+                e = (v, w) if v < w else (w, v)
+                if e == skip:
+                    continue
+                dd = abs(x - lw)
+                if dd == 0 or dd >= d or dd in pending:
+                    ok = False
+                    break
+                pending[dd] = e
+                added.append(dd)
+            if not ok:
+                break
+        if ok:
+            return added
+        for dd in added:
+            del pending[dd]
+        for v, x in pairs:
+            label[v] = -1
+            used[x] = False
+        return None
+
+    def place(d: int) -> bool:
+        nonlocal count, found
+        note_node()
+        if d == 0:
+            count += 1
+            if count_mode:
+                return False
+            found = tuple(label)
+            return True
+        if d in pending:
+            e = pending.pop(d)
+            hit = place(d - 1)
+            pending[d] = e
+            return hit
+        for u, v in edges:
+            lu, lv = label[u], label[v]
+            if lu >= 0 and lv >= 0:
+                continue
+            cands: list[tuple[tuple[int, int], ...]] = []
+            if lu >= 0:
+                for x in (lu - d, lu + d):
+                    if 0 <= x < n and not used[x] and (v, x) not in forbidden:
+                        cands.append(((v, x),))
+            elif lv >= 0:
+                for x in (lv - d, lv + d):
+                    if 0 <= x < n and not used[x] and (u, x) not in forbidden:
+                        cands.append(((u, x),))
+            elif sym_break and d == n - 1:
+                cands.append(((u, 0), (v, n - 1)))
+            else:
+                for a in range(n - d):
+                    b = a + d
+                    if used[a] or used[b]:
+                        continue
+                    if (u, a) not in forbidden and (v, b) not in forbidden:
+                        cands.append(((u, a), (v, b)))
+                    if (u, b) not in forbidden and (v, a) not in forbidden:
+                        cands.append(((u, b), (v, a)))
+            for pairs in cands:
+                added = assign(pairs, d, (u, v))
+                if added is None:
+                    continue
+                if place(d - 1):
+                    return True
+                for dd in added:
+                    del pending[dd]
+                for vtx, val in pairs:
+                    label[vtx] = -1
+                    used[val] = False
+        return False
+
+    status = STATUS_EXHAUSTED
+    try:
+        if place(n - 1):
+            status = STATUS_FOUND
+    except _Stop:
+        status = STATUS_TIMEOUT
+    elapsed = time.perf_counter() - start
+    return status, found, count, nodes, elapsed

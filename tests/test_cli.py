@@ -100,6 +100,15 @@ def test_verify_failures(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_without_labels_key(capsys, tmp_path):
+    doc = tmp_path / "lab.json"
+    doc.write_text('{"lab": [0, 1, 2]}')
+    code, out, err = run(capsys, "verify", "--rst", "2", "--labels", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == "error: labelling document has no 'labels' key\n"
+
+
 def test_rotate0_yes_and_outputs(capsys, tmp_path):
     csv_file = tmp_path / "r.csv"
     json_file = tmp_path / "r.json"
@@ -142,6 +151,31 @@ def test_rotate0_timeout_exit_and_env(capsys, monkeypatch):
     monkeypatch.setenv("GRACEFUL_BUDGET_NODES", "1")
     code, _, _ = run(capsys, "rotate0", "--rst", "2,2", "--budget-nodes", "0")
     assert code == 0
+
+
+def test_nan_time_budget_is_an_error(capsys, monkeypatch):
+    # NaN never compares greater, so it used to mean "no time limit".
+    for argv in (
+        ("rotate0", "--rst", "2,2", "--budget-secs", "nan"),
+        ("sweep", "--family", "q3", "--nmax", "8", "--budget-secs", "nan"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: time budget must be positive")
+    monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "nan")
+    code, _, err = run(capsys, "rotate0", "--rst", "2,2")
+    assert code == 1
+    assert err.startswith("error: time budget must be positive")
+
+
+@pytest.mark.parametrize("name, value", [("GRACEFUL_BUDGET_NODES", "1e6"), ("GRACEFUL_BUDGET_SECS", "abc")])
+def test_malformed_budget_variable_is_named(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "rotate0", "--rst", "2,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name}={value!r} ")
 
 
 def test_deep_or_oversized_tree_is_an_error_not_a_traceback(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +17,13 @@ from gracetree import (
     to_general,
     vertex_orbits,
 )
+from gracetree.search import _run
 from oracles import (
     all_trees,
     count_graceful_naive,
     enumerate_graceful,
     random_tree,
+    run_reference,
     zero_positions,
 )
 
@@ -37,6 +41,8 @@ def test_constraints_validation():
         SearchConstraints(pins=((0, 1), (1, 1))).validate(3)
     with pytest.raises(ValueError):
         SearchConstraints(node_budget=0).validate(3)
+    with pytest.raises(ValueError):
+        SearchConstraints(time_budget=float("nan")).validate(3)
     assert c.with_pin(2, 1).pins == ((1, 0), (2, 1))
 
 
@@ -197,3 +203,75 @@ def test_rotatability_report_json():
     assert len(doc["orbits"]) == 3
     assert rep.to_json().startswith("{")
     assert rep.nodes >= 0
+
+
+@pytest.mark.parametrize(
+    "seq, pin, node_budget, status, nodes",
+    [
+        ((1, 1, 1, 2), 2, None, "exhausted", 27),
+        ((1, 1, 1, 4), 2, None, "exhausted", 345),
+        ((1, 1, 1, 7), 2, None, "exhausted", 100_557),
+        ((2, 2, 2), 0, None, "found", 240),
+        ((1, 1, 1, 1, 1, 2, 6), 0, 200_000, "timeout", 200_001),
+    ],
+)
+def test_node_count_goldens(seq, pin, node_budget, status, nodes):
+    # The benchmark's tallies depend on the order in which the engine
+    # visits nodes, so these counts pin that order, not just the verdicts.
+    cons = SearchConstraints(pins={pin: 0}, node_budget=node_budget, time_budget=None)
+    out = find_graceful(build(seq), cons)
+    assert (out.status, out.nodes) == (status, nodes)
+
+
+
+def test_search_setup_memory_is_linear():
+    # One int bit per edge held for the whole search would need about
+    # n^2/16 bytes (6 MB here); the set-up must stay linear in n.
+    n = 10_000
+    path = GeneralTree(n, tuple((i, i + 1) for i in range(n - 1)))
+    path.adjacency
+    tracemalloc.start()
+    try:
+        out = find_graceful(path, SearchConstraints(pins={0: 0}, node_budget=5, time_budget=None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.nodes) == ("timeout", 6)
+    assert peak < 4_000_000
+
+def _assert_same_as_reference(t, cons, count_mode):
+    # Everything but the elapsed time must agree: status, labels, count
+    # and the node count, which also fixes the order of the visits.
+    got = _run(t, cons, count_mode)[:4]
+    want = run_reference(t, cons, count_mode)[:4]
+    assert got == want, (t.edges, cons, count_mode)
+
+
+def test_engine_matches_reference_all_small_trees():
+    free = dict(node_budget=None, time_budget=None)
+    for n in range(1, 10):
+        for g in all_trees(n):
+            _assert_same_as_reference(g, SearchConstraints(**free), True)
+            _assert_same_as_reference(g, SearchConstraints(**free), False)
+            _assert_same_as_reference(g, SearchConstraints(node_budget=40, time_budget=None), True)
+            _assert_same_as_reference(g, SearchConstraints(node_budget=5, time_budget=None), False)
+            for v in range(n):
+                _assert_same_as_reference(g, SearchConstraints(pins={v: 0}, **free), False)
+                forbid = (((v + 1) % n, n - 1), ((v + 2) % n, 1))
+                cons = SearchConstraints(pins={v: 0}, forbid=forbid, **free)
+                _assert_same_as_reference(g, cons, False)
+
+
+@given(
+    st.integers(2, 16),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.integers(1, 3_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_random(n, rnd, count_mode, budget):
+    g = random_tree(rnd, n)
+    pins = {rnd.randrange(n): rnd.randrange(n)} if rnd.random() < 0.7 else {}
+    forbid = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(3))]
+    cons = SearchConstraints(pins=pins, forbid=forbid, node_budget=budget, time_budget=None)
+    _assert_same_as_reference(g, cons, count_mode)
