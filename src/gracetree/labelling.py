@@ -21,7 +21,7 @@ class Labelling:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(map(int, self.labels))
         object.__setattr__(self, "labels", labels)
         n = len(labels)
         if n == 0:
@@ -52,7 +52,7 @@ LabelsLike = Union[Labelling, Sequence[int]]
 def _raw(labels: LabelsLike) -> tuple[int, ...]:
     if isinstance(labels, Labelling):
         return labels.labels
-    return tuple(int(x) for x in labels)
+    return tuple(map(int, labels))
 
 
 def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -549,15 +550,57 @@ def _centre(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(layer)
 
 
+def _level_codes(t: RootedSymmetricTree) -> list[int]:
+    """Interned code of the tree rerooted at any vertex of each level.
+
+    All vertices of a level are alike, so three codes per level suffice:
+    ``down`` for the subtree below a vertex, ``up`` for the rest of the
+    tree seen from it through its parent, and the full code joining
+    both.  Child multisets are interned as sorted (code, count) pairs,
+    so the work is O(q) however wide the levels are.
+    """
+    ks = t.seq.degrees
+    q = t.q
+    ids: dict = {}
+
+    def code(*parts: tuple[int, int]) -> int:
+        counts: dict[int, int] = {}
+        for c, m in parts:
+            if m:
+                counts[c] = counts.get(c, 0) + m
+        return _intern(ids, tuple(sorted(counts.items())))
+
+    down = [0] * q
+    down[q - 1] = code()
+    for i in range(q - 2, -1, -1):
+        down[i] = code((down[i + 1], ks[i]))
+    full = [down[0]]
+    up: list[tuple[int, int]] = []
+    for i in range(1, q):
+        up = [(code((down[i], ks[i - 1] - 1), *up), 1)]
+        below = [(down[i + 1], ks[i])] if i < q - 1 else []
+        full.append(code(*below, *up))
+    return full
+
+
 def vertex_orbits(t: Tree) -> OrbitPartition:
     """Vertex orbits under the automorphism group, in linear time.
 
-    Every automorphism fixes the centre, or maps the central edge onto
-    itself.  So the tree is coded once from the centre, each half of a
-    central edge from its own end, and a vertex's orbit id interns its
-    parent's orbit id with its own code: two vertices share an orbit
-    exactly when their ids are equal.
+    In a rooted symmetric tree every orbit is a union of levels: those
+    whose rerootings have equal codes (``_level_codes``), so the orbits
+    come from the degree sequence alone.
+
+    In any other tree, every automorphism fixes the centre, or maps the
+    central edge onto itself.  So the tree is coded once from the
+    centre, each half of a central edge from its own end, and a vertex's
+    orbit id interns its parent's orbit id with its own code: two
+    vertices share an orbit exactly when their ids are equal.
     """
+    if isinstance(t, RootedSymmetricTree):
+        levels: dict[int, list[range]] = {}
+        for r, c in enumerate(_level_codes(t), start=1):
+            levels.setdefault(c, []).append(t.vertices_at_level(r))
+        return OrbitPartition(tuple(tuple(chain.from_iterable(rs)) for rs in levels.values()))
     adj = t.adjacency
     centre = _centre(adj)
     ids: dict = {}
@@ -578,13 +621,55 @@ def vertex_orbits(t: Tree) -> OrbitPartition:
     return OrbitPartition(tuple(tuple(vs) for vs in groups.values()))
 
 
+def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...]:
+    """``automorphism_mapping`` for two vertices on one level, built one
+    level at a time from the degree sequence.
+
+    Rooted at ``src``, an ancestor's children are its parent and its
+    children off the path to ``src``; every other vertex keeps its own
+    children.  Pairing those in (code, index) order on both sides sends
+    each ancestor of ``src`` to the ancestor of ``dst`` on its level, the
+    off-path children of an ancestor in order onto the off-path children
+    of its image, and the children of any other vertex by index.
+    """
+    ks = t.seq.degrees
+    off = t.level_offsets
+    r = t.level_of_index(src)
+    # Ranks of the ancestors of src and dst on levels 1..r.
+    path_s = [src - off[r - 1]]
+    path_d = [dst - off[r - 1]]
+    for i in range(r - 2, -1, -1):
+        path_s.append(path_s[-1] // ks[i])
+        path_d.append(path_d[-1] // ks[i])
+    path_s.reverse()
+    path_d.reverse()
+    perm = [0] * t.n
+    for i in range(t.q - 1):
+        k = ks[i]
+        lo, nlo = off[i], off[i + 1]
+        for x in range(nlo - lo):
+            first = nlo + k * (perm[lo + x] - lo)
+            c = nlo + k * x
+            perm[c : c + k] = range(first, first + k)
+        if i + 1 < r:
+            xs, xd = path_s[i], path_d[i]
+            kids = list(range(nlo + k * xd, nlo + k * xd + k))
+            kids.insert(path_s[i + 1] - k * xs, kids.pop(path_d[i + 1] - k * xd))
+            perm[nlo + k * xs : nlo + k * xs + k] = kids
+    return tuple(perm)
+
+
 def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
     """A tree automorphism (as an index permutation) sending src to dst.
 
     Children with equal subtree codes are paired in (code, index) order,
     so the mapping is deterministic.  Raises ValueError when the two
-    vertices are not in the same orbit.
+    vertices are not in the same orbit.  Two vertices on one level of a
+    rooted symmetric tree are mapped by level arithmetic
+    (``_level_mapping``), with the same result.
     """
+    if isinstance(t, RootedSymmetricTree) and t.level_of_index(src) == t.level_of_index(dst):
+        return _level_mapping(t, src, dst)
     adj = t.adjacency
     ids: dict = {}
     cs, ps, _ = _subtree_codes(adj, src, ids)

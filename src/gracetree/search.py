@@ -25,6 +25,7 @@ can try closed-form constructions before it searches.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Union
@@ -38,6 +39,8 @@ from .model import to_general  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_TIME_BUDGET = 60.0
+# Stack room for the search's callers, on top of its own n frames.
+_RECURSION_MARGIN = 1000
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -257,11 +260,16 @@ def _run(
         return False
 
     status = STATUS_EXHAUSTED
+    # place() nests one call per difference, so up to n deep.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + _RECURSION_MARGIN))
     try:
         if place(top, free, pending, opened):
             status = STATUS_FOUND
     except _Stop:
         status = STATUS_TIMEOUT
+    finally:
+        sys.setrecursionlimit(limit)
     elapsed = time.perf_counter() - start
     return status, found, count, nodes, elapsed
 

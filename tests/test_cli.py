@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gracetree
 from gracetree.cli import main
 
 
@@ -179,11 +184,20 @@ def test_malformed_budget_variable_is_named(capsys, monkeypatch, name, value):
 
 
 def test_deep_or_oversized_tree_is_an_error_not_a_traceback(capsys, monkeypatch):
-    # Orbits of the path are computed without recursion; the search
-    # still recurses once per vertex and runs out of stack.
+    # The search recurses once per vertex and raises the recursion limit
+    # to match, so a path deeper than the default limit is searched.
     code, out, err = run(
-        capsys, "rotate0", "--path", "1200", "--budget-nodes", "5000", "--budget-secs", "0"
+        capsys, "rotate0", "--path", "1200", "--budget-nodes", "5", "--budget-secs", "0"
     )
+    assert code == 4
+    assert out.endswith(": timeout\n")
+    assert err == ""
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr("gracetree.cli.is_zero_rotatable", too_deep)
+    code, out, err = run(capsys, "rotate0", "--rst", "2,2")
     assert code == 1
     assert out == ""
     assert err.startswith("error: recursion limit reached")
@@ -283,3 +297,15 @@ def test_malformed_tree_file_is_an_error_not_a_traceback(capsys, tmp_path, doc):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_command():
+    src = str(Path(gracetree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gracetree.cli", "rotate0", "--rst", "2,2", "--budget-secs", "nan"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: time budget must be positive")

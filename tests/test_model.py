@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -11,6 +12,7 @@ from gracetree import (
     RootedSymmetricTree,
     UnsupportedConstruction,
     VertexAddress,
+    ZeroAtRequest,
     automorphism_mapping,
     build,
     classify,
@@ -23,6 +25,7 @@ from gracetree import (
     tree_from_json,
     tree_to_json,
     vertex_orbits,
+    zero_at,
 )
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import (
@@ -174,6 +177,16 @@ def test_build_leaves_edges_unmaterialised():
     t = build((3000, 3000))
     assert t.n == 9_003_001
     assert "edges" not in vars(t) and "adjacency" not in vars(t)
+
+
+def test_orbits_and_transport_leave_adjacency_unmaterialised():
+    wide = build((2000, 3))
+    assert len(vertex_orbits(wide)) == 3
+    assert "adjacency" not in vars(wide)
+    t = build((300, 300))
+    f, trace = zero_at(ZeroAtRequest(t, 1500, 0))
+    assert f[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
+    assert "adjacency" not in vars(t)
 
 
 def test_classify_paths_and_stars():
@@ -364,6 +377,51 @@ def test_automorphism_mapping_rejects_cross_orbit():
     g = to_general(build((3,)))
     with pytest.raises(ValueError):
         automorphism_mapping(g, 0, 1)
+    t = build((2, 2))
+    for src, dst in ((0, 1), (1, 3), (0, 6)):
+        with pytest.raises(ValueError):
+            automorphism_mapping(t, src, dst)
+
+
+def test_rst_orbits_match_general_route():
+    # The GeneralTree route codes every vertex; the rooted symmetric one
+    # works from the degree sequence alone.
+    seqs = enumerate_family(SweepSpec("rst_all", nmax=40))
+    seqs += enumerate_family(SweepSpec("q3", nmax=200))
+    for seq in seqs:
+        t = build(seq)
+        assert vertex_orbits(t).orbits == vertex_orbits(to_general(t)).orbits, seq
+    assert vertex_orbits(build((0,))).orbits == ((0,),)
+
+
+def test_rst_level_mapping_matches_general_route():
+    # Every ordered pair on levels of up to 6 vertices in trees of up to
+    # 16 vertices; one seeded pair per other level of two or more
+    # vertices, in trees of up to 30.
+    rng = random.Random(6)
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        g = to_general(t)
+        for r in range(1, t.q + 1):
+            vs = t.vertices_at_level(r)
+            if len(vs) <= 6 and t.n <= 16:
+                pairs = [(a, b) for a in vs for b in vs]
+            elif len(vs) > 1:
+                pairs = [tuple(rng.sample(vs, 2))]
+            else:
+                continue
+            for a, b in pairs:
+                assert automorphism_mapping(t, a, b) == automorphism_mapping(g, a, b), (seq, a, b)
+
+
+@pytest.mark.parametrize("seq, src, dst", [((1, 3), 0, 2), ((1, 3), 4, 0), ((1, 1, 1, 1), 0, 4)])
+def test_rst_cross_level_pairs_still_map(seq, src, dst):
+    # Only a root with one child has a twin on another level.
+    t = build(seq)
+    perm = automorphism_mapping(t, src, dst)
+    assert perm[src] == dst
+    assert {frozenset((perm[u], perm[v])) for u, v in t.edges} == {frozenset(e) for e in t.edges}
+    assert perm == automorphism_mapping(to_general(t), src, dst)
 
 
 def test_tree_json_roundtrip():

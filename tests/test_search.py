@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -275,3 +276,13 @@ def test_engine_matches_reference_random(n, rnd, count_mode, budget):
     forbid = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(3))]
     cons = SearchConstraints(pins=pins, forbid=forbid, node_budget=budget, time_budget=None)
     _assert_same_as_reference(g, cons, count_mode)
+
+
+def test_search_on_a_deep_path_returns_a_status():
+    # One nested call per difference: 5,000 levels exceed the default
+    # recursion limit, which the search raises for its own duration.
+    limit = sys.getrecursionlimit()
+    t = build(path_sequence(5000))
+    out = find_graceful(t, SearchConstraints(node_budget=None, time_budget=None))
+    assert (out.status, out.nodes) == ("found", 5000)
+    assert sys.getrecursionlimit() == limit
