@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .construct import (
@@ -28,7 +29,7 @@ from .construct import (
     theorem1_label,
     zero_at,
 )
-from .labelling import Labelling, edge_labels, is_graceful
+from .labelling import graceful_defect, is_graceful
 from .model import (
     RootedSymmetricTree,
     Tree,
@@ -45,6 +46,7 @@ from .search import (
     DEFAULT_TIME_BUDGET,
     VERDICT_NO,
     VERDICT_TIMEOUT,
+    VERDICT_YES,
     SearchConstraints,
     is_zero_rotatable,
 )
@@ -302,13 +304,9 @@ def cmd_verify(args) -> int:
         # bool is an int subclass, and int() would truncate a float.
         if type(x) is not int:
             raise ValueError(f"labelling entry {json.dumps(x)} is not an integer")
-    labels = tuple(raw)
-    if sorted(labels) != list(range(t.n)):
-        print("not graceful: labels are not a permutation of 0..n-1")
-        return 2
-    diffs = edge_labels(t, labels)
-    if sorted(diffs) != list(range(1, t.n)):
-        print(f"not graceful: edge differences {sorted(diffs)} are not 1..n-1")
+    defect = graceful_defect(t, raw)
+    if defect is not None:
+        print(f"not graceful: {defect}")
         return 2
     print("graceful")
     return 0
@@ -351,7 +349,13 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(spec, jobs=max(1, args.jobs))
     for row in rows:
         print(f"{row.tree_id:<16} n={row.n:<5} orbits={len(row.entries):<3} {row.verdict}")
-    print(f"swept {len(rows)} trees from family {args.family}")
+    verdicts = Counter(v for row in rows for v in row.verdicts)
+    print(
+        f"swept {len(rows)} trees from family {args.family}: "
+        f"{sum(verdicts.values())} orbits ({verdicts[VERDICT_YES]} yes, "
+        f"{verdicts[VERDICT_NO]} no, {verdicts[VERDICT_TIMEOUT]} timeout), "
+        f"{sum(row.searched for row in rows)} searched, {sum(row.nodes for row in rows)} nodes"
+    )
     if args.csv:
         _write_text(args.csv, sweep_to_csv(rows, include_timing=not args.no_timing))
     if args.witnesses:

@@ -26,7 +26,7 @@ class Labelling:
         n = len(labels)
         if n == 0:
             raise ValueError("a labelling cannot be empty")
-        if sorted(labels) != list(range(n)):
+        if not _is_permutation(labels, n):
             raise ValueError("labels must be a permutation of 0..n-1")
 
     @property
@@ -63,6 +63,11 @@ def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
     return tuple(abs(raw[u] - raw[v]) for u, v in t.edges)
 
 
+def _is_permutation(raw: Sequence[int], n: int) -> bool:
+    # n distinct integers between 0 and n-1 are exactly 0..n-1.
+    return len(raw) == len(set(raw)) == n and min(raw) == 0 and max(raw) == n - 1
+
+
 def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     """True when ``labels`` is a graceful labelling of ``t``.
 
@@ -72,10 +77,27 @@ def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     raw = _raw(labels)
     if len(raw) != t.n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
-    if sorted(raw) != list(range(t.n)):
+    if not _is_permutation(raw, t.n):
         return False
-    diffs = edge_labels(t, raw)
-    return sorted(diffs) == list(range(1, t.n))
+    # Distinct labels in 0..n-1 give differences in 1..n-1, so n-1
+    # distinct ones are all of them.
+    return len({abs(raw[u] - raw[v]) for u, v in t.edges}) == t.n - 1
+
+
+def graceful_defect(t: Tree, labels: LabelsLike) -> str | None:
+    """None for a graceful labelling, else a one-line reason naming the
+    smallest repeated and the smallest missing edge difference."""
+    if is_graceful(t, labels):
+        return None
+    raw = _raw(labels)
+    if not _is_permutation(raw, t.n):
+        return "labels are not a permutation of 0..n-1"
+    seen: set[int] = set()
+    repeated: set[int] = set()
+    for d in edge_labels(t, raw):
+        (repeated if d in seen else seen).add(d)
+    missing = min(d for d in range(1, t.n) if d not in seen)
+    return f"edge difference {min(repeated)} repeats and {missing} is missing"
 
 
 def complement(f: Labelling) -> Labelling:
@@ -136,7 +158,7 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
-    if sorted(vertex_perm) != list(range(f.n)):
+    if not _is_permutation(vertex_perm, f.n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
     out = [0] * f.n
     for old, new in enumerate(vertex_perm):

@@ -205,6 +205,11 @@ class RootedSymmetricTree:
             raise ValueError(f"vertex index {i} out of range")
         return bisect_right(self.level_offsets, i)
 
+    def degree(self, i: int) -> int:
+        """k_r children, plus the parent below the root (k_q = 0)."""
+        r = self.level_of_index(i)
+        return (self.seq.degrees[r - 1] if r < self.q else 0) + (r > 1)
+
     def vertices_at_level(self, r: int) -> range:
         if not 1 <= r <= self.q:
             raise ValueError(f"level {r} out of range")

@@ -372,6 +372,12 @@ class RotatabilityReport:
         return sum(e.nodes for e in self.entries)
 
     @property
+    def searched(self) -> int:
+        """Orbits whose decision ran a search; every search visits at
+        least one node, and no other route counts any."""
+        return sum(1 for e in self.entries if e.nodes)
+
+    @property
     def orbit_reps(self) -> tuple[int, ...]:
         return tuple(e.representative for e in self.entries)
 
@@ -400,26 +406,6 @@ class RotatabilityReport:
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 
-def _stash_complement(
-    t: Tree,
-    orbits,
-    cache: dict[int, Labelling],
-    witness: Labelling,
-) -> None:
-    # The complement of a witness is graceful and moves 0 to wherever
-    # n-1 sat, which settles that vertex's whole orbit for free.
-    top_holder = witness.vertex_with_label(t.n - 1)
-    rep = orbits.representative_of(top_holder)
-    if rep in cache:
-        return
-    flipped = complement(witness)
-    if top_holder != rep:
-        flipped = relabel_vertices(flipped, automorphism_mapping(t, top_holder, rep))
-    if flipped[rep] != 0:
-        raise RuntimeError("complement transport misplaced label 0; this is a bug")
-    cache[rep] = flipped
-
-
 _VERDICT_OF_STATUS = {
     STATUS_FOUND: VERDICT_YES,
     STATUS_EXHAUSTED: VERDICT_NO,
@@ -435,51 +421,92 @@ def is_zero_rotatable(
 ) -> RotatabilityReport:
     """Decide, orbit by orbit, whether every vertex can carry label 0.
 
-    Per orbit: a cached complement witness wins, then ``construct(rep)``
-    when given (it returns ``(witness, method)`` or raises
-    UnsupportedConstruction), then a search pinning the orbit's smallest
-    vertex to 0.  Complements of new witnesses settle other orbits
-    without searching.  Budgets from ``constraints`` apply per orbit.
+    In a graceful labelling 0 and n-1 sit on adjacent vertices, and the
+    complement of a witness moves 0 to wherever n-1 sat, so every new
+    witness settles the orbit of that neighbour for free.  Three passes
+    use this:
+
+    1. In orbit order, each orbit not yet settled by a complement tries
+       ``construct(rep)`` when given (it returns ``(witness, method)``
+       or raises UnsupportedConstruction).
+    2. The orbits left over are searched with their smallest vertex
+       pinned to 0, lowest degree first and, within a degree, highest
+       index first, so each leaf's witness settles its neighbour before
+       that neighbour's search would start.  An orbit settled by a
+       complement in the meantime is skipped.
+    3. A complement that lands on an orbit whose search timed out makes
+       it yes; the entry keeps the nodes and time the search spent.
+
+    Budgets from ``constraints`` apply per orbit; pins and forbidden
+    pairs are rejected, as each search sets its own pin.  Entries come
+    back in orbit order.
     """
     start = time.perf_counter()
     base = constraints if constraints is not None else SearchConstraints()
     base.validate(t.n)
+    if base.pins or base.forbid:
+        raise ValueError("is_zero_rotatable sets its own pins; pass budgets only")
     orbits = vertex_orbits(t)
+    orbit_of = {orbit[0]: orbit for orbit in orbits.orbits}
     # The constructive route names its methods as the sweep CSV always has.
     by_complement, by_search = (
         ("complement", "search") if construct is None else (METHOD_COMPLEMENT, METHOD_SEARCH)
     )
-    cache: dict[int, Labelling] = {}
-    entries = []
-    for orbit in orbits.orbits:
-        rep = orbit[0]
-        if t.n == 1:
-            entries.append(
-                OrbitVerdict(rep, orbit, VERDICT_YES, "trivial", Labelling((0,)), 0, 0.0)
-            )
-            continue
-        cached = cache.get(rep)
-        if cached is not None:
-            entries.append(OrbitVerdict(rep, orbit, VERDICT_YES, by_complement, cached, 0, 0.0))
-            continue
-        entry = None
-        if construct is not None:
+    settled: dict[int, OrbitVerdict] = {}
+    if t.n == 1:
+        settled[0] = OrbitVerdict(0, (0,), VERDICT_YES, "trivial", Labelling((0,)), 0, 0.0)
+
+    def settle(entry: OrbitVerdict) -> None:
+        settled[entry.representative] = entry
+        if entry.witness is None:
+            return
+        top_holder = entry.witness.vertex_with_label(t.n - 1)
+        rep = orbits.representative_of(top_holder)
+        prior = settled.get(rep)
+        nodes, elapsed = 0, 0.0
+        if prior is not None:
+            if prior.verdict == VERDICT_YES:
+                return
+            if prior.verdict == VERDICT_NO:
+                raise RuntimeError(
+                    f"a complement puts 0 on vertex {rep}, whose search was exhausted; "
+                    "this is a bug"
+                )
+            nodes, elapsed = prior.nodes, prior.elapsed
+        flipped = complement(entry.witness)
+        if top_holder != rep:
+            flipped = relabel_vertices(flipped, automorphism_mapping(t, top_holder, rep))
+        if flipped[rep] != 0:
+            raise RuntimeError("complement transport misplaced label 0; this is a bug")
+        settled[rep] = OrbitVerdict(
+            rep, orbit_of[rep], VERDICT_YES, by_complement, flipped, nodes, elapsed
+        )
+
+    if construct is not None:
+        for rep, orbit in orbit_of.items():
+            if rep in settled:
+                continue
             t0 = time.perf_counter()
             try:
                 witness, method = construct(rep)
             except UnsupportedConstruction:
-                pass
-            else:
-                elapsed = time.perf_counter() - t0
-                entry = OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed)
-        if entry is None:
-            out = find_graceful(t, base.with_pin(rep, 0))
-            entry = OrbitVerdict(
-                rep, orbit, _VERDICT_OF_STATUS[out.status], by_search, out.labelling,
-                out.nodes, out.elapsed,
+                continue
+            elapsed = time.perf_counter() - t0
+            settle(OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed))
+    # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.
+    unsettled = sorted(
+        (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
+    )
+    for rep in unsettled:
+        if rep in settled:
+            continue
+        out = find_graceful(t, base.with_pin(rep, 0))
+        settle(
+            OrbitVerdict(
+                rep, orbit_of[rep], _VERDICT_OF_STATUS[out.status], by_search,
+                out.labelling, out.nodes, out.elapsed,
             )
-        if entry.witness is not None:
-            _stash_complement(t, orbits, cache, entry.witness)
-        entries.append(entry)
+        )
+    entries = tuple(settled[rep] for rep in orbit_of)
     elapsed_s = time.perf_counter() - start
-    return RotatabilityReport(tree_id or f"n{t.n}", t.n, tuple(entries), elapsed_s=elapsed_s)
+    return RotatabilityReport(tree_id or f"n{t.n}", t.n, entries, elapsed_s=elapsed_s)

@@ -105,6 +105,17 @@ def test_verify_failures(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_failure_message_stays_short(capsys, tmp_path):
+    # The identity labelling of a long path repeats difference 1 on every
+    # edge; the message names one repeat and one gap, not all 3,000.
+    lab = tmp_path / "f.json"
+    lab.write_text(json.dumps(list(range(3001))))
+    code, out, _ = run(capsys, "verify", "--path", "3001", "--labels", str(lab))
+    assert code == 2
+    assert out == "not graceful: edge difference 1 repeats and 2 is missing\n"
+    assert len(out) < 200
+
+
 def test_verify_without_labels_key(capsys, tmp_path):
     doc = tmp_path / "lab.json"
     doc.write_text('{"lab": [0, 1, 2]}')
@@ -234,6 +245,10 @@ def test_sweep_counterexample_exit(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "rst_all", "--nmax", "6")
     assert code == 3
     assert "no" in out
+    assert out.splitlines()[-1] == (
+        "swept 17 trees from family rst_all: 45 orbits (44 yes, 1 no, 0 timeout), "
+        "4 searched, 44 nodes"
+    )
 
 
 def test_sweep_jobs(capsys):

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gracetree import (
+    GeneralTree,
     Labelling,
     RootedSymmetricTree,
     TranspositionProduct,
@@ -20,6 +23,7 @@ from gracetree import (
     theorem1_label,
     to_general,
 )
+from gracetree.labelling import graceful_defect
 
 sequences = (
     st.lists(st.integers(1, 4), min_size=1, max_size=4)
@@ -56,6 +60,41 @@ def test_is_graceful_basics():
     assert not is_graceful(g, (0, 0, 1))
     with pytest.raises(ValueError):
         is_graceful(g, (0, 1))
+
+
+@st.composite
+def trees_and_labels(draw):
+    n = draw(st.integers(1, 9))
+    g = GeneralTree(n, tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n)))
+    labels = draw(
+        st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(-2, n + 1), min_size=n, max_size=n),
+        )
+    )
+    return g, tuple(labels)
+
+
+@given(trees_and_labels())
+def test_is_graceful_matches_sorted_formulation(case):
+    g, labels = case
+    n = g.n
+    is_perm = sorted(labels) == list(range(n))
+    diffs = sorted(abs(labels[u] - labels[v]) for u, v in g.edges)
+    expected = is_perm and diffs == list(range(1, n))
+    assert is_graceful(g, labels) == expected
+    defect = graceful_defect(g, labels)
+    assert (defect is None) == expected
+    if not is_perm:
+        assert defect == "labels are not a permutation of 0..n-1"
+        with pytest.raises(ValueError):
+            Labelling(labels)
+    elif not expected:
+        repeated, missing = map(int, re.fullmatch(
+            r"edge difference (\d+) repeats and (\d+) is missing", defect
+        ).groups())
+        assert repeated == min(d for d in diffs if diffs.count(d) > 1)
+        assert missing == min(set(range(1, n)) - set(diffs))
 
 
 @given(sequences)

@@ -10,6 +10,7 @@ from gracetree import (
     DaughterDegreeSequence,
     GeneralTree,
     RootedSymmetricTree,
+    SearchConstraints,
     UnsupportedConstruction,
     VertexAddress,
     ZeroAtRequest,
@@ -17,6 +18,7 @@ from gracetree import (
     build,
     classify,
     decompose,
+    is_zero_rotatable,
     level_numbers,
     path_sequence,
     rooted_sequence_at,
@@ -187,6 +189,20 @@ def test_orbits_and_transport_leave_adjacency_unmaterialised():
     f, trace = zero_at(ZeroAtRequest(t, 1500, 0))
     assert f[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
     assert "adjacency" not in vars(t)
+    # The decider orders its searches by degree, which is level arithmetic;
+    # the search itself reads only the edges.
+    broom = build((1, 1, 1, 2))
+    report = is_zero_rotatable(broom, SearchConstraints(node_budget=1000, time_budget=None))
+    assert report.searched == 3
+    assert "adjacency" not in vars(broom)
+
+
+def test_rst_degree_matches_general_route():
+    assert build((0,)).degree(0) == 0
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        g = to_general(t)
+        assert [t.degree(i) for i in range(t.n)] == [g.degree(i) for i in range(t.n)], seq
 
 
 def test_classify_paths_and_stars():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gracetree.search
 from gracetree import (
     GeneralTree,
+    Labelling,
     SearchConstraints,
+    SearchOutcome,
     build,
     complement,
     count_graceful,
@@ -195,6 +198,62 @@ def test_rotatability_matches_naive_all_small_trees():
                 assert e.verdict == expected, (g.edges, e.representative)
                 # a vertex can take 0 iff its whole orbit can
                 assert all((v in can) == (e.representative in can) for v in e.orbit)
+
+
+@pytest.mark.parametrize("node_budget", [1, 10, 100, None])
+def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
+    cons = SearchConstraints(node_budget=node_budget, time_budget=None)
+    for n in range(1, 9):
+        for g in all_trees(n):
+            can = zero_positions(g)
+            rep = is_zero_rotatable(g, cons)
+            assert [e.representative for e in rep.entries] == [o[0] for o in vertex_orbits(g).orbits]
+            for e in rep.entries:
+                if e.verdict == "yes":
+                    assert is_graceful(g, e.witness) and e.witness[e.representative] == 0
+                elif e.verdict == "no":
+                    assert e.representative not in can, (g.edges, e.representative)
+                else:
+                    assert node_budget is not None and e.nodes == node_budget + 1
+
+
+def test_complement_settles_a_timed_out_orbit():
+    # Searches run on orbits 6, 0, 2 and 3 (leaves first, deeper first).
+    # Orbit 2 runs out of nodes; the witness found at 3 then holds n-1 on
+    # vertex 2, so its complement settles orbit 2 after all.
+    cons = SearchConstraints(node_budget=50, time_budget=None)
+    t = build((1, 1, 1, 2, 2))
+    rep = is_zero_rotatable(t, cons)
+    assert rep.methods == ("search", "complement", "complement", "search", "complement", "search")
+    e = rep.entries[2]
+    assert (e.representative, e.verdict, e.method, e.nodes) == (2, "yes", "complement", 51)
+    assert is_graceful(t, e.witness) and e.witness[2] == 0
+    assert rep.verdict == "yes" and rep.searched == 4
+
+
+def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
+    # (1,1,1,2) searches orbits 4, 0, 2, 1, 3 in that order; vertex 2 is a
+    # true no.  A fake search that then returns a "witness" holding n-1 on
+    # vertex 2 must trip the guard instead of overturning the no.
+    real = gracetree.search.find_graceful
+
+    def fake(t, cons):
+        (rep, _), = cons.pins
+        if rep == 2:
+            return real(t, cons)
+        if rep == 1:
+            return SearchOutcome("found", Labelling((1, 0, 5, 2, 3, 4)), 1, 0.0)
+        return SearchOutcome("timeout", None, 1, 0.0)
+
+    monkeypatch.setattr(gracetree.search, "find_graceful", fake)
+    with pytest.raises(RuntimeError, match="exhausted; this is a bug"):
+        is_zero_rotatable(build((1, 1, 1, 2)))
+
+
+def test_rotatability_rejects_pins_and_forbids():
+    for cons in (SearchConstraints(pins={1: 3}), SearchConstraints(forbid={1: 0})):
+        with pytest.raises(ValueError, match="budgets only"):
+            is_zero_rotatable(build((2, 2)), cons)
 
 
 def test_rotatability_report_json():

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import time
 
@@ -160,24 +162,40 @@ def test_sequence_label():
 ROTATE0_HEADER = "schema,tree,n,orbit_rep,orbit_size,verdict,method,witness,nodes,elapsed_s\n"
 
 
+def assert_witness_rows_graceful(t, text):
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for row in rows:
+        if row["verdict"] == "yes":
+            labels = [int(x) for x in row["witness"].split()]
+            assert is_graceful(t, labels)
+            assert labels[int(row["orbit_rep"])] == 0
+    return rows
+
+
 def test_rotate0_csv_golden_yes():
-    rep = is_zero_rotatable(build((2, 2)), tree_id="2,2")
-    assert rotatability_to_csv(rep, include_timing=False) == ROTATE0_HEADER + (
+    # The leaf orbit 3 is searched first and its complement settles orbit 1.
+    t = build((2, 2))
+    text = rotatability_to_csv(is_zero_rotatable(t, tree_id="2,2"), include_timing=False)
+    assert text == ROTATE0_HEADER + (
         'gracetree.rotate0/1,"2,2",7,0,1,yes,search,0 6 4 1 3 2 5,28,\n'
-        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,6 0 2 5 3 4 1,0,\n'
+        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,4 0 1 6 5 3 2,0,\n'
         'gracetree.rotate0/1,"2,2",7,3,4,yes,search,2 6 5 0 1 3 4,18,\n'
     )
+    assert len(assert_witness_rows_graceful(t, text)) == 3
 
 
 def test_rotate0_csv_golden_no():
-    rep = is_zero_rotatable(build((1, 1, 1, 2)), tree_id="1,1,1,2")
-    assert rotatability_to_csv(rep, include_timing=False) == ROTATE0_HEADER + (
+    # Search order 4, 0, 2: the leaf witnesses settle the hub 3 and vertex 1.
+    t = build((1, 1, 1, 2))
+    text = rotatability_to_csv(is_zero_rotatable(t, tree_id="1,1,1,2"), include_timing=False)
+    assert text == ROTATE0_HEADER + (
         'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search,0 5 1 4 2 3,6,\n'
         'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement,5 0 4 1 3 2,0,\n'
         'gracetree.rotate0/1,"1,1,1,2",6,2,1,no,search,,27,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,search,1 2 4 0 5 3,24,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,complement,4 3 1 5 0 2,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,complement,1 2 4 0 5 3,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,search,4 3 1 5 0 2,9,\n'
     )
+    assert len(assert_witness_rows_graceful(t, text)) == 5
 
 
 def test_sweep_csv_golden_row_search_fallback():
