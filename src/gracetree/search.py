@@ -14,9 +14,19 @@ sets: the free labels, the pending differences (realized by edges whose
 endpoints are both labelled, still to be reached on the way down) and
 the open edges (at least one endpoint unlabelled).  A child gets new
 ints, so backtracking only resets the vertex labels it set.  Candidate
-edges are the set bits of the open mask in edge-index order, so edges
-already closed cost nothing, and the label pairs for an edge with no
-labelled endpoint are the set bits of ``free & (free >> d)``.
+edges are the set bits of the open mask, so edges already closed cost
+nothing, and the label pairs for an edge with no labelled endpoint are
+the set bits of ``free & (free >> d)``.
+
+The edges are tried in a fixed order: pendant edges (one endpoint a
+leaf) first, then the rest, each group from the highest edge index
+down.  Large differences then go onto leaves first, as in Rosa's
+caterpillar labellings, and witnesses turn up in far fewer nodes.  The
+order only permutes the children of each node; the set of states under
+a node does not depend on it.  So an exhausted search visits the same
+nodes in any order, labelling counts are unchanged, and a search with
+no witness still times out at its budget; only which witness comes
+first, and when, depends on the order.
 
 On top of the engine sits the per-orbit 0-rotatability decider, which
 can try closed-form constructions before it searches.
@@ -133,7 +143,13 @@ def _run(
             return STATUS_FOUND, (0,), 1, 0, elapsed
         return STATUS_EXHAUSTED, None, 0, 0, elapsed
 
-    edges = t.edges
+    deg = [0] * n
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
+    # Pendant edges first, each group from the highest index down; bit i
+    # of ``opened`` stands for edges[i] in this order.
+    edges = sorted(reversed(t.edges), key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
     # nbrs[v]: (neighbour, index of the edge to it) for each neighbour.
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):

@@ -164,8 +164,11 @@ def evaluate_sequence(
 ) -> RotatabilityReport:
     """Answer 0-rotatability for one tree, constructions first.
 
-    Per orbit: a cached complement witness wins, then a closed-form
-    construction, then pinned search within the budgets.
+    ``is_zero_rotatable`` with ``zero_at`` as its construction, so three
+    passes: every orbit not yet settled by a complement tries a
+    closed-form construction, the orbits left over are searched with a
+    pin, leaves first and within the budgets, and a complement that lands
+    on an orbit whose search timed out settles it late.
     """
     t = build(seq)
 

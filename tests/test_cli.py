@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -249,6 +251,31 @@ def test_sweep_counterexample_exit(capsys):
         "swept 17 trees from family rst_all: 45 orbits (44 yes, 1 no, 0 timeout), "
         "4 searched, 44 nodes"
     )
+
+
+def test_sweep_node_budget_tally(capsys, tmp_path):
+    # Under a node budget alone the tally does not depend on machine speed.
+    # The orbits left undecided are vertex 2 of the brooms (1,1,1,k) for
+    # k = 7, 8 and 10, which can never carry 0 (k mod 12 is not one of
+    # 0, 1, 3, 5, 6, 9).
+    csv_file = tmp_path / "s.csv"
+    code, out, _ = run(
+        capsys,
+        "sweep", "--family", "rst_all", "--nmax", "14", "--budget-nodes", "50000",
+        "--budget-secs", "0", "--no-timing", "--csv", str(csv_file),
+    )
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "swept 207 trees from family rst_all: 1164 orbits (1159 yes, 2 no, 3 timeout), "
+        "469 searched, 222960 nodes"
+    )
+    undecided = {
+        (row["tree"], rep)
+        for row in csv.DictReader(io.StringIO(csv_file.read_text()))
+        for rep, verdict in zip(row["orbit_reps"].split(), row["verdicts"].split())
+        if verdict == "timeout"
+    }
+    assert undecided == {("1,1,1,7", "2"), ("1,1,1,8", "2"), ("1,1,1,10", "2")}
 
 
 def test_sweep_jobs(capsys):

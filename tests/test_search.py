@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -218,17 +219,18 @@ def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
 
 
 def test_complement_settles_a_timed_out_orbit():
-    # Searches run on orbits 6, 0, 2 and 3 (leaves first, deeper first).
-    # Orbit 2 runs out of nodes; the witness found at 3 then holds n-1 on
-    # vertex 2, so its complement settles orbit 2 after all.
-    cons = SearchConstraints(node_budget=50, time_budget=None)
-    t = build((1, 1, 1, 2, 2))
+    # Searches run on orbits 5, 1 and 0 (leaves first, then degree 2 from
+    # the highest index down).  Orbit 1 runs out of nodes; the witness
+    # found at 0 then holds n-1 on vertex 2, so its complement, carried
+    # over to vertex 1, settles orbit 1 after all.
+    cons = SearchConstraints(node_budget=10, time_budget=None)
+    t = build((2, 1, 2))
     rep = is_zero_rotatable(t, cons)
-    assert rep.methods == ("search", "complement", "complement", "search", "complement", "search")
-    e = rep.entries[2]
-    assert (e.representative, e.verdict, e.method, e.nodes) == (2, "yes", "complement", 51)
-    assert is_graceful(t, e.witness) and e.witness[2] == 0
-    assert rep.verdict == "yes" and rep.searched == 4
+    assert rep.methods == ("search", "complement", "complement", "search")
+    e = rep.entries[1]
+    assert (e.representative, e.verdict, e.method, e.nodes) == (1, "yes", "complement", 11)
+    assert is_graceful(t, e.witness) and e.witness[1] == 0
+    assert rep.verdict == "yes" and rep.searched == 3
 
 
 def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
@@ -271,13 +273,15 @@ def test_rotatability_report_json():
         ((1, 1, 1, 2), 2, None, "exhausted", 27),
         ((1, 1, 1, 4), 2, None, "exhausted", 345),
         ((1, 1, 1, 7), 2, None, "exhausted", 100_557),
-        ((2, 2, 2), 0, None, "found", 240),
-        ((1, 1, 1, 1, 1, 2, 6), 0, 200_000, "timeout", 200_001),
+        ((2, 2, 2), 0, None, "found", 19),
+        ((1, 1, 1, 1, 1, 2, 6), 0, 200_000, "found", 20),
+        ((1, 1, 1, 9), 2, None, "found", 81),
     ],
 )
 def test_node_count_goldens(seq, pin, node_budget, status, nodes):
     # The benchmark's tallies depend on the order in which the engine
-    # visits nodes, so these counts pin that order, not just the verdicts.
+    # visits nodes, so the found counts pin that order, not just the
+    # verdicts.  The exhausted counts hold in any edge order.
     cons = SearchConstraints(pins={pin: 0}, node_budget=node_budget, time_budget=None)
     out = find_graceful(build(seq), cons)
     assert (out.status, out.nodes) == (status, nodes)
@@ -299,11 +303,22 @@ def test_search_setup_memory_is_linear():
     assert (out.status, out.nodes) == ("timeout", 6)
     assert peak < 4_000_000
 
+
+def _pendant_first(t):
+    """A view of ``t`` whose edges come in the engine's order: edges
+    with a leaf end first, then the rest, each group by falling index."""
+    deg = [len(a) for a in t.adjacency]
+    pendant = [e for e in t.edges if min(deg[e[0]], deg[e[1]]) == 1]
+    inner = [e for e in t.edges if min(deg[e[0]], deg[e[1]]) > 1]
+    edges = tuple(pendant[::-1] + inner[::-1])
+    return SimpleNamespace(n=t.n, edges=edges, adjacency=t.adjacency)
+
+
 def _assert_same_as_reference(t, cons, count_mode):
     # Everything but the elapsed time must agree: status, labels, count
     # and the node count, which also fixes the order of the visits.
     got = _run(t, cons, count_mode)[:4]
-    want = run_reference(t, cons, count_mode)[:4]
+    want = run_reference(_pendant_first(t), cons, count_mode)[:4]
     assert got == want, (t.edges, cons, count_mode)
 
 
@@ -320,6 +335,32 @@ def test_engine_matches_reference_all_small_trees():
                 forbid = (((v + 1) % n, n - 1), ((v + 2) % n, 1))
                 cons = SearchConstraints(pins={v: 0}, forbid=forbid, **free)
                 _assert_same_as_reference(g, cons, False)
+
+
+def test_exhaustive_work_is_order_independent():
+    # An exhausted search visits every state under its pins whatever the
+    # order of the children, so counts, exhausted node counts and the
+    # timeouts of searches with no witness match the index-order engine.
+    free = dict(node_budget=None, time_budget=None)
+    for n in range(1, 9):
+        for g in all_trees(n):
+            cons = SearchConstraints(**free)
+            assert _run(g, cons, True)[:4] == run_reference(g, cons, True)[:4]
+            for v in range(n):
+                cons = SearchConstraints(pins={v: 0}, **free)
+                assert _run(g, cons, True)[:4] == run_reference(g, cons, True)[:4]
+                got = _run(g, cons, False)
+                want = run_reference(g, cons, False)
+                assert (got[0] == "found") == (want[0] == "found"), (g.edges, v)
+                if want[0] == "found":
+                    continue
+                assert got[:4] == want[:4], (g.edges, v)
+                if want[3] < 2:
+                    continue
+                budget = want[3] // 2
+                cons = SearchConstraints(pins={v: 0}, node_budget=budget, time_budget=None)
+                got = _run(g, cons, False)[:4]
+                assert got == run_reference(g, cons, False)[:4] == ("timeout", None, 0, budget + 1)
 
 
 @given(

@@ -177,9 +177,9 @@ def test_rotate0_csv_golden_yes():
     t = build((2, 2))
     text = rotatability_to_csv(is_zero_rotatable(t, tree_id="2,2"), include_timing=False)
     assert text == ROTATE0_HEADER + (
-        'gracetree.rotate0/1,"2,2",7,0,1,yes,search,0 6 4 1 3 2 5,28,\n'
-        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,4 0 1 6 5 3 2,0,\n'
-        'gracetree.rotate0/1,"2,2",7,3,4,yes,search,2 6 5 0 1 3 4,18,\n'
+        'gracetree.rotate0/1,"2,2",7,0,1,yes,search,0 3 6 4 5 2 1,7,\n'
+        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,4 0 1 6 5 2 3,0,\n'
+        'gracetree.rotate0/1,"2,2",7,3,4,yes,search,2 6 5 0 1 4 3,7,\n'
     )
     assert len(assert_witness_rows_graceful(t, text)) == 3
 
@@ -189,11 +189,11 @@ def test_rotate0_csv_golden_no():
     t = build((1, 1, 1, 2))
     text = rotatability_to_csv(is_zero_rotatable(t, tree_id="1,1,1,2"), include_timing=False)
     assert text == ROTATE0_HEADER + (
-        'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search,0 5 1 4 2 3,6,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement,5 0 4 1 3 2,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search,0 5 1 4 3 2,6,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement,5 0 4 1 2 3,0,\n'
         'gracetree.rotate0/1,"1,1,1,2",6,2,1,no,search,,27,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,complement,1 2 4 0 5 3,0,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,search,4 3 1 5 0 2,9,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,complement,2 1 3 0 5 4,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,search,3 4 2 5 0 1,6,\n'
     )
     assert len(assert_witness_rows_graceful(t, text)) == 5
 
