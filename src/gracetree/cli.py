@@ -175,7 +175,7 @@ def _resolve_budgets(args) -> tuple[int | None, float | None]:
 
 def _tree_id(t: Tree) -> str:
     if isinstance(t, RootedSymmetricTree):
-        return sequence_label(t.seq.degrees)
+        return sequence_label(t.degrees)
     return f"n{t.n}"
 
 

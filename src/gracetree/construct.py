@@ -37,7 +37,6 @@ from .model import (
     RootedSymmetricTree,
     Tree,
     UnsupportedConstruction,
-    VertexAddress,
     automorphism_mapping,
     decompose,
 )
@@ -68,10 +67,6 @@ class ConstructionTrace:
     def to_dict(self) -> dict:
         return {"method": self.method, "steps": list(self.steps)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ConstructionTrace":
-        return ConstructionTrace(str(d["method"]), tuple(d["steps"]))
-
 
 def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     """Graceful labelling straight from vertex addresses.
@@ -87,11 +82,11 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     built one level at a time, without decoding any address.
     """
     hs = t.level_numbers
-    top = t.seq.degrees[0] * hs[1] if t.q > 1 else 0
+    top = t.degrees[0] * hs[1] if t.q > 1 else 0
     labels = [0]
     sums = [0]
     for r in range(2, t.q + 1):
-        steps = [x * hs[r - 1] for x in range(t.seq.degrees[r - 2])]
+        steps = [x * hs[r - 1] for x in range(t.degrees[r - 2])]
         sums = [a + s for a in sums for s in steps]
         if r % 2 == 0:
             base = top - (r - 2) // 2
@@ -113,8 +108,8 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
             UnsupportedConstruction.WRONG_LEVELS,
             f"the swap product needs exactly 3 levels, tree has {t.q}",
         )
-    k1 = t.seq.degrees[0]
-    k2 = t.seq.degrees[1]
+    k1 = t.degrees[0]
+    k2 = t.degrees[1]
     h2 = t.level_numbers[1]
     return TranspositionProduct(tuple((i * h2, i * h2 + k2) for i in range(k1)))
 
@@ -180,6 +175,21 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     return labels
 
 
+def _merge(
+    n: int, dec: BroomDecomposition, broom: Sequence[int], h_labels: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The broom's labels on P's vertices and the subtree's on H's, or
+    None when the two disagree on a vertex they share."""
+    full = [-1] * n
+    for li, gi in enumerate(dec.p_map):
+        full[gi] = broom[li]
+    for hi, gi in enumerate(dec.h_map):
+        if full[gi] >= 0 and full[gi] != h_labels[hi]:
+            return None
+        full[gi] = h_labels[hi]
+    return tuple(full)
+
+
 def compose_theorem2(
     t: RootedSymmetricTree, target_level: int, desired: int
 ) -> tuple[Labelling, ConstructionTrace]:
@@ -205,7 +215,7 @@ def compose_theorem2(
         raise ValueError(f"target level must be {q - 1} or {q}, got {target_level}")
     if desired not in (0, n - 1):
         raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
-    degrees = t.seq.degrees
+    degrees = t.degrees
     if q >= 4 and any(k != 1 for k in degrees[1:-1]):
         raise UnsupportedConstruction(
             UnsupportedConstruction.NOT_BROOM,
@@ -231,21 +241,17 @@ def compose_theorem2(
     if local[0] != root_label:
         raise RuntimeError("branch and subtree disagree on the root label; this is a bug")
 
-    full = [-1] * n
-    for li, gi in enumerate(dec.p_map):
-        full[gi] = local[li]
-    for hi, gi in enumerate(dec.h_map):
-        if full[gi] >= 0 and full[gi] != h_labels[hi]:
-            raise RuntimeError("branch and subtree overlap inconsistently; this is a bug")
-        full[gi] = h_labels[hi]
-    f = Labelling(tuple(full))
+    merged = _merge(n, dec, local, h_labels)
+    if merged is None:
+        raise RuntimeError("branch and subtree overlap inconsistently; this is a bug")
+    f = Labelling(merged)
     if not is_graceful(t, f):
         raise RuntimeError("composed labelling is not graceful; this is a bug")
 
     steps = [
         {
             "op": "decompose",
-            "h_degrees": list(dec.subtree_h.seq.degrees),
+            "h_degrees": list(dec.subtree_h.degrees),
             "p_map": list(dec.p_map),
             "h_map": list(dec.h_map),
         },
@@ -274,7 +280,7 @@ def compose_theorem2(
     return f, ConstructionTrace(method, tuple(steps))
 
 
-TargetLike = Union[int, VertexAddress, Sequence[int]]
+TargetLike = Union[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -298,9 +304,7 @@ def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:
         if not 0 <= target < t.n:
             raise ValueError(f"vertex index {target} out of range")
         return target
-    if isinstance(target, VertexAddress):
-        return t.index_of(target)
-    return t.index_of(tuple(target))
+    return t.index_of(target)
 
 
 def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
@@ -400,7 +404,7 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
         elif op == "decompose":
             dec = decompose(_rooted(t))
             if (
-                list(dec.subtree_h.seq.degrees) != list(step["h_degrees"])
+                list(dec.subtree_h.degrees) != list(step["h_degrees"])
                 or list(dec.p_map) != list(step["p_map"])
                 or list(dec.h_map) != list(step["h_map"])
             ):
@@ -424,14 +428,9 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
         elif op == "merge":
             if dec is None or broom_local is None or h_cur is None:
                 raise ValueError("trace step 'merge' is missing its inputs")
-            full = [-1] * t.n
-            for li, gi in enumerate(dec.p_map):
-                full[gi] = broom_local[li]
-            for hi, gi in enumerate(dec.h_map):
-                if full[gi] >= 0 and full[gi] != h_cur[hi]:
-                    raise ValueError("trace step 'merge' has an inconsistent overlap")
-                full[gi] = h_cur[hi]
-            cur = tuple(full)
+            cur = _merge(t.n, dec, broom_local, h_cur)
+            if cur is None:
+                raise ValueError("trace step 'merge' has an inconsistent overlap")
             _check(step["labels"], cur, op)
         else:
             raise ValueError(f"unknown trace op {op!r}")

@@ -7,7 +7,6 @@ to the vertices.  It is graceful when the edge differences
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -165,16 +164,3 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
         out[new] = f.labels[old]
     return Labelling(tuple(out))
 
-
-def labelling_to_json(f: Labelling, extra: dict | None = None) -> str:
-    doc: dict = {"labels": list(f.labels)}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc)
-
-
-def labelling_from_json(text: str) -> Labelling:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "labels" not in doc:
-        raise ValueError('labelling document needs a "labels" field')
-    return Labelling(tuple(doc["labels"]))

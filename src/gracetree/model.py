@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 
 class UnsupportedConstruction(Exception):
@@ -42,106 +42,40 @@ class UnsupportedConstruction(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-@dataclass(frozen=True)
-class DaughterDegreeSequence:
-    """Per-level child counts ``(k_1, ..., k_{q-1})``.
+def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
+    """Validate per-level child counts ``(k_1, ..., k_{q-1})``.
 
     The leaf level ``q`` is implicit and never stored.  A leading 0
     denotes the degenerate single-vertex tree; it only arises when a
     decomposition strips the final branch from a root with one child.
     All later entries must be positive.
     """
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        degrees = tuple(int(k) for k in self.degrees)
-        object.__setattr__(self, "degrees", degrees)
-        if not degrees:
-            raise ValueError("daughter degree sequence must be non-empty")
-        if degrees[0] < 0:
-            raise ValueError("first entry must be >= 0")
-        if degrees[0] == 0 and len(degrees) > 1:
-            raise ValueError("a leading 0 must be the only entry")
-        if any(k < 1 for k in degrees[1:]):
-            raise ValueError("entries after the first must be positive")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.degrees[0] == 0
-
-    @property
-    def q(self) -> int:
-        """Number of levels including the root level."""
-        return 1 if self.is_trivial else len(self.degrees) + 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
+    degrees = tuple(int(k) for k in degrees)
+    if not degrees:
+        raise ValueError("daughter degree sequence must be non-empty")
+    if degrees[0] < 0:
+        raise ValueError("first entry must be >= 0")
+    if degrees[0] == 0 and len(degrees) > 1:
+        raise ValueError("a leading 0 must be the only entry")
+    if any(k < 1 for k in degrees[1:]):
+        raise ValueError("entries after the first must be positive")
+    return degrees
 
 
-SequenceLike = Union[DaughterDegreeSequence, Sequence[int]]
-
-
-def _coerce_sequence(seq: SequenceLike) -> DaughterDegreeSequence:
-    if isinstance(seq, DaughterDegreeSequence):
-        return seq
-    return DaughterDegreeSequence(tuple(seq))
-
-
-def level_numbers(seq: SequenceLike) -> tuple[int, ...]:
+def level_numbers(degrees: Sequence[int]) -> tuple[int, ...]:
     """Vertex count of the subtree hanging below each level.
 
     ``h_q = 1`` and ``h_i = 1 + k_i * h_{i+1}``, so ``h_1`` is the size
     of the whole tree.  Exact integer arithmetic throughout.
     """
-    seq = _coerce_sequence(seq)
-    if seq.is_trivial:
+    degrees = _degree_sequence(degrees)
+    if degrees[0] == 0:
         return (1,)
     hs = [1]
-    for k in reversed(seq.degrees):
+    for k in reversed(degrees):
         hs.append(1 + k * hs[-1])
     hs.reverse()
     return tuple(hs)
-
-
-@dataclass(frozen=True)
-class VertexAddress:
-    """Child indices ``(x_1, ..., x_{r-1})`` locating a level-``r`` vertex.
-
-    The empty address is the root.
-    """
-
-    indices: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        indices = tuple(int(x) for x in self.indices)
-        object.__setattr__(self, "indices", indices)
-        if any(x < 0 for x in indices):
-            raise ValueError("address digits must be non-negative")
-
-    @property
-    def level(self) -> int:
-        return len(self.indices) + 1
-
-    def parent(self) -> "VertexAddress":
-        if not self.indices:
-            raise ValueError("the root has no parent")
-        return VertexAddress(self.indices[:-1])
-
-    def child(self, i: int) -> "VertexAddress":
-        return VertexAddress(self.indices + (i,))
-
-
-AddressLike = Union[VertexAddress, Sequence[int]]
-
-
-def _coerce_address(address: AddressLike) -> tuple[int, ...]:
-    if isinstance(address, VertexAddress):
-        return address.indices
-    return tuple(int(x) for x in address)
 
 
 class RootedSymmetricTree:
@@ -153,18 +87,16 @@ class RootedSymmetricTree:
     immutable.
     """
 
-    def __init__(self, seq: SequenceLike) -> None:
-        seq = _coerce_sequence(seq)
-        hs = level_numbers(seq)
-        object.__setattr__(self, "seq", seq)
+    def __init__(self, degrees: Sequence[int]) -> None:
+        degrees = _degree_sequence(degrees)
+        hs = level_numbers(degrees)
+        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "level_numbers", hs)
-        object.__setattr__(self, "q", seq.q)
+        object.__setattr__(self, "q", len(hs))
         object.__setattr__(self, "n", hs[0])
         sizes = [1]
-        if not seq.is_trivial:
-            for k in seq.degrees:
-                sizes.append(sizes[-1] * k)
-        sizes = sizes[: self.q]
+        for k in degrees[: len(hs) - 1]:
+            sizes.append(sizes[-1] * k)
         offsets = [0]
         for s in sizes:
             offsets.append(offsets[-1] + s)
@@ -175,15 +107,13 @@ class RootedSymmetricTree:
         raise AttributeError("RootedSymmetricTree is immutable")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootedSymmetricTree) and self.seq == other.seq
-        )
+        return isinstance(other, RootedSymmetricTree) and self.degrees == other.degrees
 
     def __hash__(self) -> int:
-        return hash(("RootedSymmetricTree", self.seq))
+        return hash(("RootedSymmetricTree", self.degrees))
 
     def __repr__(self) -> str:
-        return f"RootedSymmetricTree({self.seq.degrees!r})"
+        return f"RootedSymmetricTree({self.degrees!r})"
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -191,7 +121,7 @@ class RootedSymmetricTree:
         time; this is the sorted order GeneralTree normalises to."""
         edges: list[tuple[int, int]] = []
         for r in range(1, self.q):
-            k = self.seq.degrees[r - 1]
+            k = self.degrees[r - 1]
             lo, first = self.level_offsets[r - 1], self.level_offsets[r]
             edges.extend((lo + j // k, first + j) for j in range(self.level_sizes[r]))
         return tuple(edges)
@@ -208,61 +138,62 @@ class RootedSymmetricTree:
     def degree(self, i: int) -> int:
         """k_r children, plus the parent below the root (k_q = 0)."""
         r = self.level_of_index(i)
-        return (self.seq.degrees[r - 1] if r < self.q else 0) + (r > 1)
+        return (self.degrees[r - 1] if r < self.q else 0) + (r > 1)
 
     def vertices_at_level(self, r: int) -> range:
         if not 1 <= r <= self.q:
             raise ValueError(f"level {r} out of range")
         return range(self.level_offsets[r - 1], self.level_offsets[r])
 
-    def index_of(self, address: AddressLike) -> int:
-        digits = _coerce_address(address)
-        r = len(digits) + 1
+    def index_of(self, address: Sequence[int]) -> int:
+        r = len(address) + 1
         if r > self.q:
-            raise ValueError(f"address {digits} deeper than the tree")
+            raise ValueError(f"address {tuple(address)} deeper than the tree")
         rank = 0
-        for j, x in enumerate(digits):
-            k = self.seq.degrees[j]
+        for j, x in enumerate(address):
+            k = self.degrees[j]
             if not 0 <= x < k:
                 raise ValueError(f"address digit {x} out of range for level {j + 1}")
             rank = rank * k + x
         return self.level_offsets[r - 1] + rank
 
-    def address_of(self, i: int) -> VertexAddress:
+    def address_of(self, i: int) -> tuple[int, ...]:
+        """Child indices ``(x_1, ..., x_{r-1})`` locating vertex ``i`` on
+        level r; the root's address is empty."""
         r = self.level_of_index(i)
         rank = i - self.level_offsets[r - 1]
         digits = [0] * (r - 1)
         for j in range(r - 2, -1, -1):
-            rank, digits[j] = divmod(rank, self.seq.degrees[j])
-        return VertexAddress(tuple(digits))
+            rank, digits[j] = divmod(rank, self.degrees[j])
+        return tuple(digits)
 
     def parent_index(self, i: int) -> int:
         r = self.level_of_index(i)
         if r == 1:
             raise ValueError("the root has no parent")
         rank = i - self.level_offsets[r - 1]
-        return self.level_offsets[r - 2] + rank // self.seq.degrees[r - 2]
+        return self.level_offsets[r - 2] + rank // self.degrees[r - 2]
 
     def children_indices(self, i: int) -> range:
         r = self.level_of_index(i)
         if r >= self.q:
             return range(0)
-        k = self.seq.degrees[r - 1]
+        k = self.degrees[r - 1]
         rank = i - self.level_offsets[r - 1]
         first = self.level_offsets[r] + rank * k
         return range(first, first + k)
 
 
-def build(seq: SequenceLike) -> RootedSymmetricTree:
+def build(degrees: Sequence[int]) -> RootedSymmetricTree:
     """Construct the rooted symmetric tree for a daughter degree sequence."""
-    return RootedSymmetricTree(seq)
+    return RootedSymmetricTree(degrees)
 
 
-def path_sequence(n: int) -> DaughterDegreeSequence:
+def path_sequence(n: int) -> tuple[int, ...]:
     """Daughter degree sequence of the n-vertex path rooted at one end."""
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
-    return DaughterDegreeSequence((1,) * (n - 1))
+    return (1,) * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -373,16 +304,6 @@ def rooted_sequence_at(t: Tree, root: int) -> tuple[int, ...] | None:
     return tuple(seq)
 
 
-def _is_caterpillar(adj: Sequence[Sequence[int]]) -> bool:
-    """True when no inner vertex has more than two inner neighbours,
-    that is, when deleting the leaves leaves a path."""
-    deg = [len(a) for a in adj]
-    return all(
-        deg[v] < 2 or sum(1 for w in adj[v] if deg[w] >= 2) <= 2
-        for v in range(len(adj))
-    )
-
-
 def classify(t: Tree) -> StructureFlags:
     """Classify the shape of ``t``.
 
@@ -393,7 +314,11 @@ def classify(t: Tree) -> StructureFlags:
     adj = t.adjacency
     deg = [len(a) for a in adj]
     is_path = all(d <= 2 for d in deg)
-    is_caterpillar = _is_caterpillar(adj)
+    # Deleting the leaves leaves a path when no inner vertex has more
+    # than two inner neighbours.
+    is_caterpillar = all(
+        deg[v] < 2 or sum(1 for w in adj[v] if deg[w] >= 2) <= 2 for v in range(n)
+    )
 
     branch_points = [v for v in range(n) if deg[v] > 2]
     is_spider = len(branch_points) <= 1
@@ -433,20 +358,16 @@ class BroomDecomposition:
     """Split of a rooted symmetric tree into a pendant caterpillar P and
     the remaining rooted symmetric subtree H, sharing the root.
 
-    ``caterpillar_p`` is P on its own local indices (0 is the shared
-    root, then the branch vertices in breadth-first order);
-    ``p_map[local]`` is the corresponding vertex of the original tree.
-    ``subtree_h`` keeps all root branches except the last; its vertices
-    map into the original tree through ``h_map``.
+    P is the root plus the last root branch; ``p_map[local]`` is the
+    original vertex of P's local vertex (0 is the shared root, then the
+    branch vertices in breadth-first order).  ``subtree_h`` keeps all
+    root branches except the last; its vertices map into the original
+    tree through ``h_map``.
     """
 
-    tree: RootedSymmetricTree
-    caterpillar_p: GeneralTree
     p_map: tuple[int, ...]
-    p: int
     subtree_h: RootedSymmetricTree
     h_map: tuple[int, ...]
-    root_identification: int = 0
 
 
 def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
@@ -458,11 +379,20 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     """
     if t.q < 2:
         raise ValueError("decomposition needs at least 2 levels")
-    degrees = t.seq.degrees
+    degrees = t.degrees
+    # P is the tree (1, k_2, ..., k_{q-1}).  Its inner vertices are levels
+    # 2..q-1: level 2 has k_2 inner neighbours, a level r in 3..q-2 has
+    # 1 + k_r, and level q-1 has one.  They form a path when none has
+    # more than two.
+    middle = degrees[1:-1]
+    if middle and (middle[0] > 2 or any(k != 1 for k in middle[1:])):
+        raise UnsupportedConstruction(
+            UnsupportedConstruction.NOT_CATERPILLAR,
+            f"last branch of {degrees} plus the root is not a caterpillar",
+        )
     k1 = degrees[0]
     # On every level the last root branch is the last 1/k1 of the level
-    # and H is the rest, both in index order.  P on its local indices is
-    # the tree whose root has that one branch.
+    # and H is the rest, both in index order.
     p_map = [0]
     h_map = [0]
     for r in range(2, t.q + 1):
@@ -470,43 +400,10 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
         split = hi - (hi - lo) // k1
         p_map.extend(range(split, hi))
         h_map.extend(range(lo, split))
-    caterpillar_p = to_general(RootedSymmetricTree((1,) + degrees[1:]))
-    if not _is_caterpillar(caterpillar_p.adjacency):
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.NOT_CATERPILLAR,
-            f"last branch of {degrees} plus the root is not a caterpillar",
-        )
-
     subtree_h = RootedSymmetricTree((k1 - 1,) + degrees[1:] if k1 > 1 else (0,))
-    p = len(p_map)
-    if p != t.level_numbers[1] + 1 or p + subtree_h.n != t.n + 1:
+    if len(p_map) != t.level_numbers[1] + 1 or len(p_map) + subtree_h.n != t.n + 1:
         raise RuntimeError("decomposition size bookkeeping failed")
-    return BroomDecomposition(
-        tree=t,
-        caterpillar_p=caterpillar_p,
-        p_map=tuple(p_map),
-        p=p,
-        subtree_h=subtree_h,
-        h_map=tuple(h_map),
-        root_identification=0,
-    )
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Vertex orbits under the automorphism group, each sorted ascending."""
-
-    orbits: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {v: o[0] for o in self.orbits for v in o}
-
-    def representative_of(self, v: int) -> int:
-        return self._index[v]
-
-    def __len__(self) -> int:
-        return len(self.orbits)
+    return BroomDecomposition(tuple(p_map), subtree_h, tuple(h_map))
 
 
 def _intern(ids: dict, key: tuple) -> int:
@@ -564,7 +461,7 @@ def _level_codes(t: RootedSymmetricTree) -> list[int]:
     both.  Child multisets are interned as sorted (code, count) pairs,
     so the work is O(q) however wide the levels are.
     """
-    ks = t.seq.degrees
+    ks = t.degrees
     q = t.q
     ids: dict = {}
 
@@ -588,8 +485,11 @@ def _level_codes(t: RootedSymmetricTree) -> list[int]:
     return full
 
 
-def vertex_orbits(t: Tree) -> OrbitPartition:
+def vertex_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits under the automorphism group, in linear time.
+
+    Each orbit is sorted ascending, and the orbits come in the order of
+    their smallest vertices.
 
     In a rooted symmetric tree every orbit is a union of levels: those
     whose rerootings have equal codes (``_level_codes``), so the orbits
@@ -605,7 +505,7 @@ def vertex_orbits(t: Tree) -> OrbitPartition:
         levels: dict[int, list[range]] = {}
         for r, c in enumerate(_level_codes(t), start=1):
             levels.setdefault(c, []).append(t.vertices_at_level(r))
-        return OrbitPartition(tuple(tuple(chain.from_iterable(rs)) for rs in levels.values()))
+        return tuple(tuple(chain.from_iterable(rs)) for rs in levels.values())
     adj = t.adjacency
     centre = _centre(adj)
     ids: dict = {}
@@ -623,7 +523,7 @@ def vertex_orbits(t: Tree) -> OrbitPartition:
     for v in range(t.n):
         groups.setdefault(orbit[v], []).append(v)
     # Each orbit enters ``groups`` at its smallest vertex, so in order.
-    return OrbitPartition(tuple(tuple(vs) for vs in groups.values()))
+    return tuple(tuple(vs) for vs in groups.values())
 
 
 def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...]:
@@ -637,7 +537,7 @@ def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...
     off-path children of an ancestor in order onto the off-path children
     of its image, and the children of any other vertex by index.
     """
-    ks = t.seq.degrees
+    ks = t.degrees
     off = t.level_offsets
     r = t.level_of_index(src)
     # Ranks of the ancestors of src and dst on levels 1..r.
@@ -700,7 +600,7 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
 
 def tree_to_dict(t: Tree) -> dict:
     if isinstance(t, RootedSymmetricTree):
-        return {"kind": "rst", "degrees": list(t.seq.degrees)}
+        return {"kind": "rst", "degrees": list(t.degrees)}
     return {"kind": "general", "n": t.n, "edges": [list(e) for e in t.edges]}
 
 

@@ -78,20 +78,17 @@ def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Pins, forbidden assignments, and budgets for one search run.
+    """Pins and budgets for one search run.
 
-    ``pins`` fixes vertex -> label; ``forbid`` rules single (vertex,
-    label) pairs out.  A budget of None means unlimited.
+    ``pins`` fixes vertex -> label.  A budget of None means unlimited.
     """
 
     pins: PairsLike = ()
-    forbid: PairsLike = ()
     node_budget: int | None = DEFAULT_NODE_BUDGET
     time_budget: float | None = DEFAULT_TIME_BUDGET
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pins", _as_pairs(self.pins))
-        object.__setattr__(self, "forbid", _as_pairs(self.forbid))
 
     def validate(self, n: int) -> None:
         seen_v: set[int] = set()
@@ -105,11 +102,11 @@ class SearchConstraints:
                 raise ValueError(f"label {x} pinned twice")
             seen_v.add(v)
             seen_x.add(x)
-        for v, x in self.forbid:
-            if not (0 <= v < n and 0 <= x < n):
-                raise ValueError(f"forbidden pair {v}->{x} out of range for n={n}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node budget must be positive or None")
+        # The search stops when its node count equals budget + 1, which
+        # a fraction never does; bool is an int subclass.
+        budget = self.node_budget
+        if budget is not None and (type(budget) is not int or budget < 1):
+            raise ValueError(f"node budget must be a positive integer or None, not {budget!r}")
         # NaN compares false with everything, so it would never expire.
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(f"time budget must be positive or None, not {self.time_budget}")
@@ -134,10 +131,9 @@ def _run(
     """Shared engine.  Returns (status, labels, count, nodes, elapsed)."""
     n = t.n
     start = time.perf_counter()
-    forbidden: set[tuple[int, int]] = set(cons.forbid)
 
     if n == 1:
-        ok = all(x == 0 for _, x in cons.pins) and (0, 0) not in forbidden
+        ok = all(x == 0 for _, x in cons.pins)
         elapsed = time.perf_counter() - start
         if ok:
             return STATUS_FOUND, (0,), 1, 0, elapsed
@@ -160,7 +156,7 @@ def _run(
     pending = 0
     opened = (1 << len(edges)) - 1
     for v, x in cons.pins:
-        if (v, x) in forbidden or not free >> x & 1 or label[v] >= 0:
+        if not free >> x & 1 or label[v] >= 0:
             return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
         label[v] = x
         free ^= 1 << x
@@ -173,7 +169,7 @@ def _run(
             opened ^= 1 << i
 
     top = n - 1
-    sym_break = not count_mode and not cons.pins and not cons.forbid
+    sym_break = not count_mode and not cons.pins
     stop_at = cons.node_budget + 1 if cons.node_budget is not None else 0
     deadline = start + cons.time_budget if cons.time_budget is not None else None
     clock = time.perf_counter
@@ -213,7 +209,7 @@ def _run(
                 else:
                     vtx, near, skip = u, lv, v
                 for x in (near - d, near + d):
-                    if x < 0 or not free >> x & 1 or forbidden and (vtx, x) in forbidden:
+                    if x < 0 or not free >> x & 1:
                         continue
                     label[vtx] = x
                     p = pending
@@ -248,8 +244,6 @@ def _run(
                     cands.append((a, a + d))
                     cands.append((a + d, a))
             for xu, xv in cands:
-                if forbidden and ((u, xu) in forbidden or (v, xv) in forbidden):
-                    continue
                 label[u] = xu
                 label[v] = xv
                 p = pending
@@ -308,9 +302,6 @@ def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> Sear
         for v, x in cons.pins:
             if witness[v] != x:
                 raise RuntimeError("search witness violates a pin; this is a bug")
-        for v, x in cons.forbid:
-            if witness[v] == x:
-                raise RuntimeError("search witness violates a forbidden pair; this is a bug")
     return SearchOutcome(status, witness, nodes, elapsed)
 
 
@@ -453,17 +444,18 @@ def is_zero_rotatable(
     3. A complement that lands on an orbit whose search timed out makes
        it yes; the entry keeps the nodes and time the search spent.
 
-    Budgets from ``constraints`` apply per orbit; pins and forbidden
-    pairs are rejected, as each search sets its own pin.  Entries come
+    Budgets from ``constraints`` apply per orbit; pins are rejected, as
+    each search sets its own pin.  Entries come
     back in orbit order.
     """
     start = time.perf_counter()
     base = constraints if constraints is not None else SearchConstraints()
     base.validate(t.n)
-    if base.pins or base.forbid:
+    if base.pins:
         raise ValueError("is_zero_rotatable sets its own pins; pass budgets only")
     orbits = vertex_orbits(t)
-    orbit_of = {orbit[0]: orbit for orbit in orbits.orbits}
+    orbit_of = {orbit[0]: orbit for orbit in orbits}
+    rep_of = {v: orbit[0] for orbit in orbits for v in orbit}
     # The constructive route names its methods as the sweep CSV always has.
     by_complement, by_search = (
         ("complement", "search") if construct is None else (METHOD_COMPLEMENT, METHOD_SEARCH)
@@ -477,7 +469,7 @@ def is_zero_rotatable(
         if entry.witness is None:
             return
         top_holder = entry.witness.vertex_with_label(t.n - 1)
-        rep = orbits.representative_of(top_holder)
+        rep = rep_of[top_holder]
         prior = settled.get(rep)
         nodes, elapsed = 0, 0.0
         if prior is not None:

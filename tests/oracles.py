@@ -164,10 +164,10 @@ def orbits_by_rooted_codes(t: GeneralTree) -> list[tuple[int, ...]]:
 def theorem1_label_by_addresses(t: RootedSymmetricTree) -> tuple[int, ...]:
     """The direct labelling, decoding each vertex's address digits."""
     hs = t.level_numbers
-    k1 = t.seq.degrees[0]
+    k1 = t.degrees[0]
     labels = [0] * t.n
     for i in range(1, t.n):
-        digits = t.address_of(i).indices
+        digits = t.address_of(i)
         r = len(digits) + 1
         if r % 2 == 0:
             acc = (k1 - digits[0]) * hs[1]
@@ -191,13 +191,13 @@ def decompose_by_addresses(
     on local indices in ``p_map`` order; H's vertex with address ``a``
     is the tree's vertex with address ``a``.
     """
-    k1 = t.seq.degrees[0]
-    p_map = (0,) + tuple(i for i in range(1, t.n) if t.address_of(i).indices[0] == k1 - 1)
+    k1 = t.degrees[0]
+    p_map = (0,) + tuple(i for i in range(1, t.n) if t.address_of(i)[0] == k1 - 1)
     local = {g: i for i, g in enumerate(p_map)}
     p = GeneralTree(len(p_map), tuple((local[t.parent_index(g)], local[g]) for g in p_map[1:]))
     if k1 == 1:
         return p, p_map, (0,)
-    h = RootedSymmetricTree((k1 - 1,) + t.seq.degrees[1:])
+    h = RootedSymmetricTree((k1 - 1,) + t.degrees[1:])
     return p, p_map, tuple(t.index_of(h.address_of(i)) for i in range(h.n))
 
 
@@ -224,10 +224,9 @@ def run_reference(
     """
     n = t.n
     start = time.perf_counter()
-    forbidden: set[tuple[int, int]] = set(cons.forbid)
 
     if n == 1:
-        ok = all(x == 0 for _, x in cons.pins) and (0, 0) not in forbidden
+        ok = all(x == 0 for _, x in cons.pins)
         elapsed = time.perf_counter() - start
         if ok:
             return STATUS_FOUND, (0,), 1, 0, elapsed
@@ -241,7 +240,7 @@ def run_reference(
     pending: dict[int, tuple[int, int]] = {}
     feasible = True
     for v, x in cons.pins:
-        if (v, x) in forbidden or used[x] or label[v] >= 0:
+        if used[x] or label[v] >= 0:
             feasible = False
             break
         label[v] = x
@@ -257,7 +256,7 @@ def run_reference(
     if not feasible:
         return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
 
-    sym_break = not count_mode and not cons.pins and not cons.forbid
+    sym_break = not count_mode and not cons.pins
     node_budget = cons.node_budget
     time_budget = cons.time_budget
     deadline = start + time_budget if time_budget is not None else None
@@ -330,11 +329,11 @@ def run_reference(
             cands: list[tuple[tuple[int, int], ...]] = []
             if lu >= 0:
                 for x in (lu - d, lu + d):
-                    if 0 <= x < n and not used[x] and (v, x) not in forbidden:
+                    if 0 <= x < n and not used[x]:
                         cands.append(((v, x),))
             elif lv >= 0:
                 for x in (lv - d, lv + d):
-                    if 0 <= x < n and not used[x] and (u, x) not in forbidden:
+                    if 0 <= x < n and not used[x]:
                         cands.append(((u, x),))
             elif sym_break and d == n - 1:
                 cands.append(((u, 0), (v, n - 1)))
@@ -343,10 +342,8 @@ def run_reference(
                     b = a + d
                     if used[a] or used[b]:
                         continue
-                    if (u, a) not in forbidden and (v, b) not in forbidden:
-                        cands.append(((u, a), (v, b)))
-                    if (u, b) not in forbidden and (v, a) not in forbidden:
-                        cands.append(((u, b), (v, a)))
+                    cands.append(((u, a), (v, b)))
+                    cands.append(((u, b), (v, a)))
             for pairs in cands:
                 added = assign(pairs, d, (u, v))
                 if added is None:

@@ -46,6 +46,16 @@ def test_label_explain_and_files(capsys, tmp_path):
     assert dot.startswith("graph") and "--" in dot
 
 
+def test_label_theorem2_explain_golden(capsys):
+    # A theorem2 trace: the decompose step (h_degrees, p_map, h_map), the
+    # broom, the reflected subtree, the merge and the automorphism that
+    # carries 0 onto leaf 5, byte for byte.
+    code, out, _ = run(capsys, "label", "--rst", "2,1,2", "--zero-at", "5", "--explain")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "label_rst_2-1-2_zero_at_5_explain.json"
+    assert out == golden.read_text()
+
+
 def test_label_zero_at(capsys):
     code, out, _ = run(capsys, "label", "--rst", "2,1,1", "--zero-at", "6")
     assert code == 0

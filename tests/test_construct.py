@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +289,7 @@ def test_replay_rejects_tampering():
 def test_trace_dict_roundtrip():
     t = build((2, 2))
     f, trace = lemma1_label(t)
-    back = ConstructionTrace.from_dict(trace.to_dict())
+    doc = json.loads(json.dumps(trace.to_dict()))
+    back = ConstructionTrace(doc["method"], tuple(doc["steps"]))
     assert back.method == trace.method
     assert replay_trace(t, back).labels == f.labels

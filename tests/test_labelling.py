@@ -14,8 +14,6 @@ from gracetree import (
     complement,
     edge_labels,
     is_graceful,
-    labelling_from_json,
-    labelling_to_json,
     path_sequence,
     reflect,
     relabel_vertices,
@@ -157,11 +155,3 @@ def test_relabel_vertices():
     with pytest.raises(ValueError):
         relabel_vertices(f, (0, 0, 1))
 
-
-def test_labelling_json_roundtrip():
-    f = Labelling((2, 0, 1))
-    assert labelling_from_json(labelling_to_json(f)).labels == f.labels
-    text = labelling_to_json(f, extra={"note": "x"})
-    assert '"note"' in text
-    with pytest.raises(ValueError):
-        labelling_from_json('{"nope": []}')

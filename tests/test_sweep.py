@@ -220,8 +220,9 @@ def test_sweep_elapsed_covers_orbit_computation(monkeypatch):
 
 
 def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
-    # A rooted symmetric tree carries its own edges and adjacency, so the
-    # only GeneralTrees a pass builds are decompose's caterpillars P.
+    # A rooted symmetric tree carries its own edges and adjacency, and
+    # decompose tests its broom by arithmetic, so a pass builds no
+    # GeneralTree at all.
     built = []
     validate = GeneralTree.__post_init__
 
@@ -230,11 +231,11 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
         built.append(self.n)
 
     monkeypatch.setattr(GeneralTree, "__post_init__", counting)
-    p_sizes = []
+    decomposed = []
     real_decompose = gracetree.construct.decompose
 
     def spy(t):
-        p_sizes.append(t.level_numbers[1] + 1)
+        decomposed.append(t)
         return real_decompose(t)
 
     monkeypatch.setattr(gracetree.construct, "decompose", spy)
@@ -245,5 +246,5 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
     t = build((2, 1, 1, 3))
     for target in (0, 1, 5, 12):
         zero_at(ZeroAtRequest(t, target, 0))
-    assert p_sizes
-    assert built == p_sizes
+    assert decomposed
+    assert built == []
