@@ -9,14 +9,26 @@ collide with nothing, which prunes hard and, more importantly, makes
 the enumeration visit each graceful labelling exactly once, so the
 same engine both finds witnesses and counts.
 
-The search state is three Python ints handed down each call as bit
+The search state is four Python ints handed down each call as bit
 sets: the free labels, the pending differences (realized by edges whose
-endpoints are both labelled, still to be reached on the way down) and
-the open edges (at least one endpoint unlabelled).  A child gets new
-ints, so backtracking only resets the vertex labels it set.  Candidate
-edges are the set bits of the open mask, so edges already closed cost
-nothing, and the label pairs for an edge with no labelled endpoint are
-the set bits of ``free & (free >> d)``.
+endpoints are both labelled, still to be reached on the way down), the
+open edges (at least one endpoint unlabelled) and, among those, the
+touched ones (at least one endpoint labelled).  A child gets new ints,
+so backtracking only resets the vertex labels it set.  Candidate edges
+are the set bits of the open mask, so edges already closed cost
+nothing.  The label pairs for an edge with no labelled endpoint are the
+set bits of ``free & (free >> d)``, listed at most once per node and
+only when such an edge is reached; when there are none, such an edge
+has no child, and the node scans only ``opened & touched``.  Labelling
+a vertex marks its edges to unlabelled neighbours as touched in the
+same neighbour loop that closes its edges to labelled ones; a leaf's
+one edge is the edge being realized, so a leaf skips that loop.
+
+The edge order, the neighbour lists and a leaf flag per vertex depend
+only on the tree, so ``_tables`` builds them once and keeps the last
+tree's: the orbit searches of one tree, which ``is_zero_rotatable``
+runs back to back, share them.  They are linear in n; a bit mask of
+incident edges per vertex would be quadratic.
 
 The edges are tried in a fixed order: pendant edges (one endpoint a
 leaf) first, then the rest, each group from the highest edge index
@@ -38,6 +50,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
@@ -69,11 +82,13 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
-    if isinstance(value, Mapping):
-        items = value.items()
-    else:
-        items = value
-    return tuple(sorted((int(a), int(b)) for a, b in items))
+    items = value.items() if isinstance(value, Mapping) else value
+    pairs = tuple((a, b) for a, b in items)
+    for a, b in pairs:
+        # int() would turn a pin of 2.7 into 2; bool is an int subclass.
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -108,8 +123,11 @@ class SearchConstraints:
         if budget is not None and (type(budget) is not int or budget < 1):
             raise ValueError(f"node budget must be a positive integer or None, not {budget!r}")
         # NaN compares false with everything, so it would never expire.
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError(f"time budget must be positive or None, not {self.time_budget}")
+        seconds = self.time_budget
+        if seconds is not None and (
+            type(seconds) is bool or not isinstance(seconds, (int, float)) or not seconds > 0
+        ):
+            raise ValueError(f"time budget must be positive or None, not {seconds!r}")
 
     def with_pin(self, v: int, x: int) -> "SearchConstraints":
         return replace(self, pins=self.pins + ((v, x),))
@@ -123,6 +141,38 @@ class SearchOutcome:
     labelling: Labelling | None
     nodes: int
     elapsed: float
+
+
+@lru_cache(maxsize=1)
+def _tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple[bool, ...]]:
+    """The edge order and neighbour lists of ``t``, built once per tree.
+
+    Returns ``(eu, ev, nbrs, leaf)``: edge i of the search order joins
+    ``eu[i]`` and ``ev[i]``; ``nbrs[v]`` holds (neighbour, edge index)
+    for each neighbour of v; ``leaf[v]`` says whether v has degree 1.
+    Pendant edges come first, each group from the highest index down.
+    Everything is linear in n and read-only, so the orbit searches of
+    one tree share it.
+    """
+    n = t.n
+    deg = [0] * n
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
+    edges = sorted(reversed(t.edges), key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
+    nbrs: list = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        nbrs[u].append((v, i))
+        nbrs[v].append((u, i))
+    # One vertex at a time, so the lists and the tuples never all coexist.
+    for v in range(n):
+        nbrs[v] = tuple(nbrs[v])
+    return (
+        tuple(u for u, _ in edges),
+        tuple(v for _, v in edges),
+        tuple(nbrs),
+        tuple(k == 1 for k in deg),
+    )
 
 
 def _run(
@@ -139,34 +189,29 @@ def _run(
             return STATUS_FOUND, (0,), 1, 0, elapsed
         return STATUS_EXHAUSTED, None, 0, 0, elapsed
 
-    deg = [0] * n
-    for u, v in t.edges:
-        deg[u] += 1
-        deg[v] += 1
-    # Pendant edges first, each group from the highest index down; bit i
-    # of ``opened`` stands for edges[i] in this order.
-    edges = sorted(reversed(t.edges), key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
-    # nbrs[v]: (neighbour, index of the edge to it) for each neighbour.
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        nbrs[u].append((v, i))
-        nbrs[v].append((u, i))
+    eu, ev, nbrs, leaf = _tables(t)
     label = [-1] * n
     free = (1 << n) - 1
     pending = 0
-    opened = (1 << len(edges)) - 1
+    opened = (1 << (n - 1)) - 1
+    touched = 0
     for v, x in cons.pins:
         if not free >> x & 1 or label[v] >= 0:
             return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
         label[v] = x
         free ^= 1 << x
-    for i, (u, v) in enumerate(edges):
-        if label[u] >= 0 and label[v] >= 0:
-            bit = 1 << abs(label[u] - label[v])
-            if pending & bit:
-                return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
-            pending |= bit
-            opened ^= 1 << i
+    for v, x in cons.pins:
+        for w, i in nbrs[v]:
+            ebit = 1 << i
+            lw = label[w]
+            if lw < 0:
+                touched |= ebit
+            elif opened & ebit:
+                bit = 1 << abs(x - lw)
+                if pending & bit:
+                    return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+                pending |= bit
+                opened ^= ebit
 
     top = n - 1
     sym_break = not count_mode and not cons.pins
@@ -177,9 +222,10 @@ def _run(
     count = 0
     found: tuple[int, ...] | None = None
 
-    def place(d: int, free: int, pending: int, opened: int) -> bool:
+    def place(d: int, free: int, pending: int, opened: int, touched: int) -> bool:
         """Realize differences d..1 from the state bit sets: ``free``
-        labels, ``pending`` differences, ``opened`` edge indices."""
+        labels, ``pending`` differences, ``opened`` edge indices and,
+        among those, the ``touched`` ones with a labelled endpoint."""
         nonlocal nodes, count, found
         nodes += 1
         if nodes == stop_at:
@@ -194,12 +240,18 @@ def _run(
             return True
         bit = 1 << d
         if pending & bit:
-            return place(d - 1, free, pending ^ bit, opened)
-        rest = opened
+            return place(d - 1, free, pending ^ bit, opened, touched)
+        # With no free pair at distance d, an edge with no labelled
+        # endpoint has no child, so only touched edges are scanned.
+        pairs = free & (free >> d)
+        rest = opened if pairs else opened & touched
+        cands = None
         while rest:
             ebit = rest & -rest
             rest ^= ebit
-            u, v = edges[ebit.bit_length() - 1]
+            i = ebit.bit_length() - 1
+            u = eu[i]
+            v = ev[i]
             lu = label[u]
             lv = label[v]
             if lu >= 0 or lv >= 0:
@@ -212,46 +264,62 @@ def _run(
                     if x < 0 or not free >> x & 1:
                         continue
                     label[vtx] = x
+                    if leaf[vtx]:
+                        # A leaf's one edge is this one: nothing else closes.
+                        if place(d - 1, free ^ (1 << x), pending, opened ^ ebit, touched):
+                            return True
+                        continue
                     p = pending
                     shut = ebit
-                    for w, i in nbrs[vtx]:
+                    tch = touched
+                    for w, j in nbrs[vtx]:
                         lw = label[w]
-                        if lw < 0 or w == skip:
+                        if lw < 0:
+                            tch |= 1 << j
+                            continue
+                        if w == skip:
                             continue
                         dd = x - lw if x > lw else lw - x
                         b = 1 << dd
                         if dd >= d or p & b:
                             break
                         p |= b
-                        shut |= 1 << i
+                        shut |= 1 << j
                     else:
-                        if place(d - 1, free ^ (1 << x), p, opened ^ shut):
+                        if place(d - 1, free ^ (1 << x), p, opened ^ shut, tch):
                             return True
-                    label[vtx] = -1
+                label[vtx] = -1
                 continue
-            # Neither endpoint is labelled: try each free pair at distance d.
-            # Unpinned, the complement of a witness is one too, so the edge
-            # taking 0 and n-1 is tried in one orientation only.
-            if sym_break and d == top:
-                cands = [(0, top)]
-            else:
-                cands = []
-                pairs = free & (free >> d)
-                while pairs:
-                    low = pairs & -pairs
-                    pairs ^= low
-                    a = low.bit_length() - 1
-                    cands.append((a, a + d))
-                    cands.append((a + d, a))
+            # Neither endpoint is labelled: try each free pair at distance d,
+            # listed once per node.  Unpinned, the complement of a witness
+            # is one too, so the edge taking 0 and n-1 is tried in one
+            # orientation only.
+            if cands is None:
+                if sym_break and d == top:
+                    cands = ((0, top),)
+                else:
+                    cands = []
+                    while pairs:
+                        low = pairs & -pairs
+                        pairs ^= low
+                        a = low.bit_length() - 1
+                        cands.append((a, a + d))
+                        cands.append((a + d, a))
             for xu, xv in cands:
                 label[u] = xu
                 label[v] = xv
                 p = pending
                 shut = ebit
+                tch = touched
                 for vtx, x, skip in ((u, xu, v), (v, xv, u)):
-                    for w, i in nbrs[vtx]:
+                    if leaf[vtx]:
+                        continue
+                    for w, j in nbrs[vtx]:
                         lw = label[w]
-                        if lw < 0 or w == skip:
+                        if lw < 0:
+                            tch |= 1 << j
+                            continue
+                        if w == skip:
                             continue
                         dd = x - lw if x > lw else lw - x
                         b = 1 << dd
@@ -259,14 +327,14 @@ def _run(
                             p = -1
                             break
                         p |= b
-                        shut |= 1 << i
+                        shut |= 1 << j
                     if p < 0:
                         break
                 else:
-                    if place(d - 1, free ^ (1 << xu) ^ (1 << xv), p, opened ^ shut):
+                    if place(d - 1, free ^ (1 << xu) ^ (1 << xv), p, opened ^ shut, tch):
                         return True
-                label[u] = -1
-                label[v] = -1
+            label[u] = -1
+            label[v] = -1
         return False
 
     status = STATUS_EXHAUSTED
@@ -274,7 +342,7 @@ def _run(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, n + _RECURSION_MARGIN))
     try:
-        if place(top, free, pending, opened):
+        if place(top, free, pending, opened, touched):
             status = STATUS_FOUND
     except _Stop:
         status = STATUS_TIMEOUT

@@ -1,3 +1,5 @@
+import gc
+import random
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -95,6 +97,32 @@ def test_node_budget_must_be_an_int(budget):
     cons = SearchConstraints(pins={2: 0}, node_budget=budget, time_budget=3.0)
     with pytest.raises(ValueError, match="node budget"):
         find_graceful(build((1, 1, 1, 8)), cons)
+
+
+@pytest.mark.parametrize("pins", [{2.7: 0.9}, {2: 0.0}, {2.0: 0}, {"2": 0}])
+def test_pins_must_be_ints(pins):
+    # int() would truncate {2.7: 0.9} to {2: 0} and search that instead.
+    with pytest.raises(ValueError, match="int vertex to an int label"):
+        SearchConstraints(pins=pins)
+
+
+@pytest.mark.parametrize("pins", [{True: 0}, {1: False}, ((0, 1), (True, 2))])
+def test_pins_must_not_be_bools(pins):
+    with pytest.raises(ValueError, match="int vertex to an int label"):
+        SearchConstraints(pins=pins)
+
+
+@pytest.mark.parametrize("seconds", ["5", b"5", 1j, [1.0]])
+def test_time_budget_must_be_a_real_number(seconds):
+    with pytest.raises(ValueError, match="time budget"):
+        SearchConstraints(time_budget=seconds).validate(3)
+
+
+@pytest.mark.parametrize("seconds", [True, False])
+def test_time_budget_must_not_be_a_bool(seconds):
+    # True would pass as a 1-second budget.
+    with pytest.raises(ValueError, match="time budget"):
+        SearchConstraints(time_budget=seconds).validate(3)
 
 
 def test_timeout_status():
@@ -301,6 +329,24 @@ def test_search_setup_memory_is_linear():
     assert peak < 4_000_000
 
 
+def test_search_tables_kept_after_a_search_are_linear():
+    # The search keeps the last tree's tables for the next orbit search;
+    # what stays allocated once it returns must be linear in n too.
+    n = 10_000
+    path = GeneralTree(n, tuple((i, i + 1) for i in range(n - 1)))
+    gracetree.search._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        out = find_graceful(path, SearchConstraints(pins={0: 0}, node_budget=5, time_budget=None))
+        gc.collect()  # the search's own frames form a cycle
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.nodes) == ("timeout", 6)
+    assert gracetree.search._tables.cache_info().currsize == 1
+    assert current < 4_000_000
+
+
 def _pendant_first(t):
     """A view of ``t`` whose edges come in the engine's order: edges
     with a leaf end first, then the rest, each group by falling index."""
@@ -383,3 +429,51 @@ def test_search_on_a_deep_path_returns_a_status():
     out = find_graceful(t, SearchConstraints(node_budget=None, time_budget=None))
     assert (out.status, out.nodes) == ("found", 5000)
     assert sys.getrecursionlimit() == limit
+
+
+@given(st.integers(16, 24), st.randoms(use_true_random=False), st.integers(1, 2_000))
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_reference_pinned_larger_trees(n, rnd, budget):
+    # The traffic of is_zero_rotatable: one vertex pinned to 0, a small
+    # node budget, trees beyond the exhaustive sizes above.
+    g = random_tree(rnd, n)
+    cons = SearchConstraints(pins={rnd.randrange(n): 0}, node_budget=budget, time_budget=None)
+    _assert_same_as_reference(g, cons, False)
+
+
+def test_table_cache_is_invisible_to_callers():
+    # The search keeps the tables of the last tree it ran on.  Whatever
+    # ran before, each call must equal a fresh reference run: runs on the
+    # same tree back to back, trees of one size taking turns, equal but
+    # distinct tree objects, and counts between witness searches.
+    rnd = random.Random(7)
+    spider = build((2, 1, 2))
+    trees = [
+        spider,
+        build((2, 1, 2)),
+        to_general(spider),
+        build((8,)),
+        build(path_sequence(9)),
+        random_tree(rnd, 9),
+        random_tree(rnd, 9),
+        GeneralTree(9, tuple((i, i + 1) for i in range(8))),
+    ]
+    assert trees[1] == spider and trees[1] is not spider
+    assert trees[7] == to_general(trees[4]) and trees[7] is not to_general(trees[4])
+    budgets = dict(node_budget=20_000, time_budget=None)
+    small = build((1, 2))
+
+    def pinned(t, v):
+        _assert_same_as_reference(t, SearchConstraints(pins={v: 0}, **budgets), False)
+
+    for t in trees:
+        for v in range(t.n):
+            pinned(t, v)
+    for v in range(9):
+        for k, t in enumerate(trees):
+            pinned(t, v)
+            if k % 3 == 0:
+                _assert_same_as_reference(small, SearchConstraints(**budgets), True)
+    for t in trees:
+        _assert_same_as_reference(t, SearchConstraints(**budgets), True)
+        pinned(t, t.n - 1)
