@@ -8,9 +8,28 @@ to the vertices.  It is graceful when the edge differences
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from operator import index
+from typing import Iterable, Iterator, Sequence, Union
 
 from .model import Tree
+
+
+def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.
+
+    ``operator.index`` rejects a float or a string where ``int()`` would
+    truncate or parse it; a bool passes as 0 or 1.  A non-integer raises
+    ValueError naming it.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            try:
+                index(x)
+            except TypeError:
+                raise ValueError(f"{what} {x!r} is not an integer") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -20,7 +39,7 @@ class Labelling:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(map(int, self.labels))
+        labels = _as_ints(self.labels, "label")
         object.__setattr__(self, "labels", labels)
         n = len(labels)
         if n == 0:
@@ -51,7 +70,7 @@ LabelsLike = Union[Labelling, Sequence[int]]
 def _raw(labels: LabelsLike) -> tuple[int, ...]:
     if isinstance(labels, Labelling):
         return labels.labels
-    return tuple(map(int, labels))
+    return _as_ints(labels, "label")
 
 
 def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:

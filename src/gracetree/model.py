@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import index
 from typing import Sequence, Union
 
 
@@ -204,12 +205,18 @@ class GeneralTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise ValueError(f"vertex count {self.n!r} is not an integer") from None
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         norm = []
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            try:
+                u, v = index(e[0]), index(e[1])
+            except TypeError:
+                raise ValueError(f"edge {e!r} is not a pair of integers") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

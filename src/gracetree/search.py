@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
@@ -81,13 +81,17 @@ class _Stop(Exception):
 PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def _check_pin(v: int, x: int) -> None:
+    # int() would turn a pin of 2.7 into 2; bool is an int subclass.
+    if type(v) is not int or type(x) is not int:
+        raise ValueError(f"pin {v!r}->{x!r} must map an int vertex to an int label")
+
+
 def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
     items = value.items() if isinstance(value, Mapping) else value
     pairs = tuple((a, b) for a, b in items)
     for a, b in pairs:
-        # int() would turn a pin of 2.7 into 2; bool is an int subclass.
-        if type(a) is not int or type(b) is not int:
-            raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
+        _check_pin(a, b)
     return tuple(sorted(pairs))
 
 
@@ -130,7 +134,13 @@ class SearchConstraints:
             raise ValueError(f"time budget must be positive or None, not {seconds!r}")
 
     def with_pin(self, v: int, x: int) -> "SearchConstraints":
-        return replace(self, pins=self.pins + ((v, x),))
+        """A copy with one more pin.  Built directly: ``__init__`` would
+        check and sort the pins already held again, and
+        ``is_zero_rotatable`` calls this once per orbit search."""
+        _check_pin(v, x)
+        new = object.__new__(SearchConstraints)
+        new.__dict__.update(self.__dict__, pins=tuple(sorted(self.pins + ((v, x),))))
+        return new
 
 
 @dataclass(frozen=True)
@@ -348,6 +358,9 @@ def _run(
         status = STATUS_TIMEOUT
     finally:
         sys.setrecursionlimit(limit)
+        # place() reaches itself through its closure; unbound, the
+        # closure and label list go with this frame, not the collector.
+        del place
     elapsed = time.perf_counter() - start
     return status, found, count, nodes, elapsed
 

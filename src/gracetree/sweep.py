@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .construct import ZeroAtRequest, zero_at
@@ -181,21 +180,68 @@ def evaluate_sequence(
     return replace(report, family=family, q=t.q)
 
 
-def _evaluate_star(args: tuple) -> RotatabilityReport:
-    return evaluate_sequence(*args)
+# Set in a pool worker once Ctrl-C has reached it; the worker then
+# refuses the trees already queued to it, so an interrupted sweep does
+# not wait for them.  Only _note_interrupt and _evaluate_in_worker set
+# it, and they run in pool workers only.
+_interrupted = False
+
+
+def _note_interrupt(signum, frame) -> None:
+    # A pool worker's SIGINT handler between trees.  Ctrl-C reaches every
+    # process in the terminal's process group; a worker waiting for its
+    # next tree only takes note, as a KeyboardInterrupt there would print
+    # a traceback.
+    global _interrupted
+    _interrupted = True
+
+
+def _evaluate_in_worker(task: tuple) -> RotatabilityReport:
+    """``evaluate_sequence`` in a pool worker.  Ctrl-C stops the tree in
+    progress, and the pool hands the KeyboardInterrupt back to the parent
+    as this task's result."""
+    import signal
+
+    global _interrupted
+    if _interrupted:
+        raise KeyboardInterrupt
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return evaluate_sequence(*task)
+    except KeyboardInterrupt:
+        _interrupted = True
+        raise
+    finally:
+        signal.signal(signal.SIGINT, _note_interrupt)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
     """Evaluate the whole family, optionally across worker processes.
 
-    Output order always matches enumerate_family(spec).
+    Output order always matches enumerate_family(spec).  On
+    KeyboardInterrupt a parallel sweep stops the trees in progress,
+    cancels the rest, waits for its workers and re-raises, so none
+    outlives the call.
     """
     seqs = enumerate_family(spec)
     tasks = [(s, spec.family, spec.node_budget, spec.time_budget) for s in seqs]
     if jobs <= 1:
-        return [_evaluate_star(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_star, tasks))
+        return [evaluate_sequence(*task) for task in tasks]
+    # Imported here so that a serial run, and every other command, does
+    # not load multiprocessing at startup.
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, _note_interrupt)
+    ) as pool:
+        try:
+            return list(pool.map(_evaluate_in_worker, tasks))
+        except KeyboardInterrupt:
+            # Wait here, while the pool is still referenced: its manager
+            # thread drops the cancellation if the pool is collected first.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _fmt_elapsed(seconds: float, include_timing: bool) -> str:

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -351,13 +353,71 @@ def test_malformed_tree_file_is_an_error_not_a_traceback(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
-def test_module_entry_point_runs_the_command():
+def _source_env() -> dict:
+    """The environment for a child interpreter that imports this gracetree."""
     src = str(Path(gracetree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point_runs_the_command():
     proc = subprocess.run(
         [sys.executable, "-m", "gracetree.cli", "rotate0", "--rst", "2,2", "--budget-secs", "nan"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_source_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: time budget must be positive")
+
+
+def test_import_loads_no_process_pool():
+    # Only sweep --jobs > 1 starts a pool, so only it pays for loading
+    # concurrent.futures and multiprocessing (and logging, socket, pickle).
+    code = (
+        "import sys, gracetree, gracetree.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_source_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize(
+    "family",
+    [
+        # many short trees: both workers are busy when Ctrl-C comes
+        ["rst_all", "--nmax", "24", "--budget-nodes", "50000", "--budget-secs", "0"],
+        # one long tree: the other worker waits idle for work
+        ["symmetric_spider", "--legs", "4", "--branches", "30", "--budget-nodes", "0",
+         "--budget-secs", "60"],
+        # long trees: each worker has more queued, which it must not start
+        ["symmetric_spider", "--legs", "4", "--branches", "20..40", "--budget-nodes", "0",
+         "--budget-secs", "60"],
+    ],
+    ids=["busy", "idle", "queued"],
+)
+def test_ctrl_c_under_jobs_exits_130(family):
+    # Ctrl-C signals the terminal's whole process group: the parent and
+    # every pool worker.  The sweep must stop quietly and leave no worker.
+    argv = [sys.executable, "-m", "gracetree.cli", "sweep", "--jobs", "2", "--family", *family]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_source_env(), start_new_session=True,
+    )
+    try:
+        time.sleep(1.0)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()

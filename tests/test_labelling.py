@@ -44,6 +44,18 @@ def test_labelling_validation():
     assert list(f) == [2, 0, 1]
 
 
+@pytest.mark.parametrize("labels", [(0, 2.7, 1), (0, 1.0, 2), ("0", 1, 2), (0, None, 1)])
+def test_labelling_rejects_non_integer_labels(labels):
+    # int() turned (0, 2.7, 1) into (0, 2, 1) and "0" into 0.
+    bad = next(x for x in labels if type(x) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not an integer")):
+        Labelling(labels)
+
+
+def test_labelling_takes_bools_as_zero_and_one():
+    assert Labelling((True, 0, 2)).labels == (1, 0, 2)
+
+
 def test_edge_labels_golden():
     g = to_general(build(path_sequence(3)))
     assert edge_labels(g, (1, 2, 0)) == (1, 2)
@@ -58,6 +70,12 @@ def test_is_graceful_basics():
     assert not is_graceful(g, (0, 0, 1))
     with pytest.raises(ValueError):
         is_graceful(g, (0, 1))
+
+
+def test_is_graceful_rejects_non_integer_labels():
+    # int() truncated 1.9 to 1, and [0, 1, 2] is graceful on the star.
+    with pytest.raises(ValueError, match="label 1.9 is not an integer"):
+        is_graceful(build((2,)), [0, 1.9, 2])
 
 
 @st.composite

@@ -143,6 +143,14 @@ def test_general_tree_validation():
     assert t.degree(1) == 2
 
 
+def test_general_tree_rejects_non_integer_vertices():
+    # int() truncated 3.9 to 3 and built the path on three vertices.
+    with pytest.raises(ValueError, match="vertex count 3.9 is not an integer"):
+        GeneralTree(3.9, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"edge \(1, 2.5\) is not a pair of integers"):
+        GeneralTree(3, ((0, 1), (1, 2.5)))
+
+
 @given(sequences)
 @example((0,))
 @example(path_sequence(5000))

@@ -50,6 +50,10 @@ def test_constraints_validation():
     with pytest.raises(ValueError):
         SearchConstraints(time_budget=float("nan")).validate(3)
     assert c.with_pin(2, 1).pins == ((1, 0), (2, 1))
+    assert c.with_pin(0, 2).pins == ((0, 2), (1, 0))
+    assert c.with_pin(0, 2) == SearchConstraints(pins={1: 0, 0: 2})
+    with pytest.raises(ValueError, match="int vertex to an int label"):
+        c.with_pin(2.0, 1)
 
 
 def test_find_graceful_basics():
@@ -338,13 +342,32 @@ def test_search_tables_kept_after_a_search_are_linear():
     tracemalloc.start()
     try:
         out = find_graceful(path, SearchConstraints(pins={0: 0}, node_budget=5, time_budget=None))
-        gc.collect()  # the search's own frames form a cycle
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert (out.status, out.nodes) == ("timeout", 6)
     assert gracetree.search._tables.cache_info().currsize == 1
     assert current < 4_000_000
+
+
+def test_search_leaves_no_reference_cycle():
+    # Whatever a search allocates goes when it returns, found or not,
+    # without waiting for the cyclic collector.
+    n = 10_000
+    path = GeneralTree(n, tuple((i, i + 1) for i in range(n - 1)))
+    runs = [
+        (SearchConstraints(node_budget=None, time_budget=None), ("found", n)),
+        (SearchConstraints(pins={0: 0}, node_budget=5, time_budget=None), ("timeout", 6)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for cons, want in runs:
+            out = find_graceful(path, cons)
+            assert (out.status, out.nodes) == want
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _pendant_first(t):
