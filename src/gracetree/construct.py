@@ -19,8 +19,7 @@ produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .labelling import (
     Labelling,
@@ -53,8 +52,7 @@ METHOD_STAR = "star_direct"
 METHOD_SEARCH = "search_fallback"
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """How a labelling was produced: a method name plus replayable steps.
 
     Each step is a dict with an ``op`` key, the op's parameters, and the
@@ -283,8 +281,7 @@ def compose_theorem2(
 TargetLike = Union[int, Sequence[int]]
 
 
-@dataclass(frozen=True)
-class ZeroAtRequest:
+class ZeroAtRequest(NamedTuple):
     """Ask for a graceful labelling with a chosen extreme label at a
     chosen vertex.
 

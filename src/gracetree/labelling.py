@@ -7,11 +7,10 @@ to the vertices.  It is graceful when the edge differences
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
-from .model import Tree
+from .model import Tree, _Frozen
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -32,20 +31,19 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(_Frozen):
     """A bijective assignment of 0..n-1 to vertex indices 0..n-1."""
 
-    labels: tuple[int, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self) -> None:
-        labels = _as_ints(self.labels, "label")
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: Iterable[int]) -> None:
+        labels = _as_ints(labels, "label")
         n = len(labels)
         if n == 0:
             raise ValueError("a labelling cannot be empty")
         if not _is_permutation(labels, n):
             raise ValueError("labels must be a permutation of 0..n-1")
+        self.__dict__.update(labels=labels)
 
     @property
     def n(self) -> int:
@@ -135,15 +133,13 @@ def reflect(labels: LabelsLike, pivot: int) -> tuple[int, ...]:
     return tuple(pivot - b for b in _raw(labels))
 
 
-@dataclass(frozen=True)
-class TranspositionProduct:
+class TranspositionProduct(_Frozen):
     """A permutation of label values given as disjoint transpositions."""
 
-    swaps: tuple[tuple[int, int], ...]
+    _fields = ("swaps",)
 
-    def __post_init__(self) -> None:
-        swaps = tuple((int(a), int(b)) for a, b in self.swaps)
-        object.__setattr__(self, "swaps", swaps)
+    def __init__(self, swaps: Iterable[tuple[int, int]]) -> None:
+        swaps = tuple(_as_ints(pair, "label value") for pair in swaps)
         seen: set[int] = set()
         for a, b in swaps:
             if a == b:
@@ -153,6 +149,7 @@ class TranspositionProduct:
             seen.update((a, b))
         if any(x < 0 for x in seen):
             raise ValueError("label values must be non-negative")
+        self.__dict__.update(swaps=swaps)
 
     def apply_to_value(self, value: int) -> int:
         for a, b in self.swaps:

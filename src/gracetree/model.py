@@ -16,14 +16,12 @@ share across threads and worker processes.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import index
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class UnsupportedConstruction(Exception):
@@ -43,6 +41,39 @@ class UnsupportedConstruction(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+class _Frozen:
+    """Base of the immutable classes that validate their fields.
+
+    ``__init__`` writes the names in ``_fields`` into ``__dict__`` once;
+    equality, hashing and repr go over those fields only, so
+    ``cached_property`` values stay out.  No ``__slots__``: unpickling
+    fills ``__dict__`` without calling ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
     """Validate per-level child counts ``(k_1, ..., k_{q-1})``.
 
@@ -51,7 +82,10 @@ def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
     decomposition strips the final branch from a root with one child.
     All later entries must be positive.
     """
-    degrees = tuple(int(k) for k in degrees)
+    try:
+        degrees = tuple(map(index, degrees))
+    except TypeError:
+        raise ValueError(f"daughter degrees {tuple(degrees)!r} are not all integers") from None
     if not degrees:
         raise ValueError("daughter degree sequence must be non-empty")
     if degrees[0] < 0:
@@ -79,7 +113,7 @@ def level_numbers(degrees: Sequence[int]) -> tuple[int, ...]:
     return tuple(hs)
 
 
-class RootedSymmetricTree:
+class RootedSymmetricTree(_Frozen):
     """A tree built from a daughter degree sequence.
 
     Exposes arithmetic index/address conversion, parent/child lookup,
@@ -88,33 +122,25 @@ class RootedSymmetricTree:
     immutable.
     """
 
+    _fields = ("degrees",)
+
     def __init__(self, degrees: Sequence[int]) -> None:
         degrees = _degree_sequence(degrees)
         hs = level_numbers(degrees)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "level_numbers", hs)
-        object.__setattr__(self, "q", len(hs))
-        object.__setattr__(self, "n", hs[0])
         sizes = [1]
         for k in degrees[: len(hs) - 1]:
             sizes.append(sizes[-1] * k)
         offsets = [0]
         for s in sizes:
             offsets.append(offsets[-1] + s)
-        object.__setattr__(self, "level_sizes", tuple(sizes))
-        object.__setattr__(self, "level_offsets", tuple(offsets))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("RootedSymmetricTree is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RootedSymmetricTree) and self.degrees == other.degrees
-
-    def __hash__(self) -> int:
-        return hash(("RootedSymmetricTree", self.degrees))
-
-    def __repr__(self) -> str:
-        return f"RootedSymmetricTree({self.degrees!r})"
+        self.__dict__.update(
+            degrees=degrees,
+            level_numbers=hs,
+            q=len(hs),
+            n=hs[0],
+            level_sizes=tuple(sizes),
+            level_offsets=tuple(offsets),
+        )
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -197,22 +223,20 @@ def path_sequence(n: int) -> tuple[int, ...]:
     return (1,) * (n - 1)
 
 
-@dataclass(frozen=True)
-class GeneralTree:
+class GeneralTree(_Frozen):
     """An unrooted tree on vertices ``0..n-1`` given by its edge list."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
         try:
-            n = index(self.n)
+            n = index(n)
         except TypeError:
-            raise ValueError(f"vertex count {self.n!r} is not an integer") from None
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         norm = []
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = index(e[0]), index(e[1])
             except TypeError:
@@ -238,8 +262,7 @@ class GeneralTree:
             if ru == rv:
                 raise ValueError(f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        self.__dict__.update(n=n, edges=tuple(norm))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -267,8 +290,7 @@ def to_general(t: RootedSymmetricTree) -> GeneralTree:
     return GeneralTree(t.n, t.edges)
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(NamedTuple):
     """Shape classification of an unrooted tree."""
 
     is_path: bool
@@ -360,8 +382,7 @@ def classify(t: Tree) -> StructureFlags:
     )
 
 
-@dataclass(frozen=True)
-class BroomDecomposition:
+class BroomDecomposition(NamedTuple):
     """Split of a rooted symmetric tree into a pendant caterpillar P and
     the remaining rooted symmetric subtree H, sharing the root.
 
@@ -612,6 +633,8 @@ def tree_to_dict(t: Tree) -> dict:
 
 
 def tree_to_json(t: Tree) -> str:
+    import json
+
     return json.dumps(tree_to_dict(t))
 
 
@@ -644,6 +667,8 @@ def tree_from_dict(d: dict) -> Tree:
 
 
 def tree_from_json(text: str) -> Tree:
+    import json
+
     return tree_from_dict(json.loads(text))
 
 

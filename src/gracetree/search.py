@@ -46,16 +46,14 @@ can try closed-form constructions before it searches.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
-from .model import Tree, UnsupportedConstruction, automorphism_mapping, vertex_orbits
+from .model import Tree, UnsupportedConstruction, _Frozen, automorphism_mapping, vertex_orbits
 
 # Unused here, but perfbench/spans.py wraps it at this module's lookup site.
 from .model import to_general  # noqa: F401
@@ -95,19 +93,21 @@ def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
+class SearchConstraints(_Frozen):
     """Pins and budgets for one search run.
 
     ``pins`` fixes vertex -> label.  A budget of None means unlimited.
     """
 
-    pins: PairsLike = ()
-    node_budget: int | None = DEFAULT_NODE_BUDGET
-    time_budget: float | None = DEFAULT_TIME_BUDGET
+    _fields = ("pins", "node_budget", "time_budget")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pins", _as_pairs(self.pins))
+    def __init__(
+        self,
+        pins: PairsLike = (),
+        node_budget: int | None = DEFAULT_NODE_BUDGET,
+        time_budget: float | None = DEFAULT_TIME_BUDGET,
+    ) -> None:
+        self.__dict__.update(pins=_as_pairs(pins), node_budget=node_budget, time_budget=time_budget)
 
     def validate(self, n: int) -> None:
         seen_v: set[int] = set()
@@ -143,8 +143,7 @@ class SearchConstraints:
         return new
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of one witness search."""
 
     status: str
@@ -403,8 +402,7 @@ def count_graceful(t: Tree, bound: int = 10, force: bool = False) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class OrbitVerdict:
+class OrbitVerdict(NamedTuple):
     """Outcome for one vertex orbit: can its vertices carry label 0?"""
 
     representative: int
@@ -427,8 +425,7 @@ class OrbitVerdict:
         }
 
 
-@dataclass(frozen=True)
-class RotatabilityReport:
+class RotatabilityReport(NamedTuple):
     """Per-orbit answers to "is there a graceful labelling with 0 here?".
 
     A tree is 0-rotatable exactly when every orbit answers yes.  A sweep
@@ -491,6 +488,8 @@ class RotatabilityReport:
         }
 
     def to_json(self, include_timing: bool = True) -> str:
+        import json
+
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 

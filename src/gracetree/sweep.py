@@ -10,13 +10,11 @@ downstream tooling can detect format drift.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass, replace
 
 from .construct import ZeroAtRequest, zero_at
 from .labelling import Labelling
-from .model import RootedSymmetricTree, build
+from .model import RootedSymmetricTree, _Frozen, build
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -66,24 +64,34 @@ ROTATE0_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Frozen):
     """What to sweep: a family name plus its parameters and budgets."""
 
-    family: str
-    nmax: int | None = None
-    legs: int | None = None
-    branches: tuple[int, int] | None = None
-    node_budget: int | None = DEFAULT_NODE_BUDGET
-    time_budget: float | None = DEFAULT_TIME_BUDGET
+    _fields = ("family", "nmax", "legs", "branches", "node_budget", "time_budget")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.branches is not None:
-            lo, hi = self.branches
+    def __init__(
+        self,
+        family: str,
+        nmax: int | None = None,
+        legs: int | None = None,
+        branches: tuple[int, int] | None = None,
+        node_budget: int | None = DEFAULT_NODE_BUDGET,
+        time_budget: float | None = DEFAULT_TIME_BUDGET,
+    ) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        if branches is not None:
+            lo, hi = branches
             if lo < 1 or hi < lo:
-                raise ValueError(f"bad branch range {self.branches}")
+                raise ValueError(f"bad branch range {branches}")
+        self.__dict__.update(
+            family=family,
+            nmax=nmax,
+            legs=legs,
+            branches=branches,
+            node_budget=node_budget,
+            time_budget=time_budget,
+        )
 
 
 def _all_sequences(nmax: int) -> list[tuple[int, ...]]:
@@ -177,7 +185,7 @@ def evaluate_sequence(
 
     cons = SearchConstraints(node_budget=node_budget, time_budget=time_budget)
     report = is_zero_rotatable(t, cons, sequence_label(seq), construct)
-    return replace(report, family=family, q=t.q)
+    return report._replace(family=family, q=t.q)
 
 
 # Set in a pool worker once Ctrl-C has reached it; the worker then
@@ -253,6 +261,8 @@ def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) ->
 
     With timing excluded the output is byte-stable across runs.
     """
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -279,6 +289,8 @@ def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) ->
 def rotatability_to_csv(report: RotatabilityReport, include_timing: bool = True) -> str:
     """Render a rotatability report, one row per orbit, under the
     gracetree.rotate0/1 schema."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROTATE0_COLUMNS)

@@ -372,16 +372,22 @@ def test_module_entry_point_runs_the_command():
 def test_import_loads_no_process_pool():
     # Only sweep --jobs > 1 starts a pool, so only it pays for loading
     # concurrent.futures and multiprocessing (and logging, socket, pickle).
-    code = (
-        "import sys, gracetree, gracetree.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_source_env(), timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # No module loads dataclasses (which pulls in inspect, ast and dis),
+    # and only the functions that serialise load json or csv; the CLI
+    # needs json.
+    heavy = {"concurrent", "multiprocessing", "dataclasses", "inspect", "json", "csv"}
+    src = str(Path(gracetree.__file__).resolve().parents[1])
+    for module, unwanted in (("gracetree", heavy), ("gracetree.cli", heavy - {"json"})):
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {sorted(unwanted)!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", code],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")

@@ -151,6 +151,8 @@ def test_transposition_product_validation():
         TranspositionProduct(((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         TranspositionProduct(((-1, 2),))
+    with pytest.raises(ValueError, match="label value 1.5 is not an integer"):
+        TranspositionProduct(((1.5, 2),))
     p = TranspositionProduct(((0, 4), (5, 9)))
     assert p.apply_to_value(4) == 0
     assert p.apply_to_value(7) == 7

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import networkx as nx
@@ -7,9 +8,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
+    BroomDecomposition,
+    ConstructionTrace,
     GeneralTree,
+    Labelling,
+    OrbitVerdict,
     RootedSymmetricTree,
+    RotatabilityReport,
     SearchConstraints,
+    SearchOutcome,
+    StructureFlags,
+    TranspositionProduct,
     UnsupportedConstruction,
     ZeroAtRequest,
     automorphism_mapping,
@@ -66,6 +75,11 @@ def test_sequence_validation():
             build(bad)
         with pytest.raises(ValueError):
             level_numbers(bad)
+    # A float or a string is an error, not truncated or parsed.
+    with pytest.raises(ValueError, match=r"daughter degrees \(2.7, 1.2\) are not all integers"):
+        build((2.7, 1.2))
+    with pytest.raises(ValueError, match="are not all integers"):
+        RootedSymmetricTree(("3",))
     assert (build((0,)).q, build((0,)).n) == (1, 1)
     assert build((2, 3)).q == 3
     assert build([2, 3]).degrees == (2, 3)
@@ -466,3 +480,46 @@ def test_rst_immutability_and_identity():
     assert t == build((2, 2))
     assert t != build((2, 3))
     assert len({build((2, 2)), build((2, 2))}) == 1
+
+
+def _verdict():
+    return OrbitVerdict(0, (0, 2), "yes", "theorem1", Labelling((0, 2, 1)), 0, 0.0)
+
+
+# name: (build one, build an equal one independently, a field to assign)
+RECORDS = {
+    "GeneralTree": (lambda: GeneralTree(3, ((1, 2), (0, 1))), None, "edges"),
+    "RootedSymmetricTree": (lambda: build((2, 1)), None, "degrees"),
+    "Labelling": (lambda: Labelling([0, 2, 1]), None, "labels"),
+    "TranspositionProduct": (lambda: TranspositionProduct([(0, 3)]), None, "swaps"),
+    # with_pin builds its copy without __init__, and must keep both budgets.
+    "SearchConstraints": (
+        lambda: SearchConstraints({0: 3}, node_budget=7, time_budget=2.5).with_pin(1, 0),
+        lambda: SearchConstraints([(1, 0), (0, 3)], 7, 2.5),
+        "pins",
+    ),
+    "SweepSpec": (lambda: SweepSpec("q3", nmax=20, branches=(1, 3)), None, "nmax"),
+    "SearchOutcome": (lambda: SearchOutcome("found", Labelling((0, 1)), 3, 0.5), None, "nodes"),
+    "OrbitVerdict": (_verdict, None, "verdict"),
+    "RotatabilityReport": (
+        lambda: RotatabilityReport("2,1", 5, (_verdict(),), family="q3", q=3), None, "family"
+    ),
+    "ConstructionTrace": (lambda: ConstructionTrace("theorem1", ()), None, "method"),
+    "ZeroAtRequest": (lambda: ZeroAtRequest(build((2, 1)), (1, 0)), None, "desired_label"),
+    "BroomDecomposition": (lambda: decompose(build((2, 1))), None, "subtree_h"),
+    "StructureFlags": (lambda: classify(build((2, 1))), None, "is_path"),
+}
+
+
+@pytest.mark.parametrize("make, make_twin, field", RECORDS.values(), ids=RECORDS)
+def test_records_pickle_hash_and_stay_immutable(make, make_twin, field):
+    obj, twin = make(), (make_twin or make)()
+    assert obj is not twin
+    assert obj == twin and hash(obj) == hash(twin)
+    copy = pickle.loads(pickle.dumps(obj))
+    assert type(copy) is type(obj) and copy == obj
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert obj == twin
