@@ -3,162 +3,29 @@
 Construct graceful labellings in closed form, move the 0 label onto
 chosen vertices, decide 0-rotatability with an exhaustive search
 oracle, and sweep whole tree families.
+
+The package exports the names the README's library example uses; every
+other name is imported from the submodule that defines it.
 """
 
-from .construct import (
-    METHOD_COMPLEMENT,
-    METHOD_LEMMA1,
-    METHOD_SEARCH,
-    METHOD_STAR,
-    METHOD_THEOREM1,
-    METHOD_THEOREM2_EVEN,
-    METHOD_THEOREM2_ODD,
-    ConstructionTrace,
-    ZeroAtRequest,
-    broom_caterpillar_label,
-    compose_theorem2,
-    lemma1_label,
-    lemma1_product,
-    replay_trace,
-    theorem1_label,
-    zero_at,
-)
-from .labelling import (
-    Labelling,
-    TranspositionProduct,
-    apply_permutation,
-    complement,
-    edge_labels,
-    is_graceful,
-    reflect,
-    relabel_vertices,
-    shift,
-)
-from .model import (
-    BroomDecomposition,
-    GeneralTree,
-    RootedSymmetricTree,
-    StructureFlags,
-    UnsupportedConstruction,
-    automorphism_mapping,
-    build,
-    classify,
-    decompose,
-    level_numbers,
-    path_sequence,
-    rooted_sequence_at,
-    to_dot,
-    to_general,
-    tree_from_dict,
-    tree_from_json,
-    tree_to_dict,
-    tree_to_json,
-    vertex_orbits,
-)
-from .search import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_TIME_BUDGET,
-    STATUS_EXHAUSTED,
-    STATUS_FOUND,
-    STATUS_TIMEOUT,
-    VERDICT_NO,
-    VERDICT_TIMEOUT,
-    VERDICT_YES,
-    OrbitVerdict,
-    RotatabilityReport,
-    SearchConstraints,
-    SearchOutcome,
-    count_graceful,
-    find_graceful,
-    is_zero_rotatable,
-)
-from .sweep import (
-    FAMILIES,
-    FAMILY_BANANA,
-    FAMILY_Q3,
-    FAMILY_RST_ALL,
-    FAMILY_SPIDER,
-    SweepSpec,
-    enumerate_family,
-    evaluate_sequence,
-    rotatability_to_csv,
-    run_sweep,
-    sequence_label,
-    sweep_to_csv,
-)
+from .construct import ZeroAtRequest, theorem1_label, zero_at
+from .labelling import is_graceful
+from .model import GeneralTree, UnsupportedConstruction, build
+from .search import SearchConstraints, find_graceful, is_zero_rotatable
+from .sweep import evaluate_sequence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BroomDecomposition",
-    "ConstructionTrace",
-    "DEFAULT_NODE_BUDGET",
-    "DEFAULT_TIME_BUDGET",
-    "FAMILIES",
-    "FAMILY_BANANA",
-    "FAMILY_Q3",
-    "FAMILY_RST_ALL",
-    "FAMILY_SPIDER",
     "GeneralTree",
-    "Labelling",
-    "METHOD_COMPLEMENT",
-    "METHOD_LEMMA1",
-    "METHOD_SEARCH",
-    "METHOD_STAR",
-    "METHOD_THEOREM1",
-    "METHOD_THEOREM2_EVEN",
-    "METHOD_THEOREM2_ODD",
-    "OrbitVerdict",
-    "RootedSymmetricTree",
-    "RotatabilityReport",
-    "STATUS_EXHAUSTED",
-    "STATUS_FOUND",
-    "STATUS_TIMEOUT",
     "SearchConstraints",
-    "SearchOutcome",
-    "StructureFlags",
-    "SweepSpec",
-    "TranspositionProduct",
     "UnsupportedConstruction",
-    "VERDICT_NO",
-    "VERDICT_TIMEOUT",
-    "VERDICT_YES",
     "ZeroAtRequest",
-    "apply_permutation",
-    "automorphism_mapping",
-    "broom_caterpillar_label",
     "build",
-    "classify",
-    "complement",
-    "compose_theorem2",
-    "count_graceful",
-    "decompose",
-    "edge_labels",
-    "enumerate_family",
     "evaluate_sequence",
     "find_graceful",
     "is_graceful",
     "is_zero_rotatable",
-    "lemma1_label",
-    "lemma1_product",
-    "level_numbers",
-    "path_sequence",
-    "reflect",
-    "relabel_vertices",
-    "replay_trace",
-    "rooted_sequence_at",
-    "rotatability_to_csv",
-    "run_sweep",
-    "sequence_label",
-    "shift",
-    "sweep_to_csv",
     "theorem1_label",
-    "to_dot",
-    "to_general",
-    "tree_from_dict",
-    "tree_from_json",
-    "tree_to_dict",
-    "tree_to_json",
-    "vertex_orbits",
     "zero_at",
 ]

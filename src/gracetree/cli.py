@@ -19,16 +19,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .construct import (
-    METHOD_STAR,
-    METHOD_THEOREM1,
-    ConstructionTrace,
-    ZeroAtRequest,
-    compose_theorem2,
-    lemma1_label,
-    theorem1_label,
-    zero_at,
-)
+from .construct import ZeroAtRequest, compose_theorem2, lemma1_label, zero_at
 from .labelling import graceful_defect, is_graceful
 from .model import (
     RootedSymmetricTree,
@@ -143,34 +134,26 @@ def _add_budgets(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _env_budget(name: str, parse):
-    text = os.environ[name]
-    try:
-        return parse(text)
-    except ValueError:
-        raise ValueError(f"{name}={text!r} is not a valid {parse.__name__}") from None
-
-
 def _resolve_budgets(args) -> tuple[int | None, float | None]:
-    nodes: int | None
-    secs: float | None
-    if args.budget_nodes is not None:
-        nodes = args.budget_nodes
-    elif os.environ.get(ENV_NODES):
-        nodes = _env_budget(ENV_NODES, int)
-    else:
-        nodes = DEFAULT_NODE_BUDGET
-    if args.budget_secs is not None:
-        secs = args.budget_secs
-    elif os.environ.get(ENV_SECS):
-        secs = _env_budget(ENV_SECS, float)
-    else:
-        secs = DEFAULT_TIME_BUDGET
-    if nodes is not None and nodes <= 0:
-        nodes = None
-    if secs is not None and secs <= 0:
-        secs = None
-    return nodes, secs
+    """Node and time budgets: the flag, else the environment variable,
+    else the default.  Zero or negative means unlimited (None)."""
+    budgets = []
+    for flag, name, parse, default in (
+        (args.budget_nodes, ENV_NODES, int, DEFAULT_NODE_BUDGET),
+        (args.budget_secs, ENV_SECS, float, DEFAULT_TIME_BUDGET),
+    ):
+        text = os.environ.get(name)
+        if flag is not None:
+            value = flag
+        elif text:
+            try:
+                value = parse(text)
+            except ValueError:
+                raise ValueError(f"{name}={text!r} is not a valid {parse.__name__}") from None
+        else:
+            value = default
+        budgets.append(None if value <= 0 else value)
+    return budgets[0], budgets[1]
 
 
 def _tree_id(t: Tree) -> str:
@@ -269,9 +252,7 @@ def cmd_label(args) -> int:
     elif args.method == "theorem2":
         f, trace = compose_theorem2(t, t.q, 0)
     else:
-        f = theorem1_label(t)
-        method = METHOD_STAR if t.q <= 2 else METHOD_THEOREM1
-        trace = ConstructionTrace(method, ({"op": "theorem1", "labels": list(f.labels)},))
+        f, trace = zero_at(ZeroAtRequest(t, 0, 0))
     if not is_graceful(t, f):
         print("error: produced labelling failed verification", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ produced it.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple, Sequence, Union
 
 from .labelling import (
@@ -294,14 +295,24 @@ class ZeroAtRequest(NamedTuple):
     desired_label: int = 0
 
 
+def _as_int(value, what: str) -> int:
+    # operator.index refuses a float or a string that int() would
+    # truncate or parse.
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:
     if isinstance(target, bool):
         raise ValueError("target must be a vertex index or address")
-    if isinstance(target, int):
-        if not 0 <= target < t.n:
-            raise ValueError(f"vertex index {target} out of range")
-        return target
-    return t.index_of(target)
+    if isinstance(target, Sequence) and not isinstance(target, str):
+        return t.index_of(target)
+    target = _as_int(target, "target")
+    if not 0 <= target < t.n:
+        raise ValueError(f"vertex index {target} out of range")
+    return target
 
 
 def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
@@ -317,7 +328,7 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     n = t.n
     q = t.q
     target = _coerce_target(t, req.target)
-    desired = int(req.desired_label)
+    desired = _as_int(req.desired_label, "desired label")
     if desired not in (0, n - 1):
         raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
     level = t.level_of_index(target)
@@ -407,9 +418,8 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
             ):
                 raise ValueError("trace step 'decompose' does not replay")
         elif op == "broom":
-            broom_local = broom_caterpillar_label(
-                int(step["leaf_count"]), int(step["spine_length"]), int(step["n"])
-            )
+            sizes = [_as_int(step[k], f"broom {k}") for k in ("leaf_count", "spine_length", "n")]
+            broom_local = broom_caterpillar_label(*sizes)
             _check(step["labels"], broom_local, op)
         elif op == "subtree":
             if dec is None:
@@ -417,10 +427,10 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
             h_cur = theorem1_label(dec.subtree_h).labels
             _check(step["labels"], h_cur, op)
         elif op == "shift":
-            h_cur = shift(h_cur, int(step["amount"]))
+            h_cur = shift(h_cur, _as_int(step["amount"], "shift amount"))
             _check(step["labels"], h_cur, op)
         elif op == "reflect":
-            h_cur = reflect(h_cur, int(step["pivot"]))
+            h_cur = reflect(h_cur, _as_int(step["pivot"], "reflect pivot"))
             _check(step["labels"], h_cur, op)
         elif op == "merge":
             if dec is None or broom_local is None or h_cur is None:

@@ -151,20 +151,14 @@ class TranspositionProduct(_Frozen):
             raise ValueError("label values must be non-negative")
         self.__dict__.update(swaps=swaps)
 
-    def apply_to_value(self, value: int) -> int:
-        for a, b in self.swaps:
-            if value == a:
-                return b
-            if value == b:
-                return a
-        return value
-
 
 def apply_permutation(f: Labelling, perm: TranspositionProduct) -> Labelling:
     """Permute label values (not vertices) by a transposition product."""
-    if any(x >= f.n for pair in perm.swaps for x in pair):
+    swap = dict(perm.swaps)
+    swap.update((b, a) for a, b in perm.swaps)
+    if any(x >= f.n for x in swap):
         raise ValueError("transposition moves a value outside the label range")
-    return Labelling(tuple(perm.apply_to_value(b) for b in f.labels))
+    return Labelling(tuple(swap.get(b, b) for b in f.labels))
 
 
 def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:

@@ -256,18 +256,25 @@ def _fmt_elapsed(seconds: float, include_timing: bool) -> str:
     return f"{seconds:.3f}" if include_timing else ""
 
 
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    """CSV text: the header row ``columns``, then ``rows``."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) -> str:
     """Render sweep rows under the gracetree.sweep/1 schema.
 
     With timing excluded the output is byte-stable across runs.
     """
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(
+    return _csv_text(
+        SWEEP_COLUMNS,
+        (
             [
                 SWEEP_SCHEMA,
                 row.family,
@@ -282,20 +289,17 @@ def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) ->
                 row.nodes,
                 _fmt_elapsed(row.elapsed_s, include_timing),
             ]
-        )
-    return buf.getvalue()
+            for row in rows
+        ),
+    )
 
 
 def rotatability_to_csv(report: RotatabilityReport, include_timing: bool = True) -> str:
     """Render a rotatability report, one row per orbit, under the
     gracetree.rotate0/1 schema."""
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROTATE0_COLUMNS)
-    for e in report.entries:
-        writer.writerow(
+    return _csv_text(
+        ROTATE0_COLUMNS,
+        (
             [
                 ROTATE0_SCHEMA,
                 report.tree_id,
@@ -308,5 +312,6 @@ def rotatability_to_csv(report: RotatabilityReport, include_timing: bool = True)
                 e.nodes,
                 _fmt_elapsed(e.elapsed, include_timing),
             ]
-        )
-    return buf.getvalue()
+            for e in report.entries
+        ),
+    )

@@ -16,8 +16,8 @@ from typing import Iterator
 
 import networkx as nx
 
-from gracetree import GeneralTree, RootedSymmetricTree, SearchConstraints, to_general
-from gracetree.model import Tree
+from gracetree import GeneralTree, SearchConstraints
+from gracetree.model import RootedSymmetricTree, Tree, to_general
 from gracetree.search import STATUS_EXHAUSTED, STATUS_FOUND, STATUS_TIMEOUT
 
 

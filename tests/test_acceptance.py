@@ -10,34 +10,32 @@ import time
 from contextlib import contextmanager
 
 from gracetree import (
-    FAMILY_SPIDER,
-    METHOD_SEARCH,
-    Labelling,
     SearchConstraints,
-    SweepSpec,
-    TranspositionProduct,
-    VERDICT_TIMEOUT,
-    VERDICT_YES,
     ZeroAtRequest,
-    apply_permutation,
     build,
-    complement,
-    compose_theorem2,
-    count_graceful,
-    decompose,
-    edge_labels,
     evaluate_sequence,
     is_graceful,
     is_zero_rotatable,
+    theorem1_label,
+)
+from gracetree.construct import (
+    METHOD_SEARCH,
+    compose_theorem2,
     lemma1_label,
     lemma1_product,
-    level_numbers,
-    reflect,
-    run_sweep,
-    shift,
-    theorem1_label,
-    to_general,
 )
+from gracetree.labelling import (
+    Labelling,
+    TranspositionProduct,
+    apply_permutation,
+    complement,
+    edge_labels,
+    reflect,
+    shift,
+)
+from gracetree.model import decompose, level_numbers, to_general
+from gracetree.search import VERDICT_TIMEOUT, VERDICT_YES, count_graceful
+from gracetree.sweep import FAMILY_SPIDER, SweepSpec, run_sweep
 
 from oracles import all_trees, count_graceful_naive, random_tree
 

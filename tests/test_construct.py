@@ -5,27 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
-    ConstructionTrace,
+    UnsupportedConstruction,
+    ZeroAtRequest,
+    build,
+    is_graceful,
+    theorem1_label,
+    zero_at,
+)
+from gracetree.construct import (
     METHOD_COMPLEMENT,
     METHOD_STAR,
     METHOD_THEOREM1,
     METHOD_THEOREM2_EVEN,
     METHOD_THEOREM2_ODD,
-    RootedSymmetricTree,
-    UnsupportedConstruction,
-    ZeroAtRequest,
+    ConstructionTrace,
     broom_caterpillar_label,
-    build,
     compose_theorem2,
-    is_graceful,
     lemma1_label,
     lemma1_product,
-    path_sequence,
     replay_trace,
-    theorem1_label,
-    to_general,
-    zero_at,
 )
+from gracetree.model import RootedSymmetricTree, path_sequence, to_general
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import theorem1_label_by_addresses
 
@@ -248,6 +248,11 @@ def test_zero_at_validation():
         zero_at(ZeroAtRequest(t, 0, 3))
     with pytest.raises(ValueError):
         zero_at(ZeroAtRequest(t, 99, 0))
+    # Non-integers are refused, not truncated to vertex 0 or label 0.
+    with pytest.raises(ValueError, match="desired label 0.9 is not an integer"):
+        zero_at(ZeroAtRequest(t, 0, 0.9))
+    with pytest.raises(ValueError, match="target 2.5 is not an integer"):
+        zero_at(ZeroAtRequest(t, 2.5, 0))
 
 
 @given(sequences, st.data())
@@ -283,6 +288,13 @@ def test_replay_rejects_tampering():
     bad[0], bad[1] = bad[1], bad[0]
     steps[-1]["labels"] = bad
     with pytest.raises(ValueError):
+        replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    # A non-integer pivot is refused, not truncated back to the recorded 8.
+    steps = [dict(s) for s in trace.steps]
+    (i,) = [i for i, s in enumerate(steps) if s["op"] == "reflect"]
+    assert steps[i]["pivot"] == 8
+    steps[i]["pivot"] = 8.5
+    with pytest.raises(ValueError, match="reflect pivot 8.5 is not an integer"):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import gracetree
@@ -24,3 +25,14 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert len(gracetree.__all__) == len(set(gracetree.__all__))
     assert sorted(gracetree.__all__) == sorted(imported)
+
+
+def test_readme_library_example_runs_on_the_exported_names():
+    # The README's Library section documents the top-level API: its
+    # example must run, and every exported name must appear there.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    mentioned = set(re.findall(r"\w+", section))
+    assert [name for name in gracetree.__all__ if name not in mentioned] == []

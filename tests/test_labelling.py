@@ -4,24 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gracetree import (
-    GeneralTree,
+from gracetree import GeneralTree, build, is_graceful, theorem1_label
+from gracetree.labelling import (
     Labelling,
-    RootedSymmetricTree,
     TranspositionProduct,
     apply_permutation,
-    build,
     complement,
     edge_labels,
-    is_graceful,
-    path_sequence,
+    graceful_defect,
     reflect,
     relabel_vertices,
     shift,
-    theorem1_label,
-    to_general,
 )
-from gracetree.labelling import graceful_defect
+from gracetree.model import RootedSymmetricTree, path_sequence, to_general
 
 sequences = (
     st.lists(st.integers(1, 4), min_size=1, max_size=4)
@@ -154,8 +149,9 @@ def test_transposition_product_validation():
     with pytest.raises(ValueError, match="label value 1.5 is not an integer"):
         TranspositionProduct(((1.5, 2),))
     p = TranspositionProduct(((0, 4), (5, 9)))
-    assert p.apply_to_value(4) == 0
-    assert p.apply_to_value(7) == 7
+    g = apply_permutation(Labelling(range(10)), p)
+    assert g[4] == 0
+    assert g[7] == 7
 
 
 def test_apply_permutation():

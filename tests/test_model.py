@@ -8,24 +8,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gracetree import (
-    BroomDecomposition,
-    ConstructionTrace,
     GeneralTree,
-    Labelling,
-    OrbitVerdict,
-    RootedSymmetricTree,
-    RotatabilityReport,
     SearchConstraints,
-    SearchOutcome,
-    StructureFlags,
-    TranspositionProduct,
     UnsupportedConstruction,
     ZeroAtRequest,
-    automorphism_mapping,
     build,
+    is_zero_rotatable,
+    zero_at,
+)
+from gracetree.construct import ConstructionTrace
+from gracetree.labelling import Labelling, TranspositionProduct
+from gracetree.model import (
+    BroomDecomposition,
+    RootedSymmetricTree,
+    StructureFlags,
+    automorphism_mapping,
     classify,
     decompose,
-    is_zero_rotatable,
     level_numbers,
     path_sequence,
     rooted_sequence_at,
@@ -34,8 +33,8 @@ from gracetree import (
     tree_from_json,
     tree_to_json,
     vertex_orbits,
-    zero_at,
 )
+from gracetree.search import OrbitVerdict, RotatabilityReport, SearchOutcome
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import (
     all_trees,

@@ -11,20 +11,15 @@ from hypothesis import strategies as st
 import gracetree.search
 from gracetree import (
     GeneralTree,
-    Labelling,
     SearchConstraints,
-    SearchOutcome,
     build,
-    complement,
-    count_graceful,
     find_graceful,
     is_graceful,
     is_zero_rotatable,
-    path_sequence,
-    to_general,
-    vertex_orbits,
 )
-from gracetree.search import _run
+from gracetree.labelling import Labelling, complement
+from gracetree.model import path_sequence, to_general, vertex_orbits
+from gracetree.search import SearchOutcome, _run, count_graceful
 from oracles import (
     all_trees,
     count_graceful_naive,

@@ -8,24 +8,27 @@ import pytest
 import gracetree.construct
 import gracetree.search
 from gracetree import (
-    METHOD_SEARCH,
     GeneralTree,
-    RootedSymmetricTree,
-    SweepSpec,
     ZeroAtRequest,
     build,
-    enumerate_family,
     evaluate_sequence,
     is_graceful,
     is_zero_rotatable,
+    zero_at,
+)
+from gracetree.construct import METHOD_SEARCH
+from gracetree.model import RootedSymmetricTree, to_general
+from gracetree.sweep import (
+    ROTATE0_SCHEMA,
+    SWEEP_COLUMNS,
+    SWEEP_SCHEMA,
+    SweepSpec,
+    enumerate_family,
     rotatability_to_csv,
     run_sweep,
     sequence_label,
     sweep_to_csv,
-    to_general,
-    zero_at,
 )
-from gracetree.sweep import ROTATE0_SCHEMA, SWEEP_COLUMNS, SWEEP_SCHEMA
 
 
 def brute_sequences(nmax: int) -> list[tuple[int, ...]]:
