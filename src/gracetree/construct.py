@@ -33,7 +33,6 @@ from .labelling import (
     shift,
 )
 from .model import (
-    BroomDecomposition,
     RootedSymmetricTree,
     Tree,
     UnsupportedConstruction,
@@ -56,8 +55,9 @@ METHOD_SEARCH = "search_fallback"
 class ConstructionTrace(NamedTuple):
     """How a labelling was produced: a method name plus replayable steps.
 
-    Each step is a dict with an ``op`` key, the op's parameters, and the
-    label snapshot it produced.  Treat steps as read-only.
+    Each step is a dict in the ``--explain`` shape: an ``op`` key, the
+    op's parameters, and the label snapshot it produced.  Treat steps as
+    read-only.  Dicts are unhashable, so a trace with steps is too.
     """
 
     method: str
@@ -115,17 +115,12 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
 
 def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     """Label a three-level tree gracefully with 0 at a deepest leaf."""
-    base = theorem1_label(t)
-    prod = lemma1_product(t)
-    f = apply_permutation(base, prod)
+    state: dict = {}
     steps = (
-        {"op": "theorem1", "labels": list(base.labels)},
-        {
-            "op": "apply_permutation",
-            "swaps": [list(s) for s in prod.swaps],
-            "labels": list(f.labels),
-        },
+        _do(t, state, "theorem1"),
+        _do(t, state, "apply_permutation", swaps=lemma1_product(t).swaps),
     )
+    f = state["labelling"]
     if not is_graceful(t, f):
         raise RuntimeError("swap product broke gracefulness; this is a bug")
     return f, ConstructionTrace(METHOD_LEMMA1, steps)
@@ -174,21 +169,6 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     return labels
 
 
-def _merge(
-    n: int, dec: BroomDecomposition, broom: Sequence[int], h_labels: Sequence[int]
-) -> tuple[int, ...] | None:
-    """The broom's labels on P's vertices and the subtree's on H's, or
-    None when the two disagree on a vertex they share."""
-    full = [-1] * n
-    for li, gi in enumerate(dec.p_map):
-        full[gi] = broom[li]
-    for hi, gi in enumerate(dec.h_map):
-        if full[gi] >= 0 and full[gi] != h_labels[hi]:
-            return None
-        full[gi] = h_labels[hi]
-    return tuple(full)
-
-
 def compose_theorem2(
     t: RootedSymmetricTree, target_level: int, desired: int
 ) -> tuple[Labelling, ConstructionTrace]:
@@ -221,61 +201,31 @@ def compose_theorem2(
             f"intermediate daughter degrees of {degrees} are not all 1",
         )
 
-    dec = decompose(t)
-    leaf_count = degrees[-1]
-    spine_length = q - 1
-    local = broom_caterpillar_label(leaf_count, spine_length, n)
-
-    h_base = theorem1_label(dec.subtree_h)
-    if q % 2 == 1:
-        root_label = leaf_count + (q - 3) // 2
-        h_labels = shift(h_base, root_label)
-        h_step = {"op": "shift", "amount": root_label, "labels": list(h_labels)}
-        method = METHOD_THEOREM2_ODD
-    else:
-        root_label = n - q // 2
-        h_labels = reflect(h_base, root_label)
-        h_step = {"op": "reflect", "pivot": root_label, "labels": list(h_labels)}
-        method = METHOD_THEOREM2_EVEN
-    if local[0] != root_label:
-        raise RuntimeError("branch and subtree disagree on the root label; this is a bug")
-
-    merged = _merge(n, dec, local, h_labels)
-    if merged is None:
-        raise RuntimeError("branch and subtree overlap inconsistently; this is a bug")
-    f = Labelling(merged)
-    if not is_graceful(t, f):
-        raise RuntimeError("composed labelling is not graceful; this is a bug")
-
+    state: dict = {}
     steps = [
-        {
-            "op": "decompose",
-            "h_degrees": list(dec.subtree_h.degrees),
-            "p_map": list(dec.p_map),
-            "h_map": list(dec.h_map),
-        },
-        {
-            "op": "broom",
-            "leaf_count": leaf_count,
-            "spine_length": spine_length,
-            "n": n,
-            "labels": list(local),
-        },
-        {"op": "subtree", "labels": list(h_base.labels)},
-        h_step,
-        {"op": "merge", "labels": list(f.labels)},
+        _do(t, state, "decompose"),
+        _do(t, state, "broom", leaf_count=degrees[-1], spine_length=q - 1, n=n),
+        _do(t, state, "subtree"),
+        # Move the subtree's root onto the broom's root label.
+        _do(t, state, "shift", amount=degrees[-1] + (q - 3) // 2)
+        if q % 2 == 1
+        else _do(t, state, "reflect", pivot=n - q // 2),
+        _do(t, state, "merge"),
     ]
+    if not is_graceful(t, state["labelling"]):
+        raise RuntimeError("composed labelling is not graceful; this is a bug")
 
     flip = (target_level == q - 1 and desired == 0) or (
         target_level == q and desired == n - 1
     )
     if flip:
-        f = complement(f)
-        steps.append({"op": "complement", "labels": list(f.labels)})
+        steps.append(_do(t, state, "complement"))
 
+    f = state["labelling"]
     holder = f.vertex_with_label(desired)
     if t.level_of_index(holder) != target_level:
         raise RuntimeError("desired label landed on the wrong level; this is a bug")
+    method = METHOD_THEOREM2_ODD if q % 2 == 1 else METHOD_THEOREM2_EVEN
     return f, ConstructionTrace(method, tuple(steps))
 
 
@@ -334,15 +284,13 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     level = t.level_of_index(target)
 
     if level <= 2:
-        base = theorem1_label(t)
-        steps = [{"op": "theorem1", "labels": list(base.labels)}]
-        f = base
+        state: dict = {}
+        steps = [_do(t, state, "theorem1")]
         flip = (level == 1 and desired == n - 1 and n > 1) or (
             level == 2 and desired == 0
         )
         if flip:
-            f = complement(f)
-            steps.append({"op": "complement", "labels": list(f.labels)})
+            steps.append(_do(t, state, "complement"))
         if q <= 2:
             method = METHOD_STAR
         elif flip:
@@ -351,6 +299,7 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
             method = METHOD_THEOREM1
     elif level in (q - 1, q):
         f, base_trace = compose_theorem2(t, level, desired)
+        state = {"labelling": f}
         method = base_trace.method
         steps = list(base_trace.steps)
     else:
@@ -359,22 +308,15 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
             f"no constructive placement for level {level} of a {q}-level tree",
         )
 
-    holder = f.vertex_with_label(desired)
+    holder = state["labelling"].vertex_with_label(desired)
     if holder != target:
         perm = automorphism_mapping(t, holder, target)
-        f = relabel_vertices(f, perm)
-        steps.append(
-            {"op": "relabel_vertices", "perm": list(perm), "labels": list(f.labels)}
-        )
+        steps.append(_do(t, state, "relabel_vertices", perm=perm))
 
+    f = state["labelling"]
     if f[target] != desired or not is_graceful(t, f):
         raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
     return f, ConstructionTrace(method, tuple(steps))
-
-
-def _check(recorded: Sequence[int], recomputed: Sequence[int], op: str) -> None:
-    if list(recorded) != list(recomputed):
-        raise ValueError(f"trace step {op!r} does not replay: recorded labels differ")
 
 
 def _rooted(t: Tree) -> RootedSymmetricTree:
@@ -383,68 +325,90 @@ def _rooted(t: Tree) -> RootedSymmetricTree:
     return t
 
 
+def _do(t: Tree, state: dict, op: str, **params) -> dict:
+    """Run one trace op and return its step in the ``--explain`` shape.
+
+    ``state`` carries what earlier ops produced: the whole-tree
+    ``labelling``, the broom ``decomposition``, and the ``broom`` and
+    ``subtree`` labels.  A missing input raises KeyError, a bad
+    parameter or an inconsistent merge ValueError.
+    """
+    step: dict = {"op": op}
+    if op == "theorem1":
+        out = state["labelling"] = theorem1_label(_rooted(t))
+    elif op == "apply_permutation":
+        prod = TranspositionProduct(params["swaps"])
+        step["swaps"] = [list(s) for s in prod.swaps]
+        out = state["labelling"] = apply_permutation(state["labelling"], prod)
+    elif op == "complement":
+        out = state["labelling"] = complement(state["labelling"])
+    elif op == "relabel_vertices":
+        perm = params["perm"]
+        step["perm"] = list(perm)
+        out = state["labelling"] = relabel_vertices(state["labelling"], perm)
+    elif op == "decompose":
+        dec = state["decomposition"] = decompose(_rooted(t))
+        step["h_degrees"] = list(dec.subtree_h.degrees)
+        step["p_map"] = list(dec.p_map)
+        step["h_map"] = list(dec.h_map)
+        return step
+    elif op == "broom":
+        for k in ("leaf_count", "spine_length", "n"):
+            step[k] = _as_int(params[k], f"broom {k}")
+        out = state["broom"] = broom_caterpillar_label(
+            step["leaf_count"], step["spine_length"], step["n"]
+        )
+    elif op == "subtree":
+        out = state["subtree"] = theorem1_label(state["decomposition"].subtree_h)
+    elif op == "shift":
+        step["amount"] = _as_int(params["amount"], "shift amount")
+        out = state["subtree"] = shift(state["subtree"], step["amount"])
+    elif op == "reflect":
+        step["pivot"] = _as_int(params["pivot"], "reflect pivot")
+        out = state["subtree"] = reflect(state["subtree"], step["pivot"])
+    elif op == "merge":
+        # The broom's labels on P's vertices, the subtree's on H's.
+        dec, h = state["decomposition"], state["subtree"]
+        full = [-1] * t.n
+        for gi, b in zip(dec.p_map, state["broom"], strict=True):
+            full[gi] = b
+        for gi, b in zip(dec.h_map, h, strict=True):
+            if full[gi] >= 0 and full[gi] != b:
+                raise ValueError(f"broom and subtree disagree on vertex {gi}")
+            full[gi] = b
+        out = state["labelling"] = Labelling(full)
+    else:
+        raise ValueError(f"unknown trace op {op!r}")
+    step["labels"] = list(out)
+    return step
+
+
+# Step keys that are not parameters of the op.
+_OUTPUTS = ("op", "labels", "h_degrees", "p_map", "h_map")
+
+
 def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
     """Re-execute a construction trace and cross-check every snapshot.
 
-    Raises ValueError on any mismatch between a recorded snapshot and
-    its recomputation.  Returns the final labelling, verified graceful.
+    Raises ValueError, naming the step, on a malformed step or on any
+    mismatch between a recorded step and its recomputation.  Returns the
+    final labelling, verified graceful.
     """
-    cur: tuple[int, ...] | None = None
-    dec: BroomDecomposition | None = None
-    broom_local: tuple[int, ...] | None = None
-    h_cur: tuple[int, ...] | None = None
+    state: dict = {}
+    for i, step in enumerate(trace.steps):
+        try:
+            params = {k: v for k, v in step.items() if k not in _OUTPUTS}
+            redone = _do(t, state, step["op"], **params)
+        except KeyError as exc:
+            raise ValueError(f"trace step {i} lacks its input {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"trace step {i} does not replay: {exc}") from None
+        if redone != step:
+            raise ValueError(f"trace step {i} ({step['op']!r}) does not replay")
 
-    for step in trace.steps:
-        op = step["op"]
-        if op == "theorem1":
-            cur = theorem1_label(_rooted(t)).labels
-            _check(step["labels"], cur, op)
-        elif op == "apply_permutation":
-            prod = TranspositionProduct(tuple(tuple(s) for s in step["swaps"]))
-            cur = apply_permutation(Labelling(cur), prod).labels
-            _check(step["labels"], cur, op)
-        elif op == "complement":
-            cur = complement(Labelling(cur)).labels
-            _check(step["labels"], cur, op)
-        elif op == "relabel_vertices":
-            cur = relabel_vertices(Labelling(cur), tuple(step["perm"])).labels
-            _check(step["labels"], cur, op)
-        elif op == "decompose":
-            dec = decompose(_rooted(t))
-            if (
-                list(dec.subtree_h.degrees) != list(step["h_degrees"])
-                or list(dec.p_map) != list(step["p_map"])
-                or list(dec.h_map) != list(step["h_map"])
-            ):
-                raise ValueError("trace step 'decompose' does not replay")
-        elif op == "broom":
-            sizes = [_as_int(step[k], f"broom {k}") for k in ("leaf_count", "spine_length", "n")]
-            broom_local = broom_caterpillar_label(*sizes)
-            _check(step["labels"], broom_local, op)
-        elif op == "subtree":
-            if dec is None:
-                raise ValueError("trace step 'subtree' before 'decompose'")
-            h_cur = theorem1_label(dec.subtree_h).labels
-            _check(step["labels"], h_cur, op)
-        elif op == "shift":
-            h_cur = shift(h_cur, _as_int(step["amount"], "shift amount"))
-            _check(step["labels"], h_cur, op)
-        elif op == "reflect":
-            h_cur = reflect(h_cur, _as_int(step["pivot"], "reflect pivot"))
-            _check(step["labels"], h_cur, op)
-        elif op == "merge":
-            if dec is None or broom_local is None or h_cur is None:
-                raise ValueError("trace step 'merge' is missing its inputs")
-            cur = _merge(t.n, dec, broom_local, h_cur)
-            if cur is None:
-                raise ValueError("trace step 'merge' has an inconsistent overlap")
-            _check(step["labels"], cur, op)
-        else:
-            raise ValueError(f"unknown trace op {op!r}")
-
-    if cur is None:
+    if "labelling" not in state:
         raise ValueError("trace produced no labelling")
-    f = Labelling(cur)
+    f = state["labelling"]
     if not is_graceful(t, f):
         raise ValueError("trace replays to a non-graceful labelling")
     return f

@@ -178,6 +178,10 @@ class RootedSymmetricTree(_Frozen):
             raise ValueError(f"address {tuple(address)} deeper than the tree")
         rank = 0
         for j, x in enumerate(address):
+            try:
+                x = index(x)
+            except TypeError:
+                raise ValueError(f"address digit {x!r} is not an integer") from None
             k = self.degrees[j]
             if not 0 <= x < k:
                 raise ValueError(f"address digit {x} out of range for level {j + 1}")

@@ -11,6 +11,7 @@ downstream tooling can detect format drift.
 from __future__ import annotations
 
 import io
+from operator import index
 
 from .construct import ZeroAtRequest, zero_at
 from .labelling import Labelling
@@ -80,6 +81,13 @@ class SweepSpec(_Frozen):
     ) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        try:
+            nmax, legs = (None if x is None else index(x) for x in (nmax, legs))
+            branches = None if branches is None else tuple(map(index, branches))
+        except TypeError:
+            raise ValueError(
+                f"nmax {nmax!r}, legs {legs!r} and branches {branches!r} must be integers"
+            ) from None
         if branches is not None:
             lo, hi = branches
             if lo < 1 or hi < lo:

@@ -12,11 +12,46 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_benchmark_wrap_sites_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_wrap_sites_resolve():
+    spans = _load_spans()
     assert spans.WRAP_SITES
     for module_name, attr, _ in spans.WRAP_SITES:
         module = importlib.import_module(f"gracetree.{module_name}")
         assert callable(getattr(module, attr, None)), f"gracetree.{module_name}.{attr}"
+
+
+# Calls per construction layer for the requests in the test below.
+EXPECTED_CALLS = {
+    "construct.theorem1_label": 4,
+    "construct.compose_theorem2": 2,
+    "model.decompose": 2,
+    "labelling.complement": 4,
+    "labelling.relabel_vertices": 3,
+    "model.automorphism_mapping": 3,
+}
+
+
+def test_traced_run_sees_every_construction_layer():
+    # A construction step that stops calling a wrapped name through its
+    # module would drop out of the traced benchmark's per-layer times.
+    import gracetree
+    from gracetree.construct import ZeroAtRequest, zero_at
+    from gracetree.model import build
+    from gracetree.sweep import evaluate_sequence
+
+    tracer = _load_spans().Tracer()
+    undo = tracer.install(gracetree)
+    try:
+        zero_at(ZeroAtRequest(build((2, 1, 2)), 5))
+        zero_at(ZeroAtRequest(build((2, 2)), 2))
+        evaluate_sequence((2, 1, 2), "q", 1000, None)
+    finally:
+        tracer.uninstall(undo)
+    assert {name: tracer.calls[name] for name in EXPECTED_CALLS} == EXPECTED_CALLS

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,8 @@ def test_zero_at_validation():
         zero_at(ZeroAtRequest(t, 0, 0.9))
     with pytest.raises(ValueError, match="target 2.5 is not an integer"):
         zero_at(ZeroAtRequest(t, 2.5, 0))
+    with pytest.raises(ValueError, match="address digit 0.5 is not an integer"):
+        zero_at(ZeroAtRequest(t, (0.5,), 0))
 
 
 @given(sequences, st.data())
@@ -296,6 +299,37 @@ def test_replay_rejects_tampering():
     steps[i]["pivot"] = 8.5
     with pytest.raises(ValueError, match="reflect pivot 8.5 is not an integer"):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    # A changed decomposition map is refused.
+    steps = [dict(s) for s in trace.steps]
+    assert steps[0]["op"] == "decompose"
+    steps[0]["h_map"] = list(reversed(steps[0]["h_map"]))
+    with pytest.raises(ValueError, match=r"trace step 0 \('decompose'\) does not replay"):
+        replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    # So is a different automorphism, though it is still a permutation.
+    t = build((2, 1, 2))
+    _, trace = zero_at(ZeroAtRequest(t, 5, 0))
+    steps = [dict(s) for s in trace.steps]
+    assert steps[-1]["op"] == "relabel_vertices"
+    steps[-1]["perm"] = list(range(t.n))
+    with pytest.raises(ValueError, match="relabel_vertices'\\) does not replay"):
+        replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+
+    # A malformed first step names itself and raises ValueError, not
+    # TypeError or KeyError.
+    t = build((2, 2))
+    malformed = [
+        ({"op": "complement", "labels": [6, 0, 3, 5, 4, 2, 1]}, "lacks its input 'labelling'"),
+        ({"op": "shift", "amount": 1, "labels": [1, 7, 4, 2, 3, 5, 6]}, "lacks its input 'subtree'"),
+        (
+            {"op": "relabel_vertices", "perm": [0, 2, 1, 5, 6, 3, 4], "labels": [0] * 7},
+            "lacks its input 'labelling'",
+        ),
+        ({"labels": [0, 6, 3, 1, 2, 4, 5]}, "lacks its input 'op'"),
+        ({"op": "theorem1"}, r"\('theorem1'\) does not replay"),
+    ]
+    for bad, message in malformed:
+        with pytest.raises(ValueError, match=f"trace step 0 {message}"):
+            replay_trace(t, ConstructionTrace("theorem1", (bad,)))
 
 
 def test_trace_dict_roundtrip():
@@ -305,3 +339,15 @@ def test_trace_dict_roundtrip():
     back = ConstructionTrace(doc["method"], tuple(doc["steps"]))
     assert back.method == trace.method
     assert replay_trace(t, back).labels == f.labels
+
+
+def test_golden_trace_replays_from_its_json():
+    # decompose, broom, subtree, reflect, merge and relabel_vertices,
+    # read back from the checked-in --explain output alone.
+    golden = Path(__file__).parent / "golden" / "label_rst_2-1-2_zero_at_5_explain.json"
+    doc = json.loads(golden.read_text())
+    trace = ConstructionTrace(doc["trace"]["method"], tuple(doc["trace"]["steps"]))
+    ops = [s["op"] for s in trace.steps]
+    assert ops == ["decompose", "broom", "subtree", "reflect", "merge", "relabel_vertices"]
+    t = build(doc["tree"]["degrees"])
+    assert list(replay_trace(t, trace).labels) == doc["labels"]

@@ -82,6 +82,21 @@ def test_spec_validation():
         enumerate_family(SweepSpec("symmetric_banana"))
 
 
+def test_spec_rejects_non_integer_parameters():
+    # Refused up front, not swept with a float bound or left to fail
+    # with a TypeError inside enumerate_family.
+    for kwargs in (
+        {"nmax": 6.5},
+        {"nmax": "9"},
+        {"legs": 2.5, "branches": (1, 2)},
+        {"legs": 2, "branches": (1.5, 2)},
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            SweepSpec("symmetric_spider", **kwargs)
+    spec = SweepSpec("symmetric_spider", nmax=True, legs=3, branches=[2, 4])
+    assert (spec.nmax, spec.legs, spec.branches) == (1, 3, (2, 4))
+
+
 def test_evaluate_sequence_constructive():
     row = evaluate_sequence((2, 2), family="q3")
     assert row.tree_id == "2,2"
