@@ -167,6 +167,7 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
+    vertex_perm = _as_ints(vertex_perm, "vertex")
     if not _is_permutation(vertex_perm, f.n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
     out = [0] * f.n

@@ -135,12 +135,20 @@ class SearchConstraints(_Frozen):
 
     def with_pin(self, v: int, x: int) -> "SearchConstraints":
         """A copy with one more pin.  Built directly: ``__init__`` would
-        check and sort the pins already held again, and
-        ``is_zero_rotatable`` calls this once per orbit search."""
+        check and sort the pins already held again."""
         _check_pin(v, x)
-        new = object.__new__(SearchConstraints)
-        new.__dict__.update(self.__dict__, pins=tuple(sorted(self.pins + ((v, x),))))
-        return new
+        pins = tuple(sorted(self.pins + ((v, x),)))
+        return _unchecked(pins, self.node_budget, self.time_budget)
+
+
+def _unchecked(
+    pins: tuple[tuple[int, int], ...], node_budget: int | None, time_budget: float | None
+) -> SearchConstraints:
+    """Constraints with ``pins`` already checked and sorted, built
+    without ``__init__``; ``find_graceful`` still validates them."""
+    new = object.__new__(SearchConstraints)
+    new.__dict__.update(pins=pins, node_budget=node_budget, time_budget=time_budget)
+    return new
 
 
 class SearchOutcome(NamedTuple):
@@ -520,7 +528,18 @@ def is_zero_rotatable(
        pinned to 0, lowest degree first and, within a degree, highest
        index first, so each leaf's witness settles its neighbour before
        that neighbour's search would start.  An orbit settled by a
-       complement in the meantime is skipped.
+       complement in the meantime is skipped.  Each search tries one
+       neighbour at a time for n-1: first those whose orbit has no
+       verdict yet and is not the one searched, so that a witness
+       settles a second orbit, then the rest (settled, timed out or its
+       own), each group in the engine's edge order.  The tries
+       are the children of the root of one search with only 0 pinned,
+       and share its budgets: a try gets the nodes and time the orbit
+       has left, the first witness or timeout ends the orbit, and the
+       orbit is no only when every try is exhausted.  Its nodes are
+       those of that one search (the root once, then each try's nodes
+       below it), so an exhausted or timed-out orbit counts exactly as
+       many.
     3. A complement that lands on an orbit whose search timed out makes
        it yes; the entry keeps the nodes and time the search spent.
 
@@ -585,14 +604,39 @@ def is_zero_rotatable(
     unsettled = sorted(
         (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
     )
+    top = t.n - 1
+    # Looked up once: the cache key hashes the whole tree.
+    nbrs_of = _tables(t)[2] if unsettled else ()
     for rep in unsettled:
         if rep in settled:
             continue
-        out = find_graceful(t, base.with_pin(rep, 0))
+        # One try per neighbour w, with n-1 pinned on w.  The complement of
+        # its witness settles w's orbit, so neighbours in orbits with no
+        # verdict yet go first; the sort is stable, so each group keeps the
+        # edge order.  Each try's first node stands for the shared root,
+        # which is counted once.
+        nbrs = [w for w, _ in nbrs_of[rep]]
+        nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
+        start_rep = time.perf_counter()
+        status, witness, nodes = STATUS_EXHAUSTED, None, 1
+        for w in nbrs:
+            seconds = base.time_budget
+            if seconds is not None:
+                seconds -= time.perf_counter() - start_rep
+                if seconds <= 0:
+                    status = STATUS_TIMEOUT
+                    break
+            pins = ((rep, 0), (w, top)) if rep < w else ((w, top), (rep, 0))
+            budget = None if base.node_budget is None else base.node_budget - nodes + 1
+            out = find_graceful(t, _unchecked(pins, budget, seconds))
+            nodes += out.nodes - 1
+            if out.status != STATUS_EXHAUSTED:
+                status, witness = out.status, out.labelling
+                break
         settle(
             OrbitVerdict(
-                rep, orbit_of[rep], _VERDICT_OF_STATUS[out.status], by_search,
-                out.labelling, out.nodes, out.elapsed,
+                rep, orbit_of[rep], _VERDICT_OF_STATUS[status], by_search,
+                witness, nodes, time.perf_counter() - start_rep,
             )
         )
     entries = tuple(settled[rep] for rep in orbit_of)

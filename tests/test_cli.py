@@ -279,15 +279,24 @@ def test_sweep_node_budget_tally(capsys, tmp_path):
     assert code == 3
     assert out.splitlines()[-1] == (
         "swept 207 trees from family rst_all: 1164 orbits (1159 yes, 2 no, 3 timeout), "
-        "469 searched, 222960 nodes"
+        "338 searched, 210335 nodes"
     )
+    rows = list(csv.DictReader(io.StringIO(csv_file.read_text())))
     undecided = {
         (row["tree"], rep)
-        for row in csv.DictReader(io.StringIO(csv_file.read_text()))
+        for row in rows
         for rep, verdict in zip(row["orbit_reps"].split(), row["verdicts"].split())
         if verdict == "timeout"
     }
     assert undecided == {("1,1,1,7", "2"), ("1,1,1,8", "2"), ("1,1,1,10", "2")}
+    # Search order decides which orbits a complement settles, never a
+    # verdict: the golden pins every orbit's verdict.
+    verdicts = io.StringIO()
+    writer = csv.writer(verdicts, lineterminator="\n")
+    writer.writerow(["tree", "orbit_reps", "verdicts"])
+    writer.writerows((row["tree"], row["orbit_reps"], row["verdicts"]) for row in rows)
+    golden = Path(__file__).parent / "golden" / "sweep_rst_all_nmax14_50k_verdicts.csv"
+    assert verdicts.getvalue().encode() == golden.read_bytes()
 
 
 def test_sweep_jobs(capsys):

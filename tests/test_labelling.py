@@ -170,4 +170,8 @@ def test_relabel_vertices():
     assert swapped.labels == (1, 2, 0)
     with pytest.raises(ValueError):
         relabel_vertices(f, (0, 0, 1))
+    # Floats pass the bijection test on values alone, then cannot index.
+    for perm, bad in (([1.0, 0.0, 2.0], 1.0), ([1.5, 0, 2], 1.5)):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} is not an integer")):
+            relabel_vertices(f, perm)
 

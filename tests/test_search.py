@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -239,33 +240,43 @@ def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
                     assert is_graceful(g, e.witness) and e.witness[e.representative] == 0
                 elif e.verdict == "no":
                     assert e.representative not in can, (g.edges, e.representative)
+                    # Split by neighbour, the search still counts the nodes
+                    # of one search with 0 pinned on the representative.
+                    alone = find_graceful(
+                        g, SearchConstraints(((e.representative, 0),), node_budget, None)
+                    )
+                    assert (alone.status, alone.nodes) == ("exhausted", e.nodes)
                 else:
                     assert node_budget is not None and e.nodes == node_budget + 1
 
 
 def test_complement_settles_a_timed_out_orbit():
-    # Searches run on orbits 5, 1 and 0 (leaves first, then degree 2 from
-    # the highest index down).  Orbit 1 runs out of nodes; the witness
-    # found at 0 then holds n-1 on vertex 2, so its complement, carried
-    # over to vertex 1, settles orbit 1 after all.
+    # (3,1,1) is a root with three paths of length 3; its orbits are
+    # {0}, {1,2,3}, {4,5,6} and {7,8,9}.  Searches run on orbits 7, 1 and
+    # 0 (leaves first, then degree 2 from the highest index down; 4 is
+    # settled by the complement of 7's witness).  Orbit 1 runs out of
+    # nodes; the witness found at 0 then holds n-1 on vertex 3, so its
+    # complement, carried over to vertex 1, settles orbit 1 after all.
     cons = SearchConstraints(node_budget=10, time_budget=None)
-    t = build((2, 1, 2))
+    t = build((3, 1, 1))
     rep = is_zero_rotatable(t, cons)
     assert rep.methods == ("search", "complement", "complement", "search")
     e = rep.entries[1]
     assert (e.representative, e.verdict, e.method, e.nodes) == (1, "yes", "complement", 11)
     assert is_graceful(t, e.witness) and e.witness[1] == 0
+    assert rep.entries[0].witness[3] == t.n - 1
     assert rep.verdict == "yes" and rep.searched == 3
 
 
 def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
     # (1,1,1,2) searches orbits 4, 0, 2, 1, 3 in that order; vertex 2 is a
     # true no.  A fake search that then returns a "witness" holding n-1 on
-    # vertex 2 must trip the guard instead of overturning the no.
+    # vertex 2 must trip the guard instead of overturning the no.  Each
+    # search pins 0 on its orbit and n-1 on one neighbour.
     real = gracetree.search.find_graceful
 
     def fake(t, cons):
-        (rep, _), = cons.pins
+        rep = next(v for v, x in cons.pins if x == 0)
         if rep == 2:
             return real(t, cons)
         if rep == 1:
@@ -275,6 +286,27 @@ def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
     monkeypatch.setattr(gracetree.search, "find_graceful", fake)
     with pytest.raises(RuntimeError, match="exhausted; this is a bug"):
         is_zero_rotatable(build((1, 1, 1, 2)))
+
+
+def test_orbit_tries_share_the_time_budget(monkeypatch):
+    # (2) is a path 1-0-2.  Orbit {1,2} is searched first, in one try;
+    # then vertex 0 tries n-1 on each neighbour.  Its first try uses up
+    # the time left, so the orbit times out instead of trying the second
+    # neighbour, and is never a no.
+    budgets = []
+
+    def fake(t, cons):
+        budgets.append(cons.time_budget)
+        time.sleep(0.05)
+        return SearchOutcome("exhausted", None, 3, 0.05)
+
+    monkeypatch.setattr(gracetree.search, "find_graceful", fake)
+    rep = is_zero_rotatable(build((2,)), SearchConstraints(node_budget=None, time_budget=0.04))
+    assert [(e.representative, e.verdict, e.nodes) for e in rep.entries] == [
+        (0, "timeout", 3),
+        (1, "no", 3),
+    ]
+    assert len(budgets) == 2 and all(0 < b <= 0.04 for b in budgets)
 
 
 def test_rotatability_rejects_pins():

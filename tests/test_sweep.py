@@ -129,11 +129,16 @@ def test_evaluate_matches_search_oracle_per_orbit():
 
 
 def test_run_sweep_jobs_agree():
-    spec = SweepSpec("q3", nmax=12)
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=2)
+    # q3 trees are all constructed; rst_all under a node budget searches.
     strip = lambda r: (r.family, r.tree_id, r.n, r.q, r.orbit_reps, r.verdicts, r.methods, r.nodes, r.witnesses)
-    assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+    for spec, searched in (
+        (SweepSpec("q3", nmax=12), False),
+        (SweepSpec("rst_all", nmax=10, node_budget=2000, time_budget=None), True),
+    ):
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
+        assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+        assert any(r.searched for r in serial) == searched
 
 
 def test_sweep_csv_shape_and_stability():
