@@ -156,12 +156,6 @@ def _resolve_budgets(args) -> tuple[int | None, float | None]:
     return budgets[0], budgets[1]
 
 
-def _tree_id(t: Tree) -> str:
-    if isinstance(t, RootedSymmetricTree):
-        return sequence_label(t.degrees)
-    return f"n{t.n}"
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gracetree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +299,8 @@ def cmd_rotate0(args) -> int:
     t = _load_tree(args)
     nodes, secs = _resolve_budgets(args)
     cons = SearchConstraints(node_budget=nodes, time_budget=secs)
-    report = is_zero_rotatable(t, cons, tree_id=_tree_id(t))
+    tree_id = sequence_label(t.degrees) if isinstance(t, RootedSymmetricTree) else ""
+    report = is_zero_rotatable(t, cons, tree_id=tree_id)
     for e in report.entries:
         line = f"orbit rep={e.representative} size={len(e.orbit)} verdict={e.verdict} [{e.method}]"
         print(line)

@@ -25,10 +25,11 @@ same neighbour loop that closes its edges to labelled ones; a leaf's
 one edge is the edge being realized, so a leaf skips that loop.
 
 The edge order, the neighbour lists and a leaf flag per vertex depend
-only on the tree, so ``_tables`` builds them once and keeps the last
-tree's: the orbit searches of one tree, which ``is_zero_rotatable``
-runs back to back, share them.  They are linear in n; a bit mask of
-incident edges per vertex would be quadratic.
+only on the tree.  ``_tables`` builds them and ``_run`` takes them as
+an argument: ``find_graceful`` and ``count_graceful`` build them once
+per call, ``is_zero_rotatable`` once for all the orbit searches of its
+tree, and nothing stays cached between calls.  They are linear in n; a
+bit mask of incident edges per vertex would be quadratic.
 
 The edges are tried in a fixed order: pendant edges (one endpoint a
 leaf) first, then the rest, each group from the highest edge index
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
@@ -79,17 +79,13 @@ class _Stop(Exception):
 PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
-def _check_pin(v: int, x: int) -> None:
-    # int() would turn a pin of 2.7 into 2; bool is an int subclass.
-    if type(v) is not int or type(x) is not int:
-        raise ValueError(f"pin {v!r}->{x!r} must map an int vertex to an int label")
-
-
 def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
     items = value.items() if isinstance(value, Mapping) else value
     pairs = tuple((a, b) for a, b in items)
     for a, b in pairs:
-        _check_pin(a, b)
+        # int() would turn a pin of 2.7 into 2; bool is an int subclass.
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
     return tuple(sorted(pairs))
 
 
@@ -133,23 +129,6 @@ class SearchConstraints(_Frozen):
         ):
             raise ValueError(f"time budget must be positive or None, not {seconds!r}")
 
-    def with_pin(self, v: int, x: int) -> "SearchConstraints":
-        """A copy with one more pin.  Built directly: ``__init__`` would
-        check and sort the pins already held again."""
-        _check_pin(v, x)
-        pins = tuple(sorted(self.pins + ((v, x),)))
-        return _unchecked(pins, self.node_budget, self.time_budget)
-
-
-def _unchecked(
-    pins: tuple[tuple[int, int], ...], node_budget: int | None, time_budget: float | None
-) -> SearchConstraints:
-    """Constraints with ``pins`` already checked and sorted, built
-    without ``__init__``; ``find_graceful`` still validates them."""
-    new = object.__new__(SearchConstraints)
-    new.__dict__.update(pins=pins, node_budget=node_budget, time_budget=time_budget)
-    return new
-
 
 class SearchOutcome(NamedTuple):
     """Result of one witness search."""
@@ -160,16 +139,15 @@ class SearchOutcome(NamedTuple):
     elapsed: float
 
 
-@lru_cache(maxsize=1)
 def _tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple[bool, ...]]:
-    """The edge order and neighbour lists of ``t``, built once per tree.
+    """The edge order and neighbour lists of ``t``.
 
     Returns ``(eu, ev, nbrs, leaf)``: edge i of the search order joins
     ``eu[i]`` and ``ev[i]``; ``nbrs[v]`` holds (neighbour, edge index)
     for each neighbour of v; ``leaf[v]`` says whether v has degree 1.
     Pendant edges come first, each group from the highest index down.
-    Everything is linear in n and read-only, so the orbit searches of
-    one tree share it.
+    Everything is linear in n and read-only, so searches of one tree
+    can share it.
     """
     n = t.n
     deg = [0] * n
@@ -193,31 +171,36 @@ def _tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple[boo
 
 
 def _run(
-    t: Tree, cons: SearchConstraints, count_mode: bool
-) -> tuple[str, tuple[int, ...] | None, int, int, float]:
-    """Shared engine.  Returns (status, labels, count, nodes, elapsed)."""
-    n = t.n
-    start = time.perf_counter()
+    tables: tuple,
+    pins: tuple[tuple[int, int], ...],
+    node_budget: int | None,
+    deadline: float | None,
+    count_mode: bool,
+) -> tuple[str, tuple[int, ...] | None, int, int]:
+    """Shared engine on the tree whose ``_tables`` are ``tables``.
 
+    Stops after ``node_budget`` nodes or once ``time.perf_counter()``
+    passes ``deadline``; None means no limit.  Returns (status, labels,
+    count, nodes).
+    """
+    eu, ev, nbrs, leaf = tables
+    n = len(leaf)
     if n == 1:
-        ok = all(x == 0 for _, x in cons.pins)
-        elapsed = time.perf_counter() - start
-        if ok:
-            return STATUS_FOUND, (0,), 1, 0, elapsed
-        return STATUS_EXHAUSTED, None, 0, 0, elapsed
+        if all(x == 0 for _, x in pins):
+            return STATUS_FOUND, (0,), 1, 0
+        return STATUS_EXHAUSTED, None, 0, 0
 
-    eu, ev, nbrs, leaf = _tables(t)
     label = [-1] * n
     free = (1 << n) - 1
     pending = 0
     opened = (1 << (n - 1)) - 1
     touched = 0
-    for v, x in cons.pins:
+    for v, x in pins:
         if not free >> x & 1 or label[v] >= 0:
-            return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+            return STATUS_EXHAUSTED, None, 0, 0
         label[v] = x
         free ^= 1 << x
-    for v, x in cons.pins:
+    for v, x in pins:
         for w, i in nbrs[v]:
             ebit = 1 << i
             lw = label[w]
@@ -226,14 +209,13 @@ def _run(
             elif opened & ebit:
                 bit = 1 << abs(x - lw)
                 if pending & bit:
-                    return STATUS_EXHAUSTED, None, 0, 0, time.perf_counter() - start
+                    return STATUS_EXHAUSTED, None, 0, 0
                 pending |= bit
                 opened ^= ebit
 
     top = n - 1
-    sym_break = not count_mode and not cons.pins
-    stop_at = cons.node_budget + 1 if cons.node_budget is not None else 0
-    deadline = start + cons.time_budget if cons.time_budget is not None else None
+    sym_break = not count_mode and not pins
+    stop_at = node_budget + 1 if node_budget is not None else 0
     clock = time.perf_counter
     nodes = 0
     count = 0
@@ -368,8 +350,18 @@ def _run(
         # place() reaches itself through its closure; unbound, the
         # closure and label list go with this frame, not the collector.
         del place
-    elapsed = time.perf_counter() - start
-    return status, found, count, nodes, elapsed
+    return status, found, count, nodes
+
+
+def _witness(t: Tree, labels: tuple[int, ...], pins: tuple[tuple[int, int], ...]) -> Labelling:
+    """A search's labels as a Labelling, verified graceful and pinned."""
+    witness = Labelling(labels)
+    if not is_graceful(t, witness):
+        raise RuntimeError("search returned a non-graceful labelling; this is a bug")
+    for v, x in pins:
+        if witness[v] != x:
+            raise RuntimeError("search witness violates a pin; this is a bug")
+    return witness
 
 
 def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> SearchOutcome:
@@ -379,32 +371,26 @@ def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> Sear
     labelling satisfies the constraints, or "timeout" when a budget ran
     out first (inconclusive).
     """
+    start = time.perf_counter()
     cons = constraints if constraints is not None else SearchConstraints()
     cons.validate(t.n)
-    status, labels, _, nodes, elapsed = _run(t, cons, count_mode=False)
-    witness = None
-    if status == STATUS_FOUND:
-        witness = Labelling(labels)
-        if not is_graceful(t, witness):
-            raise RuntimeError("search returned a non-graceful labelling; this is a bug")
-        for v, x in cons.pins:
-            if witness[v] != x:
-                raise RuntimeError("search witness violates a pin; this is a bug")
-    return SearchOutcome(status, witness, nodes, elapsed)
+    deadline = None if cons.time_budget is None else start + cons.time_budget
+    status, labels, _, nodes = _run(_tables(t), cons.pins, cons.node_budget, deadline, False)
+    witness = None if labels is None else _witness(t, labels, cons.pins)
+    return SearchOutcome(status, witness, nodes, time.perf_counter() - start)
 
 
-def count_graceful(t: Tree, bound: int = 10, force: bool = False) -> int:
+def count_graceful(t: Tree, bound: int | None = 10) -> int:
     """Exact number of graceful labellings of ``t``.
 
     The count grows roughly like n!, so trees larger than ``bound``
-    vertices are rejected unless ``force`` is set.  Runs unbudgeted.
+    vertices are rejected; None means no bound.  Runs unbudgeted.
     """
-    if t.n > bound and not force:
+    if bound is not None and t.n > bound:
         raise ValueError(
-            f"counting on {t.n} vertices exceeds the bound {bound}; pass force=True"
+            f"counting on {t.n} vertices exceeds the bound {bound}; pass bound=None"
         )
-    cons = SearchConstraints(node_budget=None, time_budget=None)
-    status, _, count, _, _ = _run(t, cons, count_mode=True)
+    status, _, count, _ = _run(_tables(t), (), None, None, True)
     if status == STATUS_TIMEOUT:
         raise RuntimeError("unbudgeted count stopped early; this is a bug")
     return count
@@ -534,12 +520,12 @@ def is_zero_rotatable(
        settles a second orbit, then the rest (settled, timed out or its
        own), each group in the engine's edge order.  The tries
        are the children of the root of one search with only 0 pinned,
-       and share its budgets: a try gets the nodes and time the orbit
-       has left, the first witness or timeout ends the orbit, and the
-       orbit is no only when every try is exhausted.  Its nodes are
-       those of that one search (the root once, then each try's nodes
-       below it), so an exhausted or timed-out orbit counts exactly as
-       many.
+       and share its budgets: a try gets the nodes the orbit has left
+       and the orbit's deadline, the first witness or timeout ends the
+       orbit, and the orbit is no only when every try is exhausted.  Its
+       nodes are those of that one search (the root once, then each
+       try's nodes below it), so an exhausted or timed-out orbit counts
+       exactly as many.
     3. A complement that lands on an orbit whose search timed out makes
        it yes; the entry keeps the nodes and time the search spent.
 
@@ -605,8 +591,7 @@ def is_zero_rotatable(
         (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
     )
     top = t.n - 1
-    # Looked up once: the cache key hashes the whole tree.
-    nbrs_of = _tables(t)[2] if unsettled else ()
+    tables = _tables(t) if unsettled else None
     for rep in unsettled:
         if rep in settled:
             continue
@@ -615,24 +600,22 @@ def is_zero_rotatable(
         # verdict yet go first; the sort is stable, so each group keeps the
         # edge order.  Each try's first node stands for the shared root,
         # which is counted once.
-        nbrs = [w for w, _ in nbrs_of[rep]]
+        nbrs = [w for w, _ in tables[2][rep]]
         nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
         start_rep = time.perf_counter()
-        status, witness, nodes = STATUS_EXHAUSTED, None, 1
+        deadline = None if base.time_budget is None else start_rep + base.time_budget
+        status, labels, nodes = STATUS_EXHAUSTED, None, 1
         for w in nbrs:
-            seconds = base.time_budget
-            if seconds is not None:
-                seconds -= time.perf_counter() - start_rep
-                if seconds <= 0:
-                    status = STATUS_TIMEOUT
-                    break
-            pins = ((rep, 0), (w, top)) if rep < w else ((w, top), (rep, 0))
-            budget = None if base.node_budget is None else base.node_budget - nodes + 1
-            out = find_graceful(t, _unchecked(pins, budget, seconds))
-            nodes += out.nodes - 1
-            if out.status != STATUS_EXHAUSTED:
-                status, witness = out.status, out.labelling
+            if deadline is not None and time.perf_counter() >= deadline:
+                status = STATUS_TIMEOUT
                 break
+            pins = ((rep, 0), (w, top))
+            budget = None if base.node_budget is None else base.node_budget - nodes + 1
+            status, labels, _, tried = _run(tables, pins, budget, deadline, False)
+            nodes += tried - 1
+            if status != STATUS_EXHAUSTED:
+                break
+        witness = None if labels is None else _witness(t, labels, pins)
         settle(
             OrbitVerdict(
                 rep, orbit_of[rep], _VERDICT_OF_STATUS[status], by_search,

@@ -491,9 +491,8 @@ RECORDS = {
     "RootedSymmetricTree": (lambda: build((2, 1)), None, "degrees"),
     "Labelling": (lambda: Labelling([0, 2, 1]), None, "labels"),
     "TranspositionProduct": (lambda: TranspositionProduct([(0, 3)]), None, "swaps"),
-    # with_pin builds its copy without __init__, and must keep both budgets.
     "SearchConstraints": (
-        lambda: SearchConstraints({0: 3}, node_budget=7, time_budget=2.5).with_pin(1, 0),
+        lambda: SearchConstraints({0: 3, 1: 0}, node_budget=7, time_budget=2.5),
         lambda: SearchConstraints([(1, 0), (0, 3)], 7, 2.5),
         "pins",
     ),

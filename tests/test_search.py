@@ -1,8 +1,11 @@
+import csv
 import gc
+import io
 import random
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +23,7 @@ from gracetree import (
 )
 from gracetree.labelling import Labelling, complement
 from gracetree.model import path_sequence, to_general, vertex_orbits
-from gracetree.search import SearchOutcome, _run, count_graceful
+from gracetree.search import _run, _tables, count_graceful
 from oracles import (
     all_trees,
     count_graceful_naive,
@@ -45,11 +48,9 @@ def test_constraints_validation():
         SearchConstraints(node_budget=0).validate(3)
     with pytest.raises(ValueError):
         SearchConstraints(time_budget=float("nan")).validate(3)
-    assert c.with_pin(2, 1).pins == ((1, 0), (2, 1))
-    assert c.with_pin(0, 2).pins == ((0, 2), (1, 0))
-    assert c.with_pin(0, 2) == SearchConstraints(pins={1: 0, 0: 2})
+    assert SearchConstraints(pins={1: 0, 0: 2}).pins == ((0, 2), (1, 0))
     with pytest.raises(ValueError, match="int vertex to an int label"):
-        c.with_pin(2.0, 1)
+        SearchConstraints(pins={2.0: 1})
 
 
 def test_find_graceful_basics():
@@ -171,7 +172,7 @@ def test_count_bound_guard():
         count_graceful(big)
     with pytest.raises(ValueError):
         count_graceful_naive(big)
-    assert count_graceful(build(path_sequence(11)), bound=10, force=True) > 0
+    assert count_graceful(build(path_sequence(11)), bound=None) > 0
 
 
 @given(st.integers(2, 8), st.randoms(use_true_random=False))
@@ -269,44 +270,42 @@ def test_complement_settles_a_timed_out_orbit():
 
 
 def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
-    # (1,1,1,2) searches orbits 4, 0, 2, 1, 3 in that order; vertex 2 is a
-    # true no.  A fake search that then returns a "witness" holding n-1 on
-    # vertex 2 must trip the guard instead of overturning the no.  Each
-    # search pins 0 on its orbit and n-1 on one neighbour.
-    real = gracetree.search.find_graceful
+    # The path 0-1-2-3 searches its leaf orbit {0,3} first.  A fake engine
+    # wrongly reports it exhausted; the search of vertex 1 then finds a
+    # real witness with n-1 on vertex 0, and its complement must trip the
+    # guard instead of overturning the no.
+    real = gracetree.search._run
 
-    def fake(t, cons):
-        rep = next(v for v, x in cons.pins if x == 0)
-        if rep == 2:
-            return real(t, cons)
-        if rep == 1:
-            return SearchOutcome("found", Labelling((1, 0, 5, 2, 3, 4)), 1, 0.0)
-        return SearchOutcome("timeout", None, 1, 0.0)
+    def fake(tables, pins, node_budget, deadline, count_mode):
+        if (0, 0) in pins:
+            return "exhausted", None, 0, 1
+        return real(tables, pins, node_budget, deadline, count_mode)
 
-    monkeypatch.setattr(gracetree.search, "find_graceful", fake)
+    monkeypatch.setattr(gracetree.search, "_run", fake)
     with pytest.raises(RuntimeError, match="exhausted; this is a bug"):
-        is_zero_rotatable(build((1, 1, 1, 2)))
+        is_zero_rotatable(GeneralTree(4, ((0, 1), (1, 2), (2, 3))))
 
 
 def test_orbit_tries_share_the_time_budget(monkeypatch):
     # (2) is a path 1-0-2.  Orbit {1,2} is searched first, in one try;
-    # then vertex 0 tries n-1 on each neighbour.  Its first try uses up
-    # the time left, so the orbit times out instead of trying the second
-    # neighbour, and is never a no.
-    budgets = []
+    # then vertex 0 tries n-1 on each neighbour.  Every try gets its
+    # orbit's deadline.  Vertex 0's first try runs past it, so the orbit
+    # times out instead of trying the second neighbour, and is never a no.
+    tries = []
 
-    def fake(t, cons):
-        budgets.append(cons.time_budget)
+    def fake(tables, pins, node_budget, deadline, count_mode):
+        tries.append((pins[0], time.perf_counter(), deadline))
         time.sleep(0.05)
-        return SearchOutcome("exhausted", None, 3, 0.05)
+        return "exhausted", None, 0, 3
 
-    monkeypatch.setattr(gracetree.search, "find_graceful", fake)
+    monkeypatch.setattr(gracetree.search, "_run", fake)
     rep = is_zero_rotatable(build((2,)), SearchConstraints(node_budget=None, time_budget=0.04))
     assert [(e.representative, e.verdict, e.nodes) for e in rep.entries] == [
         (0, "timeout", 3),
         (1, "no", 3),
     ]
-    assert len(budgets) == 2 and all(0 < b <= 0.04 for b in budgets)
+    assert [pin for pin, _, _ in tries] == [(1, 0), (0, 0)]
+    assert all(now < deadline <= now + 0.04 for _, now, deadline in tries)
 
 
 def test_rotatability_rejects_pins():
@@ -360,21 +359,37 @@ def test_search_setup_memory_is_linear():
     assert peak < 4_000_000
 
 
-def test_search_tables_kept_after_a_search_are_linear():
-    # The search keeps the last tree's tables for the next orbit search;
-    # what stays allocated once it returns must be linear in n too.
+def test_search_keeps_nothing_once_it_returns():
+    # Nothing is cached between calls: once a search on the 10,000-vertex
+    # path returns, only its result stays allocated, not its tables.  A
+    # full collection empties CPython's free lists, which would otherwise
+    # keep up to a few hundred kB of the freed tuples traced; cycles are
+    # ruled out by test_search_leaves_no_reference_cycle.
     n = 10_000
     path = GeneralTree(n, tuple((i, i + 1) for i in range(n - 1)))
-    gracetree.search._tables.cache_clear()
     tracemalloc.start()
     try:
         out = find_graceful(path, SearchConstraints(pins={0: 0}, node_budget=5, time_budget=None))
+        gc.collect()
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert (out.status, out.nodes) == ("timeout", 6)
-    assert gracetree.search._tables.cache_info().currsize == 1
-    assert current < 4_000_000
+    assert current < 100_000
+
+
+def test_rotatability_builds_the_tables_once(monkeypatch):
+    # One build serves every orbit search of a tree, and a tree whose
+    # orbits are all settled without a search builds none.
+    built = []
+    real = gracetree.search._tables
+    monkeypatch.setattr(gracetree.search, "_tables", lambda t: built.append(t) or real(t))
+    t = build((1, 1, 1, 2))
+    assert is_zero_rotatable(t).searched > 1
+    assert built == [t]
+    built.clear()
+    rep = is_zero_rotatable(build((2,)), construct=lambda v: (Labelling((0, 2, 1)), "theorem1"))
+    assert rep.methods == ("theorem1", "complement_of") and built == []
 
 
 def test_search_leaves_no_reference_cycle():
@@ -407,10 +422,15 @@ def _pendant_first(t):
     return SimpleNamespace(n=t.n, edges=edges, adjacency=t.adjacency)
 
 
+def _engine(t, cons, count_mode):
+    """``_run`` on ``t`` under the pins and node budget of ``cons``."""
+    return _run(_tables(t), cons.pins, cons.node_budget, None, count_mode)
+
+
 def _assert_same_as_reference(t, cons, count_mode):
     # Everything but the elapsed time must agree: status, labels, count
     # and the node count, which also fixes the order of the visits.
-    got = _run(t, cons, count_mode)[:4]
+    got = _engine(t, cons, count_mode)
     want = run_reference(_pendant_first(t), cons, count_mode)[:4]
     assert got == want, (t.edges, cons, count_mode)
 
@@ -438,21 +458,21 @@ def test_exhaustive_work_is_order_independent():
     for n in range(1, 9):
         for g in all_trees(n):
             cons = SearchConstraints(**free)
-            assert _run(g, cons, True)[:4] == run_reference(g, cons, True)[:4]
+            assert _engine(g, cons, True) == run_reference(g, cons, True)[:4]
             for v in range(n):
                 cons = SearchConstraints(pins={v: 0}, **free)
-                assert _run(g, cons, True)[:4] == run_reference(g, cons, True)[:4]
-                got = _run(g, cons, False)
+                assert _engine(g, cons, True) == run_reference(g, cons, True)[:4]
+                got = _engine(g, cons, False)
                 want = run_reference(g, cons, False)
                 assert (got[0] == "found") == (want[0] == "found"), (g.edges, v)
                 if want[0] == "found":
                     continue
-                assert got[:4] == want[:4], (g.edges, v)
+                assert got == want[:4], (g.edges, v)
                 if want[3] < 2:
                     continue
                 budget = want[3] // 2
                 cons = SearchConstraints(pins={v: 0}, node_budget=budget, time_budget=None)
-                got = _run(g, cons, False)[:4]
+                got = _engine(g, cons, False)
                 assert got == run_reference(g, cons, False)[:4] == ("timeout", None, 0, budget + 1)
 
 
@@ -491,11 +511,11 @@ def test_engine_matches_reference_pinned_larger_trees(n, rnd, budget):
     _assert_same_as_reference(g, cons, False)
 
 
-def test_table_cache_is_invisible_to_callers():
-    # The search keeps the tables of the last tree it ran on.  Whatever
-    # ran before, each call must equal a fresh reference run: runs on the
-    # same tree back to back, trees of one size taking turns, equal but
-    # distinct tree objects, and counts between witness searches.
+def test_searches_keep_nothing_between_calls():
+    # Each call builds its own tables.  Whatever ran before, each public
+    # call must equal a fresh reference run: runs on the same tree back
+    # to back, trees of one size taking turns, equal but distinct tree
+    # objects, and counts between witness searches.
     rnd = random.Random(7)
     spider = build((2, 1, 2))
     trees = [
@@ -513,8 +533,16 @@ def test_table_cache_is_invisible_to_callers():
     budgets = dict(node_budget=20_000, time_budget=None)
     small = build((1, 2))
 
+    unbounded = SearchConstraints(node_budget=None, time_budget=None)
+    small_count = run_reference(small, unbounded, True)[2]
+
     def pinned(t, v):
-        _assert_same_as_reference(t, SearchConstraints(pins={v: 0}, **budgets), False)
+        cons = SearchConstraints(pins={v: 0}, **budgets)
+        out = find_graceful(t, cons)
+        status, labels, _, nodes, _ = run_reference(_pendant_first(t), cons, False)
+        assert (out.status, out.labelling and out.labelling.labels, out.nodes) == (
+            status, labels, nodes
+        ), (t.edges, v)
 
     for t in trees:
         for v in range(t.n):
@@ -523,7 +551,29 @@ def test_table_cache_is_invisible_to_callers():
         for k, t in enumerate(trees):
             pinned(t, v)
             if k % 3 == 0:
-                _assert_same_as_reference(small, SearchConstraints(**budgets), True)
+                assert count_graceful(small) == small_count
     for t in trees:
         _assert_same_as_reference(t, SearchConstraints(**budgets), True)
         pinned(t, t.n - 1)
+
+
+def _rotate0_random_csv():
+    """One row per orbit of 100 random trees on 16 to 24 vertices,
+    decided with 2,000 nodes per orbit and no time budget."""
+    rnd = random.Random(20231226)
+    cons = SearchConstraints(node_budget=2_000, time_budget=None)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["tree", "representative", "verdict", "method", "nodes"])
+    for i in range(100):
+        rep = is_zero_rotatable(random_tree(rnd, rnd.randint(16, 24)), cons)
+        writer.writerows((i, e.representative, e.verdict, e.method, e.nodes) for e in rep.entries)
+    return out.getvalue()
+
+
+def test_rotate0_random_trees_golden():
+    # The general-tree route: few symmetries, no constructions, many
+    # small orbits.  Verdicts, methods and node counts per orbit pin the
+    # search order and which orbits a complement settles.
+    golden = Path(__file__).parent / "golden" / "rotate0_random_2k.csv"
+    assert _rotate0_random_csv().encode() == golden.read_bytes()
