@@ -265,38 +265,61 @@ def test_sweep_counterexample_exit(capsys):
     )
 
 
-def test_sweep_node_budget_tally(capsys, tmp_path):
-    # Under a node budget alone the tally does not depend on machine speed.
-    # The orbits left undecided are vertex 2 of the brooms (1,1,1,k) for
-    # k = 7, 8 and 10, which can never carry 0 (k mod 12 is not one of
-    # 0, 1, 3, 5, 6, 9).
+def _sweep_rst_all(capsys, tmp_path, nmax):
+    """``sweep --family rst_all`` to ``nmax`` under 50,000 nodes per orbit
+    and no time budget: the exit code, the last line of stdout and the
+    CSV rows."""
     csv_file = tmp_path / "s.csv"
     code, out, _ = run(
         capsys,
-        "sweep", "--family", "rst_all", "--nmax", "14", "--budget-nodes", "50000",
+        "sweep", "--family", "rst_all", "--nmax", str(nmax), "--budget-nodes", "50000",
         "--budget-secs", "0", "--no-timing", "--csv", str(csv_file),
     )
-    assert code == 3
-    assert out.splitlines()[-1] == (
-        "swept 207 trees from family rst_all: 1164 orbits (1159 yes, 2 no, 3 timeout), "
-        "338 searched, 210335 nodes"
-    )
-    rows = list(csv.DictReader(io.StringIO(csv_file.read_text())))
-    undecided = {
-        (row["tree"], rep)
-        for row in rows
-        for rep, verdict in zip(row["orbit_reps"].split(), row["verdicts"].split())
-        if verdict == "timeout"
-    }
-    assert undecided == {("1,1,1,7", "2"), ("1,1,1,8", "2"), ("1,1,1,10", "2")}
+    return code, out.splitlines()[-1], list(csv.DictReader(io.StringIO(csv_file.read_text())))
+
+
+def _assert_verdict_ledger(rows, name):
     # Search order decides which orbits a complement settles, never a
     # verdict: the golden pins every orbit's verdict.
     verdicts = io.StringIO()
     writer = csv.writer(verdicts, lineterminator="\n")
     writer.writerow(["tree", "orbit_reps", "verdicts"])
     writer.writerows((row["tree"], row["orbit_reps"], row["verdicts"]) for row in rows)
-    golden = Path(__file__).parent / "golden" / "sweep_rst_all_nmax14_50k_verdicts.csv"
+    golden = Path(__file__).parent / "golden" / name
     assert verdicts.getvalue().encode() == golden.read_bytes()
+
+
+def _undecided(rows):
+    return {
+        (row["tree"], rep)
+        for row in rows
+        for rep, verdict in zip(row["orbit_reps"].split(), row["verdicts"].split())
+        if verdict == "timeout"
+    }
+
+
+def test_sweep_node_budget_tally(capsys, tmp_path):
+    # Under a node budget alone the tally does not depend on machine speed.
+    # The orbits left undecided are vertex 2 of the brooms (1,1,1,k) for
+    # k = 7, 8 and 10, which can never carry 0 (k mod 12 is not one of
+    # 0, 1, 3, 5, 6, 9).
+    code, last, rows = _sweep_rst_all(capsys, tmp_path, 14)
+    assert code == 3
+    assert last == (
+        "swept 207 trees from family rst_all: 1164 orbits (1159 yes, 2 no, 3 timeout), "
+        "338 searched, 210335 nodes"
+    )
+    assert _undecided(rows) == {("1,1,1,7", "2"), ("1,1,1,8", "2"), ("1,1,1,10", "2")}
+    _assert_verdict_ledger(rows, "sweep_rst_all_nmax14_50k_verdicts.csv")
+
+
+def test_sweep_verdict_ledger_nmax20(capsys, tmp_path):
+    # Every orbit of every rooted symmetric tree on up to 20 vertices.  A
+    # change to the search order may turn a timeout into a yes; any other
+    # move of a verdict is a fault.
+    code, _, rows = _sweep_rst_all(capsys, tmp_path, 20)
+    assert code == 3
+    _assert_verdict_ledger(rows, "sweep_rst_all_nmax20_50k_verdicts.csv")
 
 
 def test_sweep_jobs(capsys):
