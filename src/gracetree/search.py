@@ -27,9 +27,10 @@ one edge is the edge being realized, so a leaf skips that loop.
 The edge order, the neighbour lists and a leaf flag per vertex depend
 only on the tree.  ``_tables`` builds them and ``_run`` takes them as
 an argument: ``find_graceful`` and ``count_graceful`` build them once
-per call, ``is_zero_rotatable`` once for all the orbit searches of its
-tree, and nothing stays cached between calls.  They are linear in n; a
-bit mask of incident edges per vertex would be quadratic.
+per call, ``is_zero_rotatable`` once per edge order for all the orbit
+searches of its tree, and nothing stays cached between calls.  They are
+linear in n; a bit mask of incident edges per vertex would be
+quadratic.
 
 The edges are tried in a fixed order: pendant edges (one endpoint a
 leaf) first, then the rest, each group from the highest edge index
@@ -39,10 +40,15 @@ order only permutes the children of each node; the set of states under
 a node does not depend on it.  So an exhausted search visits the same
 nodes in any order, labelling counts are unchanged, and a search with
 no witness still times out at its budget; only which witness comes
-first, and when, depends on the order.
+first, and when, depends on the order.  No one order finds every
+witness soonest: some rooted symmetric trees need more than 50,000
+nodes for 0 on one vertex in this order but a few dozen with each group
+taken from the lowest index up, so ``_tables`` can build either order.
 
 On top of the engine sits the per-orbit 0-rotatability decider, which
-can try closed-form constructions before it searches.
+can try closed-form constructions before it searches, and schedules
+each orbit search in both orders: a short prefix in the first, a short
+probe in the second, then the whole search in the first again.
 """
 
 from __future__ import annotations
@@ -139,22 +145,25 @@ class SearchOutcome(NamedTuple):
     elapsed: float
 
 
-def _tables(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple[bool, ...]]:
+def _tables(
+    t: Tree, ascending: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple[bool, ...]]:
     """The edge order and neighbour lists of ``t``.
 
     Returns ``(eu, ev, nbrs, leaf)``: edge i of the search order joins
     ``eu[i]`` and ``ev[i]``; ``nbrs[v]`` holds (neighbour, edge index)
     for each neighbour of v; ``leaf[v]`` says whether v has degree 1.
-    Pendant edges come first, each group from the highest index down.
-    Everything is linear in n and read-only, so searches of one tree
-    can share it.
+    Pendant edges come first, each group from the highest index down,
+    or from the lowest up if ``ascending``.  Everything is linear in n
+    and read-only, so searches of one tree can share it.
     """
     n = t.n
     deg = [0] * n
     for u, v in t.edges:
         deg[u] += 1
         deg[v] += 1
-    edges = sorted(reversed(t.edges), key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
+    order = t.edges if ascending else reversed(t.edges)
+    edges = sorted(order, key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
     nbrs: list = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         nbrs[u].append((v, i))
@@ -487,6 +496,17 @@ class RotatabilityReport(NamedTuple):
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 
+# Node budgets of the first two stages of each orbit search: the
+# engine's edge order, then the ascending one.  The probe must not exceed the
+# prefix, so that it can never exhaust (see is_zero_rotatable).
+_PREFIX_NODES = 100
+_PROBE_NODES = 100
+
+
+def _passed(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() >= deadline
+
+
 _VERDICT_OF_STATUS = {
     STATUS_FOUND: VERDICT_YES,
     STATUS_EXHAUSTED: VERDICT_NO,
@@ -518,16 +538,35 @@ def is_zero_rotatable(
        neighbour at a time for n-1: first those whose orbit has no
        verdict yet and is not the one searched, so that a witness
        settles a second orbit, then the rest (settled, timed out or its
-       own), each group in the engine's edge order.  The tries
-       are the children of the root of one search with only 0 pinned,
-       and share its budgets: a try gets the nodes the orbit has left
-       and the orbit's deadline, the first witness or timeout ends the
-       orbit, and the orbit is no only when every try is exhausted.  Its
-       nodes are those of that one search (the root once, then each
-       try's nodes below it), so an exhausted or timed-out orbit counts
-       exactly as many.
+       own), each group in the search's edge order.  The tries are the
+       children of the root of one search with only 0 pinned, and share
+       its budgets: a try gets the nodes the search has left, the first
+       witness or timeout ends the search, and the search is exhausted
+       only when every try is.  Its nodes are those of that one search
+       (the root once, then each try's nodes below it).
     3. A complement that lands on an orbit whose search timed out makes
        it yes; the entry keeps the nodes and time the search spent.
+
+    Each orbit runs that search in up to three stages, all under the
+    orbit's one deadline, and reports the sum of their nodes:
+
+    A. in the engine's edge order, with ``_PREFIX_NODES`` nodes or the
+       orbit's node budget if that is smaller;
+    B. if A timed out and the budget is larger, in the ascending order
+       for ``_PROBE_NODES`` nodes, with tables built once per tree;
+    C. if B timed out too, in the engine's order with the whole budget.
+
+    No verdict can be lost.  C is exactly the one-stage search with the
+    same budget, so it finds what that search finds and exhausts what
+    it exhausts.  Every exhausted search visits the same nodes in any
+    order, so an exhaust within ``_PREFIX_NODES`` nodes ends in A, and
+    B, with no more nodes than A, never exhausts: every no is a whole
+    search in one order.  A budget of at most ``_PREFIX_NODES`` runs A
+    alone, node for node the one-stage search.  Above it, a no reports
+    its exhaust count, plus 202 if that is over 100, and a timeout on
+    nodes reports the budget plus 1 plus 202: A and B time out at 101
+    nodes each.  An orbit whose deadline passes ends with the stage
+    running then.
 
     Budgets from ``constraints`` apply per orbit; pins are rejected, as
     each search sets its own pin.  Entries come
@@ -592,29 +631,46 @@ def is_zero_rotatable(
     )
     top = t.n - 1
     tables = _tables(t) if unsettled else None
-    for rep in unsettled:
-        if rep in settled:
-            continue
-        # One try per neighbour w, with n-1 pinned on w.  The complement of
-        # its witness settles w's orbit, so neighbours in orbits with no
-        # verdict yet go first; the sort is stable, so each group keeps the
-        # edge order.  Each try's first node stands for the shared root,
-        # which is counted once.
+    ascending = None
+
+    def search(tables: tuple, rep: int, node_budget: int | None, deadline: float | None):
+        """One search with 0 pinned on ``rep``, in the edge order of
+        ``tables``, split into one try per neighbour w with n-1 pinned
+        on w.  The complement of a try's witness settles w's orbit, so
+        neighbours in orbits with no verdict yet go first; the sort is
+        stable, so each group keeps the edge order.  Each try's first
+        node stands for the shared root, which is counted once.  Returns
+        (status, labels, nodes, pins of the last try)."""
         nbrs = [w for w, _ in tables[2][rep]]
         nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
-        start_rep = time.perf_counter()
-        deadline = None if base.time_budget is None else start_rep + base.time_budget
-        status, labels, nodes = STATUS_EXHAUSTED, None, 1
+        status, labels, nodes, pins = STATUS_EXHAUSTED, None, 1, ()
         for w in nbrs:
-            if deadline is not None and time.perf_counter() >= deadline:
-                status = STATUS_TIMEOUT
-                break
+            if _passed(deadline):
+                return STATUS_TIMEOUT, None, nodes, pins
             pins = ((rep, 0), (w, top))
-            budget = None if base.node_budget is None else base.node_budget - nodes + 1
-            status, labels, _, tried = _run(tables, pins, budget, deadline, False)
+            left = None if node_budget is None else node_budget - nodes + 1
+            status, labels, _, tried = _run(tables, pins, left, deadline, False)
             nodes += tried - 1
             if status != STATUS_EXHAUSTED:
                 break
+        return status, labels, nodes, pins
+
+    budget = base.node_budget
+    prefix = _PREFIX_NODES if budget is None else min(_PREFIX_NODES, budget)
+    for rep in unsettled:
+        if rep in settled:
+            continue
+        start_rep = time.perf_counter()
+        deadline = None if base.time_budget is None else start_rep + base.time_budget
+        status, labels, nodes, pins = search(tables, rep, prefix, deadline)
+        if status == STATUS_TIMEOUT and prefix != budget and not _passed(deadline):
+            if ascending is None:
+                ascending = _tables(t, ascending=True)
+            status, labels, spent, pins = search(ascending, rep, _PROBE_NODES, deadline)
+            nodes += spent
+            if status == STATUS_TIMEOUT and not _passed(deadline):
+                status, labels, spent, pins = search(tables, rep, budget, deadline)
+                nodes += spent
         witness = None if labels is None else _witness(t, labels, pins)
         settle(
             OrbitVerdict(

@@ -307,7 +307,7 @@ def test_sweep_node_budget_tally(capsys, tmp_path):
     assert code == 3
     assert last == (
         "swept 207 trees from family rst_all: 1164 orbits (1159 yes, 2 no, 3 timeout), "
-        "338 searched, 210335 nodes"
+        "338 searched, 161696 nodes"
     )
     assert _undecided(rows) == {("1,1,1,7", "2"), ("1,1,1,8", "2"), ("1,1,1,10", "2")}
     _assert_verdict_ledger(rows, "sweep_rst_all_nmax14_50k_verdicts.csv")
@@ -316,9 +316,19 @@ def test_sweep_node_budget_tally(capsys, tmp_path):
 def test_sweep_verdict_ledger_nmax20(capsys, tmp_path):
     # Every orbit of every rooted symmetric tree on up to 20 vertices.  A
     # change to the search order may turn a timeout into a yes; any other
-    # move of a verdict is a fault.
-    code, _, rows = _sweep_rst_all(capsys, tmp_path, 20)
+    # move of a verdict is a fault.  Six of the eleven orbits left
+    # undecided are the brooms (1,1,1,k) at vertex 2 that can never carry
+    # 0: k = 7, 8, 10, 11, 14 and 16.
+    code, last, rows = _sweep_rst_all(capsys, tmp_path, 20)
     assert code == 3
+    assert last == (
+        "swept 685 trees from family rst_all: 5263 orbits (5250 yes, 2 no, 11 timeout), "
+        "1914 searched, 818900 nodes"
+    )
+    brooms = {(f"1,1,1,{k}", "2") for k in (7, 8, 10, 11, 12, 14, 15, 16)}
+    assert _undecided(rows) == brooms | {
+        ("1,1,1,2,6", "2"), ("1,1,1,2,7", "2"), ("1,1,2,7", "5")
+    }
     _assert_verdict_ledger(rows, "sweep_rst_all_nmax20_50k_verdicts.csv")
 
 

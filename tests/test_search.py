@@ -23,7 +23,7 @@ from gracetree import (
 )
 from gracetree.labelling import Labelling, complement
 from gracetree.model import path_sequence, to_general, vertex_orbits
-from gracetree.search import _run, _tables, count_graceful
+from gracetree.search import _PREFIX_NODES, _PROBE_NODES, _run, _tables, count_graceful
 from oracles import (
     all_trees,
     count_graceful_naive,
@@ -228,7 +228,7 @@ def test_rotatability_matches_naive_all_small_trees():
                 assert all((v in can) == (e.representative in can) for v in e.orbit)
 
 
-@pytest.mark.parametrize("node_budget", [1, 10, 100, None])
+@pytest.mark.parametrize("node_budget", [1, 10, 100, 200, None])
 def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
     cons = SearchConstraints(node_budget=node_budget, time_budget=None)
     for n in range(1, 9):
@@ -243,12 +243,23 @@ def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
                     assert e.representative not in can, (g.edges, e.representative)
                     # Split by neighbour, the search still counts the nodes
                     # of one search with 0 pinned on the representative.
+                    # An exhaust over 100 nodes first times out the prefix
+                    # and the probe, 101 nodes each.
                     alone = find_graceful(
                         g, SearchConstraints(((e.representative, 0),), node_budget, None)
                     )
-                    assert (alone.status, alone.nodes) == ("exhausted", e.nodes)
+                    assert alone.status == "exhausted"
+                    assert e.nodes == alone.nodes + (202 if alone.nodes > 100 else 0)
                 else:
-                    assert node_budget is not None and e.nodes == node_budget + 1
+                    assert node_budget is not None
+                    assert e.nodes == node_budget + 1 + (202 if node_budget > 100 else 0)
+
+
+def test_probe_never_exhausts():
+    # The prefix times out only on a search whose exhaust needs more than
+    # _PREFIX_NODES nodes, so a probe with no more nodes cannot exhaust,
+    # and every no comes from the prefix or from the full search.
+    assert _PROBE_NODES <= _PREFIX_NODES
 
 
 def test_complement_settles_a_timed_out_orbit():
@@ -287,25 +298,57 @@ def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
 
 
 def test_orbit_tries_share_the_time_budget(monkeypatch):
-    # (2) is a path 1-0-2.  Orbit {1,2} is searched first, in one try;
-    # then vertex 0 tries n-1 on each neighbour.  Every try gets its
-    # orbit's deadline.  Vertex 0's first try runs past it, so the orbit
-    # times out instead of trying the second neighbour, and is never a no.
-    tries = []
+    # (2) is a path 1-0-2; orbit {1,2} is searched first, in one try,
+    # then vertex 0, in one try per neighbour.  Every try of every stage
+    # gets its orbit's one deadline.
+    runs = []
+    t = build((2,))
+    tables, ascending = _tables(t), _tables(t, ascending=True)
 
+    # Every try runs out of nodes but vertex 0's first try in each stage,
+    # which is exhausted.  So each orbit runs the prefix, the probe and
+    # the whole search, and vertex 0 makes two tries in each.
     def fake(tables, pins, node_budget, deadline, count_mode):
-        tries.append((pins[0], time.perf_counter(), deadline))
+        runs.append((pins[0], tables, node_budget, time.perf_counter(), deadline))
+        if pins[0] == (0, 0) and pins[1][0] == tables[2][0][0][0]:
+            return "exhausted", None, 0, 4
+        return "timeout", None, 0, node_budget + 1
+
+    monkeypatch.setattr(gracetree.search, "_run", fake)
+    rep = is_zero_rotatable(t, SearchConstraints(node_budget=1_000, time_budget=60.0))
+    assert [(e.representative, e.verdict, e.nodes) for e in rep.entries] == [
+        (0, "timeout", 1_000 + 1 + 202),
+        (1, "timeout", 1_000 + 1 + 202),
+    ]
+    stages = [tables, ascending, tables]
+    assert [(pin, got) for pin, got, *_ in runs] == [((1, 0), want) for want in stages] + [
+        ((0, 0), want) for want in stages for _ in range(2)
+    ]
+    # A second try gets the nodes its stage has left.
+    assert [b for _, _, b, _, _ in runs] == [100, 100, 1_000, 100, 97, 100, 97, 1_000, 997]
+    for pin in ((1, 0), (0, 0)):
+        orbit = [(now, deadline) for p, _, _, now, deadline in runs if p == pin]
+        assert len({deadline for _, deadline in orbit}) == 1
+        assert all(now < deadline <= orbit[0][0] + 60.0 for now, deadline in orbit)
+
+    # Vertex 0's first try runs past the deadline, so the orbit times out
+    # instead of trying the second neighbour or a later stage, and is
+    # never a no.
+    runs.clear()
+
+    def slow(tables, pins, node_budget, deadline, count_mode):
+        runs.append((pins[0], time.perf_counter(), deadline))
         time.sleep(0.05)
         return "exhausted", None, 0, 3
 
-    monkeypatch.setattr(gracetree.search, "_run", fake)
-    rep = is_zero_rotatable(build((2,)), SearchConstraints(node_budget=None, time_budget=0.04))
+    monkeypatch.setattr(gracetree.search, "_run", slow)
+    rep = is_zero_rotatable(t, SearchConstraints(node_budget=None, time_budget=0.04))
     assert [(e.representative, e.verdict, e.nodes) for e in rep.entries] == [
         (0, "timeout", 3),
         (1, "no", 3),
     ]
-    assert [pin for pin, _, _ in tries] == [(1, 0), (0, 0)]
-    assert all(now < deadline <= now + 0.04 for _, now, deadline in tries)
+    assert [pin for pin, _, _ in runs] == [(1, 0), (0, 0)]
+    assert all(now < deadline <= now + 0.04 for _, now, deadline in runs)
 
 
 def test_rotatability_rejects_pins():
@@ -380,13 +423,25 @@ def test_search_keeps_nothing_once_it_returns():
 
 def test_rotatability_builds_the_tables_once(monkeypatch):
     # One build serves every orbit search of a tree, and a tree whose
-    # orbits are all settled without a search builds none.
+    # orbits are all settled without a search builds none.  The ascending
+    # tables are built only once a prefix times out, then once for all
+    # the probes of the tree.
     built = []
     real = gracetree.search._tables
-    monkeypatch.setattr(gracetree.search, "_tables", lambda t: built.append(t) or real(t))
+
+    def spy(t, ascending=False):
+        built.append((t, ascending))
+        return real(t, ascending)
+
+    monkeypatch.setattr(gracetree.search, "_tables", spy)
     t = build((1, 1, 1, 2))
     assert is_zero_rotatable(t).searched > 1
-    assert built == [t]
+    assert built == [(t, False)]
+    built.clear()
+    edges = ((0, 1), (0, 3), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (2, 5), (4, 9))
+    t = GeneralTree(10, edges)
+    assert [e.nodes for e in is_zero_rotatable(t).entries if e.nodes > 100] == [868, 549]
+    assert built == [(t, False), (t, True)]
     built.clear()
     rep = is_zero_rotatable(build((2,)), construct=lambda v: (Labelling((0, 2, 1)), "theorem1"))
     assert rep.methods == ("theorem1", "complement_of") and built == []
@@ -422,6 +477,15 @@ def _pendant_first(t):
     return SimpleNamespace(n=t.n, edges=edges, adjacency=t.adjacency)
 
 
+def _pendant_first_ascending(t):
+    """As ``_pendant_first``, but each group by rising index: the order
+    of the probe's tables."""
+    deg = [len(a) for a in t.adjacency]
+    pendant = [e for e in t.edges if min(deg[e[0]], deg[e[1]]) == 1]
+    inner = [e for e in t.edges if min(deg[e[0]], deg[e[1]]) > 1]
+    return SimpleNamespace(n=t.n, edges=tuple(pendant + inner), adjacency=t.adjacency)
+
+
 def _engine(t, cons, count_mode):
     """``_run`` on ``t`` under the pins and node budget of ``cons``."""
     return _run(_tables(t), cons.pins, cons.node_budget, None, count_mode)
@@ -448,6 +512,20 @@ def test_engine_matches_reference_all_small_trees():
                 for w in g.adjacency[v]:
                     cons = SearchConstraints(pins={v: 0, w: n - 1}, **free)
                     _assert_same_as_reference(g, cons, False)
+
+
+def test_ascending_tables_match_reference_all_small_trees():
+    # The probe's traffic: 0 and n-1 pinned on adjacent vertices.
+    for n in range(2, 10):
+        for g in all_trees(n):
+            tables = _tables(g, ascending=True)
+            view = _pendant_first_ascending(g)
+            for v in range(n):
+                for w in g.adjacency[v]:
+                    for budget in (None, 5):
+                        cons = SearchConstraints(pins={v: 0, w: n - 1}, node_budget=budget, time_budget=None)
+                        got = _run(tables, cons.pins, budget, None, False)
+                        assert got == run_reference(view, cons, False)[:4], (g.edges, v, w, budget)
 
 
 def test_exhaustive_work_is_order_independent():
