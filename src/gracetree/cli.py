@@ -367,10 +367,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         return 130
-    except UnsupportedConstruction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, UnsupportedConstruction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -18,8 +18,10 @@ def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
 
     ``operator.index`` rejects a float or a string where ``int()`` would
     truncate or parse it; a bool passes as 0 or 1.  A non-integer raises
-    ValueError naming it.
+    ValueError naming it.  A one-shot iterator is read once, so that the
+    scan for the culprit sees the same values.
     """
+    values = tuple(values)
     try:
         return tuple(map(index, values))
     except TypeError:

@@ -46,9 +46,9 @@ nodes for 0 on one vertex in this order but a few dozen with each group
 taken from the lowest index up, so ``_tables`` can build either order.
 
 On top of the engine sits the per-orbit 0-rotatability decider, which
-can try closed-form constructions before it searches, and schedules
-each orbit search in both orders: a short prefix in the first, a short
-probe in the second, then the whole search in the first again.
+can try closed-form constructions before it searches, and runs each
+orbit search as a table of stages, each an edge order and a node
+budget (see ``is_zero_rotatable``).
 """
 
 from __future__ import annotations
@@ -204,23 +204,23 @@ def _run(
     pending = 0
     opened = (1 << (n - 1)) - 1
     touched = 0
+    # Label each pin and close its edges to pins already labelled, as a
+    # child does; an edge to a later pin is touched until that pin closes it.
     for v, x in pins:
         if not free >> x & 1 or label[v] >= 0:
             return STATUS_EXHAUSTED, None, 0, 0
         label[v] = x
         free ^= 1 << x
-    for v, x in pins:
         for w, i in nbrs[v]:
-            ebit = 1 << i
             lw = label[w]
             if lw < 0:
-                touched |= ebit
-            elif opened & ebit:
-                bit = 1 << abs(x - lw)
-                if pending & bit:
-                    return STATUS_EXHAUSTED, None, 0, 0
-                pending |= bit
-                opened ^= ebit
+                touched |= 1 << i
+                continue
+            bit = 1 << abs(x - lw)
+            if pending & bit:
+                return STATUS_EXHAUSTED, None, 0, 0
+            pending |= bit
+            opened ^= 1 << i
 
     top = n - 1
     sym_break = not count_mode and not pins
@@ -496,11 +496,8 @@ class RotatabilityReport(NamedTuple):
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 
-# Node budgets of the first two stages of each orbit search: the
-# engine's edge order, then the ascending one.  The probe must not exceed the
-# prefix, so that it can never exhaust (see is_zero_rotatable).
-_PREFIX_NODES = 100
-_PROBE_NODES = 100
+# Node budget of each short stage of an orbit search (see is_zero_rotatable).
+_STAGE_NODES = 100
 
 
 def _passed(deadline: float | None) -> bool:
@@ -547,30 +544,36 @@ def is_zero_rotatable(
     3. A complement that lands on an orbit whose search timed out makes
        it yes; the entry keeps the nodes and time the search spent.
 
-    Each orbit runs that search in up to three stages, all under the
-    orbit's one deadline, and reports the sum of their nodes:
+    Each orbit runs that search as a table of stages, all under the
+    orbit's one deadline, and reports the sum of their nodes.  A stage
+    is an edge order and a node budget; the table is
 
-    A. in the engine's edge order, with ``_PREFIX_NODES`` nodes or the
-       orbit's node budget if that is smaller;
-    B. if A timed out and the budget is larger, in the ascending order
-       for ``_PROBE_NODES`` nodes, with tables built once per tree;
-    C. if B timed out too, in the engine's order with the whole budget.
+        (descending, _STAGE_NODES), (ascending, _STAGE_NODES), (descending, budget)
 
-    No verdict can be lost.  C is exactly the one-stage search with the
-    same budget, so it finds what that search finds and exhausts what
-    it exhausts.  Every exhausted search visits the same nodes in any
-    order, so an exhaust within ``_PREFIX_NODES`` nodes ends in A, and
-    B, with no more nodes than A, never exhausts: every no is a whole
-    search in one order.  A budget of at most ``_PREFIX_NODES`` runs A
-    alone, node for node the one-stage search.  Above it, a no reports
-    its exhaust count, plus 202 if that is over 100, and a timeout on
-    nodes reports the budget plus 1 plus 202: A and B time out at 101
-    nodes each.  An orbit whose deadline passes ends with the stage
-    running then.
+    or the one stage ``(descending, budget)`` when the orbit's node
+    budget is at most ``_STAGE_NODES``.  The first stage is a prefix of
+    the search in the engine's edge order (descending), the second a
+    probe in the order that takes each group from the lowest index up
+    (ascending); each order's tables are built once per tree, when first
+    needed.  A stage that finds or exhausts ends the orbit, as does a
+    deadline passed mid-stage; one that runs out of nodes hands on to
+    the next.
+
+    No verdict can be lost.  The last stage is exactly the one-stage
+    search with the same budget, so it finds what that search finds and
+    exhausts what it exhausts.  Every exhausted search visits the same
+    nodes in any order, so an exhaust within ``_STAGE_NODES`` nodes ends
+    in the first stage, and the second, with the same budget, never
+    exhausts: every no is a whole search in one order.  A budget of at
+    most ``_STAGE_NODES`` is node for node the one-stage search.  Above
+    it, each short stage that runs out stops at ``_STAGE_NODES + 1``
+    nodes, so a no reports its exhaust count, plus
+    ``2 * (_STAGE_NODES + 1)`` if that is over ``_STAGE_NODES``, and a
+    timeout on nodes reports the budget plus 1 plus
+    ``2 * (_STAGE_NODES + 1)``.
 
     Budgets from ``constraints`` apply per orbit; pins are rejected, as
-    each search sets its own pin.  Entries come
-    back in orbit order.
+    each search sets its own pin.  Entries come back in orbit order.
     """
     start = time.perf_counter()
     base = constraints if constraints is not None else SearchConstraints()
@@ -630,47 +633,42 @@ def is_zero_rotatable(
         (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
     )
     top = t.n - 1
-    tables = _tables(t) if unsettled else None
-    ascending = None
-
-    def search(tables: tuple, rep: int, node_budget: int | None, deadline: float | None):
-        """One search with 0 pinned on ``rep``, in the edge order of
-        ``tables``, split into one try per neighbour w with n-1 pinned
-        on w.  The complement of a try's witness settles w's orbit, so
-        neighbours in orbits with no verdict yet go first; the sort is
-        stable, so each group keeps the edge order.  Each try's first
-        node stands for the shared root, which is counted once.  Returns
-        (status, labels, nodes, pins of the last try)."""
-        nbrs = [w for w, _ in tables[2][rep]]
-        nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
-        status, labels, nodes, pins = STATUS_EXHAUSTED, None, 1, ()
-        for w in nbrs:
-            if _passed(deadline):
-                return STATUS_TIMEOUT, None, nodes, pins
-            pins = ((rep, 0), (w, top))
-            left = None if node_budget is None else node_budget - nodes + 1
-            status, labels, _, tried = _run(tables, pins, left, deadline, False)
-            nodes += tried - 1
-            if status != STATUS_EXHAUSTED:
-                break
-        return status, labels, nodes, pins
-
     budget = base.node_budget
-    prefix = _PREFIX_NODES if budget is None else min(_PREFIX_NODES, budget)
+    if budget is not None and budget <= _STAGE_NODES:
+        stages = ((False, budget),)
+    else:
+        stages = ((False, _STAGE_NODES), (True, _STAGE_NODES), (False, budget))
+    tables: dict[bool, tuple] = {}
     for rep in unsettled:
         if rep in settled:
             continue
         start_rep = time.perf_counter()
         deadline = None if base.time_budget is None else start_rep + base.time_budget
-        status, labels, nodes, pins = search(tables, rep, prefix, deadline)
-        if status == STATUS_TIMEOUT and prefix != budget and not _passed(deadline):
-            if ascending is None:
-                ascending = _tables(t, ascending=True)
-            status, labels, spent, pins = search(ascending, rep, _PROBE_NODES, deadline)
+        nodes = 0
+        for ascending, stage_budget in stages:
+            if ascending not in tables:
+                tables[ascending] = _tables(t, ascending)
+            order = tables[ascending]
+            # One try per neighbour w with n-1 pinned on w; the complement
+            # of a try's witness settles w's orbit, so neighbours in orbits
+            # with no verdict yet go first, each group in the edge order.
+            # Each try's first node stands for the shared root, counted once.
+            nbrs = [w for w, _ in order[2][rep]]
+            nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
+            status, labels, spent = STATUS_EXHAUSTED, None, 1
+            for w in nbrs:
+                if _passed(deadline):
+                    status = STATUS_TIMEOUT
+                    break
+                pins = ((rep, 0), (w, top))
+                left = None if stage_budget is None else stage_budget - spent + 1
+                status, labels, _, tried = _run(order, pins, left, deadline, False)
+                spent += tried - 1
+                if status != STATUS_EXHAUSTED:
+                    break
             nodes += spent
-            if status == STATUS_TIMEOUT and not _passed(deadline):
-                status, labels, spent, pins = search(tables, rep, budget, deadline)
-                nodes += spent
+            if status != STATUS_TIMEOUT or _passed(deadline):
+                break
         witness = None if labels is None else _witness(t, labels, pins)
         settle(
             OrbitVerdict(

@@ -15,7 +15,7 @@ from operator import index
 
 from .construct import ZeroAtRequest, zero_at
 from .labelling import Labelling
-from .model import RootedSymmetricTree, _Frozen, build
+from .model import _Frozen, build, level_numbers
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -92,6 +92,9 @@ class SweepSpec(_Frozen):
             lo, hi = branches
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad branch range {branches}")
+        # Every tree's search checks the budgets too, but a bad one should
+        # fail here, not at the first tree (in a worker under --jobs).
+        SearchConstraints(node_budget=node_budget, time_budget=time_budget).validate(0)
         self.__dict__.update(
             family=family,
             nmax=nmax,
@@ -106,19 +109,19 @@ def _all_sequences(nmax: int) -> list[tuple[int, ...]]:
     # Build sequences by prepending a level: a suffix with subtree size h
     # extends to (k,)+suffix of size 1+k*h.  Every sequence with total
     # size <= nmax appears exactly once.
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[int, int, tuple[int, ...]]] = []
 
     def extend(h: int, suffix: tuple[int, ...]) -> None:
         k = 1
         while 1 + k * h <= nmax:
             seq = (k,) + suffix
-            out.append(seq)
+            out.append((1 + k * h, len(seq), seq))
             extend(1 + k * h, seq)
             k += 1
 
     extend(1, ())
-    out.sort(key=lambda s: (RootedSymmetricTree(s).n, len(s), s))
-    return out
+    out.sort()
+    return [seq for _, _, seq in out]
 
 
 def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
@@ -159,11 +162,8 @@ def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
         seqs.sort(key=lambda s: (1 + s[0] * (1 + s[1]), s))
         return seqs
 
-    else:  # pragma: no cover - guarded by SweepSpec
-        raise ValueError(f"unknown family {spec.family!r}")
-
     if spec.nmax is not None:
-        seqs = [s for s in seqs if RootedSymmetricTree(s).n <= spec.nmax]
+        seqs = [s for s in seqs if level_numbers(s)[0] <= spec.nmax]
     return seqs
 
 

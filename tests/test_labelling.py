@@ -42,9 +42,11 @@ def test_labelling_validation():
 @pytest.mark.parametrize("labels", [(0, 2.7, 1), (0, 1.0, 2), ("0", 1, 2), (0, None, 1)])
 def test_labelling_rejects_non_integer_labels(labels):
     # int() turned (0, 2.7, 1) into (0, 2, 1) and "0" into 0.
+    # A one-shot iterator must name the culprit too, not fail re-reading.
     bad = next(x for x in labels if type(x) is not int)
-    with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not an integer")):
-        Labelling(labels)
+    for given in (labels, iter(labels)):
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not an integer")):
+            Labelling(given)
 
 
 def test_labelling_takes_bools_as_zero_and_one():
@@ -171,7 +173,7 @@ def test_relabel_vertices():
     with pytest.raises(ValueError):
         relabel_vertices(f, (0, 0, 1))
     # Floats pass the bijection test on values alone, then cannot index.
-    for perm, bad in (([1.0, 0.0, 2.0], 1.0), ([1.5, 0, 2], 1.5)):
+    for perm, bad in (([1.0, 0.0, 2.0], 1.0), ([1.5, 0, 2], 1.5), (iter([1, 0, 2.5]), 2.5)):
         with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} is not an integer")):
             relabel_vertices(f, perm)
 

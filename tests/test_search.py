@@ -23,7 +23,7 @@ from gracetree import (
 )
 from gracetree.labelling import Labelling, complement
 from gracetree.model import path_sequence, to_general, vertex_orbits
-from gracetree.search import _PREFIX_NODES, _PROBE_NODES, _run, _tables, count_graceful
+from gracetree.search import _run, _tables, count_graceful
 from oracles import (
     all_trees,
     count_graceful_naive,
@@ -253,13 +253,6 @@ def test_scheduled_verdicts_are_sound_all_small_trees(node_budget):
                 else:
                     assert node_budget is not None
                     assert e.nodes == node_budget + 1 + (202 if node_budget > 100 else 0)
-
-
-def test_probe_never_exhausts():
-    # The prefix times out only on a search whose exhaust needs more than
-    # _PREFIX_NODES nodes, so a probe with no more nodes cannot exhaust,
-    # and every no comes from the prefix or from the full search.
-    assert _PROBE_NODES <= _PREFIX_NODES
 
 
 def test_complement_settles_a_timed_out_orbit():
@@ -554,6 +547,15 @@ def test_exhaustive_work_is_order_independent():
                 assert got == run_reference(g, cons, False)[:4] == ("timeout", None, 0, budget + 1)
 
 
+def test_pins_whose_edges_repeat_a_difference_exhaust_at_once():
+    # On the path 0-1-2-3, pins 0, 1 and 2 give both edges 0-1 and 1-2
+    # difference 1, so the search stops before its first node.
+    path = GeneralTree(4, ((0, 1), (1, 2), (2, 3)))
+    cons = SearchConstraints(pins={0: 0, 1: 1, 2: 2}, node_budget=None, time_budget=None)
+    assert _engine(path, cons, False) == ("exhausted", None, 0, 0)
+    _assert_same_as_reference(path, cons, False)
+
+
 @given(
     st.integers(2, 16),
     st.randoms(use_true_random=False),
@@ -563,7 +565,8 @@ def test_exhaustive_work_is_order_independent():
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_reference_random(n, rnd, count_mode, budget):
     g = random_tree(rnd, n)
-    k = rnd.randrange(3)
+    # Up to three pins, so that two edges between pins can clash.
+    k = rnd.randrange(min(n, 3) + 1)
     pins = dict(zip(rnd.sample(range(n), k), rnd.sample(range(n), k)))
     cons = SearchConstraints(pins=pins, node_budget=budget, time_budget=None)
     _assert_same_as_reference(g, cons, count_mode)

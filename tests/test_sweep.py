@@ -97,6 +97,22 @@ def test_spec_rejects_non_integer_parameters():
     assert (spec.nmax, spec.legs, spec.branches) == (1, 3, (2, 4))
 
 
+def test_spec_rejects_bad_budgets():
+    # Refused up front, as the search would refuse them, not at the first
+    # tree (inside a worker under --jobs) or, with no tree, not at all.
+    for kwargs, match in (
+        ({"node_budget": 2.5}, "node budget"),
+        ({"node_budget": -3}, "node budget"),
+        ({"node_budget": True}, "node budget"),
+        ({"time_budget": float("nan")}, "time budget"),
+        ({"time_budget": 0}, "time budget"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SweepSpec("rst_all", nmax=1, **kwargs)
+    spec = SweepSpec("rst_all", nmax=1, node_budget=None, time_budget=None)
+    assert run_sweep(spec) == []
+
+
 def test_evaluate_sequence_constructive():
     row = evaluate_sequence((2, 2), family="q3")
     assert row.tree_id == "2,2"
