@@ -25,6 +25,7 @@ from .model import (
     RootedSymmetricTree,
     Tree,
     UnsupportedConstruction,
+    _is_int,
     build,
     path_sequence,
     to_dot,
@@ -276,8 +277,7 @@ def cmd_verify(args) -> int:
     if len(raw) != t.n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
     for x in raw:
-        # bool is an int subclass, and int() would truncate a float.
-        if type(x) is not int:
+        if not _is_int(x):
             raise ValueError(f"labelling entry {json.dumps(x)} is not an integer")
     defect = graceful_defect(t, raw)
     if defect is not None:

@@ -19,7 +19,6 @@ produced it.
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple, Sequence, Union
 
 from .labelling import (
@@ -36,6 +35,7 @@ from .model import (
     RootedSymmetricTree,
     Tree,
     UnsupportedConstruction,
+    _as_int,
     automorphism_mapping,
     decompose,
 )
@@ -245,24 +245,12 @@ class ZeroAtRequest(NamedTuple):
     desired_label: int = 0
 
 
-def _as_int(value, what: str) -> int:
-    # operator.index refuses a float or a string that int() would
-    # truncate or parse.
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
-
-
 def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:
     if isinstance(target, bool):
         raise ValueError("target must be a vertex index or address")
     if isinstance(target, Sequence) and not isinstance(target, str):
         return t.index_of(target)
-    target = _as_int(target, "target")
-    if not 0 <= target < t.n:
-        raise ValueError(f"vertex index {target} out of range")
-    return target
+    return _as_int(target, "target")
 
 
 def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
@@ -278,10 +266,10 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     n = t.n
     q = t.q
     target = _coerce_target(t, req.target)
+    level = t.level_of_index(target)
     desired = _as_int(req.desired_label, "desired label")
     if desired not in (0, n - 1):
         raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
-    level = t.level_of_index(target)
 
     if level <= 2:
         state: dict = {}

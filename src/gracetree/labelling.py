@@ -7,30 +7,9 @@ to the vertices.  It is graceful when the edge differences
 
 from __future__ import annotations
 
-from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
-from .model import Tree, _Frozen
-
-
-def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints.
-
-    ``operator.index`` rejects a float or a string where ``int()`` would
-    truncate or parse it; a bool passes as 0 or 1.  A non-integer raises
-    ValueError naming it.  A one-shot iterator is read once, so that the
-    scan for the culprit sees the same values.
-    """
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for x in values:
-            try:
-                index(x)
-            except TypeError:
-                raise ValueError(f"{what} {x!r} is not an integer") from None
-        raise
+from .model import Tree, _Frozen, _as_ints
 
 
 class Labelling(_Frozen):

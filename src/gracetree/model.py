@@ -12,6 +12,13 @@ the per-level offsets).
 
 Everything in this module is immutable after construction and safe to
 share across threads and worker processes.
+
+This module also holds the package's two integer rules.  Library
+arguments follow ``operator.index`` (``_as_int``, ``_as_ints``): a
+float or a string is refused where ``int()`` would truncate or parse
+it, and a bool passes as 0 or 1.  Values read from JSON documents,
+search pins and node budgets must be exactly ``int`` (``_is_int``), so
+a bool is refused too.  Either way a refusal is a ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from collections import deque
 from functools import cached_property
 from itertools import chain
 from operator import index
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class UnsupportedConstruction(Exception):
@@ -74,6 +81,34 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int by the index rule; ValueError naming it if not."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints by the index rule.
+
+    A non-integer raises ValueError naming it.  A one-shot iterator is
+    read once, so that the scan for the culprit sees the same values.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            _as_int(x, what)
+        raise
+
+
+def _is_int(x) -> bool:
+    """The exact rule: bool is an int subclass, and int() truncates floats."""
+    return type(x) is int
+
+
 def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
     """Validate per-level child counts ``(k_1, ..., k_{q-1})``.
 
@@ -82,10 +117,7 @@ def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
     decomposition strips the final branch from a root with one child.
     All later entries must be positive.
     """
-    try:
-        degrees = tuple(map(index, degrees))
-    except TypeError:
-        raise ValueError(f"daughter degrees {tuple(degrees)!r} are not all integers") from None
+    degrees = _as_ints(degrees, "daughter degree")
     if not degrees:
         raise ValueError("daughter degree sequence must be non-empty")
     if degrees[0] < 0:
@@ -178,10 +210,7 @@ class RootedSymmetricTree(_Frozen):
             raise ValueError(f"address {tuple(address)} deeper than the tree")
         rank = 0
         for j, x in enumerate(address):
-            try:
-                x = index(x)
-            except TypeError:
-                raise ValueError(f"address digit {x!r} is not an integer") from None
+            x = _as_int(x, "address digit")
             k = self.degrees[j]
             if not 0 <= x < k:
                 raise ValueError(f"address digit {x} out of range for level {j + 1}")
@@ -233,17 +262,15 @@ class GeneralTree(_Frozen):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
-        try:
-            n = index(n)
-        except TypeError:
-            raise ValueError(f"vertex count {n!r} is not an integer") from None
+        n = _as_int(n, "vertex count")
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         norm = []
         for e in edges:
             try:
-                u, v = index(e[0]), index(e[1])
-            except TypeError:
+                u, v = e
+                u, v = index(u), index(v)
+            except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair of integers") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -600,11 +627,15 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
     """A tree automorphism (as an index permutation) sending src to dst.
 
     Children with equal subtree codes are paired in (code, index) order,
-    so the mapping is deterministic.  Raises ValueError when the two
-    vertices are not in the same orbit.  Two vertices on one level of a
-    rooted symmetric tree are mapped by level arithmetic
-    (``_level_mapping``), with the same result.
+    so the mapping is deterministic.  Raises ValueError when either
+    vertex is not an index of ``t`` or the two are not in the same
+    orbit.  Two vertices on one level of a rooted symmetric tree are
+    mapped by level arithmetic (``_level_mapping``), with the same result.
     """
+    src, dst = _as_int(src, "vertex index"), _as_int(dst, "vertex index")
+    for v in (src, dst):
+        if not 0 <= v < t.n:
+            raise ValueError(f"vertex index {v} out of range")
     if isinstance(t, RootedSymmetricTree) and t.level_of_index(src) == t.level_of_index(dst):
         return _level_mapping(t, src, dst)
     adj = t.adjacency
@@ -640,11 +671,6 @@ def tree_to_json(t: Tree) -> str:
     import json
 
     return json.dumps(tree_to_dict(t))
-
-
-def _is_int(x) -> bool:
-    # JSON integers only: bool is an int subclass, and int() truncates floats.
-    return type(x) is int
 
 
 def tree_from_dict(d: dict) -> Tree:

@@ -59,7 +59,14 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
-from .model import Tree, UnsupportedConstruction, _Frozen, automorphism_mapping, vertex_orbits
+from .model import (
+    Tree,
+    UnsupportedConstruction,
+    _Frozen,
+    _is_int,
+    automorphism_mapping,
+    vertex_orbits,
+)
 
 # Unused here, but perfbench/spans.py wraps it at this module's lookup site.
 from .model import to_general  # noqa: F401
@@ -89,8 +96,7 @@ def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
     items = value.items() if isinstance(value, Mapping) else value
     pairs = tuple((a, b) for a, b in items)
     for a, b in pairs:
-        # int() would turn a pin of 2.7 into 2; bool is an int subclass.
-        if type(a) is not int or type(b) is not int:
+        if not (_is_int(a) and _is_int(b)):
             raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
     return tuple(sorted(pairs))
 
@@ -124,9 +130,9 @@ class SearchConstraints(_Frozen):
             seen_v.add(v)
             seen_x.add(x)
         # The search stops when its node count equals budget + 1, which
-        # a fraction never does; bool is an int subclass.
+        # a fraction never does.
         budget = self.node_budget
-        if budget is not None and (type(budget) is not int or budget < 1):
+        if budget is not None and (not _is_int(budget) or budget < 1):
             raise ValueError(f"node budget must be a positive integer or None, not {budget!r}")
         # NaN compares false with everything, so it would never expire.
         seconds = self.time_budget

@@ -11,11 +11,10 @@ downstream tooling can detect format drift.
 from __future__ import annotations
 
 import io
-from operator import index
 
 from .construct import ZeroAtRequest, zero_at
 from .labelling import Labelling
-from .model import _Frozen, build, level_numbers
+from .model import _Frozen, _as_int, _as_ints, build, level_numbers
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -81,14 +80,10 @@ class SweepSpec(_Frozen):
     ) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-        try:
-            nmax, legs = (None if x is None else index(x) for x in (nmax, legs))
-            branches = None if branches is None else tuple(map(index, branches))
-        except TypeError:
-            raise ValueError(
-                f"nmax {nmax!r}, legs {legs!r} and branches {branches!r} must be integers"
-            ) from None
+        nmax = None if nmax is None else _as_int(nmax, "nmax")
+        legs = None if legs is None else _as_int(legs, "legs")
         if branches is not None:
+            branches = _as_ints(branches, "branch count")
             lo, hi = branches
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad branch range {branches}")

@@ -299,6 +299,19 @@ def test_replay_rejects_tampering():
     steps[i]["pivot"] = 8.5
     with pytest.raises(ValueError, match="reflect pivot 8.5 is not an integer"):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    # So are a non-integer broom leaf count and, on a tree whose trace
+    # shifts, a non-integer shift amount.
+    steps = [dict(s) for s in trace.steps]
+    (i,) = [i for i, s in enumerate(steps) if s["op"] == "broom"]
+    steps[i]["leaf_count"] = 2.5
+    with pytest.raises(ValueError, match="broom leaf_count 2.5 is not an integer"):
+        replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    _, shifted = compose_theorem2(build((2, 2)), 3, 0)
+    steps = [dict(s) for s in shifted.steps]
+    (i,) = [i for i, s in enumerate(steps) if s["op"] == "shift"]
+    steps[i]["amount"] = 2.5
+    with pytest.raises(ValueError, match="shift amount 2.5 is not an integer"):
+        replay_trace(build((2, 2)), ConstructionTrace(shifted.method, tuple(steps)))
     # A changed decomposition map is refused.
     steps = [dict(s) for s in trace.steps]
     assert steps[0]["op"] == "decompose"

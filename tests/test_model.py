@@ -75,9 +75,9 @@ def test_sequence_validation():
         with pytest.raises(ValueError):
             level_numbers(bad)
     # A float or a string is an error, not truncated or parsed.
-    with pytest.raises(ValueError, match=r"daughter degrees \(2.7, 1.2\) are not all integers"):
+    with pytest.raises(ValueError, match="daughter degree 2.7 is not an integer"):
         build((2.7, 1.2))
-    with pytest.raises(ValueError, match="are not all integers"):
+    with pytest.raises(ValueError, match="daughter degree '3' is not an integer"):
         RootedSymmetricTree(("3",))
     assert (build((0,)).q, build((0,)).n) == (1, 1)
     assert build((2, 3)).q == 3
@@ -162,6 +162,11 @@ def test_general_tree_rejects_non_integer_vertices():
         GeneralTree(3.9, ((0, 1), (1, 2)))
     with pytest.raises(ValueError, match=r"edge \(1, 2.5\) is not a pair of integers"):
         GeneralTree(3, ((0, 1), (1, 2.5)))
+    # A short edge used to raise IndexError; a long one lost its extra vertex.
+    with pytest.raises(ValueError, match=r"edge \(0,\) is not a pair of integers"):
+        GeneralTree(3, [(0,), (1, 2)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 7\) is not a pair of integers"):
+        GeneralTree(3, [(0, 1, 7), (1, 2)])
 
 
 @given(sequences)
@@ -401,6 +406,17 @@ def test_automorphism_mapping_rejects_cross_orbit():
     for src, dst in ((0, 1), (1, 3), (0, 6)):
         with pytest.raises(ValueError):
             automorphism_mapping(t, src, dst)
+
+
+def test_automorphism_mapping_checks_general_vertices():
+    # These raised IndexError, TypeError, and read -1 as the last vertex.
+    g = GeneralTree(4, ((0, 1), (1, 2), (1, 3)))
+    with pytest.raises(ValueError, match="vertex index 5 out of range"):
+        automorphism_mapping(g, 5, 0)
+    with pytest.raises(ValueError, match="vertex index 2.0 is not an integer"):
+        automorphism_mapping(g, 2.0, 3)
+    with pytest.raises(ValueError, match="vertex index -1 out of range"):
+        automorphism_mapping(g, -1, 3)
 
 
 def test_rst_orbits_match_general_route():

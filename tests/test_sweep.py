@@ -85,13 +85,13 @@ def test_spec_validation():
 def test_spec_rejects_non_integer_parameters():
     # Refused up front, not swept with a float bound or left to fail
     # with a TypeError inside enumerate_family.
-    for kwargs in (
-        {"nmax": 6.5},
-        {"nmax": "9"},
-        {"legs": 2.5, "branches": (1, 2)},
-        {"legs": 2, "branches": (1.5, 2)},
+    for kwargs, message in (
+        ({"nmax": 6.5}, "nmax 6.5 is not an integer"),
+        ({"nmax": "9"}, "nmax '9' is not an integer"),
+        ({"legs": 2.5, "branches": (1, 2)}, "legs 2.5 is not an integer"),
+        ({"legs": 2, "branches": (1.5, 2)}, "branch count 1.5 is not an integer"),
     ):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=message):
             SweepSpec("symmetric_spider", **kwargs)
     spec = SweepSpec("symmetric_spider", nmax=True, legs=3, branches=[2, 4])
     assert (spec.nmax, spec.legs, spec.branches) == (1, 3, (2, 4))
