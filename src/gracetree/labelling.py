@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from .model import Tree, _Frozen, _as_ints
+from .model import Tree, _Frozen, _as_ints, _as_tuple
 
 
 class Labelling(_Frozen):
@@ -120,6 +120,7 @@ class TranspositionProduct(_Frozen):
     _fields = ("swaps",)
 
     def __init__(self, swaps: Iterable[tuple[int, int]]) -> None:
+        swaps = _as_tuple(swaps, "transposition list")
         swaps = tuple(_as_ints(pair, "label value") for pair in swaps)
         seen: set[int] = set()
         for a, b in swaps:

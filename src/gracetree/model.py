@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import index
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -89,13 +89,21 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _as_tuple(values, what: str) -> tuple:
+    """``tuple(values)``; ValueError naming ``values`` if not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} {values!r} is not iterable") from None
+
+
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints by the index rule.
 
     A non-integer raises ValueError naming it.  A one-shot iterator is
     read once, so that the scan for the culprit sees the same values.
     """
-    values = tuple(values)
+    values = _as_tuple(values, f"{what} list")
     try:
         return tuple(map(index, values))
     except TypeError:
@@ -178,11 +186,14 @@ class RootedSymmetricTree(_Frozen):
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(parent, child) for every child in index order, one level at a
         time; this is the sorted order GeneralTree normalises to."""
+        off = self.level_offsets
         edges: list[tuple[int, int]] = []
         for r in range(1, self.q):
             k = self.degrees[r - 1]
-            lo, first = self.level_offsets[r - 1], self.level_offsets[r]
-            edges.extend((lo + j // k, first + j) for j in range(self.level_sizes[r]))
+            parents = range(off[r - 1], off[r])
+            if k > 1:
+                parents = chain.from_iterable(map(repeat, parents, repeat(k)))
+            edges.extend(zip(parents, range(off[r], off[r + 1])))
         return tuple(edges)
 
     @cached_property
@@ -190,6 +201,7 @@ class RootedSymmetricTree(_Frozen):
         return _adjacency(self.n, self.edges)
 
     def level_of_index(self, i: int) -> int:
+        i = _as_int(i, "vertex index")
         if not 0 <= i < self.n:
             raise ValueError(f"vertex index {i} out of range")
         return bisect_right(self.level_offsets, i)
@@ -205,9 +217,10 @@ class RootedSymmetricTree(_Frozen):
         return range(self.level_offsets[r - 1], self.level_offsets[r])
 
     def index_of(self, address: Sequence[int]) -> int:
+        address = _as_tuple(address, "address")
         r = len(address) + 1
         if r > self.q:
-            raise ValueError(f"address {tuple(address)} deeper than the tree")
+            raise ValueError(f"address {address} deeper than the tree")
         rank = 0
         for j, x in enumerate(address):
             x = _as_int(x, "address digit")
@@ -266,7 +279,7 @@ class GeneralTree(_Frozen):
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
         norm = []
-        for e in edges:
+        for e in _as_tuple(edges, "edge list"):
             try:
                 u, v = e
                 u, v = index(u), index(v)
@@ -280,19 +293,18 @@ class GeneralTree(_Frozen):
         norm.sort()
         if len(norm) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
+        # Union-find with path halving.  Hanging the later endpoint's root
+        # under the earlier one keeps parent-first edge lists one level deep.
         parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for u, v in norm:
-            ru, rv = find(u), find(v)
+            ru, rv = u, v
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
             if ru == rv:
                 raise ValueError(f"edge ({u},{v}) closes a cycle")
-            parent[ru] = rv
+            parent[rv] = ru
         self.__dict__.update(n=n, edges=tuple(norm))
 
     @cached_property
@@ -300,6 +312,9 @@ class GeneralTree(_Frozen):
         return _adjacency(self.n, self.edges)
 
     def degree(self, v: int) -> int:
+        v = _as_int(v, "vertex index")
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex index {v} out of range")
         return len(self.adjacency[v])
 
 

@@ -84,8 +84,7 @@ class SweepSpec(_Frozen):
         legs = None if legs is None else _as_int(legs, "legs")
         if branches is not None:
             branches = _as_ints(branches, "branch count")
-            lo, hi = branches
-            if lo < 1 or hi < lo:
+            if len(branches) != 2 or not 1 <= branches[0] <= branches[1]:
                 raise ValueError(f"bad branch range {branches}")
         # Every tree's search checks the budgets too, but a bad one should
         # fail here, not at the first tree (in a worker under --jobs).

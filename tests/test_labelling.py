@@ -49,6 +49,11 @@ def test_labelling_rejects_non_integer_labels(labels):
             Labelling(given)
 
 
+def test_labelling_rejects_a_non_iterable():
+    with pytest.raises(ValueError, match="label list 5 is not iterable"):
+        Labelling(5)
+
+
 def test_labelling_takes_bools_as_zero_and_one():
     assert Labelling((True, 0, 2)).labels == (1, 0, 2)
 
@@ -150,6 +155,8 @@ def test_transposition_product_validation():
         TranspositionProduct(((-1, 2),))
     with pytest.raises(ValueError, match="label value 1.5 is not an integer"):
         TranspositionProduct(((1.5, 2),))
+    with pytest.raises(ValueError, match="transposition list 5 is not iterable"):
+        TranspositionProduct(5)
     p = TranspositionProduct(((0, 4), (5, 9)))
     g = apply_permutation(Labelling(range(10)), p)
     assert g[4] == 0
@@ -176,4 +183,6 @@ def test_relabel_vertices():
     for perm, bad in (([1.0, 0.0, 2.0], 1.0), ([1.5, 0, 2], 1.5), (iter([1, 0, 2.5]), 2.5)):
         with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} is not an integer")):
             relabel_vertices(f, perm)
+    with pytest.raises(ValueError, match="vertex list 5 is not iterable"):
+        relabel_vertices(f, 5)
 

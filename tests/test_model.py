@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -105,11 +106,15 @@ def test_addressing_golden():
     assert t.index_of((1, 2, 3)) == 9 + (1 * 3 + 2) * 4 + 3
     assert t.address_of(0) == ()
     assert t.address_of(t.index_of((1, 2, 3))) == (1, 2, 3)
-    assert t.index_of([1, 2]) == t.index_of((1, 2))
+    assert t.index_of([1, 2]) == t.index_of(iter((1, 2))) == t.index_of((1, 2))
     with pytest.raises(ValueError):
         t.index_of((2,))
     with pytest.raises(ValueError):
         t.index_of((0, 0, 0, 0))
+    with pytest.raises(ValueError, match=re.escape("address (0, 0, 0, 0) deeper than the tree")):
+        t.index_of(iter((0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="address 5 is not iterable"):
+        t.index_of(5)
 
 
 @given(sequences, st.data())
@@ -156,6 +161,84 @@ def test_general_tree_validation():
     assert t.degree(1) == 2
 
 
+def test_general_tree_degree_checks_its_vertex():
+    # -1 read the last vertex's degree and 4 raised IndexError.
+    g = GeneralTree(4, ((0, 1), (1, 2), (1, 3)))
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex index {v} out of range"):
+            g.degree(v)
+    with pytest.raises(ValueError, match="vertex index 1.0 is not an integer"):
+        g.degree(1.0)
+    # The rooted side refuses a float too; it read 1.0 as vertex 1, and
+    # parent_index(2.0) returned 0.0.
+    t = build((2, 2))
+    for method in (t.degree, t.level_of_index, t.parent_index, t.address_of, t.children_indices):
+        with pytest.raises(ValueError, match="vertex index 2.0 is not an integer"):
+            method(2.0)
+
+
+@pytest.mark.parametrize("edges", [5, None])
+def test_general_tree_rejects_non_iterable_edges(edges):
+    with pytest.raises(ValueError, match=f"edge list {edges} is not iterable"):
+        GeneralTree(3, edges)
+
+
+def test_build_rejects_non_iterable_degrees():
+    with pytest.raises(ValueError, match="daughter degree list 3 is not iterable"):
+        build(3)
+
+
+@st.composite
+def edge_lists(draw):
+    """n <= 8 and pairs in any orientation and order: often a tree, else
+    with an edge missing or repeated, a self-loop, an end out of range,
+    or a cycle."""
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges = edges[draw(st.integers(0, 1)) :]
+    noise = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    edges += draw(st.lists(st.one_of(noise, st.sampled_from(edges or [(0, 0)])), max_size=2))
+    edges = draw(st.permutations(edges))
+    return n, [e[::-1] if draw(st.booleans()) else e for e in edges]
+
+
+@given(edge_lists())
+@settings(max_examples=400)
+def test_general_tree_accepts_exactly_the_trees(case):
+    n, edges = case
+    norm = sorted((min(e), max(e)) for e in edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(norm)
+    is_tree = (
+        all(0 <= u < v < n for u, v in norm)
+        and len(set(norm)) == len(norm)
+        and nx.is_tree(graph)
+    )
+    try:
+        g = GeneralTree(n, edges)
+    except ValueError:
+        assert not is_tree
+    else:
+        assert is_tree
+        assert g.edges == tuple(norm)
+
+
+@pytest.mark.parametrize(
+    "n, edges, closing",
+    [
+        (4, ((0, 1), (1, 2), (0, 2)), "(1,2)"),
+        (4, ((2, 1), (3, 2), (1, 3)), "(2,3)"),
+        (3, ((0, 1), (0, 1)), "(0,1)"),
+    ],
+)
+def test_general_tree_names_the_edge_that_closes_a_cycle(n, edges, closing):
+    # Sorted, the edges are checked in order; the first that joins two
+    # connected vertices is named, whichever way components are merged.
+    with pytest.raises(ValueError, match=re.escape(f"edge {closing} closes a cycle")):
+        GeneralTree(n, edges)
+
+
 def test_general_tree_rejects_non_integer_vertices():
     # int() truncated 3.9 to 3 and built the path on three vertices.
     with pytest.raises(ValueError, match="vertex count 3.9 is not an integer"):
@@ -172,6 +255,8 @@ def test_general_tree_rejects_non_integer_vertices():
 @given(sequences)
 @example((0,))
 @example(path_sequence(5000))
+@example((5, 1, 1, 7))
+@example((3,) + (1,) * 600 + (3,))
 def test_to_general_preserves_structure(seq):
     t = build(seq)
     g = to_general(t)

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import re
 import time
 
 import pytest
@@ -90,6 +91,9 @@ def test_spec_rejects_non_integer_parameters():
         ({"nmax": "9"}, "nmax '9' is not an integer"),
         ({"legs": 2.5, "branches": (1, 2)}, "legs 2.5 is not an integer"),
         ({"legs": 2, "branches": (1.5, 2)}, "branch count 1.5 is not an integer"),
+        ({"legs": 2, "branches": 3}, "branch count list 3 is not iterable"),
+        ({"legs": 2, "branches": (1, 2, 3)}, re.escape("bad branch range (1, 2, 3)")),
+        ({"legs": 2, "branches": (2,)}, re.escape("bad branch range (2,)")),
     ):
         with pytest.raises(ValueError, match=message):
             SweepSpec("symmetric_spider", **kwargs)
