@@ -212,6 +212,7 @@ class RootedSymmetricTree(_Frozen):
         return (self.degrees[r - 1] if r < self.q else 0) + (r > 1)
 
     def vertices_at_level(self, r: int) -> range:
+        r = _as_int(r, "level")
         if not 1 <= r <= self.q:
             raise ValueError(f"level {r} out of range")
         return range(self.level_offsets[r - 1], self.level_offsets[r])
@@ -724,8 +725,10 @@ def to_dot(
 ) -> str:
     """Graphviz DOT text, with vertex and edge annotations when a
     labelling is supplied."""
-    if labels is not None and len(labels) != t.n:
-        raise ValueError("labelling size does not match the tree")
+    if labels is not None:
+        labels = _as_ints(labels, "label")
+        if len(labels) != t.n:
+            raise ValueError("labelling size does not match the tree")
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(t.n):
         if labels is None:

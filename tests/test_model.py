@@ -175,6 +175,9 @@ def test_general_tree_degree_checks_its_vertex():
     for method in (t.degree, t.level_of_index, t.parent_index, t.address_of, t.children_indices):
         with pytest.raises(ValueError, match="vertex index 2.0 is not an integer"):
             method(2.0)
+    # level_offsets[0.5] raised a raw TypeError.
+    with pytest.raises(ValueError, match="level 1.5 is not an integer"):
+        t.vertices_at_level(1.5)
 
 
 @pytest.mark.parametrize("edges", [5, None])
@@ -571,6 +574,12 @@ def test_to_dot_output():
     assert '1 -- 2 [label="1"]' in decorated
     with pytest.raises(ValueError):
         to_dot(g, labels=(0, 1))
+    # len(5) raised a raw TypeError, and float labels went into the DOT.
+    t = build((2, 2))
+    with pytest.raises(ValueError, match="label list 5 is not iterable"):
+        to_dot(t, 5)
+    with pytest.raises(ValueError, match="label 0.5 is not an integer"):
+        to_dot(t, [0.5] * 7)
 
 
 def test_rst_immutability_and_identity():

@@ -367,12 +367,15 @@ def test_rotatability_report_json():
         ((2, 2, 2), 0, None, "found", 19),
         ((1, 1, 1, 1, 1, 2, 6), 0, 200_000, "found", 20),
         ((1, 1, 1, 9), 2, None, "found", 81),
+        ((1, 1, 1, 8), 2, None, "exhausted", 613_369),
+        ((1, 1, 1, 10), 2, None, "exhausted", 55_462_389),
     ],
 )
 def test_node_count_goldens(seq, pin, node_budget, status, nodes):
     # The benchmark's tallies depend on the order in which the engine
     # visits nodes, so the found counts pin that order, not just the
-    # verdicts.  The exhausted counts hold in any edge order.
+    # verdicts.  The exhausted counts hold in any edge order; the last
+    # two were walked node by node once, in about 2 s and 100 s.
     cons = SearchConstraints(pins={pin: 0}, node_budget=node_budget, time_budget=None)
     out = find_graceful(build(seq), cons)
     assert (out.status, out.nodes) == (status, nodes)
@@ -658,3 +661,78 @@ def test_rotate0_random_trees_golden():
     # search order and which orbits a complement settles.
     golden = Path(__file__).parent / "golden" / "rotate0_random_2k.csv"
     assert _rotate0_random_csv().encode() == golden.read_bytes()
+
+
+def _star(leaves):
+    return GeneralTree(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
+
+
+def _calls_to_place(t, cons, count_mode):
+    """How many times ``_run`` enters ``place()``: the nodes it walks."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "place":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        _engine(t, cons, count_mode)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "t, pins, count_mode",
+    [
+        (_star(6), {}, True),
+        (_star(6), {0: 0}, True),
+        (_star(5), {1: 0}, True),
+        (build((1, 1, 4)), {2: 0}, True),
+        (build((1, 1, 1, 4)), {2: 0}, False),
+        (build((1, 1, 1, 4)), {2: 0}, True),
+        (build((2, 3)), {}, True),
+        (build((2, 3)), {0: 1}, False),
+        (build((1, 1, 1, 5)), {2: 1}, False),
+        (build((1, 1, 1, 5)), {0: 3}, False),
+    ],
+    ids=lambda v: str(v) if isinstance(v, (dict, bool)) else str(v.edges),
+)
+def test_budgets_inside_mirrored_subtrees_match_reference(t, pins, count_mode):
+    # A hub with 3 or more leaves: each leaf given a label that a sibling
+    # took at the same node has its subtree added, not walked, unless the
+    # budget runs out inside it.  Budgets from 1 to the whole search must
+    # stop where the reference does, with its count.  A star finds a
+    # witness before any mirror, so its cases are counts.
+    free = SearchConstraints(pins=pins, node_budget=None, time_budget=None)
+    total = run_reference(_pendant_first(t), free, count_mode)[3]
+    assert _calls_to_place(t, free, count_mode) < total
+    budgets = set(range(1, min(total, 300) + 1))
+    budgets |= set(range(1, total + 2, max(1, total // 100))) | {total - 1, total, total + 1}
+    for budget in sorted(budgets):
+        cons = SearchConstraints(pins=pins, node_budget=budget, time_budget=None)
+        _assert_same_as_reference(t, cons, count_mode)
+
+
+def test_deadline_passed_during_mirrors_times_out(monkeypatch):
+    # With the clock past the deadline, a walk stops at node 256, its
+    # first look at the clock.  Here mirrors carry the count past 256,
+    # and the look after that bulk add stops the search, before the
+    # next multiple of 256.
+    monkeypatch.setattr(time, "perf_counter", lambda: 2.0)
+    for k in (4, 7, 10, 14):
+        status, labels, count, nodes = _run(_tables(build((1, 1, 1, k))), ((2, 0),), None, 1.0, False)
+        assert (status, labels, count) == ("timeout", None, 0)
+        assert 256 <= nodes < 512, k
+
+
+def test_broom_zero_at_vertex_two_follows_k_mod_12():
+    # (1,1,1,k) can carry 0 on vertex 2 exactly when 3 or 4 divides k+3.
+    # Mirrors decide each of these at once; k = 14 alone is 1.3e12 nodes.
+    cons = SearchConstraints(pins={2: 0}, node_budget=None, time_budget=None)
+    for k in range(2, 41):
+        out = find_graceful(build((1, 1, 1, k)), cons)
+        want = (k + 3) % 3 == 0 or (k + 3) % 4 == 0
+        assert out.status == ("found" if want else "exhausted"), k
