@@ -3,13 +3,23 @@
 A labelling of an n-vertex tree assigns the integers 0..n-1 bijectively
 to the vertices.  It is graceful when the edge differences
 ``|label(u) - label(v)|`` hit each of 1..n-1 exactly once.
+
+Each labelling is proven a permutation once, where that can fail:
+``Labelling(...)`` checks labels that come from outside.  The label
+bijections (``complement``, ``apply_permutation``, ``relabel_vertices``)
+map a ``Labelling`` onto 0..n-1 again, so they build their result
+through ``_trusted`` without checking it a second time; each still
+checks what its caller passes, and refuses anything but a
+``Labelling``.  ``is_graceful`` checks a raw label sequence for being a
+permutation and trusts a ``Labelling``; the edge differences it checks
+in full either way.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from .model import Tree, _Frozen, _as_ints, _as_tuple
+from .model import Tree, _Frozen, _as_int, _as_ints, _as_tuple
 
 
 class Labelling(_Frozen):
@@ -40,7 +50,29 @@ class Labelling(_Frozen):
         return len(self.labels)
 
     def vertex_with_label(self, value: int) -> int:
-        return self.labels.index(value)
+        value = _as_int(value, "label")
+        try:
+            return self.labels.index(value)
+        except ValueError:
+            raise ValueError(f"label {value} is not in the labelling") from None
+
+
+def _trusted(labels: tuple[int, ...]) -> Labelling:
+    """A Labelling of ``labels`` without ``Labelling``'s check.
+
+    Only for a tuple of ints already known to be a permutation of
+    0..n-1: the image of a Labelling under a bijection of 0..n-1.
+    """
+    f = object.__new__(Labelling)
+    f.__dict__["labels"] = labels
+    return f
+
+
+def _labelling(f) -> Labelling:
+    """``f`` itself; ValueError naming it unless it is a Labelling."""
+    if not isinstance(f, Labelling):
+        raise ValueError(f"labelling {f!r} is not a Labelling")
+    return f
 
 
 LabelsLike = Union[Labelling, Sequence[int]]
@@ -69,12 +101,14 @@ def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     """True when ``labels`` is a graceful labelling of ``t``.
 
     Non-bijective label sequences of the right length are merely
-    ungraceful, not errors; a length mismatch raises.
+    ungraceful, not errors; a length mismatch raises.  A Labelling was
+    proven a permutation when it was made, so only raw sequences are
+    checked for one here.
     """
     raw = _raw(labels)
     if len(raw) != t.n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
-    if not _is_permutation(raw, t.n):
+    if not isinstance(labels, Labelling) and not _is_permutation(raw, t.n):
         return False
     # Distinct labels in 0..n-1 give differences in 1..n-1, so n-1
     # distinct ones are all of them.
@@ -99,18 +133,20 @@ def graceful_defect(t: Tree, labels: LabelsLike) -> str | None:
 
 def complement(f: Labelling) -> Labelling:
     """Replace each label b with n-1-b.  Preserves gracefulness."""
-    top = f.n - 1
-    return Labelling(tuple(top - b for b in f.labels))
+    top = _labelling(f).n - 1
+    return _trusted(tuple(top - b for b in f.labels))
 
 
 def shift(labels: LabelsLike, amount: int) -> tuple[int, ...]:
     """Add a constant to every label.  The result is a raw tuple since
     it generally leaves the 0..n-1 range."""
+    amount = _as_int(amount, "shift amount")
     return tuple(b + amount for b in _raw(labels))
 
 
 def reflect(labels: LabelsLike, pivot: int) -> tuple[int, ...]:
     """Replace each label b with pivot - b.  Raw tuple out, as with shift."""
+    pivot = _as_int(pivot, "reflect pivot")
     return tuple(pivot - b for b in _raw(labels))
 
 
@@ -136,11 +172,12 @@ class TranspositionProduct(_Frozen):
 
 def apply_permutation(f: Labelling, perm: TranspositionProduct) -> Labelling:
     """Permute label values (not vertices) by a transposition product."""
+    n = _labelling(f).n
     swap = dict(perm.swaps)
     swap.update((b, a) for a, b in perm.swaps)
-    if any(x >= f.n for x in swap):
+    if any(x >= n for x in swap):
         raise ValueError("transposition moves a value outside the label range")
-    return Labelling(tuple(swap.get(b, b) for b in f.labels))
+    return _trusted(tuple(swap.get(b, b) for b in f.labels))
 
 
 def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
@@ -149,11 +186,12 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
+    n = _labelling(f).n
     vertex_perm = _as_ints(vertex_perm, "vertex")
-    if not _is_permutation(vertex_perm, f.n):
+    if not _is_permutation(vertex_perm, n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
-    out = [0] * f.n
+    out = [0] * n
     for old, new in enumerate(vertex_perm):
         out[new] = f.labels[old]
-    return Labelling(tuple(out))
+    return _trusted(tuple(out))
 

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from itertools import chain, repeat
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
@@ -294,18 +294,23 @@ class GeneralTree(_Frozen):
         norm.sort()
         if len(norm) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-        # Union-find with path halving.  Hanging the later endpoint's root
-        # under the earlier one keeps parent-first edge lists one level deep.
-        parent = list(range(n))
-        for u, v in norm:
-            ru, rv = u, v
-            while parent[ru] != ru:
-                parent[ru] = ru = parent[parent[ru]]
-            while parent[rv] != rv:
-                parent[rv] = rv = parent[parent[rv]]
-            if ru == rv:
-                raise ValueError(f"edge ({u},{v}) closes a cycle")
-            parent[rv] = ru
+        # When every vertex 1..n-1 is the larger end of exactly one edge,
+        # each has a unique smaller parent, so following parents reaches
+        # 0 and the n-1 edges form a tree.  That holds for every rooted
+        # symmetric tree and any breadth-first numbering.  Otherwise
+        # union-find with path halving; hanging the later endpoint's root
+        # under the earlier one keeps parent-first lists one level deep.
+        if len(set(map(itemgetter(1), norm))) != n - 1:
+            parent = list(range(n))
+            for u, v in norm:
+                ru, rv = u, v
+                while parent[ru] != ru:
+                    parent[ru] = ru = parent[parent[ru]]
+                while parent[rv] != rv:
+                    parent[rv] = rv = parent[parent[rv]]
+                if ru == rv:
+                    raise ValueError(f"edge ({u},{v}) closes a cycle")
+                parent[rv] = ru
         self.__dict__.update(n=n, edges=tuple(norm))
 
     @cached_property

@@ -209,6 +209,39 @@ def is_caterpillar(t: GeneralTree) -> bool:
     return all(d <= 2 for _, d in spine.degree())
 
 
+def tree_edges_by_union_find(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """``GeneralTree(n, edges).edges`` for int pairs, by union-find alone.
+
+    Raises the ValueError GeneralTree raises, with its message: pairs
+    are checked in the order given, then the edge count, then the
+    sorted edges in order, naming the first that joins two vertices
+    already connected.
+    """
+    norm = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range")
+        norm.append((min(u, v), max(u, v)))
+    norm.sort()
+    if len(norm) != n - 1:
+        raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in norm:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError(f"edge ({u},{v}) closes a cycle")
+        root[rv] = ru
+    return tuple(norm)
+
+
 class _Stop(Exception):
     """A budget ran out mid-search."""
 

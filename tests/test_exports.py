@@ -61,3 +61,32 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_the_label_bijections_skip_the_labelling_check():
+    # labelling._trusted builds a Labelling without proving it a
+    # permutation.  Only the bijections, whose image of a Labelling is
+    # one by construction, may call it; no other module may name it.
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for folder in ("src/gracetree", "tests", "perfbench"):
+        for path in sorted(root.glob(f"{folder}/*.py")):
+            if path.name == "labelling.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                else:
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if "_trusted" in (name, getattr(node, "name", None)):
+                    outside.append(f"{folder}/{path.name}:{node.lineno}")
+    assert outside == []
+    tree = ast.parse((root / "src/gracetree/labelling.py").read_text())
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "_trusted"
+    }
+    assert callers == {"complement", "apply_permutation", "relabel_vertices"}

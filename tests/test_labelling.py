@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gracetree import GeneralTree, build, is_graceful, theorem1_label
@@ -36,7 +36,14 @@ def test_labelling_validation():
     assert f.n == 3
     assert f[0] == 2
     assert f.vertex_with_label(0) == 1
+    assert f.vertex_with_label(True) == 2
     assert list(f) == [2, 0, 1]
+    # 99 leaked tuple.index's message, and 1.0 found the label 1.
+    with pytest.raises(ValueError, match="^label 99 is not in the labelling$"):
+        f.vertex_with_label(99)
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not an integer")):
+            f.vertex_with_label(bad)
 
 
 @pytest.mark.parametrize("labels", [(0, 2.7, 1), (0, 1.0, 2), ("0", 1, 2), (0, None, 1)])
@@ -94,6 +101,10 @@ def trees_and_labels(draw):
 
 
 @given(trees_and_labels())
+# Not permutations, but each has n-1 distinct edge differences.
+@example((GeneralTree(3, ((0, 1), (1, 2))), (0, 1, 3)))
+@example((GeneralTree(4, ((0, 1), (0, 2), (0, 3))), (4, 1, 2, 3)))
+@example((GeneralTree(4, ((0, 1), (1, 2), (2, 3))), (-1, 2, 0, 1)))
 def test_is_graceful_matches_sorted_formulation(case):
     g, labels = case
     n = g.n
@@ -123,12 +134,67 @@ def test_complement_involution_preserves_gracefulness(seq):
     c = complement(f)
     assert is_graceful(g, c)
     assert complement(c).labels == f.labels
+    assert c == Labelling(c.labels)
+
+
+@st.composite
+def labellings_and_bijections(draw):
+    """A labelling on n <= 12 vertices, a disjoint transposition product
+    on 0..n-1, and a vertex permutation."""
+    n = draw(st.integers(1, 12))
+    f = Labelling(draw(st.permutations(range(n))))
+    values = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    swaps = tuple(zip(values[: 2 * pairs : 2], values[1 : 2 * pairs : 2]))
+    return f, TranspositionProduct(swaps), tuple(draw(st.permutations(range(n))))
+
+
+@given(labellings_and_bijections())
+def test_bijections_build_valid_labellings(case):
+    # The bijections build their result without Labelling's check; each
+    # must still be a Labelling that the check would accept unchanged.
+    f, prod, vertex_perm = case
+    swap = dict(prod.swaps)
+    swap.update((b, a) for a, b in prod.swaps)
+    moved = [0] * f.n
+    for old, new in enumerate(vertex_perm):
+        moved[new] = f[old]
+    for out, labels in (
+        (complement(f), [f.n - 1 - b for b in f]),
+        (apply_permutation(f, prod), [swap.get(b, b) for b in f]),
+        (relabel_vertices(f, vertex_perm), moved),
+    ):
+        assert type(out) is Labelling
+        assert out == Labelling(out.labels)
+        assert type(out.labels) is tuple and out.labels == tuple(labels)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: complement(f),
+        lambda f: apply_permutation(f, TranspositionProduct(((0, 1),))),
+        lambda f: relabel_vertices(f, (0, 1, 2)),
+    ],
+)
+@pytest.mark.parametrize("f", [(0, 1, 2), [2, 1, 0], None])
+def test_bijections_refuse_a_non_labelling(call, f):
+    # A tuple raised AttributeError: 'tuple' object has no attribute 'n'.
+    with pytest.raises(ValueError, match=re.escape(f"labelling {f!r} is not a Labelling")):
+        call(f)
 
 
 def test_shift_reflect_raw():
     assert shift((0, 2, 1), 5) == (5, 7, 6)
     assert shift(Labelling((0, 2, 1)), -1) == (-1, 1, 0)
     assert reflect((0, 2, 1), 4) == (4, 2, 3)
+    assert shift((0, 2, 1), True) == (1, 3, 2)
+    # "a" raised a raw TypeError, and 1.5 gave float labels.
+    for bad in ("a", 1.5, None):
+        with pytest.raises(ValueError, match=re.escape(f"shift amount {bad!r} is not an integer")):
+            shift((0, 2, 1), bad)
+        with pytest.raises(ValueError, match=re.escape(f"reflect pivot {bad!r} is not an integer")):
+            reflect((0, 2, 1), bad)
 
 
 @given(st.lists(st.integers(0, 50), min_size=2, max_size=12, unique=True), st.integers(-20, 20))

@@ -44,6 +44,7 @@ from oracles import (
     is_caterpillar,
     orbits_by_rooted_codes,
     random_tree,
+    tree_edges_by_union_find,
 )
 
 sequences = (
@@ -195,18 +196,29 @@ def test_build_rejects_non_iterable_degrees():
 def edge_lists(draw):
     """n <= 8 and pairs in any orientation and order: often a tree, else
     with an edge missing or repeated, a self-loop, an end out of range,
-    or a cycle."""
+    or a cycle.  A tree is numbered parent first, or its vertices are
+    renumbered so that a vertex may have more than one smaller
+    neighbour; the list is kept in order or shuffled."""
     n = draw(st.integers(1, 8))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
     edges = edges[draw(st.integers(0, 1)) :]
     noise = st.tuples(st.integers(-1, n), st.integers(-1, n))
     edges += draw(st.lists(st.one_of(noise, st.sampled_from(edges or [(0, 0)])), max_size=2))
-    edges = draw(st.permutations(edges))
-    return n, [e[::-1] if draw(st.booleans()) else e for e in edges]
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+        edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    return n, edges
 
 
 @given(edge_lists())
 @settings(max_examples=400)
+@example((3, [(0, 2), (1, 2)]))
+@example((4, [(0, 1), (1, 2), (0, 2)]))
+@example((4, [(0, 1), (0, 2), (1, 2)]))
+@example((5, [(0, 1), (0, 2), (1, 3), (3, 4)]))
 def test_general_tree_accepts_exactly_the_trees(case):
     n, edges = case
     norm = sorted((min(e), max(e)) for e in edges)
@@ -225,6 +237,15 @@ def test_general_tree_accepts_exactly_the_trees(case):
     else:
         assert is_tree
         assert g.edges == tuple(norm)
+    # The set-count proof for parent-first lists must accept, store and
+    # refuse exactly as union-find alone does, message for message.
+    try:
+        expected = tree_edges_by_union_find(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            GeneralTree(n, edges)
+    else:
+        assert GeneralTree(n, edges).edges == expected
 
 
 @pytest.mark.parametrize(
