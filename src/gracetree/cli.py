@@ -72,11 +72,11 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
 
 
 def _parse_branches(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    k = int(text)
-    return k, k
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"cannot parse --branches {text!r} (expected A..B or one count)") from None
 
 
 def _read_text(path: str) -> str:
@@ -166,8 +166,8 @@ def _build_parser() -> _Parser:
     p_label.add_argument(
         "--method",
         choices=("theorem1", "lemma1", "theorem2"),
-        default="theorem1",
-        help="which construction to run (ignored with --zero-at)",
+        default=None,
+        help="which construction to run (default theorem1; not with --zero-at)",
     )
     p_label.add_argument(
         "--zero-at",
@@ -179,8 +179,8 @@ def _build_parser() -> _Parser:
     p_label.add_argument(
         "--desired",
         choices=("0", "top"),
-        default="0",
-        help="which extreme label --zero-at places (top means n-1)",
+        default=None,
+        help="which extreme label --zero-at places (default 0; top means n-1)",
     )
     p_label.add_argument("--explain", action="store_true", help="include the construction trace")
     p_label.add_argument("--out", metavar="FILE", help="write the labelling JSON here instead of stdout")
@@ -238,14 +238,18 @@ def _build_parser() -> _Parser:
 
 
 def cmd_label(args) -> int:
+    if args.zero_at is None and args.desired is not None:
+        raise ValueError("--desired only applies with --zero-at")
+    if args.zero_at is not None and args.method is not None:
+        raise ValueError("--zero-at chooses the construction; drop --method")
     t = _require_rst(_load_tree(args))
     if args.zero_at is not None:
-        desired = 0 if args.desired == "0" else t.n - 1
+        desired = t.n - 1 if args.desired == "top" else 0
         f, trace = zero_at(ZeroAtRequest(t, args.zero_at, desired))
     elif args.method == "lemma1":
         f, trace = lemma1_label(t)
     elif args.method == "theorem2":
-        f, trace = compose_theorem2(t, t.q, 0)
+        f, trace = compose_theorem2(t)
     else:
         f, trace = zero_at(ZeroAtRequest(t, 0, 0))
     if not is_graceful(t, f):

@@ -8,8 +8,12 @@ Three constructions are implemented:
   on three-level trees;
 * a composition that splits off the last root branch as a broom,
   labels the broom with extreme values and the remaining subtree with
-  a shifted or reflected copy of the direct formula, and thereby puts
-  0 (or the top label) on one of the two deepest levels.
+  a shifted or reflected copy of the direct formula, putting 0 on a
+  deepest leaf and n-1 one level up.
+
+``zero_at`` places 0 or n-1 on a chosen vertex: it picks the direct
+formula or the composition as the base by the vertex's level, and it
+alone decides whether to complement the base, which swaps 0 and n-1.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: a list of replayable steps with recorded label
@@ -169,19 +173,16 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     return labels
 
 
-def compose_theorem2(
-    t: RootedSymmetricTree, target_level: int, desired: int
-) -> tuple[Labelling, ConstructionTrace]:
-    """Graceful labelling with ``desired`` (0 or n-1) on one of the two
-    deepest levels.
+def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
+    """Graceful labelling with 0 on a deepest leaf and n-1 on that leaf's
+    neighbour one level up.
 
     Works when the last root branch is a broom: either the tree has
     exactly three levels, or every intermediate daughter degree is 1.
     The branch is labelled with the extreme values, the rest of the tree
     with the direct formula shifted (odd level count) or reflected (even
-    level count) onto the remaining middle values.  The base result has
-    0 on a deepest leaf and n-1 on that leaf's neighbour one level up;
-    complementing swaps the two, which covers all four cases.
+    level count) onto the remaining middle values.  ``zero_at``
+    complements the result when it needs the two extremes swapped.
     """
     q = t.q
     n = t.n
@@ -190,10 +191,6 @@ def compose_theorem2(
             UnsupportedConstruction.WRONG_LEVELS,
             f"branch composition needs at least 3 levels, tree has {q}",
         )
-    if target_level not in (q - 1, q):
-        raise ValueError(f"target level must be {q - 1} or {q}, got {target_level}")
-    if desired not in (0, n - 1):
-        raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
     degrees = t.degrees
     if q >= 4 and any(k != 1 for k in degrees[1:-1]):
         raise UnsupportedConstruction(
@@ -202,7 +199,7 @@ def compose_theorem2(
         )
 
     state: dict = {}
-    steps = [
+    steps = (
         _do(t, state, "decompose"),
         _do(t, state, "broom", leaf_count=degrees[-1], spine_length=q - 1, n=n),
         _do(t, state, "subtree"),
@@ -211,22 +208,12 @@ def compose_theorem2(
         if q % 2 == 1
         else _do(t, state, "reflect", pivot=n - q // 2),
         _do(t, state, "merge"),
-    ]
-    if not is_graceful(t, state["labelling"]):
-        raise RuntimeError("composed labelling is not graceful; this is a bug")
-
-    flip = (target_level == q - 1 and desired == 0) or (
-        target_level == q and desired == n - 1
     )
-    if flip:
-        steps.append(_do(t, state, "complement"))
-
     f = state["labelling"]
-    holder = f.vertex_with_label(desired)
-    if t.level_of_index(holder) != target_level:
-        raise RuntimeError("desired label landed on the wrong level; this is a bug")
+    if not is_graceful(t, f):
+        raise RuntimeError("composed labelling is not graceful; this is a bug")
     method = METHOD_THEOREM2_ODD if q % 2 == 1 else METHOD_THEOREM2_EVEN
-    return f, ConstructionTrace(method, tuple(steps))
+    return f, ConstructionTrace(method, steps)
 
 
 TargetLike = Union[int, Sequence[int]]
@@ -256,11 +243,12 @@ def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:
 def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     """Constructive placement of an extreme label at a target vertex.
 
-    Dispatches on the target's level: the root and the second level are
-    served by the direct formula and its complement, the two deepest
-    levels by the broom composition, anything else raises
-    UnsupportedConstruction(NoConstruction).  The result is moved onto
-    the exact target vertex by a tree automorphism when needed.
+    The base is the direct formula (0 on level 1, n-1 on level 2) for
+    the two top levels and the broom composition (0 on level q, n-1 on
+    level q-1) for the two deepest; any other level raises
+    UnsupportedConstruction(NoConstruction).  The base is complemented
+    when it puts the other extreme on the target's level, and the result
+    is moved onto the target vertex by a tree automorphism when needed.
     """
     t = req.tree
     n = t.n
@@ -271,32 +259,29 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     if desired not in (0, n - 1):
         raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
 
+    state: dict = {}
     if level <= 2:
-        state: dict = {}
+        zero_level = 1
         steps = [_do(t, state, "theorem1")]
-        flip = (level == 1 and desired == n - 1 and n > 1) or (
-            level == 2 and desired == 0
-        )
-        if flip:
-            steps.append(_do(t, state, "complement"))
-        if q <= 2:
-            method = METHOD_STAR
-        elif flip:
-            method = METHOD_COMPLEMENT
-        else:
-            method = METHOD_THEOREM1
+        method = METHOD_STAR if q <= 2 else METHOD_THEOREM1
     elif level in (q - 1, q):
-        f, base_trace = compose_theorem2(t, level, desired)
-        state = {"labelling": f}
-        method = base_trace.method
-        steps = list(base_trace.steps)
+        zero_level = q
+        state["labelling"], base = compose_theorem2(t)
+        steps = list(base.steps)
+        method = base.method
     else:
         raise UnsupportedConstruction(
             UnsupportedConstruction.NO_CONSTRUCTION,
             f"no constructive placement for level {level} of a {q}-level tree",
         )
+    if (desired == 0) != (level == zero_level):
+        steps.append(_do(t, state, "complement"))
+        if method == METHOD_THEOREM1:
+            method = METHOD_COMPLEMENT
 
     holder = state["labelling"].vertex_with_label(desired)
+    if t.level_of_index(holder) != level:
+        raise RuntimeError("desired label landed on the wrong level; this is a bug")
     if holder != target:
         perm = automorphism_mapping(t, holder, target)
         steps.append(_do(t, state, "relabel_vertices", perm=perm))

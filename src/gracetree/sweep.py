@@ -33,6 +33,14 @@ FAMILY_BANANA = "symmetric_banana"
 FAMILY_Q3 = "q3"
 FAMILIES = (FAMILY_RST_ALL, FAMILY_SPIDER, FAMILY_BANANA, FAMILY_Q3)
 
+# The parameters each family reads, each mapped to whether it is required.
+_FAMILY_PARAMS = {
+    FAMILY_RST_ALL: {"nmax": True},
+    FAMILY_SPIDER: {"nmax": False, "legs": True, "branches": True},
+    FAMILY_BANANA: {"nmax": False, "branches": True},
+    FAMILY_Q3: {"nmax": False},
+}
+
 SWEEP_SCHEMA = "gracetree.sweep/1"
 SWEEP_COLUMNS = (
     "schema",
@@ -86,6 +94,14 @@ class SweepSpec(_Frozen):
             branches = _as_ints(branches, "branch count")
             if len(branches) != 2 or not 1 <= branches[0] <= branches[1]:
                 raise ValueError(f"bad branch range {branches}")
+        reads = _FAMILY_PARAMS[family]
+        for name, value in (("nmax", nmax), ("legs", legs), ("branches", branches)):
+            if value is None and reads.get(name):
+                raise ValueError(f"family {family} needs {name}")
+            if value is not None and name not in reads:
+                raise ValueError(f"family {family} does not take {name}")
+        if legs is not None and legs < 1:
+            raise ValueError("leg length must be positive")
         # Every tree's search checks the budgets too, but a bad one should
         # fail here, not at the first tree (in a worker under --jobs).
         SearchConstraints(node_budget=node_budget, time_budget=time_budget).validate(0)
@@ -121,23 +137,15 @@ def _all_sequences(nmax: int) -> list[tuple[int, ...]]:
 def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
     """Daughter degree sequences of the requested family, in a stable order."""
     if spec.family == FAMILY_RST_ALL:
-        if spec.nmax is None:
-            raise ValueError("rst_all needs nmax")
         if spec.nmax < 2:
             return []
         return _all_sequences(spec.nmax)
 
     if spec.family == FAMILY_SPIDER:
-        if spec.legs is None or spec.branches is None:
-            raise ValueError("symmetric_spider needs legs and a branch range")
-        if spec.legs < 1:
-            raise ValueError("leg length must be positive")
         lo, hi = spec.branches
         seqs = [(k,) + (1,) * (spec.legs - 1) for k in range(lo, hi + 1)]
 
     elif spec.family == FAMILY_BANANA:
-        if spec.branches is None:
-            raise ValueError("symmetric_banana needs a branch range")
         lo, hi = spec.branches
         seqs = [
             (a, 1, b)

@@ -91,7 +91,7 @@ def test_criterion_2_transposition_tweak_golden(capsys):
 def test_criterion_3_branch_merge_composition_golden(capsys):
     with criterion(capsys, 3, "branch-merge composition golden"):
         t = build((3, 4))
-        f, _ = compose_theorem2(t, target_level=3, desired=0)
+        f, _ = compose_theorem2(t)
         g = to_general(t)
         assert is_graceful(g, f.labels)
         assert t.level_of_index(f.labels.index(0)) == 3

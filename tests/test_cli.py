@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -58,6 +60,22 @@ def test_label_theorem2_explain_golden(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # the composition, its complement, then the automorphism
+        (["--rst", "3,1,2", "--zero-at", "12", "--desired", "top"], "3-1-2_zero_at_12_top"),
+        # the direct formula, its complement, then the automorphism
+        (["--rst", "2,3", "--zero-at", "2"], "2-3_zero_at_2"),
+    ],
+)
+def test_label_complement_explain_goldens(capsys, argv, name):
+    code, out, _ = run(capsys, "label", *argv, "--explain")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"label_rst_{name}_explain.json"
+    assert out == golden.read_text()
+
+
 def test_label_zero_at(capsys):
     code, out, _ = run(capsys, "label", "--rst", "2,1,1", "--zero-at", "6")
     assert code == 0
@@ -84,6 +102,53 @@ def test_label_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "label", "--tree", str(gen))
     assert code == 1
     assert "rooted symmetric" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--desired", "top"], "--desired only applies with --zero-at"),
+        (["--method", "lemma1", "--zero-at", "3"], "--zero-at chooses the construction"),
+    ],
+    ids=["desired-without-zero-at", "method-with-zero-at"],
+)
+def test_label_refuses_flags_that_cannot_act(capsys, argv, message):
+    code, out, err = run(capsys, "label", "--rst", "2,2", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rst_all", "--nmax", "5", "--legs", "4"], "family rst_all does not take legs"),
+        (["q3", "--nmax", "5", "--branches", "2"], "family q3 does not take branches"),
+        (["symmetric_banana", "--branches", "3.."], "cannot parse --branches '3..'"),
+        (["symmetric_banana", "--branches", "x"], "cannot parse --branches 'x'"),
+    ],
+)
+def test_sweep_refuses_flags_it_cannot_use(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", "--family", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # Every `gracetree ...` line of the README's CLI block must run as
+    # written; f.json, which `verify` reads, is made first.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("gracetree ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    assert main(["label", "--rst", "3,4", "--out", "f.json"]) == 0
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -134,7 +134,7 @@ def test_broom_label_validation():
 
 def test_compose_golden_three_levels():
     t = build((3, 4))
-    f, trace = compose_theorem2(t, 3, 0)
+    f, trace = compose_theorem2(t)
     g = to_general(t)
     assert is_graceful(g, f)
     assert trace.method == METHOD_THEOREM2_ODD
@@ -150,7 +150,7 @@ def test_compose_golden_three_levels():
 
 def test_compose_golden_even_levels():
     t = build((3, 1, 1))
-    f, trace = compose_theorem2(t, 4, 0)
+    f, trace = compose_theorem2(t)
     assert trace.method == METHOD_THEOREM2_EVEN
     assert f.labels == (8, 2, 5, 1, 7, 4, 9, 3, 6, 0)
 
@@ -161,25 +161,21 @@ def test_compose_covers_both_deep_levels(seq, data):
     t = build(seq)
     g = to_general(t)
     level = data.draw(st.sampled_from((t.q - 1, t.q)))
+    target = data.draw(st.sampled_from(t.vertices_at_level(level)))
     desired = data.draw(st.sampled_from((0, t.n - 1)))
-    f, trace = compose_theorem2(t, level, desired)
+    f, trace = zero_at(ZeroAtRequest(t, target, desired))
     assert is_graceful(g, f)
-    assert t.level_of_index(f.vertex_with_label(desired)) == level
+    assert f[target] == desired
     assert replay_trace(t, trace).labels == f.labels
 
 
 def test_compose_rejections():
     with pytest.raises(UnsupportedConstruction) as exc:
-        compose_theorem2(build((2, 3, 4)), 3, 0)
+        compose_theorem2(build((2, 3, 4)))
     assert exc.value.reason == UnsupportedConstruction.NOT_BROOM
     with pytest.raises(UnsupportedConstruction) as exc:
-        compose_theorem2(build((4,)), 2, 0)
+        compose_theorem2(build((4,)))
     assert exc.value.reason == UnsupportedConstruction.WRONG_LEVELS
-    t = build((2, 2))
-    with pytest.raises(ValueError):
-        compose_theorem2(t, 1, 0)
-    with pytest.raises(ValueError):
-        compose_theorem2(t, 3, 5)
 
 
 def test_zero_at_dispatch_methods():
@@ -284,7 +280,7 @@ def test_zero_at_postconditions(seq, data):
 
 def test_replay_rejects_tampering():
     t = build((3, 1, 1))
-    f, trace = compose_theorem2(t, 4, 0)
+    f, trace = compose_theorem2(t)
     steps = [dict(s) for s in trace.steps]
     steps[-1] = dict(steps[-1])
     bad = list(steps[-1]["labels"])
@@ -306,7 +302,7 @@ def test_replay_rejects_tampering():
     steps[i]["leaf_count"] = 2.5
     with pytest.raises(ValueError, match="broom leaf_count 2.5 is not an integer"):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
-    _, shifted = compose_theorem2(build((2, 2)), 3, 0)
+    _, shifted = compose_theorem2(build((2, 2)))
     steps = [dict(s) for s in shifted.steps]
     (i,) = [i for i, s in enumerate(steps) if s["op"] == "shift"]
     steps[i]["amount"] = 2.5

@@ -627,7 +627,9 @@ RECORDS = {
         lambda: SearchConstraints([(1, 0), (0, 3)], 7, 2.5),
         "pins",
     ),
-    "SweepSpec": (lambda: SweepSpec("q3", nmax=20, branches=(1, 3)), None, "nmax"),
+    "SweepSpec": (
+        lambda: SweepSpec("symmetric_spider", nmax=20, legs=2, branches=(1, 3)), None, "nmax"
+    ),
     "SearchOutcome": (lambda: SearchOutcome("found", Labelling((0, 1)), 3, 0.5), None, "nodes"),
     "OrbitVerdict": (_verdict, None, "verdict"),
     "RotatabilityReport": (

@@ -73,14 +73,36 @@ def test_enumerate_family_goldens():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("mystery_family")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad branch range"):
         SweepSpec("q3", branches=(3, 2))
-    with pytest.raises(ValueError):
-        enumerate_family(SweepSpec("rst_all"))
-    with pytest.raises(ValueError):
-        enumerate_family(SweepSpec("symmetric_spider", legs=2))
-    with pytest.raises(ValueError):
-        enumerate_family(SweepSpec("symmetric_banana"))
+    with pytest.raises(ValueError, match="bad branch range"):
+        SweepSpec("symmetric_banana", branches=(3, 2))
+    with pytest.raises(ValueError, match="family rst_all needs nmax"):
+        SweepSpec("rst_all")
+    with pytest.raises(ValueError, match="family symmetric_spider needs branches"):
+        SweepSpec("symmetric_spider", legs=2)
+    with pytest.raises(ValueError, match="family symmetric_spider needs legs"):
+        SweepSpec("symmetric_spider", branches=(1, 2))
+    with pytest.raises(ValueError, match="family symmetric_banana needs branches"):
+        SweepSpec("symmetric_banana")
+    with pytest.raises(ValueError, match="leg length must be positive"):
+        SweepSpec("symmetric_spider", legs=0, branches=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "family, kwargs, extra",
+    [
+        ("rst_all", {"nmax": 12, "legs": 4}, "legs"),
+        ("rst_all", {"nmax": 12, "branches": (1, 2)}, "branches"),
+        ("q3", {"legs": 4}, "legs"),
+        ("q3", {"branches": (1, 2)}, "branches"),
+        ("symmetric_banana", {"legs": 4, "branches": (1, 2)}, "legs"),
+    ],
+)
+def test_spec_refuses_parameters_its_family_does_not_read(family, kwargs, extra):
+    # Refused, not silently ignored: the sweep would not be the one asked for.
+    with pytest.raises(ValueError, match=f"family {family} does not take {extra}"):
+        SweepSpec(family, **kwargs)
 
 
 def test_spec_rejects_non_integer_parameters():
