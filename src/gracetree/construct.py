@@ -71,6 +71,12 @@ class ConstructionTrace(NamedTuple):
         return {"method": self.method, "steps": list(self.steps)}
 
 
+def _rooted(t: Tree, who: str) -> RootedSymmetricTree:
+    if not isinstance(t, RootedSymmetricTree):
+        raise ValueError(f"{who} needs a rooted symmetric tree, not {type(t).__name__}")
+    return t
+
+
 def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     """Graceful labelling straight from vertex addresses.
 
@@ -84,7 +90,7 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     A child's sum is its parent's plus x_{r-1} h_r, so the labels are
     built one level at a time, without decoding any address.
     """
-    hs = t.level_numbers
+    hs = _rooted(t, "theorem1_label").level_numbers
     top = t.degrees[0] * hs[1] if t.q > 1 else 0
     labels = [0]
     sums = [0]
@@ -106,7 +112,7 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
     i*h_2 + k_2 for each i < k_1.  Applied to the direct labelling it
     stays graceful and sends 0 to the leaf at address (0, k_2 - 1).
     """
-    if t.q != 3:
+    if _rooted(t, "lemma1_product").q != 3:
         raise UnsupportedConstruction(
             UnsupportedConstruction.WRONG_LEVELS,
             f"the swap product needs exactly 3 levels, tree has {t.q}",
@@ -119,6 +125,7 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
 
 def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     """Label a three-level tree gracefully with 0 at a deepest leaf."""
+    _rooted(t, "lemma1_label")
     state: dict = {}
     steps = (
         _do(t, state, "theorem1"),
@@ -184,7 +191,7 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
     level count) onto the remaining middle values.  ``zero_at``
     complements the result when it needs the two extremes swapped.
     """
-    q = t.q
+    q = _rooted(t, "compose_theorem2").q
     n = t.n
     if q < 3:
         raise UnsupportedConstruction(
@@ -250,7 +257,7 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     when it puts the other extreme on the target's level, and the result
     is moved onto the target vertex by a tree automorphism when needed.
     """
-    t = req.tree
+    t = _rooted(req.tree, "zero_at")
     n = t.n
     q = t.q
     target = _coerce_target(t, req.target)
@@ -292,12 +299,6 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     return f, ConstructionTrace(method, tuple(steps))
 
 
-def _rooted(t: Tree) -> RootedSymmetricTree:
-    if not isinstance(t, RootedSymmetricTree):
-        raise ValueError("trace needs a rooted symmetric tree to replay")
-    return t
-
-
 def _do(t: Tree, state: dict, op: str, **params) -> dict:
     """Run one trace op and return its step in the ``--explain`` shape.
 
@@ -308,7 +309,7 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
     """
     step: dict = {"op": op}
     if op == "theorem1":
-        out = state["labelling"] = theorem1_label(_rooted(t))
+        out = state["labelling"] = theorem1_label(t)
     elif op == "apply_permutation":
         prod = TranspositionProduct(params["swaps"])
         step["swaps"] = [list(s) for s in prod.swaps]
@@ -320,7 +321,7 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
         step["perm"] = list(perm)
         out = state["labelling"] = relabel_vertices(state["labelling"], perm)
     elif op == "decompose":
-        dec = state["decomposition"] = decompose(_rooted(t))
+        dec = state["decomposition"] = decompose(_rooted(t, "decompose"))
         step["h_degrees"] = list(dec.subtree_h.degrees)
         step["p_map"] = list(dec.p_map)
         step["h_map"] = list(dec.h_map)

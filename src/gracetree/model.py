@@ -532,48 +532,28 @@ def _centre(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(layer)
 
 
-def _level_codes(t: RootedSymmetricTree) -> list[int]:
-    """Interned code of the tree rerooted at any vertex of each level.
-
-    All vertices of a level are alike, so three codes per level suffice:
-    ``down`` for the subtree below a vertex, ``up`` for the rest of the
-    tree seen from it through its parent, and the full code joining
-    both.  Child multisets are interned as sorted (code, count) pairs,
-    so the work is O(q) however wide the levels are.
-    """
-    ks = t.degrees
-    q = t.q
-    ids: dict = {}
-
-    def code(*parts: tuple[int, int]) -> int:
-        counts: dict[int, int] = {}
-        for c, m in parts:
-            if m:
-                counts[c] = counts.get(c, 0) + m
-        return _intern(ids, tuple(sorted(counts.items())))
-
-    down = [0] * q
-    down[q - 1] = code()
-    for i in range(q - 2, -1, -1):
-        down[i] = code((down[i + 1], ks[i]))
-    full = [down[0]]
-    up: list[tuple[int, int]] = []
-    for i in range(1, q):
-        up = [(code((down[i], ks[i - 1] - 1), *up), 1)]
-        below = [(down[i + 1], ks[i])] if i < q - 1 else []
-        full.append(code(*below, *up))
-    return full
-
-
 def vertex_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits under the automorphism group, in linear time.
 
     Each orbit is sorted ascending, and the orbits come in the order of
     their smallest vertices.
 
-    In a rooted symmetric tree every orbit is a union of levels: those
-    whose rerootings have equal codes (``_level_codes``), so the orbits
-    come from the degree sequence alone.
+    In a rooted symmetric tree with degrees ``ks`` and ``q`` levels the
+    orbits come from the degree sequence alone.  Each level is an
+    orbit, except when q > 1 and every k_i is 1 apart from, for odd q,
+    the middle entry ``ks[(q-1)//2]``: a path, or a symmetric spider
+    rooted at the end of a leg.  Then level r and level q+1-r form one
+    orbit, and the middle level of an odd q stands alone.
+
+    Proof: every automorphism of a tree fixes its centre, a vertex or
+    an edge (Jordan, 1869).  If k_1 >= 2, the centre is the root, so
+    every level is kept.  If k_1 = 1 and the tree is not a path, let j
+    be the first level with k_j >= 2 and v its vertex.  The centre is
+    on the leg from the root to v.  Above v it parts a bare path from a
+    side holding v, which no automorphism swaps, so the root and every
+    level are kept.  At v an automorphism may swap the leg above v with
+    a branch below it; the two are alike only when every k after k_j is
+    1 and q = 2j-1.
 
     In any other tree, every automorphism fixes the centre, or maps the
     central edge onto itself.  So the tree is coded once from the
@@ -582,10 +562,15 @@ def vertex_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     vertices share an orbit exactly when their ids are equal.
     """
     if isinstance(t, RootedSymmetricTree):
-        levels: dict[int, list[range]] = {}
-        for r, c in enumerate(_level_codes(t), start=1):
-            levels.setdefault(c, []).append(t.vertices_at_level(r))
-        return tuple(tuple(chain.from_iterable(rs)) for rs in levels.values())
+        ks, q, off = t.degrees, t.q, t.level_offsets
+        levels = [range(off[r], off[r + 1]) for r in range(q)]
+        mid = (q - 1) // 2
+        if any(k != 1 for k in ks[:mid] + ks[mid + q % 2 :]):
+            return tuple(map(tuple, levels))
+        return tuple(
+            tuple(levels[r]) + tuple(levels[q - 1 - r]) if 2 * r < q - 1 else tuple(levels[r])
+            for r in range(mid + 1)
+        )
     adj = t.adjacency
     centre = _centre(adj)
     ids: dict = {}

@@ -77,6 +77,7 @@ from .model import (
     Tree,
     UnsupportedConstruction,
     _Frozen,
+    _as_tuple,
     _is_int,
     automorphism_mapping,
     vertex_orbits,
@@ -107,11 +108,16 @@ PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
-    items = value.items() if isinstance(value, Mapping) else value
-    pairs = tuple((a, b) for a, b in items)
-    for a, b in pairs:
+    items = value.items() if isinstance(value, Mapping) else _as_tuple(value, "pins")
+    pairs = []
+    for pin in items:
+        try:
+            a, b = pin
+        except (TypeError, ValueError):
+            raise ValueError(f"pin {pin!r} is not a (vertex, label) pair") from None
         if not (_is_int(a) and _is_int(b)):
             raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
+        pairs.append((a, b))
     return tuple(sorted(pairs))
 
 

@@ -254,6 +254,24 @@ def test_zero_at_validation():
         zero_at(ZeroAtRequest(t, (0.5,), 0))
 
 
+def test_constructions_name_a_general_tree_they_cannot_label():
+    # Each construction reads the degree sequence, which a GeneralTree
+    # lacks; it is refused by name, not by an AttributeError.
+    g = to_general(build((2, 2)))
+    calls = [
+        ("theorem1_label", lambda: theorem1_label(g)),
+        ("lemma1_product", lambda: lemma1_product(g)),
+        ("lemma1_label", lambda: lemma1_label(g)),
+        ("compose_theorem2", lambda: compose_theorem2(g)),
+        ("zero_at", lambda: zero_at(ZeroAtRequest(g, 0, 0))),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} needs a rooted symmetric tree, not GeneralTree$"):
+            call()
+    with pytest.raises(ValueError, match="trace step 0 does not replay: theorem1_label needs"):
+        replay_trace(g, ConstructionTrace("theorem1", ({"op": "theorem1"},)))
+
+
 @given(sequences, st.data())
 @settings(max_examples=150)
 def test_zero_at_postconditions(seq, data):

@@ -38,14 +38,36 @@ def test_readme_library_example_runs_on_the_exported_names():
     assert [name for name in gracetree.__all__ if name not in mentioned] == []
 
 
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name)
+    return names
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # No linter runs on this tree, so this stands in for F401.  A name
     # kept only as a lookup site for perfbench carries "# noqa: F401".
+    # A module-level private function or class must also be read by some
+    # statement of the package other than its own definition.
     unused = []
+    private = []
+    read_by: dict[str, set[int]] = {}
     for path in sorted(Path(gracetree.__file__).parent.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
+        for stmt in tree.body:
+            for name in _names_read(stmt):
+                read_by.setdefault(name, set()).add(id(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                private.append((f"{path.name}:{stmt.lineno} {stmt.name}", stmt))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if path.name == "__init__.py":
             used.update(gracetree.__all__)
@@ -60,6 +82,7 @@ def test_no_module_imports_a_name_it_never_uses():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
+    unused += [where for where, stmt in private if not read_by.get(stmt.name, set()) - {id(stmt)}]
     assert unused == []
 
 

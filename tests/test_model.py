@@ -306,7 +306,12 @@ def test_build_leaves_edges_unmaterialised():
 def test_orbits_and_transport_leave_adjacency_unmaterialised():
     wide = build((2000, 3))
     assert len(vertex_orbits(wide)) == 3
-    assert "adjacency" not in vars(wide)
+    assert "edges" not in vars(wide) and "adjacency" not in vars(wide)
+    # Orbits come from the degree sequence also where two levels share one.
+    for seq in ((1, 1, 3, 1), path_sequence(9), (0,)):
+        t = build(seq)
+        vertex_orbits(t)
+        assert "edges" not in vars(t) and "adjacency" not in vars(t), seq
     t = build((300, 300))
     f, trace = zero_at(ZeroAtRequest(t, 1500, 0))
     assert f[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
@@ -533,10 +538,29 @@ def test_rst_orbits_match_general_route():
     # works from the degree sequence alone.
     seqs = enumerate_family(SweepSpec("rst_all", nmax=40))
     seqs += enumerate_family(SweepSpec("q3", nmax=200))
+    for legs in range(1, 7):
+        seqs += enumerate_family(SweepSpec("symmetric_spider", legs=legs, branches=(1, 8)))
     for seq in seqs:
         t = build(seq)
         assert vertex_orbits(t) == vertex_orbits(to_general(t)), seq
     assert vertex_orbits(build((0,))) == ((0,),)
+
+
+def test_rst_levels_share_an_orbit_only_in_paths_and_leg_rooted_spiders():
+    # The rule vertex_orbits applies to rooted symmetric trees, checked on
+    # the AHU route alone: every level lies inside one orbit, so there are
+    # fewer orbits than levels exactly when two levels share one.  That
+    # happens when every entry is 1 except, for odd q, the middle one.
+    seqs = enumerate_family(SweepSpec("rst_all", nmax=40))
+    for legs in range(1, 7):
+        seqs += enumerate_family(SweepSpec("symmetric_spider", legs=legs, branches=(1, 8)))
+        # The same spiders with one more leg, rooted at the end of a leg.
+        seqs += [(1,) * legs + (b,) + (1,) * (legs - 1) for b in range(1, 9)]
+    seqs += [path_sequence(n) for n in range(2, 61)]
+    for seq in seqs:
+        q = len(seq) + 1
+        rest = [k for i, k in enumerate(seq) if not (q % 2 == 1 and i == (q - 1) // 2)]
+        assert (len(vertex_orbits(to_general(build(seq)))) < q) == all(k == 1 for k in rest), seq
 
 
 def test_rst_level_mapping_matches_general_route():
@@ -559,9 +583,20 @@ def test_rst_level_mapping_matches_general_route():
                 assert automorphism_mapping(t, a, b) == automorphism_mapping(g, a, b), (seq, a, b)
 
 
-@pytest.mark.parametrize("seq, src, dst", [((1, 3), 0, 2), ((1, 3), 4, 0), ((1, 1, 1, 1), 0, 4)])
+@pytest.mark.parametrize(
+    "seq, src, dst",
+    [
+        ((1, 3), 0, 2),
+        ((1, 3), 4, 0),
+        ((1, 1, 1, 1), 0, 4),
+        ((1, 1, 3, 1), 0, 7),
+        ((1, 1, 3, 1), 4, 1),
+    ],
+)
 def test_rst_cross_level_pairs_still_map(seq, src, dst):
-    # Only a root with one child has a twin on another level.
+    # Only a path, or a symmetric spider rooted at the end of a leg, has
+    # twins on two levels: level r and level q+1-r.  (1, 1, 3, 1) maps
+    # level 1 to 5 and level 4 to 2.
     t = build(seq)
     perm = automorphism_mapping(t, src, dst)
     assert perm[src] == dst

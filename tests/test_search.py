@@ -53,6 +53,15 @@ def test_constraints_validation():
         SearchConstraints(pins={2.0: 1})
 
 
+def test_constraints_name_pins_that_are_not_pairs():
+    with pytest.raises(ValueError, match="^pins None is not iterable$"):
+        SearchConstraints(pins=None)
+    with pytest.raises(ValueError, match=r"^pin 3 is not a \(vertex, label\) pair$"):
+        SearchConstraints(pins=[(1, 0), 3])
+    with pytest.raises(ValueError, match=r"^pin \(1, 0, 2\) is not a \(vertex, label\) pair$"):
+        SearchConstraints(pins=[(1, 0, 2)])
+
+
 def test_find_graceful_basics():
     out = find_graceful(build((2, 2)))
     assert out.status == "found"
