@@ -12,11 +12,15 @@ through ``_trusted`` without checking it a second time; each still
 checks what its caller passes, and refuses anything but a
 ``Labelling``.  ``is_graceful`` checks a raw label sequence for being a
 permutation and trusts a ``Labelling``; the edge differences it checks
-in full either way.
+in full either way.  Gracefulness is proven once, where a labelling is
+handed out: ``zero_at``, ``replay_trace``, the CLI's ``label`` command
+and the search's ``_witness``.  The transforms map whole label tuples.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .model import Tree, _Frozen, _as_int, _as_ints, _as_tuple
@@ -134,20 +138,20 @@ def graceful_defect(t: Tree, labels: LabelsLike) -> str | None:
 def complement(f: Labelling) -> Labelling:
     """Replace each label b with n-1-b.  Preserves gracefulness."""
     top = _labelling(f).n - 1
-    return _trusted(tuple(top - b for b in f.labels))
+    return _trusted(tuple(map(sub, repeat(top), f.labels)))
 
 
 def shift(labels: LabelsLike, amount: int) -> tuple[int, ...]:
     """Add a constant to every label.  The result is a raw tuple since
     it generally leaves the 0..n-1 range."""
     amount = _as_int(amount, "shift amount")
-    return tuple(b + amount for b in _raw(labels))
+    return tuple(map(add, _raw(labels), repeat(amount)))
 
 
 def reflect(labels: LabelsLike, pivot: int) -> tuple[int, ...]:
     """Replace each label b with pivot - b.  Raw tuple out, as with shift."""
     pivot = _as_int(pivot, "reflect pivot")
-    return tuple(pivot - b for b in _raw(labels))
+    return tuple(map(sub, repeat(pivot), _raw(labels)))
 
 
 class TranspositionProduct(_Frozen):
@@ -191,7 +195,7 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     if not _is_permutation(vertex_perm, n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
     out = [0] * n
-    for old, new in enumerate(vertex_perm):
-        out[new] = f.labels[old]
+    for new, b in zip(vertex_perm, f.labels):
+        out[new] = b
     return _trusted(tuple(out))
 

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from itertools import chain, repeat
-from operator import index, itemgetter
+from operator import add, index, itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
@@ -600,7 +600,8 @@ def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...
     children.  Pairing those in (code, index) order on both sides sends
     each ancestor of ``src`` to the ancestor of ``dst`` on its level, the
     off-path children of an ancestor in order onto the off-path children
-    of its image, and the children of any other vertex by index.
+    of its image, and the children of any other vertex by index: one
+    slice assignment per level, then the ancestors' children reordered.
     """
     ks = t.degrees
     off = t.level_offsets
@@ -617,10 +618,13 @@ def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...
     for i in range(t.q - 1):
         k = ks[i]
         lo, nlo = off[i], off[i + 1]
-        for x in range(nlo - lo):
-            first = nlo + k * (perm[lo + x] - lo)
-            c = nlo + k * x
-            perm[c : c + k] = range(first, first + k)
+        # The children of vertex p on this level start at nlo + k (p - lo).
+        if k == 1:
+            perm[nlo : off[i + 2]] = map(add, perm[lo:nlo], repeat(nlo - lo))
+        else:
+            firsts = [k * p + nlo - k * lo for p in perm[lo:nlo]]
+            ends = map(add, firsts, repeat(k))
+            perm[nlo : off[i + 2]] = chain.from_iterable(map(range, firsts, ends))
         if i + 1 < r:
             xs, xd = path_s[i], path_d[i]
             kids = list(range(nlo + k * xd, nlo + k * xd + k))

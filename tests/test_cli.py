@@ -14,6 +14,8 @@ import pytest
 
 import gracetree
 from gracetree.cli import main
+from gracetree.construct import ConstructionTrace
+from gracetree.labelling import Labelling
 
 
 def run(capsys, *argv):
@@ -102,6 +104,18 @@ def test_label_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "label", "--tree", str(gen))
     assert code == 1
     assert "rooted symmetric" in err
+
+
+@pytest.mark.parametrize("name, method", [("compose_theorem2", "theorem2"), ("lemma1_label", "lemma1")])
+def test_label_method_is_verified_by_the_cli(capsys, monkeypatch, name, method):
+    # The constructions prove their labelling a permutation only; the
+    # CLI's own check is what stands behind --method.
+    bad = Labelling(range(7))  # index order: differences 1, 2, 2, 3, 3, 4 on (2,2)
+    monkeypatch.setattr(f"gracetree.cli.{name}", lambda t: (bad, ConstructionTrace(method, ())))
+    code, out, err = run(capsys, "label", "--rst", "2,2", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "produced labelling failed verification" in err
 
 
 @pytest.mark.parametrize(

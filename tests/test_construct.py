@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from gracetree import (
     theorem1_label,
     zero_at,
 )
+import gracetree.construct
 from gracetree.construct import (
     METHOD_COMPLEMENT,
     METHOD_STAR,
@@ -378,3 +380,51 @@ def test_golden_trace_replays_from_its_json():
     assert ops == ["decompose", "broom", "subtree", "reflect", "merge", "relabel_vertices"]
     t = build(doc["tree"]["degrees"])
     assert list(replay_trace(t, trace).labels) == doc["labels"]
+
+
+def test_zero_at_is_pinned_byte_for_byte():
+    # Labels and trace of every constructible request, and the reason of
+    # every refusal, over each vertex and both extreme labels of every
+    # rst_all tree up to n = 30.  The digest was taken from the
+    # generator-per-vertex formulas the level-wise bulk ones replaced.
+    h = hashlib.sha256()
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        for v in range(t.n):
+            for desired in (0, t.n - 1):
+                try:
+                    f, trace = zero_at(ZeroAtRequest(t, v, desired))
+                except UnsupportedConstruction as exc:
+                    out = [seq, v, desired, exc.reason]
+                else:
+                    out = [seq, v, desired, f.labels, trace.to_dict()]
+                h.update(json.dumps(out).encode())
+    assert h.hexdigest() == "59f76793432faf3b66d4b353a275710369b66d452aca710eddbda6695fb0ebd7"
+
+
+@pytest.mark.parametrize(
+    "seq, target, top, method",
+    [
+        ((4,), 2, False, METHOD_STAR),
+        ((2, 1, 1), 1, True, METHOD_THEOREM1),
+        ((2, 1, 1), 0, True, METHOD_COMPLEMENT),
+        ((2, 2), 5, False, METHOD_THEOREM2_ODD),
+        ((2, 1, 1), 5, True, METHOD_THEOREM2_EVEN),
+    ],
+)
+def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, top, method):
+    # The constructions prove their output a permutation only; zero_at's
+    # postcondition is the one graceful check on the way out.
+    calls = []
+    check = gracetree.construct.is_graceful
+
+    def counted(t, f):
+        calls.append(f)
+        return check(t, f)
+
+    monkeypatch.setattr(gracetree.construct, "is_graceful", counted)
+    t = build(seq)
+    desired = t.n - 1 if top else 0
+    f, trace = zero_at(ZeroAtRequest(t, target, desired))
+    assert (trace.method, f[target]) == (method, desired)
+    assert calls == [f]

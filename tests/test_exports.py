@@ -113,3 +113,18 @@ def test_only_the_label_bijections_skip_the_labelling_check():
         if isinstance(node, ast.Name) and node.id == "_trusted"
     }
     assert callers == {"complement", "apply_permutation", "relabel_vertices"}
+
+
+def test_only_zero_at_and_replay_prove_a_construction_graceful():
+    # The constructions prove their labelling a permutation only; the
+    # graceful check runs once, where a labelling leaves construct.py.
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "src/gracetree/construct.py").read_text())
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "is_graceful"
+    }
+    assert callers == {"zero_at", "replay_trace"}
