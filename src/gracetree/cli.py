@@ -24,7 +24,6 @@ from .labelling import graceful_defect, is_graceful
 from .model import (
     RootedSymmetricTree,
     Tree,
-    UnsupportedConstruction,
     _is_int,
     build,
     path_sequence,
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         return 130
-    except (OSError, ValueError, KeyError, UnsupportedConstruction) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -204,7 +204,7 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
             f"branch composition needs at least 3 levels, tree has {q}",
         )
     degrees = t.degrees
-    if q >= 4 and any(k != 1 for k in degrees[1:-1]):
+    if q not in zero_at_levels(t):
         raise UnsupportedConstruction(
             UnsupportedConstruction.NOT_BROOM,
             f"intermediate daughter degrees of {degrees} are not all 1",
@@ -239,6 +239,13 @@ class ZeroAtRequest(NamedTuple):
     tree: RootedSymmetricTree
     target: TargetLike
     desired_label: int = 0
+
+
+def zero_at_levels(t: RootedSymmetricTree) -> tuple[int, ...]:
+    """Levels ``zero_at`` reaches: 1 and 2, and q-1 and q if degrees[1:-1] are all 1."""
+    if all(k == 1 for k in _rooted(t, "zero_at_levels").degrees[1:-1]):
+        return (1, 2, t.q - 1, t.q)
+    return (1, 2)
 
 
 def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:

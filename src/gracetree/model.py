@@ -31,8 +31,8 @@ from operator import add, index, itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
-class UnsupportedConstruction(Exception):
-    """Raised when a constructive labelling method does not apply.
+class UnsupportedConstruction(ValueError):
+    """Raised when a constructive labelling method's domain excludes its input.
 
     ``reason`` is one of the constants below; ``detail`` elaborates.
     """
@@ -143,7 +143,11 @@ def level_numbers(degrees: Sequence[int]) -> tuple[int, ...]:
     ``h_q = 1`` and ``h_i = 1 + k_i * h_{i+1}``, so ``h_1`` is the size
     of the whole tree.  Exact integer arithmetic throughout.
     """
-    degrees = _degree_sequence(degrees)
+    return _level_numbers(_degree_sequence(degrees))
+
+
+def _level_numbers(degrees: tuple[int, ...]) -> tuple[int, ...]:
+    # level_numbers of a validated degree sequence.
     if degrees[0] == 0:
         return (1,)
     hs = [1]
@@ -166,7 +170,7 @@ class RootedSymmetricTree(_Frozen):
 
     def __init__(self, degrees: Sequence[int]) -> None:
         degrees = _degree_sequence(degrees)
-        hs = level_numbers(degrees)
+        hs = _level_numbers(degrees)
         sizes = [1]
         for k in degrees[: len(hs) - 1]:
             sizes.append(sizes[-1] * k)
@@ -712,18 +716,14 @@ def tree_from_json(text: str) -> Tree:
     return tree_from_dict(json.loads(text))
 
 
-def to_dot(
-    t: Tree,
-    labels: Sequence[int] | None = None,
-    name: str = "gracetree",
-) -> str:
+def to_dot(t: Tree, labels: Sequence[int] | None = None) -> str:
     """Graphviz DOT text, with vertex and edge annotations when a
     labelling is supplied."""
     if labels is not None:
         labels = _as_ints(labels, "label")
         if len(labels) != t.n:
             raise ValueError("labelling size does not match the tree")
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph gracetree {", "  node [shape=circle];"]
     for v in range(t.n):
         if labels is None:
             lines.append(f"  {v};")

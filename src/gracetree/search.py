@@ -60,9 +60,9 @@ tree, not the calls made; on the broom ``(1,1,1,k)`` with vertex 2
 pinned to 0 the two differ by orders of magnitude.
 
 On top of the engine sits the per-orbit 0-rotatability decider, which
-can try closed-form constructions before it searches, and runs each
-orbit search as a table of stages, each an edge order and a node
-budget (see ``is_zero_rotatable``).
+offers each orbit to an optional construction hook (None declines)
+before it searches, and runs each orbit search as a table of stages,
+each an edge order and a node budget (see ``is_zero_rotatable``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
 from .model import (
     Tree,
-    UnsupportedConstruction,
     _Frozen,
     _as_tuple,
     _is_int,
@@ -562,7 +561,7 @@ def is_zero_rotatable(
     t: Tree,
     constraints: SearchConstraints | None = None,
     tree_id: str = "",
-    construct: Callable[[int], tuple[Labelling, str]] | None = None,
+    construct: Callable[[int], tuple[Labelling, str] | None] | None = None,
 ) -> RotatabilityReport:
     """Decide, orbit by orbit, whether every vertex can carry label 0.
 
@@ -572,8 +571,8 @@ def is_zero_rotatable(
     use this:
 
     1. In orbit order, each orbit not yet settled by a complement tries
-       ``construct(rep)`` when given (it returns ``(witness, method)``
-       or raises UnsupportedConstruction).
+       ``construct(rep)`` when given (it returns ``(witness, method)``,
+       or None to decline the orbit).
     2. The orbits left over are searched with their smallest vertex
        pinned to 0, lowest degree first and, within a degree, highest
        index first, so each leaf's witness settles its neighbour before
@@ -669,10 +668,10 @@ def is_zero_rotatable(
             if rep in settled:
                 continue
             t0 = time.perf_counter()
-            try:
-                witness, method = construct(rep)
-            except UnsupportedConstruction:
+            built = construct(rep)
+            if built is None:
                 continue
+            witness, method = built
             elapsed = time.perf_counter() - t0
             settle(OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed))
     # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.

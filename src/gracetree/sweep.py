@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 
-from .construct import ZeroAtRequest, zero_at
+from .construct import ZeroAtRequest, zero_at, zero_at_levels
 from .labelling import Labelling
 from .model import _Frozen, _as_int, _as_ints, build, level_numbers
 from .search import (
@@ -181,15 +181,18 @@ def evaluate_sequence(
 ) -> RotatabilityReport:
     """Answer 0-rotatability for one tree, constructions first.
 
-    ``is_zero_rotatable`` with ``zero_at`` as its construction, so three
-    passes: every orbit not yet settled by a complement tries a
-    closed-form construction, the orbits left over are searched with a
-    pin, leaves first and within the budgets, and a complement that lands
-    on an orbit whose search timed out settles it late.
+    ``is_zero_rotatable`` with ``zero_at`` as its construction, declined
+    (None) off ``zero_at_levels``.  Three passes: every orbit not yet
+    settled by a complement tries a construction, the orbits left over are
+    searched with a pin, leaves first and within the budgets, and a
+    complement on an orbit whose search timed out settles it late.
     """
     t = build(seq)
+    levels = zero_at_levels(t)
 
-    def construct(rep: int) -> tuple[Labelling, str]:
+    def construct(rep: int) -> tuple[Labelling, str] | None:
+        if t.level_of_index(rep) not in levels:
+            return None
         witness, trace = zero_at(ZeroAtRequest(t, rep, 0))
         return witness, trace.method
 

@@ -27,6 +27,7 @@ from gracetree.construct import (
     lemma1_label,
     lemma1_product,
     replay_trace,
+    zero_at_levels,
 )
 from gracetree.model import RootedSymmetricTree, path_sequence, to_general
 from gracetree.sweep import SweepSpec, enumerate_family
@@ -342,6 +343,11 @@ def test_replay_rejects_tampering():
     steps[-1]["perm"] = list(range(t.n))
     with pytest.raises(ValueError, match="relabel_vertices'\\) does not replay"):
         replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))
+    # A decompose step forged onto a tree whose last branch is no broom
+    # names the step and the refusal.
+    forged = ConstructionTrace(METHOD_THEOREM2_EVEN, ({"op": "decompose"},))
+    with pytest.raises(ValueError, match="^trace step 0 does not replay: NotCaterpillar: "):
+        replay_trace(build((2, 3, 2)), forged)
 
     # A malformed first step names itself and raises ValueError, not
     # TypeError or KeyError.
@@ -385,18 +391,22 @@ def test_golden_trace_replays_from_its_json():
 def test_zero_at_is_pinned_byte_for_byte():
     # Labels and trace of every constructible request, and the reason of
     # every refusal, over each vertex and both extreme labels of every
-    # rst_all tree up to n = 30.  The digest was taken from the
+    # rst_all tree up to n = 30; a request succeeds exactly on the levels
+    # zero_at_levels names.  The digest was taken from the
     # generator-per-vertex formulas the level-wise bulk ones replaced.
     h = hashlib.sha256()
     for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
         t = build(seq)
         for v in range(t.n):
             for desired in (0, t.n - 1):
+                reached = t.level_of_index(v) in zero_at_levels(t)
                 try:
                     f, trace = zero_at(ZeroAtRequest(t, v, desired))
                 except UnsupportedConstruction as exc:
+                    assert not reached, (seq, v, desired)
                     out = [seq, v, desired, exc.reason]
                 else:
+                    assert reached, (seq, v, desired)
                     out = [seq, v, desired, f.labels, trace.to_dict()]
                 h.update(json.dumps(out).encode())
     assert h.hexdigest() == "59f76793432faf3b66d4b353a275710369b66d452aca710eddbda6695fb0ebd7"

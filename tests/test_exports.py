@@ -128,3 +128,16 @@ def test_only_zero_at_and_replay_prove_a_construction_graceful():
         if isinstance(node, ast.Name) and node.id == "is_graceful"
     }
     assert callers == {"zero_at", "replay_trace"}
+
+
+def test_only_the_constructions_name_their_refusal():
+    # UnsupportedConstruction is defined in model.py, raised by the
+    # constructions and exported by __init__.  The pipelines ask
+    # construct.zero_at_levels where zero_at reaches and decline by return
+    # value, so no other module may raise, catch or import it.
+    naming = [
+        path.name
+        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
+        if "UnsupportedConstruction" in _names_read(ast.parse(path.read_text()))
+    ]
+    assert naming == ["__init__.py", "construct.py", "model.py"]

@@ -450,6 +450,17 @@ def test_rotatability_builds_the_tables_once(monkeypatch):
     built.clear()
     rep = is_zero_rotatable(build((2,)), construct=lambda v: (Labelling((0, 2, 1)), "theorem1"))
     assert rep.methods == ("theorem1", "complement_of") and built == []
+    # A hook that declines (returns None) is asked about every orbit and
+    # leaves each to the search, which then runs as if there were no hook.
+    asked = []
+    t = build((2, 2))
+    rep = is_zero_rotatable(t, construct=asked.append)
+    plain = is_zero_rotatable(t)
+    assert asked == list(rep.orbit_reps) == list(plain.orbit_reps)
+    assert rep.methods == ("search_fallback", "complement_of", "search_fallback")
+    assert plain.methods == ("search", "complement", "search")
+    assert (rep.verdicts, rep.witnesses, rep.nodes) == (plain.verdicts, plain.witnesses, plain.nodes)
+    assert built == [(t, False)] * 2
 
 
 def test_search_leaves_no_reference_cycle():

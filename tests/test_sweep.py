@@ -8,8 +8,10 @@ import pytest
 
 import gracetree.construct
 import gracetree.search
+import gracetree.sweep
 from gracetree import (
     GeneralTree,
+    UnsupportedConstruction,
     ZeroAtRequest,
     build,
     evaluate_sequence,
@@ -313,3 +315,22 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
         zero_at(ZeroAtRequest(t, target, 0))
     assert decomposed
     assert built == []
+
+
+def test_sweep_calls_zero_at_only_where_it_reaches(monkeypatch):
+    # The hook declines every orbit off zero_at_levels, so a sweep asks
+    # zero_at only for placements it makes: no refusal is raised.
+    calls, refused = [], []
+    real = gracetree.sweep.zero_at
+
+    def spy(req):
+        calls.append(req)
+        try:
+            return real(req)
+        except UnsupportedConstruction:
+            refused.append(req)
+            raise
+
+    monkeypatch.setattr(gracetree.sweep, "zero_at", spy)
+    run_sweep(SweepSpec("rst_all", nmax=14, node_budget=50_000, time_budget=None))
+    assert (len(calls), len(refused)) == (288, 0)
