@@ -325,7 +325,7 @@ def cmd_sweep(args) -> int:
         node_budget=nodes,
         time_budget=secs,
     )
-    rows = run_sweep(spec, jobs=max(1, args.jobs))
+    rows = run_sweep(spec, jobs=args.jobs)
     for row in rows:
         print(f"{row.tree_id:<16} n={row.n:<5} orbits={len(row.entries):<3} {row.verdict}")
     verdicts = Counter(v for row in rows for v in row.verdicts)

@@ -201,68 +201,52 @@ def evaluate_sequence(
     return report._replace(family=family, q=t.q)
 
 
-# Set in a pool worker once Ctrl-C has reached it; the worker then
-# refuses the trees already queued to it, so an interrupted sweep does
-# not wait for them.  Only _note_interrupt and _evaluate_in_worker set
-# it, and they run in pool workers only.
-_interrupted = False
-
-
-def _note_interrupt(signum, frame) -> None:
-    # A pool worker's SIGINT handler between trees.  Ctrl-C reaches every
-    # process in the terminal's process group; a worker waiting for its
-    # next tree only takes note, as a KeyboardInterrupt there would print
-    # a traceback.
-    global _interrupted
-    _interrupted = True
-
-
-def _evaluate_in_worker(task: tuple) -> RotatabilityReport:
-    """``evaluate_sequence`` in a pool worker.  Ctrl-C stops the tree in
-    progress, and the pool hands the KeyboardInterrupt back to the parent
-    as this task's result."""
-    import signal
-
-    global _interrupted
-    if _interrupted:
-        raise KeyboardInterrupt
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        return evaluate_sequence(*task)
-    except KeyboardInterrupt:
-        _interrupted = True
-        raise
-    finally:
-        signal.signal(signal.SIGINT, _note_interrupt)
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
     """Evaluate the whole family, optionally across worker processes.
 
-    Output order always matches enumerate_family(spec).  On
-    KeyboardInterrupt a parallel sweep stops the trees in progress,
-    cancels the rest, waits for its workers and re-raises, so none
-    outlives the call.
+    Output order always matches enumerate_family(spec).  At most one
+    worker per tree is started, none for a single tree.  Workers never see
+    SIGINT: on KeyboardInterrupt, from Ctrl-C or from SIGINT sent to this
+    process alone, the sweep terminates and joins them and re-raises, so
+    none outlives the call.  A worker that dies raises ChildProcessError.
     """
     seqs = enumerate_family(spec)
     tasks = [(s, spec.family, spec.node_budget, spec.time_budget) for s in seqs]
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [evaluate_sequence(*task) for task in tasks]
     # Imported here so that a serial run, and every other command, does
     # not load multiprocessing at startup.
+    import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=signal.signal, initargs=(signal.SIGINT, _note_interrupt)
-    ) as pool:
+    others = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The submits start the workers with SIGINT blocked, and they keep
+        # it blocked.  Blocked, not ignored: a Ctrl-C meanwhile is held
+        # until the mask is restored inside the try, and not lost.
+        masked = hasattr(signal, "pthread_sigmask")
+        if masked:
+            old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            return list(pool.map(_evaluate_in_worker, tasks))
+            try:
+                futures = [pool.submit(evaluate_sequence, *task) for task in tasks]
+            finally:
+                if masked:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+            return [f.result() for f in futures]
         except KeyboardInterrupt:
-            # Wait here, while the pool is still referenced: its manager
-            # thread drops the cancellation if the pool is collected first.
-            pool.shutdown(cancel_futures=True)
+            # Only the pool's own workers, ended before the pool fails their
+            # futures: a future cancelled first breaks the pool's cleanup.
+            workers = set(multiprocessing.active_children()) - others
+            for w in workers:
+                w.terminate()
+            for w in workers:
+                w.join()
             raise
+        except BrokenExecutor as exc:
+            raise ChildProcessError("a sweep worker process died") from exc
 
 
 def _fmt_elapsed(seconds: float, include_timing: bool) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -411,9 +412,32 @@ def test_sweep_verdict_ledger_nmax20(capsys, tmp_path):
     _assert_verdict_ledger(rows, "sweep_rst_all_nmax20_50k_verdicts.csv")
 
 
-def test_sweep_jobs(capsys):
-    code, out, _ = run(capsys, "sweep", "--family", "symmetric_banana", "--branches", "2..3", "--jobs", "2")
+@pytest.mark.parametrize(
+    "family, jobs, trees, workers",
+    [
+        (["symmetric_banana", "--branches", "2..3"], "2", 4, [2]),
+        (["symmetric_spider", "--legs", "2", "--branches", "1..2"], "3", 2, [2]),
+        # one tree, or none, runs without a pool
+        (["symmetric_banana", "--branches", "2..2"], "2", 1, []),
+        (["rst_all", "--nmax", "1"], "2", 0, []),
+    ],
+    ids=["4-trees", "2-trees", "1-tree", "0-trees"],
+)
+def test_sweep_jobs(capsys, monkeypatch, family, jobs, trees, workers):
+    import concurrent.futures
+
+    pools = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    code, out, _ = run(capsys, "sweep", "--jobs", jobs, "--family", *family)
     assert code == 0
+    assert f"swept {trees} trees" in out
+    assert pools == workers
 
 
 def test_tree_command(capsys, tmp_path):
@@ -511,14 +535,44 @@ def test_import_loads_no_process_pool():
         assert proc.stdout == "[]\n", module
 
 
+@contextlib.contextmanager
+def _sweep_in_own_group(*args):
+    """``sweep --jobs 2 ARGS`` in a new process group, killed on the way out."""
+    argv = [sys.executable, "-m", "gracetree.cli", "sweep", "--jobs", "2", *args]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_source_env(), start_new_session=True,
+    )
+    try:
+        yield proc
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+
+
+def _assert_ends_alone(proc, returncode: int) -> str:
+    """Wait for ``proc``: it exits ``returncode`` within 10 s, prints no
+    traceback and leaves no process in its group, zombies included."""
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == returncode
+    assert "Traceback" not in err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return err
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("target", ["group", "parent"])
 @pytest.mark.parametrize(
     "family",
     [
         # many short trees: both workers are busy when Ctrl-C comes
-        ["rst_all", "--nmax", "24", "--budget-nodes", "50000", "--budget-secs", "0"],
-        # one long tree: the other worker waits idle for work
-        ["symmetric_spider", "--legs", "4", "--branches", "30", "--budget-nodes", "0",
+        ["rst_all", "--nmax", "30", "--budget-nodes", "50000", "--budget-secs", "0"],
+        # a short tree and a long one: one worker waits idle for work
+        ["symmetric_spider", "--legs", "4", "--branches", "17..18", "--budget-nodes", "0",
          "--budget-secs", "60"],
         # long trees: each worker has more queued, which it must not start
         ["symmetric_spider", "--legs", "4", "--branches", "20..40", "--budget-nodes", "0",
@@ -526,25 +580,37 @@ def test_import_loads_no_process_pool():
     ],
     ids=["busy", "idle", "queued"],
 )
-def test_ctrl_c_under_jobs_exits_130(family):
+def test_ctrl_c_under_jobs_exits_130(family, target):
     # Ctrl-C signals the terminal's whole process group: the parent and
-    # every pool worker.  The sweep must stop quietly and leave no worker.
-    argv = [sys.executable, "-m", "gracetree.cli", "sweep", "--jobs", "2", "--family", *family]
-    proc = subprocess.Popen(
-        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        env=_source_env(), start_new_session=True,
-    )
-    try:
+    # every pool worker.  A supervisor may signal the parent alone.  Either
+    # way the sweep must stop quietly and leave no worker.
+    with _sweep_in_own_group("--family", *family) as proc:
         time.sleep(1.0)
-        os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=10)
-        assert proc.returncode == 130
-        assert "Traceback" not in err
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-    finally:
+        (os.killpg if target == "group" else os.kill)(proc.pid, signal.SIGINT)
+        _assert_ends_alone(proc, 130)
+
+
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, read from /proc/<pid>/stat."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.communicate()
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process has gone
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds the workers in /proc")
+def test_dead_worker_ends_the_sweep_with_an_error():
+    # A worker killed from outside, or for lack of memory, breaks the pool.
+    with _sweep_in_own_group(
+        "--family", "symmetric_spider", "--legs", "4", "--branches", "20..24",
+        "--budget-nodes", "0", "--budget-secs", "3",
+    ) as proc:
+        time.sleep(1.0)
+        os.kill(_children(proc.pid)[0], signal.SIGKILL)
+        err = _assert_ends_alone(proc, 1)
+        assert err == "error: a sweep worker process died\n"
