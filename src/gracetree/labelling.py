@@ -14,7 +14,9 @@ checks what its caller passes, and refuses anything but a
 permutation and trusts a ``Labelling``; the edge differences it checks
 in full either way.  Gracefulness is proven once, where a labelling is
 handed out: ``zero_at``, ``replay_trace``, the CLI's ``label`` command
-and the search's ``_witness``.  The transforms map whole label tuples.
+and the search's ``_witness``.  Trees are proven once too: ``to_general``
+shares a rooted symmetric tree's edges unchecked.  The transforms map
+whole label tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence, Union
 
-from .model import Tree, _Frozen, _as_int, _as_ints, _as_tuple
+from .model import Tree, _Frozen, _as_int, _as_ints, _as_tuple, _tree
 
 
 class Labelling(_Frozen):
@@ -91,7 +93,7 @@ def _raw(labels: LabelsLike) -> tuple[int, ...]:
 def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
     """Edge differences in the tree's canonical edge order."""
     raw = _raw(labels)
-    if len(raw) != t.n:
+    if len(raw) != _tree(t).n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
     return tuple(abs(raw[u] - raw[v]) for u, v in t.edges)
 
@@ -110,7 +112,7 @@ def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     checked for one here.
     """
     raw = _raw(labels)
-    if len(raw) != t.n:
+    if len(raw) != _tree(t).n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
     if not isinstance(labels, Labelling) and not _is_permutation(raw, t.n):
         return False

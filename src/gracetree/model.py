@@ -341,9 +341,28 @@ def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...
 Tree = Union[GeneralTree, RootedSymmetricTree]
 
 
-def to_general(t: RootedSymmetricTree) -> GeneralTree:
-    """Forget the rooting; keeps the breadth-first vertex indexing."""
-    return GeneralTree(t.n, t.edges)
+def _tree(t) -> Tree:
+    """``t`` itself; ValueError naming it unless it is a tree."""
+    if not isinstance(t, (GeneralTree, RootedSymmetricTree)):
+        raise ValueError(f"tree {t!r} is not a GeneralTree or RootedSymmetricTree")
+    return t
+
+
+def _trusted_general(t: RootedSymmetricTree) -> GeneralTree:
+    """The GeneralTree of ``t`` without GeneralTree's checks, sharing ``t.edges``."""
+    g = object.__new__(GeneralTree)
+    g.__dict__.update(n=t.n, edges=t.edges)
+    return g
+
+
+def to_general(t: Tree) -> GeneralTree:
+    """Forget the rooting; keeps the breadth-first vertex indexing.
+
+    A rooted symmetric tree is one by construction, so its ``edges`` are
+    shared, not checked again.  A GeneralTree comes back as it is."""
+    if isinstance(t, RootedSymmetricTree):
+        return _trusted_general(t)
+    return _tree(t)
 
 
 class StructureFlags(NamedTuple):
@@ -362,7 +381,7 @@ def rooted_sequence_at(t: Tree, root: int) -> tuple[int, ...] | None:
     Returns None unless every level is child-count uniform with all
     leaves on the last level.  The single-vertex tree yields ``()``.
     """
-    adj = t.adjacency
+    adj = _tree(t).adjacency
     level = [-1] * t.n
     level[root] = 0
     order = [root]
@@ -395,7 +414,7 @@ def classify(t: Tree) -> StructureFlags:
     A path with an odd vertex count (or with n <= 2) counts as a
     symmetric spider: its centre splits it into equal legs.
     """
-    n = t.n
+    n = _tree(t).n
     adj = t.adjacency
     deg = [len(a) for a in adj]
     is_path = all(d <= 2 for d in deg)
@@ -575,7 +594,7 @@ def vertex_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
             tuple(levels[r]) + tuple(levels[q - 1 - r]) if 2 * r < q - 1 else tuple(levels[r])
             for r in range(mid + 1)
         )
-    adj = t.adjacency
+    adj = _tree(t).adjacency
     centre = _centre(adj)
     ids: dict = {}
     codes, parent, order = _subtree_codes(adj, centre[0], ids)
@@ -648,7 +667,7 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
     """
     src, dst = _as_int(src, "vertex index"), _as_int(dst, "vertex index")
     for v in (src, dst):
-        if not 0 <= v < t.n:
+        if not 0 <= v < _tree(t).n:
             raise ValueError(f"vertex index {v} out of range")
     if isinstance(t, RootedSymmetricTree) and t.level_of_index(src) == t.level_of_index(dst):
         return _level_mapping(t, src, dst)
@@ -678,7 +697,7 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
 def tree_to_dict(t: Tree) -> dict:
     if isinstance(t, RootedSymmetricTree):
         return {"kind": "rst", "degrees": list(t.degrees)}
-    return {"kind": "general", "n": t.n, "edges": [list(e) for e in t.edges]}
+    return {"kind": "general", "n": _tree(t).n, "edges": [list(e) for e in t.edges]}
 
 
 def tree_to_json(t: Tree) -> str:
@@ -719,6 +738,7 @@ def tree_from_json(text: str) -> Tree:
 def to_dot(t: Tree, labels: Sequence[int] | None = None) -> str:
     """Graphviz DOT text, with vertex and edge annotations when a
     labelling is supplied."""
+    _tree(t)
     if labels is not None:
         labels = _as_ints(labels, "label")
         if len(labels) != t.n:

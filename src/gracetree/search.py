@@ -78,6 +78,7 @@ from .model import (
     _Frozen,
     _as_tuple,
     _is_int,
+    _tree,
     automorphism_mapping,
     vertex_orbits,
 )
@@ -159,6 +160,13 @@ class SearchConstraints(_Frozen):
             type(seconds) is bool or not isinstance(seconds, (int, float)) or not seconds > 0
         ):
             raise ValueError(f"time budget must be positive or None, not {seconds!r}")
+
+
+def _constraints(c: SearchConstraints | None) -> SearchConstraints:
+    """``c``, or the defaults for None; ValueError naming anything else."""
+    if c is not None and not isinstance(c, SearchConstraints):
+        raise ValueError(f"constraints {c!r} are not SearchConstraints")
+    return SearchConstraints() if c is None else c
 
 
 class SearchOutcome(NamedTuple):
@@ -427,8 +435,8 @@ def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> Sear
     out first (inconclusive).
     """
     start = time.perf_counter()
-    cons = constraints if constraints is not None else SearchConstraints()
-    cons.validate(t.n)
+    cons = _constraints(constraints)
+    cons.validate(_tree(t).n)
     deadline = None if cons.time_budget is None else start + cons.time_budget
     status, labels, _, nodes = _run(_tables(t), cons.pins, cons.node_budget, deadline, False)
     witness = None if labels is None else _witness(t, labels, cons.pins)
@@ -441,11 +449,13 @@ def count_graceful(t: Tree, bound: int | None = 10) -> int:
     The count grows roughly like n!, so trees larger than ``bound``
     vertices are rejected; None means no bound.  Runs unbudgeted.
     """
-    if bound is not None and t.n > bound:
+    if bound is not None and not _is_int(bound):
+        raise ValueError(f"count bound must be an integer or None, not {bound!r}")
+    if bound is not None and _tree(t).n > bound:
         raise ValueError(
             f"counting on {t.n} vertices exceeds the bound {bound}; pass bound=None"
         )
-    status, _, count, _ = _run(_tables(t), (), None, None, True)
+    status, _, count, _ = _run(_tables(_tree(t)), (), None, None, True)
     if status == STATUS_TIMEOUT:
         raise RuntimeError("unbudgeted count stopped early; this is a bug")
     return count
@@ -622,8 +632,10 @@ def is_zero_rotatable(
     each search sets its own pin.  Entries come back in orbit order.
     """
     start = time.perf_counter()
-    base = constraints if constraints is not None else SearchConstraints()
-    base.validate(t.n)
+    base = _constraints(constraints)
+    base.validate(_tree(t).n)
+    if construct is not None and not callable(construct):
+        raise ValueError(f"construct hook {construct!r} is not callable")
     if base.pins:
         raise ValueError("is_zero_rotatable sets its own pins; pass budgets only")
     orbits = vertex_orbits(t)

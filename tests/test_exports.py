@@ -115,6 +115,22 @@ def test_only_the_label_bijections_skip_the_labelling_check():
     assert callers == {"complement", "apply_permutation", "relabel_vertices"}
 
 
+def test_only_to_general_skips_the_tree_check():
+    # model._trusted_general builds a GeneralTree without proving its
+    # edges a tree.  Only to_general, whose rooted symmetric tree is one
+    # by construction, may call it; trees from outside go through
+    # GeneralTree(n, edges).
+    callers = [
+        f"{path.name}:{func.name}"
+        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
+        for func in ast.parse(path.read_text()).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "_trusted_general"
+    ]
+    assert callers == ["model.py:to_general"]
+
+
 def test_only_zero_at_and_replay_prove_a_construction_graceful():
     # The constructions prove their labelling a permutation only; the
     # graceful check runs once, where a labelling leaves construct.py.

@@ -295,6 +295,42 @@ def test_to_general_preserves_structure(seq):
     assert t.edges == tuple((t.parent_index(i), i) for i in range(1, t.n))
     assert g.edges == t.edges
     assert t.adjacency == g.adjacency
+    # to_general trusts the tree's edges; the validating constructor
+    # proves them a tree independently.
+    assert g == GeneralTree(t.n, t.edges)
+
+
+def test_to_general_equals_the_validated_tree_on_rst_all():
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        assert to_general(t) == GeneralTree(t.n, t.edges), seq
+
+
+def test_to_general_shares_a_rooted_trees_edges_unchecked(monkeypatch):
+    # A rooted symmetric tree is a tree by construction, so its conversion
+    # runs none of GeneralTree's per-edge checks and copies no edge.  The
+    # tree is wide rather than huge: (3000, 3000) would hold 9 million
+    # edge tuples, about 1 GB.
+    def refuse(self, n, edges):
+        raise AssertionError("to_general re-validated a rooted symmetric tree")
+
+    t = build((3000, 30))
+    monkeypatch.setattr(GeneralTree, "__init__", refuse)
+    g = to_general(t)
+    assert g.edges is t.edges and g.n == t.n == 93_001
+    assert to_general(g) is g
+    monkeypatch.undo()
+    assert g == GeneralTree(t.n, t.edges)
+    # Equality, hash, repr, pickling, immutability and the adjacency cache
+    # are those of the validated tree with the same fields.
+    small = build((2, 1, 3))
+    g, v = to_general(small), GeneralTree(small.n, small.edges)
+    assert "adjacency" not in vars(g)
+    assert (g, hash(g), repr(g)) == (v, hash(v), repr(v))
+    assert g.adjacency == v.adjacency == small.adjacency
+    assert pickle.loads(pickle.dumps(g)) == v
+    with pytest.raises(AttributeError, match="immutable"):
+        g.n = 3
 
 
 def test_build_leaves_edges_unmaterialised():

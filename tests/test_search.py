@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -21,8 +22,17 @@ from gracetree import (
     is_graceful,
     is_zero_rotatable,
 )
-from gracetree.labelling import Labelling, complement
-from gracetree.model import path_sequence, to_general, vertex_orbits
+from gracetree.labelling import Labelling, complement, edge_labels, graceful_defect
+from gracetree.model import (
+    automorphism_mapping,
+    classify,
+    path_sequence,
+    rooted_sequence_at,
+    to_dot,
+    to_general,
+    tree_to_dict,
+    vertex_orbits,
+)
 from gracetree.search import _run, _tables, count_graceful
 from oracles import (
     all_trees,
@@ -182,6 +192,49 @@ def test_count_bound_guard():
     with pytest.raises(ValueError):
         count_graceful_naive(big)
     assert count_graceful(build(path_sequence(11)), bound=None) > 0
+    # The bound follows the exact integer rule: "x" raised a raw
+    # TypeError, and 2.5 was accepted.
+    for bound in ("x", 2.5, True):
+        message = f"count bound must be an integer or None, not {bound!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count_graceful(build((2, 2)), bound=bound)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: vertex_orbits(t),
+        lambda t: automorphism_mapping(t, 0, 0),
+        lambda t: is_graceful(t, [0]),
+        lambda t: edge_labels(t, [0]),
+        lambda t: graceful_defect(t, [0]),
+        lambda t: find_graceful(t),
+        lambda t: count_graceful(t),
+        lambda t: is_zero_rotatable(t),
+        lambda t: tree_to_dict(t),
+        lambda t: to_dot(t),
+        lambda t: to_general(t),
+        lambda t: classify(t),
+        lambda t: rooted_sequence_at(t, 0),
+    ],
+)
+@pytest.mark.parametrize("t", [5, None, (0, 1)])
+def test_entry_points_refuse_a_non_tree(call, t):
+    # Each escaped as AttributeError: 'int' object has no attribute ...
+    message = f"tree {t!r} is not a GeneralTree or RootedSymmetricTree"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(t)
+
+
+def test_search_entry_points_refuse_bad_constraints_and_hooks():
+    t = build((2, 2))
+    # A non-constraints argument raised AttributeError: ... 'validate'.
+    for call in (find_graceful, is_zero_rotatable):
+        with pytest.raises(ValueError, match="^constraints 5 are not SearchConstraints$"):
+            call(t, 5)
+    # A hook that cannot be called raised TypeError, after the orbits.
+    with pytest.raises(ValueError, match="^construct hook 5 is not callable$"):
+        is_zero_rotatable(t, construct=5)
 
 
 @given(st.integers(2, 8), st.randoms(use_true_random=False))

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import gracetree.construct
+import gracetree.model
 import gracetree.search
 import gracetree.sweep
 from gracetree import (
@@ -289,15 +290,22 @@ def test_sweep_elapsed_covers_orbit_computation(monkeypatch):
 def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
     # A rooted symmetric tree carries its own edges and adjacency, and
     # decompose tests its broom by arithmetic, so a pass builds no
-    # GeneralTree at all.
+    # GeneralTree at all: neither a validated one nor, through
+    # to_general, one that shares the tree's edges.
     built = []
     init = GeneralTree.__init__
+    trusted = gracetree.model._trusted_general
 
     def counting(self, n, edges):
         init(self, n, edges)
         built.append(self.n)
 
+    def counting_trusted(t):
+        built.append(t.n)
+        return trusted(t)
+
     monkeypatch.setattr(GeneralTree, "__init__", counting)
+    monkeypatch.setattr(gracetree.model, "_trusted_general", counting_trusted)
     decomposed = []
     real_decompose = gracetree.construct.decompose
 
