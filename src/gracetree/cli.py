@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: ``label`` (closed-form graceful labellings), ``verify``
-(check a labelling), ``rotate0`` (search-based 0-rotatability of one
-tree), ``sweep`` (family-wide runs), and ``tree`` (export structure).
+(check a labelling), ``rotate0`` (0-rotatability of one tree, orbit by
+orbit), ``sweep`` (family-wide runs), and ``tree`` (export structure).
 
 Exit codes: 0 success / all-yes, 1 usage or I/O problems or a tree too
 deep or too large to process, 2 a checked labelling is not graceful, 3 a
@@ -196,7 +196,7 @@ def _build_parser() -> _Parser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_rot = sub.add_parser("rotate0", help="decide 0-rotatability by per-orbit search")
+    p_rot = sub.add_parser("rotate0", help="decide 0-rotatability orbit by orbit")
     _add_tree_source(p_rot)
     _add_budgets(p_rot)
     p_rot.add_argument("--csv", metavar="FILE", help="write per-orbit CSV here")

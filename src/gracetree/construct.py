@@ -46,6 +46,7 @@ from .model import (
     Tree,
     UnsupportedConstruction,
     _as_int,
+    _rooted,
     automorphism_mapping,
     decompose,
 )
@@ -75,12 +76,6 @@ class ConstructionTrace(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"method": self.method, "steps": list(self.steps)}
-
-
-def _rooted(t: Tree, who: str) -> RootedSymmetricTree:
-    if not isinstance(t, RootedSymmetricTree):
-        raise ValueError(f"{who} needs a rooted symmetric tree, not {type(t).__name__}")
-    return t
 
 
 def theorem1_label(t: RootedSymmetricTree) -> Labelling:
@@ -330,7 +325,7 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
         step["perm"] = list(perm)
         out = state["labelling"] = relabel_vertices(state["labelling"], perm)
     elif op == "decompose":
-        dec = state["decomposition"] = decompose(_rooted(t, "decompose"))
+        dec = state["decomposition"] = decompose(t)
         step["h_degrees"] = list(dec.subtree_h.degrees)
         step["p_map"] = list(dec.p_map)
         step["h_map"] = list(dec.h_map)

@@ -348,6 +348,13 @@ def _tree(t) -> Tree:
     return t
 
 
+def _rooted(t, who: str) -> RootedSymmetricTree:
+    """``t`` itself; ValueError naming ``who`` unless it is a rooted symmetric tree."""
+    if not isinstance(t, RootedSymmetricTree):
+        raise ValueError(f"{who} needs a rooted symmetric tree, not {type(t).__name__}")
+    return t
+
+
 def _trusted_general(t: RootedSymmetricTree) -> GeneralTree:
     """The GeneralTree of ``t`` without GeneralTree's checks, sharing ``t.edges``."""
     g = object.__new__(GeneralTree)
@@ -480,7 +487,7 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     caterpillar.  When the root has a single child, H degenerates to the
     one-vertex tree (sequence with first entry 0).
     """
-    if t.q < 2:
+    if _rooted(t, "decompose").q < 2:
         raise ValueError("decomposition needs at least 2 levels")
     degrees = t.degrees
     # P is the tree (1, k_2, ..., k_{q-1}).  Its inner vertices are levels

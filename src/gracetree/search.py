@@ -60,20 +60,22 @@ tree, not the calls made; on the broom ``(1,1,1,k)`` with vertex 2
 pinned to 0 the two differ by orders of magnitude.
 
 On top of the engine sits the per-orbit 0-rotatability decider, which
-offers each orbit to an optional construction hook (None declines)
-before it searches, and runs each orbit search as a table of stages,
-each an edge order and a node budget (see ``is_zero_rotatable``).
+offers each orbit of a rooted symmetric tree to the paper's
+constructions before it searches, and runs each orbit search as a table
+of stages, each an edge order and a node budget (see
+``is_zero_rotatable``).
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
-from .construct import METHOD_COMPLEMENT, METHOD_SEARCH
+from . import construct
 from .labelling import Labelling, complement, is_graceful, relabel_vertices
 from .model import (
+    RootedSymmetricTree,
     Tree,
     _Frozen,
     _as_tuple,
@@ -571,7 +573,6 @@ def is_zero_rotatable(
     t: Tree,
     constraints: SearchConstraints | None = None,
     tree_id: str = "",
-    construct: Callable[[int], tuple[Labelling, str] | None] | None = None,
 ) -> RotatabilityReport:
     """Decide, orbit by orbit, whether every vertex can carry label 0.
 
@@ -580,9 +581,10 @@ def is_zero_rotatable(
     witness settles the orbit of that neighbour for free.  Three passes
     use this:
 
-    1. In orbit order, each orbit not yet settled by a complement tries
-       ``construct(rep)`` when given (it returns ``(witness, method)``,
-       or None to decline the orbit).
+    1. On a rooted symmetric tree, in orbit order, each orbit on a level
+       of ``construct.zero_at_levels(t)`` that no complement has settled
+       yet gets its witness from ``construct.zero_at``, the paper's
+       constructions.  A GeneralTree skips this pass.
     2. The orbits left over are searched with their smallest vertex
        pinned to 0, lowest degree first and, within a degree, highest
        index first, so each leaf's witness settles its neighbour before
@@ -634,17 +636,11 @@ def is_zero_rotatable(
     start = time.perf_counter()
     base = _constraints(constraints)
     base.validate(_tree(t).n)
-    if construct is not None and not callable(construct):
-        raise ValueError(f"construct hook {construct!r} is not callable")
     if base.pins:
         raise ValueError("is_zero_rotatable sets its own pins; pass budgets only")
     orbits = vertex_orbits(t)
     orbit_of = {orbit[0]: orbit for orbit in orbits}
     rep_of = {v: orbit[0] for orbit in orbits for v in orbit}
-    # The constructive route names its methods as the sweep CSV always has.
-    by_complement, by_search = (
-        ("complement", "search") if construct is None else (METHOD_COMPLEMENT, METHOD_SEARCH)
-    )
     settled: dict[int, OrbitVerdict] = {}
     if t.n == 1:
         settled[0] = OrbitVerdict(0, (0,), VERDICT_YES, "trivial", Labelling((0,)), 0, 0.0)
@@ -672,20 +668,19 @@ def is_zero_rotatable(
         if flipped[rep] != 0:
             raise RuntimeError("complement transport misplaced label 0; this is a bug")
         settled[rep] = OrbitVerdict(
-            rep, orbit_of[rep], VERDICT_YES, by_complement, flipped, nodes, elapsed
+            rep, orbit_of[rep], VERDICT_YES, construct.METHOD_COMPLEMENT, flipped, nodes, elapsed
         )
 
-    if construct is not None:
+    if isinstance(t, RootedSymmetricTree):
+        levels = construct.zero_at_levels(t)
         for rep, orbit in orbit_of.items():
-            if rep in settled:
+            if rep in settled or t.level_of_index(rep) not in levels:
                 continue
             t0 = time.perf_counter()
-            built = construct(rep)
-            if built is None:
-                continue
-            witness, method = built
+            # Looked up at call time: perfbench wraps construct.zero_at.
+            witness, trace = construct.zero_at(construct.ZeroAtRequest(t, rep, 0))
             elapsed = time.perf_counter() - t0
-            settle(OrbitVerdict(rep, orbit, VERDICT_YES, method, witness, 0, elapsed))
+            settle(OrbitVerdict(rep, orbit, VERDICT_YES, trace.method, witness, 0, elapsed))
     # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.
     unsettled = sorted(
         (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
@@ -730,7 +725,7 @@ def is_zero_rotatable(
         witness = None if labels is None else _witness(t, labels, pins)
         settle(
             OrbitVerdict(
-                rep, orbit_of[rep], _VERDICT_OF_STATUS[status], by_search,
+                rep, orbit_of[rep], _VERDICT_OF_STATUS[status], construct.METHOD_SEARCH,
                 witness, nodes, time.perf_counter() - start_rep,
             )
         )

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import io
 
-from .construct import ZeroAtRequest, zero_at, zero_at_levels
-from .labelling import Labelling
 from .model import _Frozen, _as_int, _as_ints, build, level_numbers
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -24,6 +22,7 @@ from .search import (
 )
 
 # Unused here, but perfbench/spans.py wraps them at this module's lookup site.
+from .construct import zero_at  # noqa: F401
 from .model import to_general, vertex_orbits  # noqa: F401
 from .search import find_graceful  # noqa: F401
 
@@ -179,25 +178,11 @@ def evaluate_sequence(
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     time_budget: float | None = DEFAULT_TIME_BUDGET,
 ) -> RotatabilityReport:
-    """Answer 0-rotatability for one tree, constructions first.
-
-    ``is_zero_rotatable`` with ``zero_at`` as its construction, declined
-    (None) off ``zero_at_levels``.  Three passes: every orbit not yet
-    settled by a complement tries a construction, the orbits left over are
-    searched with a pin, leaves first and within the budgets, and a
-    complement on an orbit whose search timed out settles it late.
-    """
+    """Answer 0-rotatability for one tree, constructions first: the row of
+    ``is_zero_rotatable`` on ``build(seq)``, with its family and level count."""
     t = build(seq)
-    levels = zero_at_levels(t)
-
-    def construct(rep: int) -> tuple[Labelling, str] | None:
-        if t.level_of_index(rep) not in levels:
-            return None
-        witness, trace = zero_at(ZeroAtRequest(t, rep, 0))
-        return witness, trace.method
-
     cons = SearchConstraints(node_budget=node_budget, time_budget=time_budget)
-    report = is_zero_rotatable(t, cons, sequence_label(seq), construct)
+    report = is_zero_rotatable(t, cons, sequence_label(seq))
     return report._replace(family=family, q=t.q)
 
 

@@ -46,6 +46,7 @@ def test_every_lookup_site_import_is_a_wrap_site():
 
 # Calls per construction layer for the requests in the test below.
 EXPECTED_CALLS = {
+    "construct.zero_at": 2,
     "construct.theorem1_label": 4,
     "construct.compose_theorem2": 2,
     "model.decompose": 2,

@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import gracetree
+from gracetree import build, evaluate_sequence
 from gracetree.cli import main
 from gracetree.construct import ConstructionTrace
 from gracetree.labelling import Labelling
+from gracetree.model import to_general, tree_to_json
 
 
 def run(capsys, *argv):
@@ -251,6 +253,49 @@ def test_rotate0_counterexample_exit(capsys):
     code, out, _ = run(capsys, "rotate0", "--rst", "1,1,1,2")
     assert code == 3
     assert "verdict=no" in out
+
+
+def _rotate0_orbits(out: str) -> list[tuple[int, str, str]]:
+    """(representative, verdict, method) of each orbit line rotate0 printed."""
+    found = re.findall(r"^orbit rep=(\d+) size=\d+ verdict=(\w+) \[(\w+)\]$", out, re.M)
+    return [(int(rep), verdict, method) for rep, verdict, method in found]
+
+
+@pytest.mark.parametrize(
+    "seq, constructed",
+    [
+        ("12,2,1", [(0, "yes", "theorem1"), (1, "yes", "complement_of")]),
+        ("5,1,1,1,8", [(16, "yes", "theorem2_even"), (21, "yes", "complement_of")]),
+    ],
+)
+def test_rotate0_constructs_a_rooted_symmetric_tree_like_the_sweep(
+    capsys, tmp_path, seq, constructed
+):
+    # The paper's constructions settle the levels they reach, and the
+    # rest is searched: rotate0 prints the sweep's row, orbit for orbit,
+    # whether the tree comes from --rst or from an "rst" tree file.
+    budget = ("--budget-nodes", "1000", "--budget-secs", "0")
+    row = evaluate_sequence(tuple(map(int, seq.split(","))), "", 1000, None)
+    want = list(zip(row.orbit_reps, row.verdicts, row.methods))
+    tree_file = tmp_path / "t.json"
+    assert run(capsys, "tree", "--rst", seq, "--json", str(tree_file))[0] == 0
+    for source in (("--rst", seq), ("--tree", str(tree_file))):
+        code, out, _ = run(capsys, "rotate0", *source, *budget)
+        assert code == {"yes": 0, "timeout": 4}[row.verdict]
+        assert _rotate0_orbits(out) == want
+        assert set(constructed) <= set(want)
+
+
+def test_rotate0_searches_every_orbit_of_a_general_tree(capsys, tmp_path):
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(tree_to_json(to_general(build((12, 2, 1)))))
+    code, out, _ = run(
+        capsys, "rotate0", "--tree", str(tree_file), "--budget-nodes", "1000", "--budget-secs", "0"
+    )
+    orbits = _rotate0_orbits(out)
+    assert code == 4 and [rep for rep, _, _ in orbits] == [0, 1, 13, 37]
+    assert {method for _, _, method in orbits} <= {"search_fallback", "complement_of"}
+    assert orbits[0] == (0, "timeout", "search_fallback")
 
 
 def test_rotate0_timeout_exit_and_env(capsys, monkeypatch):

@@ -353,10 +353,11 @@ def test_orbits_and_transport_leave_adjacency_unmaterialised():
     assert f[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
     assert "adjacency" not in vars(t)
     # The decider orders its searches by degree, which is level arithmetic;
-    # the search itself reads only the edges.
+    # the search itself reads only the edges.  The constructions settle
+    # all but level 3 of the broom, which is searched.
     broom = build((1, 1, 1, 2))
     report = is_zero_rotatable(broom, SearchConstraints(node_budget=1000, time_budget=None))
-    assert report.searched == 3
+    assert report.searched == 1
     assert "adjacency" not in vars(broom)
 
 
@@ -440,6 +441,15 @@ def test_decompose_trivial_subtree():
     assert dec.subtree_h.n == 1
     assert dec.subtree_h.degrees == (0,)
     assert len(dec.p_map) == t.n
+
+
+@pytest.mark.parametrize(
+    "t, kind", [(5, "int"), (to_general(build((2, 1, 2))), "GeneralTree")]
+)
+def test_decompose_names_a_tree_that_is_not_rooted_symmetric(t, kind):
+    # Each escaped as AttributeError: ... has no attribute 'q'.
+    with pytest.raises(ValueError, match=f"^decompose needs a rooted symmetric tree, not {kind}$"):
+        decompose(t)
 
 
 def test_decompose_rejects_non_caterpillar_branch():

@@ -18,11 +18,12 @@ from gracetree import (
     GeneralTree,
     SearchConstraints,
     build,
+    evaluate_sequence,
     find_graceful,
     is_graceful,
     is_zero_rotatable,
 )
-from gracetree.labelling import Labelling, complement, edge_labels, graceful_defect
+from gracetree.labelling import complement, edge_labels, graceful_defect
 from gracetree.model import (
     automorphism_mapping,
     classify,
@@ -226,15 +227,12 @@ def test_entry_points_refuse_a_non_tree(call, t):
         call(t)
 
 
-def test_search_entry_points_refuse_bad_constraints_and_hooks():
+def test_search_entry_points_refuse_bad_constraints():
     t = build((2, 2))
     # A non-constraints argument raised AttributeError: ... 'validate'.
     for call in (find_graceful, is_zero_rotatable):
         with pytest.raises(ValueError, match="^constraints 5 are not SearchConstraints$"):
             call(t, 5)
-    # A hook that cannot be called raised TypeError, after the orbits.
-    with pytest.raises(ValueError, match="^construct hook 5 is not callable$"):
-        is_zero_rotatable(t, construct=5)
 
 
 @given(st.integers(2, 8), st.randoms(use_true_random=False))
@@ -257,7 +255,7 @@ def test_rotatability_golden_yes():
     assert rep.tree_id == "2,2"
     assert [e.representative for e in rep.entries] == [0, 1, 3]
     methods = [e.method for e in rep.entries]
-    assert "complement" in methods  # the cache must fire at least once
+    assert "complement_of" in methods  # the cache must fire at least once
     for e in rep.entries:
         assert e.witness is not None
         assert e.witness[e.representative] == 0
@@ -324,12 +322,13 @@ def test_complement_settles_a_timed_out_orbit():
     # settled by the complement of 7's witness).  Orbit 1 runs out of
     # nodes; the witness found at 0 then holds n-1 on vertex 3, so its
     # complement, carried over to vertex 1, settles orbit 1 after all.
+    # As a GeneralTree, no orbit is constructed.
     cons = SearchConstraints(node_budget=10, time_budget=None)
-    t = build((3, 1, 1))
+    t = to_general(build((3, 1, 1)))
     rep = is_zero_rotatable(t, cons)
-    assert rep.methods == ("search", "complement", "complement", "search")
+    assert rep.methods == ("search_fallback", "complement_of", "complement_of", "search_fallback")
     e = rep.entries[1]
-    assert (e.representative, e.verdict, e.method, e.nodes) == (1, "yes", "complement", 11)
+    assert (e.representative, e.verdict, e.method, e.nodes) == (1, "yes", "complement_of", 11)
     assert is_graceful(t, e.witness) and e.witness[1] == 0
     assert rep.entries[0].witness[3] == t.n - 1
     assert rep.verdict == "yes" and rep.searched == 3
@@ -357,7 +356,7 @@ def test_orbit_tries_share_the_time_budget(monkeypatch):
     # then vertex 0, in one try per neighbour.  Every try of every stage
     # gets its orbit's one deadline.
     runs = []
-    t = build((2,))
+    t = to_general(build((2,)))
     tables, ascending = _tables(t), _tables(t, ascending=True)
 
     # Every try runs out of nodes but vertex 0's first try in each stage,
@@ -492,7 +491,7 @@ def test_rotatability_builds_the_tables_once(monkeypatch):
         return real(t, ascending)
 
     monkeypatch.setattr(gracetree.search, "_tables", spy)
-    t = build((1, 1, 1, 2))
+    t = to_general(build((1, 1, 1, 2)))
     assert is_zero_rotatable(t).searched > 1
     assert built == [(t, False)]
     built.clear()
@@ -501,19 +500,17 @@ def test_rotatability_builds_the_tables_once(monkeypatch):
     assert [e.nodes for e in is_zero_rotatable(t).entries if e.nodes > 100] == [868, 549]
     assert built == [(t, False), (t, True)]
     built.clear()
-    rep = is_zero_rotatable(build((2,)), construct=lambda v: (Labelling((0, 2, 1)), "theorem1"))
-    assert rep.methods == ("theorem1", "complement_of") and built == []
-    # A hook that declines (returns None) is asked about every orbit and
-    # leaves each to the search, which then runs as if there were no hook.
-    asked = []
+    # A rooted symmetric tree whose orbits the constructions settle builds
+    # none; the same tree as a GeneralTree is searched.
     t = build((2, 2))
-    rep = is_zero_rotatable(t, construct=asked.append)
-    plain = is_zero_rotatable(t)
-    assert asked == list(rep.orbit_reps) == list(plain.orbit_reps)
-    assert rep.methods == ("search_fallback", "complement_of", "search_fallback")
-    assert plain.methods == ("search", "complement", "search")
-    assert (rep.verdicts, rep.witnesses, rep.nodes) == (plain.verdicts, plain.witnesses, plain.nodes)
-    assert built == [(t, False)] * 2
+    rep = is_zero_rotatable(t)
+    assert rep.methods == ("theorem1", "complement_of", "theorem2_odd") and built == []
+    assert rep.nodes == 0 and rep.witnesses == evaluate_sequence((2, 2)).witnesses
+    g = to_general(t)
+    plain = is_zero_rotatable(g)
+    assert plain.methods == ("search_fallback", "complement_of", "search_fallback")
+    assert plain.orbit_reps == rep.orbit_reps and plain.verdicts == rep.verdicts
+    assert built == [(g, False)]
 
 
 def test_search_leaves_no_reference_cycle():

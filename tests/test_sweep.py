@@ -3,6 +3,8 @@ import io
 import itertools
 import re
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ import gracetree.search
 import gracetree.sweep
 from gracetree import (
     GeneralTree,
+    SearchConstraints,
     UnsupportedConstruction,
     ZeroAtRequest,
     build,
@@ -161,16 +164,22 @@ def test_evaluate_sequence_search_fallback_and_counterexample():
     idx = row.verdicts.index("no")
     assert row.methods[idx] == METHOD_SEARCH
     # the refusal must agree with the plain search oracle
-    rep = is_zero_rotatable(build((1, 1, 1, 2)))
+    rep = is_zero_rotatable(to_general(build((1, 1, 1, 2))))
     assert rep.verdict == "no"
 
 
 def test_evaluate_matches_search_oracle_per_orbit():
-    for seq in [(2, 2), (3, 1), (1, 1, 1, 2), (2, 1, 2)]:
-        row = evaluate_sequence(seq)
-        oracle = is_zero_rotatable(build(seq))
-        assert row.orbit_reps == tuple(e.representative for e in oracle.entries)
-        assert row.verdicts == tuple(e.verdict for e in oracle.entries), seq
+    # The same tree as a GeneralTree is searched orbit by orbit, with no
+    # construction: an independent route to every verdict.
+    cons = SearchConstraints(node_budget=50_000, time_budget=None)
+    tally = Counter()
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=14)):
+        row = evaluate_sequence(seq, node_budget=50_000, time_budget=None)
+        oracle = is_zero_rotatable(to_general(build(seq)), cons)
+        assert row.orbit_reps == oracle.orbit_reps, seq
+        assert row.verdicts == oracle.verdicts, seq
+        tally.update(row.verdicts)
+    assert tally == {"yes": 1159, "no": 2, "timeout": 3}
 
 
 def test_run_sweep_jobs_agree():
@@ -241,27 +250,29 @@ def assert_witness_rows_graceful(t, text):
 
 
 def test_rotate0_csv_golden_yes():
-    # The leaf orbit 3 is searched first and its complement settles orbit 1.
-    t = build((2, 2))
+    # As a GeneralTree, the leaf orbit 3 is searched first and its
+    # complement settles orbit 1.
+    t = to_general(build((2, 2)))
     text = rotatability_to_csv(is_zero_rotatable(t, tree_id="2,2"), include_timing=False)
     assert text == ROTATE0_HEADER + (
-        'gracetree.rotate0/1,"2,2",7,0,1,yes,search,0 3 6 4 5 2 1,7,\n'
-        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement,4 0 1 6 5 2 3,0,\n'
-        'gracetree.rotate0/1,"2,2",7,3,4,yes,search,2 6 5 0 1 4 3,7,\n'
+        'gracetree.rotate0/1,"2,2",7,0,1,yes,search_fallback,0 3 6 4 5 2 1,7,\n'
+        'gracetree.rotate0/1,"2,2",7,1,2,yes,complement_of,4 0 1 6 5 2 3,0,\n'
+        'gracetree.rotate0/1,"2,2",7,3,4,yes,search_fallback,2 6 5 0 1 4 3,7,\n'
     )
     assert len(assert_witness_rows_graceful(t, text)) == 3
 
 
 def test_rotate0_csv_golden_no():
-    # Search order 4, 0, 2: the leaf witnesses settle the hub 3 and vertex 1.
-    t = build((1, 1, 1, 2))
+    # As a GeneralTree, search order 4, 0, 2: the leaf witnesses settle
+    # the hub 3 and vertex 1.
+    t = to_general(build((1, 1, 1, 2)))
     text = rotatability_to_csv(is_zero_rotatable(t, tree_id="1,1,1,2"), include_timing=False)
     assert text == ROTATE0_HEADER + (
-        'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search,0 5 1 4 3 2,6,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement,5 0 4 1 2 3,0,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,2,1,no,search,,27,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,complement,2 1 3 0 5 4,0,\n'
-        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,search,3 4 2 5 0 1,6,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search_fallback,0 5 1 4 3 2,6,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement_of,5 0 4 1 2 3,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,2,1,no,search_fallback,,27,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,3,1,yes,complement_of,2 1 3 0 5 4,0,\n'
+        'gracetree.rotate0/1,"1,1,1,2",6,4,2,yes,search_fallback,3 4 2 5 0 1,6,\n'
     )
     assert len(assert_witness_rows_graceful(t, text)) == 5
 
@@ -326,10 +337,10 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
 
 
 def test_sweep_calls_zero_at_only_where_it_reaches(monkeypatch):
-    # The hook declines every orbit off zero_at_levels, so a sweep asks
-    # zero_at only for placements it makes: no refusal is raised.
+    # The decider offers zero_at only the orbits on zero_at_levels, so a
+    # sweep asks it only for placements it makes: no refusal is raised.
     calls, refused = [], []
-    real = gracetree.sweep.zero_at
+    real = gracetree.construct.zero_at
 
     def spy(req):
         calls.append(req)
@@ -339,6 +350,22 @@ def test_sweep_calls_zero_at_only_where_it_reaches(monkeypatch):
             refused.append(req)
             raise
 
-    monkeypatch.setattr(gracetree.sweep, "zero_at", spy)
+    monkeypatch.setattr(gracetree.construct, "zero_at", spy)
     run_sweep(SweepSpec("rst_all", nmax=14, node_budget=50_000, time_budget=None))
     assert (len(calls), len(refused)) == (288, 0)
+
+
+def test_one_method_vocabulary():
+    # Every route a sweep row or a rotate0 report names is one of the
+    # construct.METHOD_* names, or "trivial" for the one-vertex tree.
+    names = {v for k, v in vars(gracetree.construct).items() if k.startswith("METHOD_")}
+    names.add("trivial")
+    seen = set(is_zero_rotatable(build((0,))).methods)
+    for spec in (SweepSpec("rst_all", nmax=12), SweepSpec("q3", nmax=30)):
+        for row in run_sweep(spec):
+            seen.update(row.methods)
+    # test_search pins this golden to is_zero_rotatable on its trees.
+    golden = Path(__file__).parent / "golden" / "rotate0_random_2k.csv"
+    seen.update(row["method"] for row in csv.DictReader(io.StringIO(golden.read_text())))
+    assert seen - names == set()
+    assert {"trivial", "theorem1", "complement_of", "search_fallback"} <= seen
