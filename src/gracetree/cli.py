@@ -53,6 +53,11 @@ from .sweep import (
 ENV_NODES = "GRACEFUL_BUDGET_NODES"
 ENV_SECS = "GRACEFUL_BUDGET_SECS"
 
+# Above this many vertices a command would fill n-sized lists until
+# memory runs out.  The largest tree in the tests, (3000, 3000), has
+# 9,003,001.
+MAX_VERTICES = 10_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for
@@ -98,12 +103,23 @@ def _add_tree_source(p: argparse.ArgumentParser) -> None:
     group.add_argument("--tree", metavar="FILE", help="tree JSON file (- for stdin)")
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"tree has {n} vertices; gracetree handles at most {MAX_VERTICES}")
+
+
 def _load_tree(args) -> Tree:
-    if args.rst is not None:
-        return build(_parse_sequence(args.rst))
+    """The tree the arguments name.  One of more than MAX_VERTICES
+    vertices is refused before any work linear in its size."""
     if args.path is not None:
-        return build(path_sequence(args.path))
-    return tree_from_json(_read_text(args.tree))
+        _check_size(args.path)
+        t = build(path_sequence(args.path))
+    elif args.rst is not None:
+        t = build(_parse_sequence(args.rst))
+    else:
+        t = tree_from_json(_read_text(args.tree))
+    _check_size(t.n)
+    return t
 
 
 def _require_rst(t) -> RootedSymmetricTree:

@@ -14,10 +14,17 @@ Three constructions are implemented:
 ``zero_at`` places 0 or n-1 on a chosen vertex: it picks the direct
 formula or the composition as the base by the vertex's level, and it
 alone decides whether to complement the base, which swaps 0 and n-1.
-The three constructions return their formula's labelling, proven a
-permutation and nothing more.  Gracefulness is proven once, where a
-labelling is handed out: ``zero_at``, ``replay_trace``, the CLI's
-``label`` command and the search's ``_witness``.
+
+Each public entry checks its arguments and calls a private core that
+trusts them (``_zero_at``, ``_compose``, ``_theorem1_labels``); the
+sweep calls ``_zero_at`` with the level it already has.  No step of a
+construction proves what an earlier one built.  A labelling is proven
+once, where it leaves a public function: ``zero_at`` and
+``replay_trace`` prove it graceful on the raw labels, which proves it a
+permutation too, and ``theorem1_label``, ``lemma1_label`` and
+``compose_theorem2`` prove it a permutation only.  ``replay_trace``
+checks a recorded ``perm``; the functions its ops call check the
+step's integers.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: a list of replayable steps with recorded label
@@ -34,11 +41,13 @@ from typing import NamedTuple, Sequence, Union
 from .labelling import (
     Labelling,
     TranspositionProduct,
+    _relabel,
+    _trusted,
+    _vertex_permutation,
     apply_permutation,
     complement,
     is_graceful,
     reflect,
-    relabel_vertices,
     shift,
 )
 from .model import (
@@ -46,13 +55,14 @@ from .model import (
     Tree,
     UnsupportedConstruction,
     _as_int,
+    _level_mapping,
     _rooted,
-    automorphism_mapping,
     decompose,
 )
 
-# Unused here, but perfbench/spans.py wraps it at this module's lookup site.
-from .model import to_general  # noqa: F401
+# Unused here, but perfbench/spans.py wraps them at this module's lookup site.
+from .labelling import relabel_vertices  # noqa: F401
+from .model import automorphism_mapping, to_general  # noqa: F401
 
 METHOD_THEOREM1 = "theorem1"
 METHOD_THEOREM2_ODD = "theorem2_odd"
@@ -92,7 +102,12 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     built one level at a time, without decoding any address: one range
     per parent, one ``map`` per level.  Proven a permutation, not graceful.
     """
-    hs = _rooted(t, "theorem1_label").level_numbers
+    return Labelling(_theorem1_labels(_rooted(t, "theorem1_label")))
+
+
+def _theorem1_labels(t: RootedSymmetricTree) -> list[int]:
+    """``theorem1_label``'s labels as a list, unproven."""
+    hs = t.level_numbers
     top = t.degrees[0] * hs[1] if t.q > 1 else 0
     labels = [0]
     sums = [0]
@@ -104,7 +119,7 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
             labels += map(sub, repeat(top - (r - 2) // 2), sums)
         else:
             labels += map(add, sums, repeat((r - 1) // 2))
-    return Labelling(labels)
+    return labels
 
 
 def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
@@ -126,14 +141,17 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
 
 
 def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
-    """Label a three-level tree gracefully with 0 at a deepest leaf."""
+    """Label a three-level tree gracefully with 0 at a deepest leaf.
+
+    Graceful by the lemma; proven a permutation only.
+    """
     _rooted(t, "lemma1_label")
     state: dict = {}
     steps = (
         _do(t, state, "theorem1"),
         _do(t, state, "apply_permutation", swaps=lemma1_product(t).swaps),
     )
-    return state["labelling"], ConstructionTrace(METHOD_LEMMA1, steps)
+    return Labelling(state["labelling"].labels), ConstructionTrace(METHOD_LEMMA1, steps)
 
 
 def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]:
@@ -149,6 +167,9 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     Returns labels in local order: root, spine down to the deep vertex,
     then the leaves.
     """
+    leaf_count = _as_int(leaf_count, "broom leaf_count")
+    spine_length = _as_int(spine_length, "broom spine_length")
+    n = _as_int(n, "broom n")
     if leaf_count < 1:
         raise ValueError("a broom needs at least one leaf")
     if spine_length < 1:
@@ -191,7 +212,14 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
     complements the result when it needs the two extremes swapped and
     proves it graceful; here it is proven a permutation only.
     """
-    q = _rooted(t, "compose_theorem2").q
+    state: dict = {}
+    trace = _compose(_rooted(t, "compose_theorem2"), state)
+    return Labelling(state["labelling"].labels), trace
+
+
+def _compose(t: RootedSymmetricTree, state: dict) -> ConstructionTrace:
+    """``compose_theorem2``'s steps, run into ``state``; its labelling unproven."""
+    q = t.q
     n = t.n
     if q < 3:
         raise UnsupportedConstruction(
@@ -205,7 +233,6 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
             f"intermediate daughter degrees of {degrees} are not all 1",
         )
 
-    state: dict = {}
     steps = (
         _do(t, state, "decompose"),
         _do(t, state, "broom", leaf_count=degrees[-1], spine_length=q - 1, n=n),
@@ -217,7 +244,7 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
         _do(t, state, "merge"),
     )
     method = METHOD_THEOREM2_ODD if q % 2 == 1 else METHOD_THEOREM2_EVEN
-    return state["labelling"], ConstructionTrace(method, steps)
+    return ConstructionTrace(method, steps)
 
 
 TargetLike = Union[int, Sequence[int]]
@@ -262,14 +289,19 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     is moved onto the target vertex by a tree automorphism when needed.
     """
     t = _rooted(req.tree, "zero_at")
-    n = t.n
-    q = t.q
     target = _coerce_target(t, req.target)
-    level = t.level_of_index(target)
     desired = _as_int(req.desired_label, "desired label")
-    if desired not in (0, n - 1):
-        raise ValueError(f"desired label must be 0 or {n - 1}, got {desired}")
+    if desired not in (0, t.n - 1):
+        raise ValueError(f"desired label must be 0 or {t.n - 1}, got {desired}")
+    return _zero_at(t, target, t.level_of_index(target), desired)
 
+
+def _zero_at(
+    t: RootedSymmetricTree, target: int, level: int, desired: int
+) -> tuple[Labelling, ConstructionTrace]:
+    """``zero_at`` for a vertex ``target`` of ``t`` on ``level`` and a
+    ``desired`` label of 0 or n-1."""
+    q = t.q
     state: dict = {}
     if level <= 2:
         zero_level = 1
@@ -277,7 +309,7 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
         method = METHOD_STAR if q <= 2 else METHOD_THEOREM1
     elif level in (q - 1, q):
         zero_level = q
-        state["labelling"], base = compose_theorem2(t)
+        base = _compose(t, state)
         steps = list(base.steps)
         method = base.method
     else:
@@ -294,11 +326,11 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     if t.level_of_index(holder) != level:
         raise RuntimeError("desired label landed on the wrong level; this is a bug")
     if holder != target:
-        perm = automorphism_mapping(t, holder, target)
+        perm = _level_mapping(t, holder, target)
         steps.append(_do(t, state, "relabel_vertices", perm=perm))
 
     f = state["labelling"]
-    if f[target] != desired or not is_graceful(t, f):
+    if f[target] != desired or not is_graceful(t, f.labels):
         raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
     return f, ConstructionTrace(method, tuple(steps))
 
@@ -308,12 +340,15 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
 
     ``state`` carries what earlier ops produced: the whole-tree
     ``labelling``, the broom ``decomposition``, and the ``broom`` and
-    ``subtree`` labels.  A missing input raises KeyError, a bad
-    parameter or an inconsistent merge ValueError.
+    ``subtree`` labels.  No op proves what it makes; the whole-tree
+    labelling is a ``Labelling`` built unchecked.  A missing input
+    raises KeyError, a bad parameter or an inconsistent merge
+    ValueError; a ``perm`` must already be a vertex permutation.
     """
     step: dict = {"op": op}
     if op == "theorem1":
-        out = state["labelling"] = theorem1_label(t)
+        labels = _theorem1_labels(_rooted(t, "theorem1_label"))
+        out = state["labelling"] = _trusted(tuple(labels))
     elif op == "apply_permutation":
         prod = TranspositionProduct(params["swaps"])
         step["swaps"] = [list(s) for s in prod.swaps]
@@ -323,7 +358,7 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
     elif op == "relabel_vertices":
         perm = params["perm"]
         step["perm"] = list(perm)
-        out = state["labelling"] = relabel_vertices(state["labelling"], perm)
+        out = state["labelling"] = _relabel(state["labelling"], perm)
     elif op == "decompose":
         dec = state["decomposition"] = decompose(t)
         step["h_degrees"] = list(dec.subtree_h.degrees)
@@ -331,18 +366,17 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
         step["h_map"] = list(dec.h_map)
         return step
     elif op == "broom":
-        for k in ("leaf_count", "spine_length", "n"):
-            step[k] = _as_int(params[k], f"broom {k}")
+        step.update((k, params[k]) for k in ("leaf_count", "spine_length", "n"))
         out = state["broom"] = broom_caterpillar_label(
             step["leaf_count"], step["spine_length"], step["n"]
         )
     elif op == "subtree":
-        out = state["subtree"] = theorem1_label(state["decomposition"].subtree_h)
+        out = state["subtree"] = _theorem1_labels(state["decomposition"].subtree_h)
     elif op == "shift":
-        step["amount"] = _as_int(params["amount"], "shift amount")
+        step["amount"] = params["amount"]
         out = state["subtree"] = shift(state["subtree"], step["amount"])
     elif op == "reflect":
-        step["pivot"] = _as_int(params["pivot"], "reflect pivot")
+        step["pivot"] = params["pivot"]
         out = state["subtree"] = reflect(state["subtree"], step["pivot"])
     elif op == "merge":
         # The broom's labels on P's vertices, the subtree's on H's.
@@ -354,7 +388,7 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
             if full[gi] >= 0 and full[gi] != b:
                 raise ValueError(f"broom and subtree disagree on vertex {gi}")
             full[gi] = b
-        out = state["labelling"] = Labelling(full)
+        out = state["labelling"] = _trusted(tuple(full))
     else:
         raise ValueError(f"unknown trace op {op!r}")
     step["labels"] = list(out)
@@ -369,13 +403,17 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
     """Re-execute a construction trace and cross-check every snapshot.
 
     Raises ValueError, naming the step, on a malformed step or on any
-    mismatch between a recorded step and its recomputation.  Returns the
-    final labelling, verified graceful.
+    mismatch between a recorded step and its recomputation.  A step's
+    integers are checked by the function its op calls, and a ``perm``
+    here, before the op runs.  Returns the final labelling, verified
+    graceful.
     """
     state: dict = {}
     for i, step in enumerate(trace.steps):
         try:
             params = {k: v for k, v in step.items() if k not in _OUTPUTS}
+            if "perm" in params:
+                params["perm"] = _vertex_permutation(params["perm"], t.n)
             redone = _do(t, state, step["op"], **params)
         except KeyError as exc:
             raise ValueError(f"trace step {i} lacks its input {exc}") from None
@@ -387,6 +425,6 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
     if "labelling" not in state:
         raise ValueError("trace produced no labelling")
     f = state["labelling"]
-    if not is_graceful(t, f):
+    if not is_graceful(t, f.labels):
         raise ValueError("trace replays to a non-graceful labelling")
     return f

@@ -4,19 +4,19 @@ A labelling of an n-vertex tree assigns the integers 0..n-1 bijectively
 to the vertices.  It is graceful when the edge differences
 ``|label(u) - label(v)|`` hit each of 1..n-1 exactly once.
 
-Each labelling is proven a permutation once, where that can fail:
-``Labelling(...)`` checks labels that come from outside.  The label
-bijections (``complement``, ``apply_permutation``, ``relabel_vertices``)
-map a ``Labelling`` onto 0..n-1 again, so they build their result
-through ``_trusted`` without checking it a second time; each still
-checks what its caller passes, and refuses anything but a
-``Labelling``.  ``is_graceful`` checks a raw label sequence for being a
-permutation and trusts a ``Labelling``; the edge differences it checks
-in full either way.  Gracefulness is proven once, where a labelling is
-handed out: ``zero_at``, ``replay_trace``, the CLI's ``label`` command
-and the search's ``_witness``.  Trees are proven once too: ``to_general``
-shares a rooted symmetric tree's edges unchecked.  The transforms map
-whole label tuples.
+Arguments are checked once, at the public boundary.  ``Labelling(...)``
+checks labels that come from outside.  The label bijections
+(``complement``, ``apply_permutation``, ``relabel_vertices``) map a
+``Labelling`` onto 0..n-1 again, so they build their result through
+``_trusted`` without checking it a second time; each still checks what
+its caller passes, and refuses anything but a ``Labelling``.  The
+constructions call ``relabel_vertices``'s core ``_relabel`` with an
+automorphism they built, and build their own labellings through
+``_trusted``; ``construct`` proves each where it hands it out.
+``is_graceful`` checks a raw label sequence for being a permutation and
+trusts a ``Labelling``; the edge differences it checks in full either
+way.  Trees are proven once too: ``to_general`` shares a rooted
+symmetric tree's edges unchecked.  The transforms map whole label tuples.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Labelling(_Frozen):
 def _trusted(labels: tuple[int, ...]) -> Labelling:
     """A Labelling of ``labels`` without ``Labelling``'s check.
 
-    Only for a tuple of ints already known to be a permutation of
-    0..n-1: the image of a Labelling under a bijection of 0..n-1.
+    Only for the image of a Labelling under a bijection of 0..n-1, and
+    for a construction step's labels, proven where they are handed out.
     """
     f = object.__new__(Labelling)
     f.__dict__["labels"] = labels
@@ -192,11 +192,21 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
-    n = _labelling(f).n
+    return _relabel(f, _vertex_permutation(vertex_perm, _labelling(f).n))
+
+
+def _vertex_permutation(vertex_perm: Sequence[int], n: int) -> tuple[int, ...]:
+    """``vertex_perm`` as ints; ValueError unless it is a bijection on 0..n-1."""
     vertex_perm = _as_ints(vertex_perm, "vertex")
     if not _is_permutation(vertex_perm, n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
-    out = [0] * n
+    return vertex_perm
+
+
+def _relabel(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
+    """``relabel_vertices`` for a ``vertex_perm`` known to be a bijection
+    on 0..n-1."""
+    out = [0] * f.n
     for new, b in zip(vertex_perm, f.labels):
         out[new] = b
     return _trusted(tuple(out))

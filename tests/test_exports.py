@@ -86,33 +86,50 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_only_the_label_bijections_skip_the_labelling_check():
-    # labelling._trusted builds a Labelling without proving it a
-    # permutation.  Only the bijections, whose image of a Labelling is
-    # one by construction, may call it; no other module may name it.
-    root = Path(__file__).resolve().parents[1]
-    outside = []
-    for folder in ("src/gracetree", "tests", "perfbench"):
-        for path in sorted(root.glob(f"{folder}/*.py")):
-            if path.name == "labelling.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.alias):
-                    name = node.asname or node.name
-                else:
-                    name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if "_trusted" in (name, getattr(node, "name", None)):
-                    outside.append(f"{folder}/{path.name}:{node.lineno}")
-    assert outside == []
-    tree = ast.parse((root / "src/gracetree/labelling.py").read_text())
-    callers = {
-        func.name
-        for func in tree.body
+def _callers(name: str) -> set[str]:
+    """``module:function`` for each top-level function of the package
+    whose body names ``name``."""
+    return {
+        f"{path.stem}:{func.name}"
+        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
+        for func in ast.parse(path.read_text()).body
         if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id == "_trusted"
+        if name in _names_read(func)
     }
-    assert callers == {"complement", "apply_permutation", "relabel_vertices"}
+
+
+def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check():
+    # labelling._trusted builds a Labelling without proving it a
+    # permutation.  The label bijections call it, whose image of a
+    # Labelling is one by construction, and so do the construction ops,
+    # whose labelling is proven where a public function hands it out.
+    # Neither the tests nor the benchmark may name it.
+    root = Path(__file__).resolve().parents[1]
+    outside = [
+        f"{folder}/{path.name}"
+        for folder in ("tests", "perfbench")
+        for path in sorted(root.glob(f"{folder}/*.py"))
+        if "_trusted" in _names_read(ast.parse(path.read_text()))
+    ]
+    assert outside == []
+    assert _callers("_trusted") == {
+        "labelling:complement",
+        "labelling:apply_permutation",
+        "labelling:_relabel",
+        "construct:_do",
+    }
+
+
+def test_only_the_public_entries_and_the_constructions_call_the_cores():
+    # Each core runs on arguments its caller built or checked: the public
+    # entry that checks them, or a step of a construction.
+    cores = ("_zero_at", "_compose", "_theorem1_labels", "_relabel")
+    assert {core: _callers(core) for core in cores} == {
+        "_zero_at": {"construct:zero_at", "search:is_zero_rotatable"},
+        "_compose": {"construct:compose_theorem2", "construct:_zero_at"},
+        "_theorem1_labels": {"construct:theorem1_label", "construct:_do"},
+        "_relabel": {"labelling:relabel_vertices", "construct:_do"},
+    }
 
 
 def test_only_to_general_skips_the_tree_check():
@@ -131,19 +148,23 @@ def test_only_to_general_skips_the_tree_check():
     assert callers == ["model.py:to_general"]
 
 
-def test_only_zero_at_and_replay_prove_a_construction_graceful():
-    # The constructions prove their labelling a permutation only; the
-    # graceful check runs once, where a labelling leaves construct.py.
-    root = Path(__file__).resolve().parents[1]
-    tree = ast.parse((root / "src/gracetree/construct.py").read_text())
-    callers = {
-        func.name
-        for func in tree.body
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id == "is_graceful"
-    }
-    assert callers == {"zero_at", "replay_trace"}
+def test_each_labelling_is_proven_where_construct_hands_it_out():
+    # zero_at's core and replay_trace prove their labelling graceful on
+    # the raw path, which proves it a permutation too; the constructions
+    # that hand out a labelling without that prove it a permutation.
+    tree = ast.parse((Path(gracetree.__file__).parent / "construct.py").read_text())
+    graceful, permutation = {}, set()
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "is_graceful":
+                    graceful[func.name] = ast.unparse(node.args[1])
+                elif node.func.id == "Labelling":
+                    permutation.add(func.name)
+    assert graceful == {"_zero_at": "f.labels", "replay_trace": "f.labels"}
+    assert permutation == {"theorem1_label", "lemma1_label", "compose_theorem2"}
 
 
 def test_only_the_constructions_name_their_refusal():

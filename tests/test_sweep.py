@@ -337,20 +337,20 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
 
 
 def test_sweep_calls_zero_at_only_where_it_reaches(monkeypatch):
-    # The decider offers zero_at only the orbits on zero_at_levels, so a
-    # sweep asks it only for placements it makes: no refusal is raised.
+    # The decider offers zero_at's core only the orbits on zero_at_levels,
+    # so a sweep asks it only for placements it makes: no refusal is raised.
     calls, refused = [], []
-    real = gracetree.construct.zero_at
+    real = gracetree.construct._zero_at
 
-    def spy(req):
-        calls.append(req)
+    def spy(*args):
+        calls.append(args)
         try:
-            return real(req)
+            return real(*args)
         except UnsupportedConstruction:
-            refused.append(req)
+            refused.append(args)
             raise
 
-    monkeypatch.setattr(gracetree.construct, "zero_at", spy)
+    monkeypatch.setattr(gracetree.construct, "_zero_at", spy)
     run_sweep(SweepSpec("rst_all", nmax=14, node_budget=50_000, time_budget=None))
     assert (len(calls), len(refused)) == (288, 0)
 
