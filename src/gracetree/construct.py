@@ -18,13 +18,13 @@ alone decides whether to complement the base, which swaps 0 and n-1.
 Each public entry checks its arguments and calls a private core that
 trusts them (``_zero_at``, ``_compose``, ``_theorem1_labels``); the
 sweep calls ``_zero_at`` with the level it already has.  No step of a
-construction proves what an earlier one built.  A labelling is proven
-once, where it leaves a public function: ``zero_at`` and
-``replay_trace`` prove it graceful on the raw labels, which proves it a
-permutation too, and ``theorem1_label``, ``lemma1_label`` and
-``compose_theorem2`` prove it a permutation only.  ``replay_trace``
-checks a recorded ``perm``; the functions its ops call check the
-step's integers.
+construction proves what an earlier one built, or copies the labels
+it was handed.  A labelling is proven once, where it leaves a public
+function: ``zero_at`` and ``replay_trace`` prove it a permutation and
+graceful with ``labelling._graceful_ints`` on the tuple they hand out,
+and ``theorem1_label``, ``lemma1_label`` and ``compose_theorem2`` prove
+it a permutation only.  ``replay_trace`` checks a recorded ``perm``;
+the ops check the step's integers.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: a list of replayable steps with recorded label
@@ -41,14 +41,12 @@ from typing import NamedTuple, Sequence, Union
 from .labelling import (
     Labelling,
     TranspositionProduct,
+    _graceful_ints,
     _relabel,
     _trusted,
     _vertex_permutation,
     apply_permutation,
     complement,
-    is_graceful,
-    reflect,
-    shift,
 )
 from .model import (
     RootedSymmetricTree,
@@ -61,7 +59,7 @@ from .model import (
 )
 
 # Unused here, but perfbench/spans.py wraps them at this module's lookup site.
-from .labelling import relabel_vertices  # noqa: F401
+from .labelling import is_graceful, relabel_vertices  # noqa: F401
 from .model import automorphism_mapping, to_general  # noqa: F401
 
 METHOD_THEOREM1 = "theorem1"
@@ -330,7 +328,7 @@ def _zero_at(
         steps.append(_do(t, state, "relabel_vertices", perm=perm))
 
     f = state["labelling"]
-    if f[target] != desired or not is_graceful(t, f.labels):
+    if f[target] != desired or not _graceful_ints(t, f.labels):
         raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
     return f, ConstructionTrace(method, tuple(steps))
 
@@ -373,20 +371,21 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
     elif op == "subtree":
         out = state["subtree"] = _theorem1_labels(state["decomposition"].subtree_h)
     elif op == "shift":
-        step["amount"] = params["amount"]
-        out = state["subtree"] = shift(state["subtree"], step["amount"])
+        step["amount"], h = params["amount"], state["subtree"]
+        out = state["subtree"] = tuple(map(add, h, repeat(_as_int(step["amount"], "shift amount"))))
     elif op == "reflect":
-        step["pivot"] = params["pivot"]
-        out = state["subtree"] = reflect(state["subtree"], step["pivot"])
+        step["pivot"], h = params["pivot"], state["subtree"]
+        out = state["subtree"] = tuple(map(sub, repeat(_as_int(step["pivot"], "reflect pivot")), h))
     elif op == "merge":
-        # The broom's labels on P's vertices, the subtree's on H's.
+        # The broom's labels on P's vertices, the subtree's on H's.  A
+        # recomputed decomposition's P and H share only the root, vertex 0.
         dec, h = state["decomposition"], state["subtree"]
         full = [-1] * t.n
         for gi, b in zip(dec.p_map, state["broom"], strict=True):
             full[gi] = b
+        if full[0] != h[0]:
+            raise ValueError("broom and subtree disagree on vertex 0")
         for gi, b in zip(dec.h_map, h, strict=True):
-            if full[gi] >= 0 and full[gi] != b:
-                raise ValueError(f"broom and subtree disagree on vertex {gi}")
             full[gi] = b
         out = state["labelling"] = _trusted(tuple(full))
     else:
@@ -425,6 +424,6 @@ def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
     if "labelling" not in state:
         raise ValueError("trace produced no labelling")
     f = state["labelling"]
-    if not is_graceful(t, f.labels):
+    if not _graceful_ints(t, f.labels):
         raise ValueError("trace replays to a non-graceful labelling")
     return f

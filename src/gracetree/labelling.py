@@ -12,11 +12,13 @@ checks labels that come from outside.  The label bijections
 its caller passes, and refuses anything but a ``Labelling``.  The
 constructions call ``relabel_vertices``'s core ``_relabel`` with an
 automorphism they built, and build their own labellings through
-``_trusted``; ``construct`` proves each where it hands it out.
-``is_graceful`` checks a raw label sequence for being a permutation and
-trusts a ``Labelling``; the edge differences it checks in full either
-way.  Trees are proven once too: ``to_general`` shares a rooted
-symmetric tree's edges unchecked.  The transforms map whole label tuples.
+``_trusted``.  ``construct`` and ``search`` prove each where they hand
+it out with ``_graceful_ints``, a permutation and graceful at once, on
+the tuple of ints they built, not a copy.  ``is_graceful`` checks a raw
+label sequence for being a permutation and trusts a ``Labelling``; the
+edge differences it checks in full either way.  Trees are proven once
+too: ``to_general`` shares a rooted symmetric tree's edges unchecked.
+The transforms map whole label tuples.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _trusted(labels: tuple[int, ...]) -> Labelling:
     """A Labelling of ``labels`` without ``Labelling``'s check.
 
     Only for the image of a Labelling under a bijection of 0..n-1, and
-    for a construction step's labels, proven where they are handed out.
+    for a construction's or a search's labels, proven where handed out.
     """
     f = object.__new__(Labelling)
     f.__dict__["labels"] = labels
@@ -114,7 +116,14 @@ def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     raw = _raw(labels)
     if len(raw) != _tree(t).n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
-    if not isinstance(labels, Labelling) and not _is_permutation(raw, t.n):
+    return _graceful_ints(t, raw, isinstance(labels, Labelling))
+
+
+def _graceful_ints(t: Tree, raw: Sequence[int], permutation: bool = False) -> bool:
+    """``is_graceful`` on ints, read as they are: the one proof of each
+    labelling ``construct`` and ``search`` hand out.  ``permutation``
+    says ``raw`` is proven one already, as a Labelling's labels are."""
+    if not (permutation or _is_permutation(raw, t.n)):
         return False
     # Distinct labels in 0..n-1 give differences in 1..n-1, so n-1
     # distinct ones are all of them.

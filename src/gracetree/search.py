@@ -73,7 +73,7 @@ import time
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import construct
-from .labelling import Labelling, complement, is_graceful, relabel_vertices
+from .labelling import Labelling, _graceful_ints, _trusted, complement, relabel_vertices
 from .model import (
     RootedSymmetricTree,
     Tree,
@@ -85,7 +85,8 @@ from .model import (
     vertex_orbits,
 )
 
-# Unused here, but perfbench/spans.py wraps it at this module's lookup site.
+# Unused here, but perfbench/spans.py wraps them at this module's lookup site.
+from .labelling import is_graceful  # noqa: F401
 from .model import to_general  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -419,10 +420,11 @@ def _run(
 
 
 def _witness(t: Tree, labels: tuple[int, ...], pins: tuple[tuple[int, int], ...]) -> Labelling:
-    """A search's labels as a Labelling, verified graceful and pinned."""
-    witness = Labelling(labels)
-    if not is_graceful(t, witness):
+    """A search's labels as a Labelling: the engine's tuple itself,
+    proven a permutation and graceful by ``_graceful_ints``, and pinned."""
+    if not _graceful_ints(t, labels):
         raise RuntimeError("search returned a non-graceful labelling; this is a bug")
+    witness = _trusted(labels)
     for v, x in pins:
         if witness[v] != x:
             raise RuntimeError("search witness violates a pin; this is a bug")

@@ -16,6 +16,7 @@ from gracetree import (
     zero_at,
 )
 import gracetree.construct
+import gracetree.labelling
 from gracetree.construct import (
     METHOD_COMPLEMENT,
     METHOD_STAR,
@@ -378,6 +379,35 @@ def test_replay_rejects_tampering():
             replay_trace(t, ConstructionTrace("theorem1", (bad,)))
 
 
+@pytest.mark.parametrize(
+    "seq, op, key, message",
+    [
+        ((2, 2), "broom", "leaf_count", "zip() argument 2 is longer than argument 1"),
+        ((2, 2), "shift", "amount", "broom and subtree disagree on vertex 0"),
+        ((3, 1, 1), "reflect", "pivot", "broom and subtree disagree on vertex 0"),
+    ],
+    ids=["broom-size", "shift-root", "reflect-root"],
+)
+def test_a_forged_compose_trace_is_refused_at_its_merge(seq, op, key, message):
+    # The forged step changes one integer and records the labels that
+    # integer gives, so it replays; the merge then meets a broom of the
+    # wrong size, or a subtree whose root label is not the broom's.
+    t = build(seq)
+    _, trace = compose_theorem2(t)
+    steps = [dict(s) for s in trace.steps]
+    (i,) = [i for i, s in enumerate(steps) if s["op"] == op]
+    steps[i][key] += 1
+    if op == "broom":
+        leaf_count, spine_length, n = (steps[i][k] for k in ("leaf_count", "spine_length", "n"))
+        steps[i]["labels"] = list(broom_caterpillar_label(leaf_count, spine_length, n))
+    else:
+        steps[i]["labels"] = [b + 1 for b in steps[i]["labels"]]
+    merge = [s["op"] for s in steps].index("merge")
+    forged = ConstructionTrace(trace.method, tuple(steps))
+    with pytest.raises(ValueError, match=f"^trace step {merge} does not replay: {re.escape(message)}$"):
+        replay_trace(t, forged)
+
+
 def test_trace_dict_roundtrip():
     t = build((2, 2))
     f, trace = lemma1_label(t)
@@ -435,21 +465,28 @@ def test_zero_at_is_pinned_byte_for_byte():
 )
 def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, top, method):
     # Inside zero_at no step proves what it makes; its postcondition is
-    # the one check on the way out, a permutation and graceful at once
-    # on the raw labels.
-    calls = []
-    check = gracetree.construct.is_graceful
+    # the one check on the way out, a permutation and graceful at once,
+    # on the very tuple it hands out.  No other permutation proof runs.
+    calls, permutations = [], []
+    check = gracetree.construct._graceful_ints
+    is_permutation = gracetree.labelling._is_permutation
 
-    def counted(t, f):
-        calls.append(f)
-        return check(t, f)
+    def counted(t, raw):
+        calls.append(raw)
+        return check(t, raw)
 
-    monkeypatch.setattr(gracetree.construct, "is_graceful", counted)
+    def counted_permutation(raw, n):
+        permutations.append(raw)
+        return is_permutation(raw, n)
+
+    monkeypatch.setattr(gracetree.construct, "_graceful_ints", counted)
+    monkeypatch.setattr(gracetree.labelling, "_is_permutation", counted_permutation)
     t = build(seq)
     desired = t.n - 1 if top else 0
     f, trace = zero_at(ZeroAtRequest(t, target, desired))
     assert (trace.method, f[target]) == (method, desired)
-    assert calls == [f.labels]
+    assert calls == permutations == [f.labels]
+    assert calls[0] is f.labels
 
 
 def _repeat_a_label(monkeypatch):

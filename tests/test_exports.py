@@ -86,24 +86,33 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _functions():
+    """``(module:function, node)`` for each top-level function and each
+    method of a top-level class of the package, ``module:Class.method``
+    for the latter."""
+    for path in sorted(Path(gracetree.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                yield f"{path.stem}:{stmt.name}", stmt
+            elif isinstance(stmt, ast.ClassDef):
+                for func in stmt.body:
+                    if isinstance(func, ast.FunctionDef):
+                        yield f"{path.stem}:{stmt.name}.{func.name}", func
+
+
 def _callers(name: str) -> set[str]:
-    """``module:function`` for each top-level function of the package
-    whose body names ``name``."""
-    return {
-        f"{path.stem}:{func.name}"
-        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
-        for func in ast.parse(path.read_text()).body
-        if isinstance(func, ast.FunctionDef)
-        if name in _names_read(func)
-    }
+    """Each function of the package (see ``_functions``) whose body
+    names ``name``."""
+    return {where for where, func in _functions() if name in _names_read(func)}
 
 
 def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check():
     # labelling._trusted builds a Labelling without proving it a
     # permutation.  The label bijections call it, whose image of a
-    # Labelling is one by construction, and so do the construction ops,
-    # whose labelling is proven where a public function hands it out.
-    # Neither the tests nor the benchmark may name it.
+    # Labelling is one by construction, and so do the construction ops
+    # and the search's _witness, whose labelling is proven graceful
+    # where a public function hands it out.  Neither the tests nor the
+    # benchmark may name it.
     root = Path(__file__).resolve().parents[1]
     outside = [
         f"{folder}/{path.name}"
@@ -117,6 +126,7 @@ def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check()
         "labelling:apply_permutation",
         "labelling:_relabel",
         "construct:_do",
+        "search:_witness",
     }
 
 
@@ -149,22 +159,56 @@ def test_only_to_general_skips_the_tree_check():
 
 
 def test_each_labelling_is_proven_where_construct_hands_it_out():
-    # zero_at's core and replay_trace prove their labelling graceful on
-    # the raw path, which proves it a permutation too; the constructions
-    # that hand out a labelling without that prove it a permutation.
+    # zero_at's core and replay_trace prove their labelling graceful with
+    # _graceful_ints on the tuple they hand out, which proves it a
+    # permutation too; the constructions that hand out a labelling
+    # without that prove it a permutation.  is_graceful, which copies raw
+    # labels first, is not called here.
     tree = ast.parse((Path(gracetree.__file__).parent / "construct.py").read_text())
-    graceful, permutation = {}, set()
+    graceful, permutation, public = {}, set(), set()
     for func in tree.body:
         if not isinstance(func, ast.FunctionDef):
             continue
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id == "is_graceful":
+                if node.func.id == "_graceful_ints":
                     graceful[func.name] = ast.unparse(node.args[1])
                 elif node.func.id == "Labelling":
                     permutation.add(func.name)
+                elif node.func.id == "is_graceful":
+                    public.add(func.name)
     assert graceful == {"_zero_at": "f.labels", "replay_trace": "f.labels"}
     assert permutation == {"theorem1_label", "lemma1_label", "compose_theorem2"}
+    assert public == set()
+
+
+def test_only_the_public_boundary_converts_labels_and_integers():
+    # _as_ints copies a sequence into a tuple of ints, and _raw does so
+    # for anything but a Labelling: checks for values from outside.  The
+    # package's own labels are ints already, so an internal path that
+    # re-converts them pays O(n) for nothing.  The private helpers listed
+    # convert for their public callers, pinned here too.
+    names = ("_as_ints", "_raw", "_vertex_permutation", "_degree_sequence")
+    assert {name: _callers(name) for name in names} == {
+        "_as_ints": {
+            "model:_degree_sequence",
+            "model:to_dot",
+            "labelling:Labelling.__init__",
+            "labelling:_raw",
+            "labelling:TranspositionProduct.__init__",
+            "labelling:_vertex_permutation",
+            "sweep:SweepSpec.__init__",
+        },
+        "_raw": {
+            "labelling:edge_labels",
+            "labelling:is_graceful",
+            "labelling:graceful_defect",
+            "labelling:shift",
+            "labelling:reflect",
+        },
+        "_vertex_permutation": {"labelling:relabel_vertices", "construct:replay_trace"},
+        "_degree_sequence": {"model:level_numbers", "model:RootedSymmetricTree.__init__"},
+    }
 
 
 def test_only_the_constructions_name_their_refusal():

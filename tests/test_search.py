@@ -351,6 +351,22 @@ def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
         is_zero_rotatable(GeneralTree(4, ((0, 1), (1, 2), (2, 3))))
 
 
+@pytest.mark.parametrize(
+    "labels", [(0, 3, 3, 1), (0, 1, 2, 3)], ids=["repeated-label", "not-graceful"]
+)
+def test_a_search_witness_is_proven_where_it_is_handed_out(monkeypatch, labels):
+    # The engine's labels become the witness unchecked by Labelling, so
+    # a fault in the engine surfaces at _witness: a repeated label as
+    # surely as a permutation whose edge differences repeat.
+    monkeypatch.setattr(gracetree.search, "_run", lambda *args: ("found", labels, 0, 1))
+    t = GeneralTree(4, ((0, 1), (1, 2), (2, 3)))
+    message = r"^search returned a non-graceful labelling; this is a bug$"
+    with pytest.raises(RuntimeError, match=message):
+        find_graceful(t)
+    with pytest.raises(RuntimeError, match=message):
+        is_zero_rotatable(t)
+
+
 def test_orbit_tries_share_the_time_budget(monkeypatch):
     # (2) is a path 1-0-2; orbit {1,2} is searched first, in one try,
     # then vertex 0, in one try per neighbour.  Every try of every stage
