@@ -379,14 +379,15 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
     elif op == "merge":
         # The broom's labels on P's vertices, the subtree's on H's.  A
         # recomputed decomposition's P and H share only the root, vertex 0.
-        dec, h = state["decomposition"], state["subtree"]
-        full = [-1] * t.n
-        for gi, b in zip(dec.p_map, state["broom"], strict=True):
-            full[gi] = b
-        if full[0] != h[0]:
+        dec, b, h = state["decomposition"], state["broom"], state["subtree"]
+        for part, got, name, vs in (("broom", b, "P", dec.p_map), ("subtree", h, "H", dec.h_map)):
+            if len(got) != len(vs):
+                raise ValueError(f"{part} has {len(got)} labels for {name}'s {len(vs)} vertices")
+        if b[0] != h[0]:
             raise ValueError("broom and subtree disagree on vertex 0")
-        for gi, b in zip(dec.h_map, h, strict=True):
-            full[gi] = b
+        full = [-1] * t.n
+        for gi, x in zip(chain(dec.p_map, dec.h_map), chain(b, h)):
+            full[gi] = x
         out = state["labelling"] = _trusted(tuple(full))
     else:
         raise ValueError(f"unknown trace op {op!r}")

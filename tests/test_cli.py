@@ -222,6 +222,16 @@ def test_verify_without_labels_key(capsys, tmp_path):
     assert err == "error: labelling document has no 'labels' key\n"
 
 
+@pytest.mark.parametrize("doc", [{"labels": 5}, "0,1,2", 7])
+def test_verify_refuses_a_document_without_a_labels_list(capsys, tmp_path, doc):
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--rst", "2", "--labels", str(lab))
+    assert code == 1
+    assert out == ""
+    assert err == "error: labelling document must be a list or carry a 'labels' list\n"
+
+
 def test_rotate0_yes_and_outputs(capsys, tmp_path):
     csv_file = tmp_path / "r.csv"
     json_file = tmp_path / "r.json"
@@ -555,6 +565,20 @@ def test_tree_command(capsys, tmp_path):
     code, out, _ = run(capsys, "label", "--tree", str(json_file))
     assert code == 0
     assert json.loads(out)["n"] == 7
+
+
+@pytest.mark.parametrize(
+    "doc, code, out, err",
+    [
+        ({"kind": "rst", "degrees": [2, 1]}, 0, '{"kind": "rst", "degrees": [2, 1]}\n', ""),
+        ({"kind": "general", "n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}, 1, "", "error: edge (1,2) closes a cycle\n"),
+        ({"kind": "general", "edges": [[0, 1]]}, 1, "", 'error: general document needs "n" and "edges"\n'),
+    ],
+    ids=["rst", "cycle", "general-without-n"],
+)
+def test_tree_reads_its_document_from_stdin(capsys, monkeypatch, doc, code, out, err):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, "tree", "--tree", "-") == (code, out, err)
 
 
 def test_missing_file_is_io_error(capsys, tmp_path):

@@ -24,6 +24,8 @@ from gracetree.construct import (
     METHOD_THEOREM2_EVEN,
     METHOD_THEOREM2_ODD,
     ConstructionTrace,
+    _compose,
+    _do,
     broom_caterpillar_label,
     compose_theorem2,
     lemma1_label,
@@ -267,6 +269,9 @@ def test_zero_at_validation():
         zero_at(ZeroAtRequest(t, 2.5, 0))
     with pytest.raises(ValueError, match="address digit 0.5 is not an integer"):
         zero_at(ZeroAtRequest(t, (0.5,), 0))
+    # True would pass as vertex 1.
+    with pytest.raises(ValueError, match="^target must be a vertex index or address$"):
+        zero_at(ZeroAtRequest(t, True, 0))
 
 
 def test_constructions_name_a_general_tree_they_cannot_label():
@@ -382,7 +387,7 @@ def test_replay_rejects_tampering():
 @pytest.mark.parametrize(
     "seq, op, key, message",
     [
-        ((2, 2), "broom", "leaf_count", "zip() argument 2 is longer than argument 1"),
+        ((2, 2), "broom", "leaf_count", "broom has 5 labels for P's 4 vertices"),
         ((2, 2), "shift", "amount", "broom and subtree disagree on vertex 0"),
         ((3, 1, 1), "reflect", "pivot", "broom and subtree disagree on vertex 0"),
     ],
@@ -406,6 +411,17 @@ def test_a_forged_compose_trace_is_refused_at_its_merge(seq, op, key, message):
     forged = ConstructionTrace(trace.method, tuple(steps))
     with pytest.raises(ValueError, match=f"^trace step {merge} does not replay: {re.escape(message)}$"):
         replay_trace(t, forged)
+
+
+def test_merge_names_a_subtree_of_the_wrong_size():
+    # No trace step sets the subtree's size, so the merge is run on a
+    # composition's state with the subtree's last label dropped.
+    t = build((2, 2))
+    state: dict = {}
+    _compose(t, state)
+    state["subtree"] = state["subtree"][:-1]
+    with pytest.raises(ValueError, match="^subtree has 3 labels for H's 4 vertices$"):
+        _do(t, state, "merge")
 
 
 def test_trace_dict_roundtrip():

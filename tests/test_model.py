@@ -181,6 +181,21 @@ def test_general_tree_degree_checks_its_vertex():
         t.vertices_at_level(1.5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GeneralTree(0, ()), "a tree needs at least one vertex"),
+        (lambda: build((2, 2)).vertices_at_level(0), "level 0 out of range"),
+        (lambda: build((2, 2)).parent_index(0), "the root has no parent"),
+        (lambda: decompose(build((0,))), "decomposition needs at least 2 levels"),
+    ],
+    ids=["empty-general-tree", "level-0", "root-parent", "one-level-decompose"],
+)
+def test_degenerate_requests_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("edges", [5, None])
 def test_general_tree_rejects_non_iterable_edges(edges):
     with pytest.raises(ValueError, match=f"edge list {edges} is not iterable"):
@@ -237,8 +252,9 @@ def test_general_tree_accepts_exactly_the_trees(case):
     else:
         assert is_tree
         assert g.edges == tuple(norm)
-    # The set-count proof for parent-first lists must accept, store and
-    # refuse exactly as union-find alone does, message for message.
+    # GeneralTree's union-find with path halving must accept, store and
+    # refuse exactly as the oracle's plain union-find does, message for
+    # message.
     try:
         expected = tree_edges_by_union_find(n, edges)
     except ValueError as exc:

@@ -814,6 +814,20 @@ def test_deadline_passed_during_mirrors_times_out(monkeypatch):
         assert 256 <= nodes < 512, k
 
 
+def test_deadline_passed_during_a_plain_walk_times_out(monkeypatch):
+    # No two leaves of this tree hang on one neighbour, so no subtree is
+    # mirrored and only place()'s own look at the clock can stop the walk:
+    # at node 256, its first look, before the witness at node 330.
+    tables = _tables(build((1, 1, 1, 1, 1, 1, 1, 3, 1)))
+    _, _, nbrs, leaf = tables
+    hubs = [nbrs[v][0][0] for v, is_leaf in enumerate(leaf) if is_leaf]
+    assert len(hubs) == len(set(hubs)) == 4
+    status, _, count, nodes = _run(tables, ((7, 0),), None, None, False)
+    assert (status, count, nodes) == ("found", 1, 330)
+    monkeypatch.setattr(time, "perf_counter", lambda: 2.0)
+    assert _run(tables, ((7, 0),), None, 1.0, False) == ("timeout", None, 0, 256)
+
+
 def test_broom_zero_at_vertex_two_follows_k_mod_12():
     # (1,1,1,k) can carry 0 on vertex 2 exactly when 3 or 4 divides k+3.
     # Mirrors decide each of these at once; k = 14 alone is 1.3e12 nodes.
