@@ -109,8 +109,11 @@ def _check_size(n: int) -> None:
 
 
 def _load_tree(args) -> Tree:
-    """The tree the arguments name.  One of more than MAX_VERTICES
-    vertices is refused before any work linear in its size."""
+    """The tree the arguments name, refused if it has more than
+    MAX_VERTICES vertices.  ``--rst``, ``--path`` and an ``"rst"``
+    document are refused before their edges are built; a ``"general"``
+    document, whose text is already linear in n, is parsed and proven
+    a tree first."""
     if args.path is not None:
         _check_size(args.path)
         t = build(path_sequence(args.path))
@@ -358,7 +361,7 @@ def cmd_sweep(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for row in rows:
             doc = {
-                "tree": {"kind": "rst", "degrees": [int(k) for k in row.tree_id.split(",")]},
+                "tree": tree_to_dict(build(_parse_sequence(row.tree_id))),
                 "n": row.n,
                 "witnesses": {str(rep): list(labels) for rep, labels in row.witnesses},
             }

@@ -321,8 +321,6 @@ def _zero_at(
             method = METHOD_COMPLEMENT
 
     holder = state["labelling"].vertex_with_label(desired)
-    if t.level_of_index(holder) != level:
-        raise RuntimeError("desired label landed on the wrong level; this is a bug")
     if holder != target:
         perm = _level_mapping(t, holder, target)
         steps.append(_do(t, state, "relabel_vertices", perm=perm))

@@ -225,15 +225,16 @@ def _run(
     """Shared engine on the tree whose ``_tables`` are ``tables``.
 
     Stops after ``node_budget`` nodes or once ``time.perf_counter()``
-    passes ``deadline``; None means no limit.  Returns (status, labels,
-    count, nodes).
+    passes ``deadline``; None means no limit.  No two ``pins`` share a
+    vertex or a label: ``SearchConstraints.validate`` refuses such pins,
+    and the decider's two put 0 and n-1 on neighbouring vertices.
+    Returns (status, labels, count, nodes).
     """
     eu, ev, nbrs, leaf = tables
     n = len(leaf)
+    # The one pin validate(1) admits is (0, 0).
     if n == 1:
-        if all(x == 0 for _, x in pins):
-            return STATUS_FOUND, (0,), 1, 0
-        return STATUS_EXHAUSTED, None, 0, 0
+        return STATUS_FOUND, (0,), 1, 0
 
     label = [-1] * n
     free = (1 << n) - 1
@@ -243,8 +244,6 @@ def _run(
     # Label each pin and close its edges to pins already labelled, as a
     # child does; an edge to a later pin is touched until that pin closes it.
     for v, x in pins:
-        if not free >> x & 1 or label[v] >= 0:
-            return STATUS_EXHAUSTED, None, 0, 0
         label[v] = x
         free ^= 1 << x
         for w, i in nbrs[v]:
@@ -459,9 +458,7 @@ def count_graceful(t: Tree, bound: int | None = 10) -> int:
         raise ValueError(
             f"counting on {t.n} vertices exceeds the bound {bound}; pass bound=None"
         )
-    status, _, count, _ = _run(_tables(_tree(t)), (), None, None, True)
-    if status == STATUS_TIMEOUT:
-        raise RuntimeError("unbudgeted count stopped early; this is a bug")
+    _, _, count, _ = _run(_tables(_tree(t)), (), None, None, True)
     return count
 
 

@@ -136,8 +136,6 @@ def _all_sequences(nmax: int) -> list[tuple[int, ...]]:
 def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
     """Daughter degree sequences of the requested family, in a stable order."""
     if spec.family == FAMILY_RST_ALL:
-        if spec.nmax < 2:
-            return []
         return _all_sequences(spec.nmax)
 
     if spec.family == FAMILY_SPIDER:
@@ -152,7 +150,7 @@ def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
             for b in range(lo, hi + 1)
         ]
 
-    elif spec.family == FAMILY_Q3:
+    else:
         nmax = spec.nmax if spec.nmax is not None else 60
         seqs = [
             (k1, k2)

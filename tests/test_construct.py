@@ -384,6 +384,19 @@ def test_replay_rejects_tampering():
             replay_trace(t, ConstructionTrace("theorem1", (bad,)))
 
 
+def test_replay_refuses_an_unknown_op_and_a_trace_with_no_labelling():
+    t = build((2, 2))
+    unknown = ConstructionTrace(METHOD_THEOREM1, ({"op": "mystery"},))
+    with pytest.raises(ValueError, match="^trace step 0 does not replay: unknown trace op 'mystery'$"):
+        replay_trace(t, unknown)
+    # A decompose step replays, but leaves no whole-tree labelling.
+    _, trace = compose_theorem2(t)
+    assert trace.steps[0]["op"] == "decompose"
+    for steps in ((), trace.steps[:1]):
+        with pytest.raises(ValueError, match="^trace produced no labelling$"):
+            replay_trace(t, ConstructionTrace(trace.method, steps))
+
+
 @pytest.mark.parametrize(
     "seq, op, key, message",
     [

@@ -709,6 +709,15 @@ def test_rst_immutability_and_identity():
     assert len({build((2, 2)), build((2, 2))}) == 1
 
 
+def test_records_of_different_classes_are_unequal():
+    # The same tree as a RootedSymmetricTree and as a GeneralTree, and
+    # a Labelling and its own labels tuple.
+    star = GeneralTree(3, ((0, 1), (0, 2)))
+    assert build((2,)).edges == star.edges
+    assert build((2,)) != star and star != build((2,))
+    assert Labelling((0, 1)) != (0, 1) and (0, 1) != Labelling((0, 1))
+
+
 def _verdict():
     return OrbitVerdict(0, (0, 2), "yes", "theorem1", Labelling((0, 2, 1)), 0, 0.0)
 
