@@ -19,12 +19,13 @@ Each public entry checks its arguments and calls a private core that
 trusts them (``_zero_at``, ``_compose``, ``_theorem1_labels``); the
 sweep calls ``_zero_at`` with the level it already has.  No step of a
 construction proves what an earlier one built, or copies the labels
-it was handed.  A labelling is proven once, where it leaves a public
-function: ``zero_at`` and ``replay_trace`` prove it a permutation and
-graceful with ``labelling._graceful_ints`` on the tuple they hand out,
-and ``theorem1_label``, ``lemma1_label`` and ``compose_theorem2`` prove
-it a permutation only.  ``replay_trace`` checks a recorded ``perm``;
-the ops check the step's integers.
+it was handed.  Each function that hands out a whole-tree labelling
+proves it once, a permutation and graceful, with
+``labelling._graceful_ints`` on the tuple it hands out: a failure is a
+bug in the construction and raises RuntimeError, except in
+``replay_trace``, whose trace is input and is refused with ValueError.
+``replay_trace`` checks a recorded ``perm``; the ops check the step's
+integers.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: a list of replayable steps with recorded label
@@ -98,9 +99,9 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
 
     A child's sum is its parent's plus x_{r-1} h_r, so the labels are
     built one level at a time, without decoding any address: one range
-    per parent, one ``map`` per level.  Proven a permutation, not graceful.
+    per parent, one ``map`` per level.
     """
-    return Labelling(_theorem1_labels(_rooted(t, "theorem1_label")))
+    return _proven(t, _trusted(tuple(_theorem1_labels(_rooted(t, "theorem1_label")))))
 
 
 def _theorem1_labels(t: RootedSymmetricTree) -> list[int]:
@@ -139,17 +140,14 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
 
 
 def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
-    """Label a three-level tree gracefully with 0 at a deepest leaf.
-
-    Graceful by the lemma; proven a permutation only.
-    """
+    """Label a three-level tree gracefully with 0 at a deepest leaf."""
     _rooted(t, "lemma1_label")
     state: dict = {}
     steps = (
         _do(t, state, "theorem1"),
         _do(t, state, "apply_permutation", swaps=lemma1_product(t).swaps),
     )
-    return Labelling(state["labelling"].labels), ConstructionTrace(METHOD_LEMMA1, steps)
+    return _proven(t, state["labelling"]), ConstructionTrace(METHOD_LEMMA1, steps)
 
 
 def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]:
@@ -160,7 +158,8 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     take 0..leaf_count-1; the spine, walked from its deep end up to the
     root, alternates between the largest unused high label and the
     smallest unused low label.  The edge differences then form one
-    contiguous run at the very top of 1..n-1.
+    contiguous run at the very top of 1..n-1; a composition proves that
+    with the rest of its labelling, where it hands the labelling out.
 
     Returns labels in local order: root, spine down to the deep vertex,
     then the leaves.
@@ -185,17 +184,7 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
         else:
             deep_to_root.append(low)
             low += 1
-    labels = tuple(reversed(deep_to_root)) + tuple(range(leaf_count))
-
-    spine = labels[:spine_length]
-    diffs = sorted(
-        [abs(spine[i] - spine[i + 1]) for i in range(spine_length - 1)]
-        + [abs(spine[-1] - leaf) for leaf in range(leaf_count)]
-    )
-    lo = n - (leaf_count + spine_length - 1)
-    if diffs != list(range(lo, n)):
-        raise RuntimeError("broom edge differences missed the top run; this is a bug")
-    return labels
+    return tuple(reversed(deep_to_root)) + tuple(range(leaf_count))
 
 
 def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
@@ -207,12 +196,11 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
     The branch is labelled with the extreme values, the rest of the tree
     with the direct formula shifted (odd level count) or reflected (even
     level count) onto the remaining middle values.  ``zero_at``
-    complements the result when it needs the two extremes swapped and
-    proves it graceful; here it is proven a permutation only.
+    complements the result when it needs the two extremes swapped.
     """
     state: dict = {}
     trace = _compose(_rooted(t, "compose_theorem2"), state)
-    return Labelling(state["labelling"].labels), trace
+    return _proven(t, state["labelling"]), trace
 
 
 def _compose(t: RootedSymmetricTree, state: dict) -> ConstructionTrace:
@@ -326,9 +314,17 @@ def _zero_at(
         steps.append(_do(t, state, "relabel_vertices", perm=perm))
 
     f = state["labelling"]
-    if f[target] != desired or not _graceful_ints(t, f.labels):
+    if f[target] != desired:
+        raise RuntimeError(f"constructed labelling puts {f[target]} on vertex {target}; this is a bug")
+    return _proven(t, f), ConstructionTrace(method, tuple(steps))
+
+
+def _proven(t: Tree, f: Labelling) -> Labelling:
+    """``f`` itself, proven a graceful labelling of ``t`` where a
+    construction hands it out."""
+    if not _graceful_ints(t, f.labels):
         raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
-    return f, ConstructionTrace(method, tuple(steps))
+    return f
 
 
 def _do(t: Tree, state: dict, op: str, **params) -> dict:

@@ -12,13 +12,14 @@ checks labels that come from outside.  The label bijections
 its caller passes, and refuses anything but a ``Labelling``.  The
 constructions call ``relabel_vertices``'s core ``_relabel`` with an
 automorphism they built, and build their own labellings through
-``_trusted``.  ``construct`` and ``search`` prove each where they hand
-it out with ``_graceful_ints``, a permutation and graceful at once, on
-the tuple of ints they built, not a copy.  ``is_graceful`` checks a raw
-label sequence for being a permutation and trusts a ``Labelling``; the
-edge differences it checks in full either way.  Trees are proven once
-too: ``to_general`` shares a rooted symmetric tree's edges unchecked.
-The transforms map whole label tuples.
+``_trusted``.  Each function of ``construct`` and ``search`` that hands
+out a whole-tree labelling proves it there, once: ``_graceful_ints``, a
+permutation and graceful at once, on the tuple it hands out, not a
+copy.  ``is_graceful`` checks a raw label sequence for being a
+permutation and trusts a ``Labelling``; the edge differences it checks
+in full either way.  Trees are proven once too: ``to_general`` shares a
+rooted symmetric tree's edges unchecked.  The transforms map whole label
+tuples.
 """
 
 from __future__ import annotations

@@ -187,12 +187,15 @@ def evaluate_sequence(
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
     """Evaluate the whole family, optionally across worker processes.
 
-    Output order always matches enumerate_family(spec).  At most one
-    worker per tree is started, none for a single tree.  Workers never see
-    SIGINT: on KeyboardInterrupt, from Ctrl-C or from SIGINT sent to this
-    process alone, the sweep terminates and joins them and re-raises, so
-    none outlives the call.  A worker that dies raises ChildProcessError.
+    Output order always matches enumerate_family(spec).  ``jobs`` below
+    1 is a ValueError.  At most one worker per tree is started, none for
+    a single tree.  Workers never see SIGINT: on KeyboardInterrupt, from
+    Ctrl-C or from SIGINT sent to this process alone, the sweep
+    terminates and joins them and re-raises, so none outlives the call.
+    A worker that dies raises ChildProcessError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     seqs = enumerate_family(spec)
     tasks = [(s, spec.family, spec.node_budget, spec.time_budget) for s in seqs]
     jobs = min(jobs, len(tasks))

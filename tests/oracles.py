@@ -182,6 +182,22 @@ def theorem1_label_by_addresses(t: RootedSymmetricTree) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def graceful_on_rst(degrees, labels) -> bool:
+    """Whether ``labels`` is a graceful labelling of the rooted symmetric
+    tree with daughter degrees ``degrees`` ((0,) is one vertex), its
+    vertices numbered level by level with each parent's children in a
+    row; the edges are built here, from the degree sequence alone."""
+    labels, edges, level = list(labels), [], range(1)
+    for k in degrees:
+        below = range(level.stop, level.stop + k * len(level))
+        edges += [(level[i // k], v) for i, v in enumerate(below)]
+        level = below
+    n = level.stop
+    if sorted(labels) != list(range(n)):
+        return False
+    return sorted(abs(labels[u] - labels[v]) for u, v in edges) == list(range(1, n))
+
+
 def decompose_by_addresses(
     t: RootedSymmetricTree,
 ) -> tuple[GeneralTree, tuple[int, ...], tuple[int, ...]]:

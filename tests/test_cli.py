@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import gracetree
-from gracetree import build, evaluate_sequence
-from gracetree.cli import main
-from gracetree.construct import ConstructionTrace
-from gracetree.labelling import Labelling
+from gracetree import ZeroAtRequest, build, evaluate_sequence, theorem1_label, zero_at
+from gracetree.cli import entrypoint, main
+from gracetree.construct import compose_theorem2, lemma1_label
 from gracetree.model import to_general, tree_to_json
+from oracles import graceful_on_rst
 
 
 def run(capsys, *argv):
@@ -110,16 +110,77 @@ def test_label_usage_errors(capsys, tmp_path):
     assert "rooted symmetric" in err
 
 
-@pytest.mark.parametrize("name, method", [("compose_theorem2", "theorem2"), ("lemma1_label", "lemma1")])
-def test_label_method_is_verified_by_the_cli(capsys, monkeypatch, name, method):
-    # The constructions prove their labelling a permutation only; the
-    # CLI's own check is what stands behind --method.
-    bad = Labelling(range(7))  # index order: differences 1, 2, 2, 3, 3, 4 on (2,2)
-    monkeypatch.setattr(f"gracetree.cli.{name}", lambda t: (bad, ConstructionTrace(method, ())))
-    code, out, err = run(capsys, "label", "--rst", "2,2", "--method", method)
-    assert code == 2
-    assert out == ""
-    assert "produced labelling failed verification" in err
+@pytest.mark.parametrize(
+    "construct, argv",
+    [
+        (theorem1_label, []),
+        (lemma1_label, ["--method", "lemma1"]),
+        (compose_theorem2, ["--method", "theorem2"]),
+        (lambda t: zero_at(ZeroAtRequest(t, 5, 0)), ["--zero-at", "5"]),
+    ],
+    ids=["theorem1", "lemma1", "theorem2", "zero-at"],
+)
+def test_label_ends_with_the_bug_report_of_a_construction(capsys, monkeypatch, construct, argv):
+    # The direct formula's core, patched to number (2,2) in index order,
+    # hands each construction a permutation that is not graceful.  Each
+    # proves its labelling where it hands it out and raises; label prints
+    # only what a construction proved, so it ends with that error.
+    assert not graceful_on_rst((2, 2), range(7))
+    monkeypatch.setattr(gracetree.construct, "_theorem1_labels", lambda t: list(range(t.n)))
+    bug = "^constructed labelling failed its postcondition; this is a bug$"
+    with pytest.raises(RuntimeError, match=bug):
+        construct(build((2, 2)))
+    with pytest.raises(RuntimeError, match=bug):
+        main(["label", "--rst", "2,2", *argv])
+    assert capsys.readouterr().out == ""
+
+
+def _rst_levels(nmax: int) -> list[tuple[tuple[int, ...], list[range]]]:
+    """(degrees, vertices of each level) of every rooted symmetric tree
+    on at most ``nmax`` vertices, (0,) being the single vertex."""
+    out = [((0,), [range(1)])]
+
+    def grow(degrees: tuple[int, ...], levels: list[range]) -> None:
+        last, k = levels[-1], 1
+        while last.stop + k * len(last) <= nmax:
+            below = levels + [range(last.stop, last.stop + k * len(last))]
+            out.append((degrees + (k,), below))
+            grow(degrees + (k,), below)
+            k += 1
+
+    grow((), [range(1)])
+    return out
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "lemma1", "theorem2", "zero-at-0", "zero-at-top"])
+def test_every_labelling_label_prints_is_graceful(capsys, mode):
+    # label prints "graceful": true on the constructions' word alone; an
+    # oracle that builds its own edges checks every labelling of every
+    # tree on at most 14 vertices that the mode accepts.
+    for degrees, levels in _rst_levels(14):
+        q, n = len(levels), levels[-1].stop
+        brooms = all(k == 1 for k in degrees[1:-1])
+        requests = []  # (argv, vertex, label)
+        if mode == "theorem1":
+            requests.append(([], 0, 0))
+        elif mode == "lemma1" and q == 3 or mode == "theorem2" and q >= 3 and brooms:
+            requests.append((["--method", mode], levels[-1], 0))
+        elif mode.startswith("zero-at"):
+            desired, label = ("0", 0) if mode == "zero-at-0" else ("top", n - 1)
+            reached = ({1, 2, q - 1, q} if brooms else {1, 2}) & set(range(1, q + 1))
+            for r in sorted(reached):
+                for v in sorted({levels[r - 1][0], levels[r - 1][-1]}):
+                    requests.append((["--zero-at", str(v), "--desired", desired], v, label))
+        for argv, where, label in requests:
+            code, out, _ = run(capsys, "label", "--rst", ",".join(map(str, degrees)), *argv)
+            assert code == 0, (degrees, argv)
+            doc = json.loads(out)
+            assert doc["graceful"] is True, (degrees, argv)
+            assert graceful_on_rst(degrees, doc["labels"]), (degrees, argv)
+            if isinstance(where, int):
+                assert doc["labels"][where] == label, (degrees, argv)
+            else:
+                assert doc["labels"].index(label) in where, (degrees, argv)
 
 
 @pytest.mark.parametrize(
@@ -546,6 +607,30 @@ def test_sweep_jobs(capsys, monkeypatch, family, jobs, trees, workers):
     assert code == 0
     assert f"swept {trees} trees" in out
     assert pools == workers
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_refuses_fewer_than_one_job(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "--jobs", jobs, "--family", "symmetric_banana", "--branches", "2..2")
+    assert code == 1
+    assert out == ""
+    assert f"error: jobs must be at least 1, got {jobs}" in err
+
+
+def test_ctrl_c_in_a_command_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gracetree.cli.cmd_tree", interrupted)
+    assert run(capsys, "tree", "--rst", "2") == (130, "", "")
+
+
+def test_entrypoint_exits_with_the_code_of_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["gracetree", "tree", "--rst", "2"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "rst", "degrees": [2]}
 
 
 def test_tree_command(capsys, tmp_path):

@@ -541,13 +541,21 @@ def test_a_labelling_that_is_no_permutation_is_caught_where_it_is_handed_out(mon
     with pytest.raises(RuntimeError, match="failed its postcondition"):
         zero_at(ZeroAtRequest(t, 12, 0))
     for construction in (theorem1_label, lemma1_label, compose_theorem2):
-        with pytest.raises(ValueError, match="labels must be a permutation"):
+        with pytest.raises(RuntimeError, match="failed its postcondition"):
             construction(t)
     # A trace that records the faulty labels replays step for step, and
     # its final check refuses it.
     forged = ConstructionTrace(METHOD_THEOREM1, ({"op": "theorem1", "labels": broken(t)},))
     with pytest.raises(ValueError, match="^trace replays to a non-graceful labelling$"):
         replay_trace(t, forged)
+
+
+def test_a_labelling_that_misses_its_target_is_caught_where_it_is_handed_out(monkeypatch):
+    # A transport that leaves every vertex where it is keeps the labelling
+    # graceful but leaves 0 on vertex 1, where the direct formula put n-1.
+    monkeypatch.setattr(gracetree.construct, "_level_mapping", lambda t, src, dst: tuple(range(t.n)))
+    with pytest.raises(RuntimeError, match="^constructed labelling puts 3 on vertex 2; this is a bug$"):
+        zero_at(ZeroAtRequest(build((2, 2)), 2, 0))
 
 
 @pytest.mark.parametrize(

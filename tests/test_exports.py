@@ -109,9 +109,9 @@ def _callers(name: str) -> set[str]:
 def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check():
     # labelling._trusted builds a Labelling without proving it a
     # permutation.  The label bijections call it, whose image of a
-    # Labelling is one by construction, and so do the construction ops
-    # and the search's _witness, whose labelling is proven graceful
-    # where a public function hands it out.  Neither the tests nor the
+    # Labelling is one by construction, and so do theorem1_label, the
+    # construction ops and the search's _witness, whose labelling is
+    # proven graceful where a public function hands it out.  Neither the tests nor the
     # benchmark may name it.
     root = Path(__file__).resolve().parents[1]
     outside = [
@@ -125,6 +125,7 @@ def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check()
         "labelling:complement",
         "labelling:apply_permutation",
         "labelling:_relabel",
+        "construct:theorem1_label",
         "construct:_do",
         "search:_witness",
     }
@@ -159,27 +160,52 @@ def test_only_to_general_skips_the_tree_check():
 
 
 def test_each_labelling_is_proven_where_construct_hands_it_out():
-    # zero_at's core and replay_trace prove their labelling graceful with
-    # _graceful_ints on the tuple they hand out, which proves it a
-    # permutation too; the constructions that hand out a labelling
-    # without that prove it a permutation.  is_graceful, which copies raw
-    # labels first, is not called here.
-    tree = ast.parse((Path(gracetree.__file__).parent / "construct.py").read_text())
-    graceful, permutation, public = {}, set(), set()
-    for func in tree.body:
-        if not isinstance(func, ast.FunctionDef):
-            continue
+    # One rule: a function of construct that hands out a whole-tree
+    # labelling (its return annotation names Labelling) returns
+    # _proven(t, f), which proves f a permutation and graceful with
+    # _graceful_ints on f's own tuple and returns f itself.  zero_at
+    # returns its core's result, and replay_trace, whose trace is input,
+    # proves its own and refuses with ValueError.  No Labelling(...) copy
+    # is made and is_graceful is not called; the CLI's label command
+    # prints what it is handed without proving it again.
+    package = Path(gracetree.__file__).parent
+    funcs = {
+        func.name: func
+        for func in ast.parse((package / "construct.py").read_text()).body
+        if isinstance(func, ast.FunctionDef)
+    }
+    called: dict[str, set[str]] = {}
+    returned: dict[str, set[str]] = {}
+    graceful = []
+    for name, func in funcs.items():
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.setdefault(node.func.id, set()).add(name)
                 if node.func.id == "_graceful_ints":
-                    graceful[func.name] = ast.unparse(node.args[1])
-                elif node.func.id == "Labelling":
-                    permutation.add(func.name)
-                elif node.func.id == "is_graceful":
-                    public.add(func.name)
-    assert graceful == {"_zero_at": "f.labels", "replay_trace": "f.labels"}
-    assert permutation == {"theorem1_label", "lemma1_label", "compose_theorem2"}
-    assert public == set()
+                    graceful.append((name, ast.unparse(node.args[1])))
+            elif isinstance(node, ast.Return) and node.value is not None:
+                value = node.value
+                value = value.elts[0] if isinstance(value, ast.Tuple) else value
+                value = value.func if isinstance(value, ast.Call) else value
+                returned.setdefault(name, set()).add(ast.unparse(value))
+    handing_out = {
+        name for name, func in funcs.items() if func.returns and "Labelling" in ast.unparse(func.returns)
+    }
+    proven = {"theorem1_label", "lemma1_label", "compose_theorem2", "_zero_at"}
+    assert handing_out == proven | {"zero_at", "replay_trace", "_proven"}
+    assert {name: returned[name] for name in handing_out} == {
+        **{name: {"_proven"} for name in proven},
+        "zero_at": {"_zero_at"},
+        "replay_trace": {"f"},
+        "_proven": {"f"},
+    }
+    assert called["_proven"] == proven
+    assert sorted(graceful) == [("_proven", "f.labels"), ("replay_trace", "f.labels")]
+    assert "Labelling" not in called
+    assert "is_graceful" not in called
+    cli = ast.parse((package / "cli.py").read_text())
+    (cmd_label,) = [func for func in cli.body if isinstance(func, ast.FunctionDef) and func.name == "cmd_label"]
+    assert {"is_graceful", "_graceful_ints"} & _names_read(cmd_label) == set()
 
 
 def test_only_the_public_boundary_converts_labels_and_integers():

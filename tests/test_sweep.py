@@ -146,6 +146,13 @@ def test_spec_rejects_bad_budgets():
     assert run_sweep(spec) == []
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_sweep_refuses_fewer_than_one_job(jobs):
+    spec = SweepSpec("symmetric_banana", branches=(2, 2))
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        run_sweep(spec, jobs=jobs)
+
+
 def test_evaluate_sequence_constructive():
     row = evaluate_sequence((2, 2), family="q3")
     assert row.tree_id == "2,2"
