@@ -29,9 +29,8 @@ from .model import (
     build,
     path_sequence,
     to_dot,
-    tree_from_json,
+    tree_from_dict,
     tree_to_dict,
-    tree_to_json,
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -47,7 +46,6 @@ from .sweep import (
     SweepSpec,
     rotatability_to_csv,
     run_sweep,
-    sequence_label,
     sweep_to_csv,
 )
 
@@ -121,7 +119,7 @@ def _load_tree(args) -> Tree:
     elif args.rst is not None:
         t = build(_parse_sequence(args.rst))
     else:
-        t = tree_from_json(_read_text(args.tree))
+        t = tree_from_dict(json.loads(_read_text(args.tree)))
     _check_size(t.n)
     return t
 
@@ -317,8 +315,7 @@ def cmd_rotate0(args) -> int:
     t = _load_tree(args)
     nodes, secs = _resolve_budgets(args)
     cons = SearchConstraints(node_budget=nodes, time_budget=secs)
-    tree_id = sequence_label(t.degrees) if isinstance(t, RootedSymmetricTree) else ""
-    report = is_zero_rotatable(t, cons, tree_id=tree_id)
+    report = is_zero_rotatable(t, cons)
     for e in report.entries:
         line = f"orbit rep={e.representative} size={len(e.orbit)} verdict={e.verdict} [{e.method}]"
         print(line)
@@ -326,7 +323,7 @@ def cmd_rotate0(args) -> int:
     if args.csv:
         _write_text(args.csv, rotatability_to_csv(report, include_timing=not args.no_timing))
     if args.json:
-        _write_text(args.json, report.to_json(include_timing=not args.no_timing) + "\n")
+        _write_text(args.json, json.dumps(report.to_dict(not args.no_timing), indent=2) + "\n")
     return _exit_code({report.verdict})
 
 
@@ -369,7 +366,7 @@ def cmd_sweep(args) -> int:
 def cmd_tree(args) -> int:
     t = _load_tree(args)
     if args.json or not args.dot:
-        _write_text(args.json or "-", tree_to_json(t) + "\n")
+        _write_text(args.json or "-", json.dumps(tree_to_dict(t)) + "\n")
     if args.dot:
         _write_text(args.dot, to_dot(t))
     return 0

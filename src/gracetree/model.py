@@ -157,6 +157,12 @@ def _level_numbers(degrees: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(hs)
 
 
+def sequence_label(degrees: Sequence[int]) -> str:
+    """The paper's name of a rooted symmetric tree, its daughter degree
+    sequence: ``"2,1,3"`` for (2, 1, 3)."""
+    return ",".join(map(str, degrees))
+
+
 class RootedSymmetricTree(_Frozen):
     """A tree built from a daughter degree sequence.
 
@@ -349,21 +355,16 @@ def _rooted(t, who: str) -> RootedSymmetricTree:
     return t
 
 
-def _trusted_general(t: RootedSymmetricTree) -> GeneralTree:
-    """The GeneralTree of ``t`` without GeneralTree's checks, sharing ``t.edges``."""
-    g = object.__new__(GeneralTree)
-    g.__dict__.update(n=t.n, edges=t.edges)
-    return g
-
-
 def to_general(t: Tree) -> GeneralTree:
     """Forget the rooting; keeps the breadth-first vertex indexing.
 
     A rooted symmetric tree is one by construction, so its ``edges`` are
     shared, not checked again.  A GeneralTree comes back as it is."""
-    if isinstance(t, RootedSymmetricTree):
-        return _trusted_general(t)
-    return _tree(t)
+    if not isinstance(t, RootedSymmetricTree):
+        return _tree(t)
+    g = object.__new__(GeneralTree)
+    g.__dict__.update(n=t.n, edges=t.edges)
+    return g
 
 
 class StructureFlags(NamedTuple):
@@ -699,12 +700,6 @@ def tree_to_dict(t: Tree) -> dict:
     return {"kind": "general", "n": _tree(t).n, "edges": [list(e) for e in t.edges]}
 
 
-def tree_to_json(t: Tree) -> str:
-    import json
-
-    return json.dumps(tree_to_dict(t))
-
-
 def tree_from_dict(d: dict) -> Tree:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError('tree document needs a "kind" field')
@@ -726,12 +721,6 @@ def tree_from_dict(d: dict) -> Tree:
             raise ValueError('"edges" must be a list of [u, v] integer pairs')
         return GeneralTree(n, tuple(map(tuple, edges)))
     raise ValueError(f"unknown tree kind {kind!r}")
-
-
-def tree_from_json(text: str) -> Tree:
-    import json
-
-    return tree_from_dict(json.loads(text))
 
 
 def to_dot(t: Tree, labels: Sequence[int] | None = None) -> str:

@@ -82,6 +82,7 @@ from .model import (
     _is_int,
     _tree,
     automorphism_mapping,
+    sequence_label,
     vertex_orbits,
 )
 
@@ -488,9 +489,11 @@ class OrbitVerdict(NamedTuple):
 class RotatabilityReport(NamedTuple):
     """Per-orbit answers to "is there a graceful labelling with 0 here?".
 
-    A tree is 0-rotatable exactly when every orbit answers yes.  A sweep
-    also records the tree's family and level count; ``elapsed_s`` covers
-    the whole decision, orbit computation included.
+    A tree is 0-rotatable exactly when every orbit answers yes.  A
+    rooted symmetric tree is named by its daughter degree sequence and
+    records its level count ``q``; any other tree is named ``n<n>`` and
+    has ``q`` 0.  A sweep also records the tree's family; ``elapsed_s``
+    covers the whole decision, orbit computation included.
     """
 
     tree_id: str
@@ -546,11 +549,6 @@ class RotatabilityReport(NamedTuple):
             "verdict": self.verdict,
             "orbits": [e.to_dict(include_timing) for e in self.entries],
         }
-
-    def to_json(self, include_timing: bool = True) -> str:
-        import json
-
-        return json.dumps(self.to_dict(include_timing), indent=2)
 
 
 # Node budget of each short stage of an orbit search (see is_zero_rotatable).
@@ -631,6 +629,9 @@ def is_zero_rotatable(
 
     Budgets from ``constraints`` apply per orbit; pins are rejected, as
     each search sets its own pin.  Entries come back in orbit order.
+    The report names the tree ``tree_id`` if one is given, and by
+    default ``sequence_label(t.degrees)`` for a rooted symmetric tree
+    and ``n<n>`` for any other.
     """
     start = time.perf_counter()
     base = _constraints(constraints)
@@ -670,7 +671,9 @@ def is_zero_rotatable(
             rep, orbit_of[rep], VERDICT_YES, construct.METHOD_COMPLEMENT, flipped, nodes, elapsed
         )
 
+    name, q = f"n{t.n}", 0
     if isinstance(t, RootedSymmetricTree):
+        name, q = sequence_label(t.degrees), t.q
         levels = construct.zero_at_levels(t)
         for rep, orbit in orbit_of.items():
             level = t.level_of_index(rep)
@@ -730,4 +733,4 @@ def is_zero_rotatable(
         )
     entries = tuple(settled[rep] for rep in orbit_of)
     elapsed_s = time.perf_counter() - start
-    return RotatabilityReport(tree_id or f"n{t.n}", t.n, entries, elapsed_s=elapsed_s)
+    return RotatabilityReport(tree_id or name, t.n, entries, q=q, elapsed_s=elapsed_s)

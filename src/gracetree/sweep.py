@@ -166,10 +166,6 @@ def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
     return seqs
 
 
-def sequence_label(seq: tuple[int, ...]) -> str:
-    return ",".join(str(k) for k in seq)
-
-
 def evaluate_sequence(
     seq: tuple[int, ...],
     family: str = "",
@@ -177,11 +173,9 @@ def evaluate_sequence(
     time_budget: float | None = DEFAULT_TIME_BUDGET,
 ) -> RotatabilityReport:
     """Answer 0-rotatability for one tree, constructions first: the row of
-    ``is_zero_rotatable`` on ``build(seq)``, with its family and level count."""
-    t = build(seq)
+    ``is_zero_rotatable`` on ``build(seq)``, with its family."""
     cons = SearchConstraints(node_budget=node_budget, time_budget=time_budget)
-    report = is_zero_rotatable(t, cons, sequence_label(seq))
-    return report._replace(family=family, q=t.q)
+    return is_zero_rotatable(build(seq), cons)._replace(family=family)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:

@@ -1,0 +1,78 @@
+"""Count the code lines of ``src/gracetree``, per module and in total.
+
+Run from anywhere::
+
+    python tests/code_lines.py
+
+A code line holds at least one token that is not a comment and not part
+of a docstring (the leading string of a module, class or function body).
+Blank lines, comment lines and docstring lines are not counted; a line
+with code and a trailing comment is.  The file name does not match
+``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gracetree"
+
+_LAYOUT = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        first = node.body[0] if node.body else None
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    docstrings = _docstring_lines(ast.parse(source))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _LAYOUT:
+            continue
+        lines.update(
+            line
+            for line in range(tok.start[0], tok.end[0] + 1)
+            if line not in docstrings
+        )
+    return len(lines)
+
+
+def main() -> int:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{path.relative_to(ROOT)}: {count}")
+    print(f"total: {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

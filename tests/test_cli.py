@@ -18,7 +18,7 @@ import gracetree
 from gracetree import ZeroAtRequest, build, evaluate_sequence, theorem1_label, zero_at
 from gracetree.cli import entrypoint, main
 from gracetree.construct import compose_theorem2, lemma1_label
-from gracetree.model import to_general, tree_to_json
+from gracetree.model import to_general, tree_to_dict
 from oracles import graceful_on_rst
 
 
@@ -360,7 +360,7 @@ def test_rotate0_constructs_a_rooted_symmetric_tree_like_the_sweep(
 
 def test_rotate0_searches_every_orbit_of_a_general_tree(capsys, tmp_path):
     tree_file = tmp_path / "t.json"
-    tree_file.write_text(tree_to_json(to_general(build((12, 2, 1)))))
+    tree_file.write_text(json.dumps(tree_to_dict(to_general(build((12, 2, 1))))))
     code, out, _ = run(
         capsys, "rotate0", "--tree", str(tree_file), "--budget-nodes", "1000", "--budget-secs", "0"
     )
@@ -368,6 +368,29 @@ def test_rotate0_searches_every_orbit_of_a_general_tree(capsys, tmp_path):
     assert code == 4 and [rep for rep, _, _ in orbits] == [0, 1, 13, 37]
     assert {method for _, _, method in orbits} <= {"search_fallback", "complement_of"}
     assert orbits[0] == (0, "timeout", "search_fallback")
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        # constructed, complement and searched orbits of a named tree
+        (
+            ["rotate0", "--rst", "2,2,2", "--csv", "-", "--json", "-", "--no-timing"],
+            0,
+            "rotate0_rst_2-2-2_csv_json.txt",
+        ),
+        # a general tree is named n7, and its root orbit has no witness
+        (["rotate0", "--tree", "{tree}", "--json", "-", "--no-timing"], 3, "rotate0_tree_n7_json.txt"),
+        (["tree", "--rst", "2,3"], 0, "tree_rst_2-3.json"),
+    ],
+)
+def test_cli_stdout_is_pinned_byte_for_byte(capsys, tmp_path, argv, code, golden):
+    tree_file = tmp_path / "t.json"
+    edges = [[0, 1], [1, 2], [2, 3], [1, 4], [4, 5], [4, 6]]
+    tree_file.write_text(json.dumps({"kind": "general", "n": 7, "edges": edges}))
+    argv = [arg.replace("{tree}", str(tree_file)) for arg in argv]
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    assert run(capsys, *argv) == (code, expected, "")
 
 
 def test_rotate0_timeout_exit_and_env(capsys, monkeypatch):

@@ -144,19 +144,21 @@ def test_only_the_public_entries_and_the_constructions_call_the_cores():
 
 
 def test_only_to_general_skips_the_tree_check():
-    # model._trusted_general builds a GeneralTree without proving its
+    # object.__new__(GeneralTree) makes a GeneralTree without proving its
     # edges a tree.  Only to_general, whose rooted symmetric tree is one
-    # by construction, may call it; trees from outside go through
+    # by construction, may do so; trees from outside go through
     # GeneralTree(n, edges).
-    callers = [
+    sites = [
         f"{path.name}:{func.name}"
         for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
         for func in ast.parse(path.read_text()).body
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id == "_trusted_general"
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__new__"
+        and [ast.unparse(arg) for arg in node.args] == ["GeneralTree"]
     ]
-    assert callers == ["model.py:to_general"]
+    assert sites == ["model.py:to_general"]
 
 
 def test_each_labelling_is_proven_where_construct_hands_it_out():

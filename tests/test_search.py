@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import random
 import re
 import sys
@@ -29,6 +30,7 @@ from gracetree.model import (
     classify,
     path_sequence,
     rooted_sequence_at,
+    sequence_label,
     to_dot,
     to_general,
     tree_to_dict,
@@ -431,8 +433,38 @@ def test_rotatability_report_json():
     doc = rep.to_dict()
     assert doc["verdict"] == "yes"
     assert len(doc["orbits"]) == 3
-    assert rep.to_json().startswith("{")
+    assert json.loads(json.dumps(doc, indent=2)) == doc
     assert rep.nodes >= 0
+
+
+@pytest.mark.parametrize(
+    "seq, name, q",
+    [
+        ((0,), "0", 1),
+        ((2,), "2", 2),
+        ((2, 2), "2,2", 3),
+        ((2, 1, 2), "2,1,2", 4),
+        ((1, 1, 1, 2), "1,1,1,2", 5),
+    ],
+)
+def test_the_decider_names_a_rooted_symmetric_tree_by_its_sequence(seq, name, q):
+    # The paper's name: the daughter degree sequence, and q = len(seq) + 1
+    # levels, except for the single vertex (0,).
+    cons = SearchConstraints(node_budget=50_000, time_budget=None)
+    report = is_zero_rotatable(build(seq), cons)
+    assert report.tree_id == sequence_label(seq) == name
+    assert report.q == q and report.family == ""
+    named = is_zero_rotatable(build(seq), cons, "mine")
+    assert (named.tree_id, named.q) == ("mine", q)
+
+
+@pytest.mark.parametrize(
+    "t", [GeneralTree(1, ()), GeneralTree(4, ((0, 1), (1, 2), (1, 3))), to_general(build((2, 2)))]
+)
+def test_the_decider_names_any_other_tree_by_its_size(t):
+    report = is_zero_rotatable(t)
+    assert (report.tree_id, report.q, report.family) == (f"n{t.n}", 0, "")
+    assert is_zero_rotatable(t, None, "mine").tree_id == "mine"
 
 
 @pytest.mark.parametrize(

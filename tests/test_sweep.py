@@ -24,7 +24,7 @@ from gracetree import (
     zero_at,
 )
 from gracetree.construct import METHOD_SEARCH
-from gracetree.model import RootedSymmetricTree, to_general
+from gracetree.model import RootedSymmetricTree, sequence_label, to_general
 from gracetree.sweep import (
     ROTATE0_SCHEMA,
     SWEEP_COLUMNS,
@@ -33,7 +33,6 @@ from gracetree.sweep import (
     enumerate_family,
     rotatability_to_csv,
     run_sweep,
-    sequence_label,
     sweep_to_csv,
 )
 
@@ -244,6 +243,17 @@ def test_sequence_label():
     assert sequence_label((3, 1, 4)) == "3,1,4"
 
 
+@pytest.mark.parametrize("seq", [(0,), (2, 2), (2, 1, 2), (1, 1, 1, 2), (3, 1, 1, 1, 2)])
+def test_evaluate_sequence_is_the_deciders_report_with_its_family(seq):
+    def untimed(report):
+        entries = tuple(e._replace(elapsed=0.0) for e in report.entries)
+        return report._replace(entries=entries, elapsed_s=0.0)
+
+    row = evaluate_sequence(seq, "rst_all", 2_000, None)
+    report = is_zero_rotatable(build(seq), SearchConstraints(node_budget=2_000, time_budget=None))
+    assert untimed(row) == untimed(report._replace(family="rst_all"))
+
+
 ROTATE0_HEADER = "schema,tree,n,orbit_rep,orbit_size,verdict,method,witness,nodes,elapsed_s\n"
 
 
@@ -313,18 +323,20 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
     # to_general, one that shares the tree's edges.
     built = []
     init = GeneralTree.__init__
-    trusted = gracetree.model._trusted_general
+    convert = gracetree.model.to_general
 
     def counting(self, n, edges):
         init(self, n, edges)
         built.append(self.n)
 
-    def counting_trusted(t):
+    def counting_convert(t):
         built.append(t.n)
-        return trusted(t)
+        return convert(t)
 
     monkeypatch.setattr(GeneralTree, "__init__", counting)
-    monkeypatch.setattr(gracetree.model, "_trusted_general", counting_trusted)
+    # Every module that can look to_general up gets the spy.
+    for module in (gracetree.model, gracetree.construct, gracetree.search, gracetree.sweep):
+        monkeypatch.setattr(module, "to_general", counting_convert)
     decomposed = []
     real_decompose = gracetree.construct.decompose
 
