@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -48,9 +47,6 @@ from .sweep import (
     run_sweep,
     sweep_to_csv,
 )
-
-ENV_NODES = "GRACEFUL_BUDGET_NODES"
-ENV_SECS = "GRACEFUL_BUDGET_SECS"
 
 # Above this many vertices a command would fill n-sized lists until
 # memory runs out.  The largest tree in the tests, (3000, 3000), has
@@ -137,41 +133,23 @@ def _add_budgets(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--budget-nodes",
         type=int,
-        default=None,
+        default=DEFAULT_NODE_BUDGET,
         metavar="N",
-        help=f"search node budget per orbit (0 = unlimited; env {ENV_NODES}; "
-        f"default {DEFAULT_NODE_BUDGET})",
+        help=f"search node budget per orbit (0 = unlimited; default {DEFAULT_NODE_BUDGET})",
     )
     p.add_argument(
         "--budget-secs",
         type=float,
-        default=None,
+        default=DEFAULT_TIME_BUDGET,
         metavar="S",
-        help=f"search time budget per orbit in seconds (0 = unlimited; env "
-        f"{ENV_SECS}; default {DEFAULT_TIME_BUDGET})",
+        help=f"search time budget per orbit in seconds (0 = unlimited; default "
+        f"{DEFAULT_TIME_BUDGET})",
     )
 
 
 def _resolve_budgets(args) -> tuple[int | None, float | None]:
-    """Node and time budgets: the flag, else the environment variable,
-    else the default.  Zero or negative means unlimited (None)."""
-    budgets = []
-    for flag, name, parse, default in (
-        (args.budget_nodes, ENV_NODES, int, DEFAULT_NODE_BUDGET),
-        (args.budget_secs, ENV_SECS, float, DEFAULT_TIME_BUDGET),
-    ):
-        text = os.environ.get(name)
-        if flag is not None:
-            value = flag
-        elif text:
-            try:
-                value = parse(text)
-            except ValueError:
-                raise ValueError(f"{name}={text!r} is not a valid {parse.__name__}") from None
-        else:
-            value = default
-        budgets.append(None if value <= 0 else value)
-    return budgets[0], budgets[1]
+    """Node and time budgets; zero or negative means unlimited (None)."""
+    return tuple(None if b <= 0 else b for b in (args.budget_nodes, args.budget_secs))
 
 
 def _build_parser() -> _Parser:
@@ -382,7 +360,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         return 130
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -166,10 +166,11 @@ def sequence_label(degrees: Sequence[int]) -> str:
 class RootedSymmetricTree(_Frozen):
     """A tree built from a daughter degree sequence.
 
-    Exposes arithmetic index/address conversion, parent/child lookup,
-    per-level bookkeeping, and the same ``edges`` and ``adjacency`` as
-    the equal GeneralTree, each built on first use.  Instances are
-    immutable.
+    Vertices are numbered level by level, each parent's children in a
+    row; level r holds ``level_offsets[r-1]`` up to ``level_offsets[r]``.
+    Exposes address-to-index conversion, per-vertex level and degree,
+    and the same ``edges`` and ``adjacency`` as the equal GeneralTree,
+    each built on first use.  Instances are immutable.
     """
 
     _fields = ("degrees",)
@@ -188,7 +189,6 @@ class RootedSymmetricTree(_Frozen):
             level_numbers=hs,
             q=len(hs),
             n=hs[0],
-            level_sizes=tuple(sizes),
             level_offsets=tuple(offsets),
         )
 
@@ -221,12 +221,6 @@ class RootedSymmetricTree(_Frozen):
         r = self.level_of_index(i)
         return (self.degrees[r - 1] if r < self.q else 0) + (r > 1)
 
-    def vertices_at_level(self, r: int) -> range:
-        r = _as_int(r, "level")
-        if not 1 <= r <= self.q:
-            raise ValueError(f"level {r} out of range")
-        return range(self.level_offsets[r - 1], self.level_offsets[r])
-
     def index_of(self, address: Sequence[int]) -> int:
         address = _as_tuple(address, "address")
         r = len(address) + 1
@@ -240,32 +234,6 @@ class RootedSymmetricTree(_Frozen):
                 raise ValueError(f"address digit {x} out of range for level {j + 1}")
             rank = rank * k + x
         return self.level_offsets[r - 1] + rank
-
-    def address_of(self, i: int) -> tuple[int, ...]:
-        """Child indices ``(x_1, ..., x_{r-1})`` locating vertex ``i`` on
-        level r; the root's address is empty."""
-        r = self.level_of_index(i)
-        rank = i - self.level_offsets[r - 1]
-        digits = [0] * (r - 1)
-        for j in range(r - 2, -1, -1):
-            rank, digits[j] = divmod(rank, self.degrees[j])
-        return tuple(digits)
-
-    def parent_index(self, i: int) -> int:
-        r = self.level_of_index(i)
-        if r == 1:
-            raise ValueError("the root has no parent")
-        rank = i - self.level_offsets[r - 1]
-        return self.level_offsets[r - 2] + rank // self.degrees[r - 2]
-
-    def children_indices(self, i: int) -> range:
-        r = self.level_of_index(i)
-        if r >= self.q:
-            return range(0)
-        k = self.degrees[r - 1]
-        rank = i - self.level_offsets[r - 1]
-        first = self.level_offsets[r] + rank * k
-        return range(first, first + k)
 
 
 def build(degrees: Sequence[int]) -> RootedSymmetricTree:

@@ -161,13 +161,35 @@ def orbits_by_rooted_codes(t: GeneralTree) -> list[tuple[int, ...]]:
     return sorted(tuple(vs) for vs in groups.values())
 
 
+def rst_parents(degrees) -> list[int | None]:
+    """Each vertex's parent (None for the root) in the rooted symmetric
+    tree with daughter degrees ``degrees`` ((0,) is one vertex), its
+    vertices numbered level by level with each parent's children in a
+    row; enumerated from the degree sequence alone."""
+    parents, level = [None], range(1)
+    for k in degrees:
+        parents += [p for p in level for _ in range(k)]
+        level = range(level.stop, len(parents))
+    return parents
+
+
+def rst_addresses(degrees) -> list[tuple[int, ...]]:
+    """Each vertex's address, its child indices from the root, in the
+    numbering of ``rst_parents``; enumerated from the degree sequence
+    alone."""
+    addresses, level = [()], [()]
+    for k in degrees:
+        level = [a + (x,) for a in level for x in range(k)]
+        addresses += level
+    return addresses
+
+
 def theorem1_label_by_addresses(t: RootedSymmetricTree) -> tuple[int, ...]:
     """The direct labelling, decoding each vertex's address digits."""
     hs = t.level_numbers
     k1 = t.degrees[0]
     labels = [0] * t.n
-    for i in range(1, t.n):
-        digits = t.address_of(i)
+    for i, digits in enumerate(rst_addresses(t.degrees)[1:], 1):
         r = len(digits) + 1
         if r % 2 == 0:
             acc = (k1 - digits[0]) * hs[1]
@@ -186,16 +208,12 @@ def graceful_on_rst(degrees, labels) -> bool:
     """Whether ``labels`` is a graceful labelling of the rooted symmetric
     tree with daughter degrees ``degrees`` ((0,) is one vertex), its
     vertices numbered level by level with each parent's children in a
-    row; the edges are built here, from the degree sequence alone."""
-    labels, edges, level = list(labels), [], range(1)
-    for k in degrees:
-        below = range(level.stop, level.stop + k * len(level))
-        edges += [(level[i // k], v) for i, v in enumerate(below)]
-        level = below
-    n = level.stop
+    row; its edges are the parent links of ``rst_parents``."""
+    labels, parents = list(labels), rst_parents(degrees)
+    n = len(parents)
     if sorted(labels) != list(range(n)):
         return False
-    return sorted(abs(labels[u] - labels[v]) for u, v in edges) == list(range(1, n))
+    return sorted(abs(labels[parents[v]] - labels[v]) for v in range(1, n)) == list(range(1, n))
 
 
 def decompose_by_addresses(
@@ -208,13 +226,14 @@ def decompose_by_addresses(
     is the tree's vertex with address ``a``.
     """
     k1 = t.degrees[0]
-    p_map = (0,) + tuple(i for i in range(1, t.n) if t.address_of(i)[0] == k1 - 1)
+    addresses, parents = rst_addresses(t.degrees), rst_parents(t.degrees)
+    p_map = (0,) + tuple(i for i, a in enumerate(addresses) if a[:1] == (k1 - 1,))
     local = {g: i for i, g in enumerate(p_map)}
-    p = GeneralTree(len(p_map), tuple((local[t.parent_index(g)], local[g]) for g in p_map[1:]))
+    p = GeneralTree(len(p_map), tuple((local[parents[g]], local[g]) for g in p_map[1:]))
     if k1 == 1:
         return p, p_map, (0,)
-    h = RootedSymmetricTree((k1 - 1,) + t.degrees[1:])
-    return p, p_map, tuple(t.index_of(h.address_of(i)) for i in range(h.n))
+    index = {a: i for i, a in enumerate(addresses)}
+    return p, p_map, tuple(index[a] for a in rst_addresses((k1 - 1,) + t.degrees[1:]))
 
 
 def is_caterpillar(t: GeneralTree) -> bool:

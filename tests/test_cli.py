@@ -394,16 +394,36 @@ def test_cli_stdout_is_pinned_byte_for_byte(capsys, tmp_path, argv, code, golden
 
 
 def test_rotate0_timeout_exit_and_env(capsys, monkeypatch):
-    monkeypatch.setenv("GRACEFUL_BUDGET_NODES", "1")
-    code, out, _ = run(capsys, "rotate0", "--rst", "2,2,2")
+    code, out, _ = run(capsys, "rotate0", "--rst", "2,2,2", "--budget-nodes", "1")
     assert code == 4
-    # a flag beats the environment
+    # Only the flags set a budget: with none given, the default decides
+    # the tree whatever these environment variables hold.
     monkeypatch.setenv("GRACEFUL_BUDGET_NODES", "1")
-    code, _, _ = run(capsys, "rotate0", "--rst", "2,2", "--budget-nodes", "0")
+    monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "abc")
+    code, _, _ = run(capsys, "rotate0", "--rst", "2,2,2")
     assert code == 0
 
 
-def test_nan_time_budget_is_an_error(capsys, monkeypatch):
+@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-secs"])
+def test_a_negative_budget_is_unlimited(capsys, flag):
+    # A negative budget reaching the search would be refused there.
+    argv = ["rotate0", "--rst", "2,2,2", "--budget-nodes", "0", "--budget-secs", "0"]
+    unlimited = run(capsys, *argv)
+    assert unlimited[0] == 0
+    assert run(capsys, *argv, flag, "-1") == unlimited
+
+
+def test_a_key_error_is_a_bug_with_a_traceback(monkeypatch):
+    # No input reaches one, so main does not turn it into an error line.
+    def broken(*args, **kwargs):
+        raise KeyError("labels")
+
+    monkeypatch.setattr("gracetree.cli.is_zero_rotatable", broken)
+    with pytest.raises(KeyError, match="labels"):
+        main(["rotate0", "--rst", "2,2"])
+
+
+def test_nan_time_budget_is_an_error(capsys):
     # NaN never compares greater, so it used to mean "no time limit".
     for argv in (
         ("rotate0", "--rst", "2,2", "--budget-secs", "nan"),
@@ -413,19 +433,6 @@ def test_nan_time_budget_is_an_error(capsys, monkeypatch):
         assert code == 1
         assert out == ""
         assert err.startswith("error: time budget must be positive")
-    monkeypatch.setenv("GRACEFUL_BUDGET_SECS", "nan")
-    code, _, err = run(capsys, "rotate0", "--rst", "2,2")
-    assert code == 1
-    assert err.startswith("error: time budget must be positive")
-
-
-@pytest.mark.parametrize("name, value", [("GRACEFUL_BUDGET_NODES", "1e6"), ("GRACEFUL_BUDGET_SECS", "abc")])
-def test_malformed_budget_variable_is_named(capsys, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    code, out, err = run(capsys, "rotate0", "--rst", "2,2")
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {name}={value!r} ")
 
 
 def test_deep_or_oversized_tree_is_an_error_not_a_traceback(capsys, monkeypatch):

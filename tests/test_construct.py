@@ -178,7 +178,7 @@ def test_compose_covers_both_deep_levels(seq, data):
     t = build(seq)
     g = to_general(t)
     level = data.draw(st.sampled_from((t.q - 1, t.q)))
-    target = data.draw(st.sampled_from(t.vertices_at_level(level)))
+    target = data.draw(st.sampled_from(range(t.level_offsets[level - 1], t.level_offsets[level])))
     desired = data.draw(st.sampled_from((0, t.n - 1)))
     f, trace = zero_at(ZeroAtRequest(t, target, desired))
     assert is_graceful(g, f)
@@ -240,7 +240,7 @@ def test_zero_at_on_deep_brooms(spine, level, end):
     # stack when the result was moved onto its target.
     t = build((3,) + (1,) * spine + (3,))
     r = {"2": 2, "q-1": t.q - 1, "q": t.q}[level]
-    vertices = t.vertices_at_level(r)
+    vertices = range(t.level_offsets[r - 1], t.level_offsets[r])
     target = vertices[0] if end == "first" else vertices[-1]
     f, trace = zero_at(ZeroAtRequest(t, target, 0))
     assert f[target] == 0
@@ -250,7 +250,7 @@ def test_zero_at_on_deep_brooms(spine, level, end):
 
 def test_zero_at_on_a_long_broom_level_four():
     t = build((2, 1, 1, 5000))
-    target = t.vertices_at_level(4)[0]
+    target = t.level_offsets[3]
     f, _ = zero_at(ZeroAtRequest(t, target, 0))
     assert f[target] == 0
     assert is_graceful(to_general(t), f)

@@ -44,6 +44,8 @@ from oracles import (
     is_caterpillar,
     orbits_by_rooted_codes,
     random_tree,
+    rst_addresses,
+    rst_parents,
     tree_edges_by_union_find,
 )
 
@@ -90,9 +92,11 @@ def test_tree_shape_golden():
     t = build((2, 3, 4))
     assert t.n == 33
     assert t.q == 4
-    assert t.level_sizes == (1, 2, 6, 24)
     assert t.level_offsets == (0, 1, 3, 9, 33)
-    assert list(t.vertices_at_level(2)) == [1, 2]
+    levels = [len(a) + 1 for a in rst_addresses(t.degrees)]
+    assert [levels.count(r) for r in range(1, t.q + 1)] == [1, 2, 6, 24]
+    assert [i for i, r in enumerate(levels) if r == 2] == [1, 2]
+    assert [t.level_of_index(i) for i in range(t.n)] == levels
     assert t.level_of_index(0) == 1
     assert t.level_of_index(8) == 3
     assert t.level_of_index(9) == 4
@@ -105,8 +109,9 @@ def test_addressing_golden():
     assert t.index_of(()) == 0
     assert t.index_of((1,)) == 2
     assert t.index_of((1, 2, 3)) == 9 + (1 * 3 + 2) * 4 + 3
-    assert t.address_of(0) == ()
-    assert t.address_of(t.index_of((1, 2, 3))) == (1, 2, 3)
+    addresses = rst_addresses(t.degrees)
+    assert addresses[0] == ()
+    assert addresses[t.index_of((1, 2, 3))] == (1, 2, 3)
     assert t.index_of([1, 2]) == t.index_of(iter((1, 2))) == t.index_of((1, 2))
     with pytest.raises(ValueError):
         t.index_of((2,))
@@ -118,27 +123,26 @@ def test_addressing_golden():
         t.index_of(5)
 
 
-@given(sequences, st.data())
-def test_address_roundtrip(seq, data):
+@given(sequences)
+def test_address_roundtrip(seq):
+    # Every vertex's address, decoded from the degree sequence alone,
+    # leads back to it and is as long as its level is deep.
     t = build(seq)
-    i = data.draw(st.integers(0, t.n - 1))
-    assert t.index_of(t.address_of(i)) == i
-    assert len(t.address_of(i)) + 1 == t.level_of_index(i)
+    for i, a in enumerate(rst_addresses(seq)):
+        assert t.index_of(a) == i
+        assert len(a) + 1 == t.level_of_index(i)
 
 
-@given(sequences, st.data())
-def test_parent_child_consistency(seq, data):
+@given(sequences)
+def test_parent_child_consistency(seq):
+    # The tree's edges are the decoded parent links, in index order, and
+    # each vertex's degree counts its children and its parent.
     t = build(seq)
-    i = data.draw(st.integers(1, t.n - 1)) if t.n > 1 else 0
-    if i == 0:
-        with pytest.raises(ValueError):
-            t.parent_index(0)
-        return
-    p = t.parent_index(i)
-    assert i in t.children_indices(p)
-    assert t.address_of(i)[:-1] == t.address_of(p)
-    for c in t.children_indices(i):
-        assert t.parent_index(c) == i
+    parents, addresses = rst_parents(seq), rst_addresses(seq)
+    assert t.edges == tuple((p, i) for i, p in enumerate(parents) if i)
+    assert [t.degree(i) for i in range(t.n)] == [parents.count(i) + (i > 0) for i in range(t.n)]
+    for i in range(1, t.n):
+        assert addresses[i][:-1] == addresses[parents[i]]
 
 
 def test_path_sequence():
@@ -170,26 +174,20 @@ def test_general_tree_degree_checks_its_vertex():
             g.degree(v)
     with pytest.raises(ValueError, match="vertex index 1.0 is not an integer"):
         g.degree(1.0)
-    # The rooted side refuses a float too; it read 1.0 as vertex 1, and
-    # parent_index(2.0) returned 0.0.
+    # The rooted side refuses a float too; it read 1.0 as vertex 1.
     t = build((2, 2))
-    for method in (t.degree, t.level_of_index, t.parent_index, t.address_of, t.children_indices):
+    for method in (t.degree, t.level_of_index):
         with pytest.raises(ValueError, match="vertex index 2.0 is not an integer"):
             method(2.0)
-    # level_offsets[0.5] raised a raw TypeError.
-    with pytest.raises(ValueError, match="level 1.5 is not an integer"):
-        t.vertices_at_level(1.5)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: GeneralTree(0, ()), "a tree needs at least one vertex"),
-        (lambda: build((2, 2)).vertices_at_level(0), "level 0 out of range"),
-        (lambda: build((2, 2)).parent_index(0), "the root has no parent"),
         (lambda: decompose(build((0,))), "decomposition needs at least 2 levels"),
     ],
-    ids=["empty-general-tree", "level-0", "root-parent", "one-level-decompose"],
+    ids=["empty-general-tree", "one-level-decompose"],
 )
 def test_degenerate_requests_are_refused_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -303,12 +301,13 @@ def test_to_general_preserves_structure(seq):
     assert g.n == t.n
     assert len(g.edges) == t.n - 1
     edge_set = set(g.edges)
+    parents = rst_parents(seq)
     for i in range(1, t.n):
-        p = t.parent_index(i)
+        p = parents[i]
         assert (min(i, p), max(i, p)) in edge_set
     # The tree's own edges are the per-vertex parent links, already in
     # the order GeneralTree normalises to, and its adjacency is the same.
-    assert t.edges == tuple((t.parent_index(i), i) for i in range(1, t.n))
+    assert t.edges == tuple((parents[i], i) for i in range(1, t.n))
     assert g.edges == t.edges
     assert t.adjacency == g.adjacency
     # to_general trusts the tree's edges; the validating constructor
@@ -634,7 +633,7 @@ def test_rst_level_mapping_matches_general_route():
         t = build(seq)
         g = to_general(t)
         for r in range(1, t.q + 1):
-            vs = t.vertices_at_level(r)
+            vs = range(t.level_offsets[r - 1], t.level_offsets[r])
             if len(vs) <= 6 and t.n <= 16:
                 pairs = [(a, b) for a in vs for b in vs]
             elif len(vs) > 1:
