@@ -10,7 +10,7 @@ other name is imported from the submodule that defines it.
 
 from .construct import ZeroAtRequest, theorem1_label, zero_at
 from .labelling import is_graceful
-from .model import GeneralTree, UnsupportedConstruction, build
+from .model import GeneralTree, build
 from .search import SearchConstraints, find_graceful, is_zero_rotatable
 from .sweep import evaluate_sequence
 
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneralTree",
     "SearchConstraints",
-    "UnsupportedConstruction",
     "ZeroAtRequest",
     "build",
     "evaluate_sequence",

@@ -15,22 +15,20 @@ Three constructions are implemented:
 formula or the composition as the base by the vertex's level, and it
 alone decides whether to complement the base, which swaps 0 and n-1.
 
-Each public entry checks its arguments and calls a private core that
-trusts them (``_zero_at``, ``_compose``, ``_theorem1_labels``); the
-sweep calls ``_zero_at`` with the level it already has.  No step of a
-construction proves what an earlier one built, or copies the labels
-it was handed.  Each function that hands out a whole-tree labelling
-proves it once, a permutation and graceful, with
+Each public entry checks its arguments, refusing what it cannot label
+with a ValueError, and calls a private core that trusts them
+(``_zero_at``, ``_compose``, ``_theorem1_labels``).  ``zero_at_levels``
+says beforehand where ``zero_at`` reaches; the sweep calls ``_zero_at``
+only there, with the level it already has.  No step of a construction
+checks its parameters, proves what an earlier one built, or copies the
+labels it was handed.  Each function that hands out a whole-tree
+labelling proves it once, a permutation and graceful, with
 ``labelling._graceful_ints`` on the tuple it hands out: a failure is a
-bug in the construction and raises RuntimeError, except in
-``replay_trace``, whose trace is input and is refused with ValueError.
-``replay_trace`` checks a recorded ``perm``; the ops check the step's
-integers.
+bug in the construction and raises RuntimeError.
 
 Every public entry point that performs a multi-step construction also
-returns a trace: a list of replayable steps with recorded label
-snapshots, so a result can be audited independently of the code that
-produced it.
+returns a trace: the steps it ran, each with its parameters and the
+label snapshot it produced.
 """
 
 from __future__ import annotations
@@ -45,14 +43,12 @@ from .labelling import (
     _graceful_ints,
     _relabel,
     _trusted,
-    _vertex_permutation,
     apply_permutation,
     complement,
 )
 from .model import (
     RootedSymmetricTree,
     Tree,
-    UnsupportedConstruction,
     _as_int,
     _level_mapping,
     _rooted,
@@ -73,7 +69,7 @@ METHOD_SEARCH = "search_fallback"
 
 
 class ConstructionTrace(NamedTuple):
-    """How a labelling was produced: a method name plus replayable steps.
+    """How a labelling was produced: a method name plus the steps run.
 
     Each step is a dict in the ``--explain`` shape: an ``op`` key, the
     op's parameters, and the label snapshot it produced.  Treat steps as
@@ -129,10 +125,7 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
     stays graceful and sends 0 to the leaf at address (0, k_2 - 1).
     """
     if _rooted(t, "lemma1_product").q != 3:
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.WRONG_LEVELS,
-            f"the swap product needs exactly 3 levels, tree has {t.q}",
-        )
+        raise ValueError(f"the swap product needs exactly 3 levels, tree has {t.q}")
     k1 = t.degrees[0]
     k2 = t.degrees[1]
     h2 = t.level_numbers[1]
@@ -145,7 +138,7 @@ def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     state: dict = {}
     steps = (
         _do(t, state, "theorem1"),
-        _do(t, state, "apply_permutation", swaps=lemma1_product(t).swaps),
+        _do(t, state, "apply_permutation", product=lemma1_product(t)),
     )
     return _proven(t, state["labelling"]), ConstructionTrace(METHOD_LEMMA1, steps)
 
@@ -197,28 +190,22 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
     with the direct formula shifted (odd level count) or reflected (even
     level count) onto the remaining middle values.  ``zero_at``
     complements the result when it needs the two extremes swapped.
+    Any other tree raises ValueError.
     """
+    q = _rooted(t, "compose_theorem2").q
+    if q < 3:
+        raise ValueError(f"branch composition needs at least 3 levels, tree has {q}")
+    if q not in zero_at_levels(t):
+        raise ValueError(f"intermediate daughter degrees of {t.degrees} are not all 1")
     state: dict = {}
-    trace = _compose(_rooted(t, "compose_theorem2"), state)
+    trace = _compose(t, state)
     return _proven(t, state["labelling"]), trace
 
 
 def _compose(t: RootedSymmetricTree, state: dict) -> ConstructionTrace:
-    """``compose_theorem2``'s steps, run into ``state``; its labelling unproven."""
-    q = t.q
-    n = t.n
-    if q < 3:
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.WRONG_LEVELS,
-            f"branch composition needs at least 3 levels, tree has {q}",
-        )
-    degrees = t.degrees
-    if q not in zero_at_levels(t):
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.NOT_BROOM,
-            f"intermediate daughter degrees of {degrees} are not all 1",
-        )
-
+    """``compose_theorem2``'s steps on a tree it accepts, run into
+    ``state``; its labelling unproven."""
+    q, n, degrees = t.q, t.n, t.degrees
     steps = (
         _do(t, state, "decompose"),
         _do(t, state, "broom", leaf_count=degrees[-1], spine_length=q - 1, n=n),
@@ -269,8 +256,8 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
 
     The base is the direct formula (0 on level 1, n-1 on level 2) for
     the two top levels and the broom composition (0 on level q, n-1 on
-    level q-1) for the two deepest; any other level raises
-    UnsupportedConstruction(NoConstruction).  The base is complemented
+    level q-1) for the two deepest, where ``zero_at_levels`` has them;
+    any other level raises ValueError.  The base is complemented
     when it puts the other extreme on the target's level, and the result
     is moved onto the target vertex by a tree automorphism when needed.
     """
@@ -279,30 +266,28 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     desired = _as_int(req.desired_label, "desired label")
     if desired not in (0, t.n - 1):
         raise ValueError(f"desired label must be 0 or {t.n - 1}, got {desired}")
-    return _zero_at(t, target, t.level_of_index(target), desired)
+    level = t.level_of_index(target)
+    if level not in zero_at_levels(t):
+        raise ValueError(f"no constructive placement for level {level} of a {t.q}-level tree")
+    return _zero_at(t, target, level, desired)
 
 
 def _zero_at(
     t: RootedSymmetricTree, target: int, level: int, desired: int
 ) -> tuple[Labelling, ConstructionTrace]:
-    """``zero_at`` for a vertex ``target`` of ``t`` on ``level`` and a
-    ``desired`` label of 0 or n-1."""
+    """``zero_at`` for a vertex ``target`` of ``t`` on ``level``, one of
+    ``zero_at_levels(t)``, and a ``desired`` label of 0 or n-1."""
     q = t.q
     state: dict = {}
     if level <= 2:
         zero_level = 1
         steps = [_do(t, state, "theorem1")]
         method = METHOD_STAR if q <= 2 else METHOD_THEOREM1
-    elif level in (q - 1, q):
+    else:
         zero_level = q
         base = _compose(t, state)
         steps = list(base.steps)
         method = base.method
-    else:
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.NO_CONSTRUCTION,
-            f"no constructive placement for level {level} of a {q}-level tree",
-        )
     if (desired == 0) != (level == zero_level):
         steps.append(_do(t, state, "complement"))
         if method == METHOD_THEOREM1:
@@ -327,22 +312,20 @@ def _proven(t: Tree, f: Labelling) -> Labelling:
     return f
 
 
-def _do(t: Tree, state: dict, op: str, **params) -> dict:
-    """Run one trace op and return its step in the ``--explain`` shape.
+def _do(t: RootedSymmetricTree, state: dict, op: str, **params) -> dict:
+    """Run one step of a construction and return it in the ``--explain`` shape.
 
     ``state`` carries what earlier ops produced: the whole-tree
     ``labelling``, the broom ``decomposition``, and the ``broom`` and
-    ``subtree`` labels.  No op proves what it makes; the whole-tree
-    labelling is a ``Labelling`` built unchecked.  A missing input
-    raises KeyError, a bad parameter or an inconsistent merge
-    ValueError; a ``perm`` must already be a vertex permutation.
+    ``subtree`` labels.  The constructions pass the parameters, so no op
+    checks them or proves what it makes; the whole-tree labelling is a
+    ``Labelling`` built unchecked.  An unknown op is a bug.
     """
     step: dict = {"op": op}
     if op == "theorem1":
-        labels = _theorem1_labels(_rooted(t, "theorem1_label"))
-        out = state["labelling"] = _trusted(tuple(labels))
+        out = state["labelling"] = _trusted(tuple(_theorem1_labels(t)))
     elif op == "apply_permutation":
-        prod = TranspositionProduct(params["swaps"])
+        prod = params["product"]
         step["swaps"] = [list(s) for s in prod.swaps]
         out = state["labelling"] = apply_permutation(state["labelling"], prod)
     elif op == "complement":
@@ -366,59 +349,19 @@ def _do(t: Tree, state: dict, op: str, **params) -> dict:
         out = state["subtree"] = _theorem1_labels(state["decomposition"].subtree_h)
     elif op == "shift":
         step["amount"], h = params["amount"], state["subtree"]
-        out = state["subtree"] = tuple(map(add, h, repeat(_as_int(step["amount"], "shift amount"))))
+        out = state["subtree"] = tuple(map(add, h, repeat(step["amount"])))
     elif op == "reflect":
         step["pivot"], h = params["pivot"], state["subtree"]
-        out = state["subtree"] = tuple(map(sub, repeat(_as_int(step["pivot"], "reflect pivot")), h))
+        out = state["subtree"] = tuple(map(sub, repeat(step["pivot"]), h))
     elif op == "merge":
-        # The broom's labels on P's vertices, the subtree's on H's.  A
-        # recomputed decomposition's P and H share only the root, vertex 0.
+        # The broom's labels on P's vertices, the subtree's on H's; both
+        # give the root, vertex 0, the same label.
         dec, b, h = state["decomposition"], state["broom"], state["subtree"]
-        for part, got, name, vs in (("broom", b, "P", dec.p_map), ("subtree", h, "H", dec.h_map)):
-            if len(got) != len(vs):
-                raise ValueError(f"{part} has {len(got)} labels for {name}'s {len(vs)} vertices")
-        if b[0] != h[0]:
-            raise ValueError("broom and subtree disagree on vertex 0")
         full = [-1] * t.n
         for gi, x in zip(chain(dec.p_map, dec.h_map), chain(b, h)):
             full[gi] = x
         out = state["labelling"] = _trusted(tuple(full))
     else:
-        raise ValueError(f"unknown trace op {op!r}")
+        raise RuntimeError(f"unknown trace op {op!r}; this is a bug")
     step["labels"] = list(out)
     return step
-
-
-# Step keys that are not parameters of the op.
-_OUTPUTS = ("op", "labels", "h_degrees", "p_map", "h_map")
-
-
-def replay_trace(t: Tree, trace: ConstructionTrace) -> Labelling:
-    """Re-execute a construction trace and cross-check every snapshot.
-
-    Raises ValueError, naming the step, on a malformed step or on any
-    mismatch between a recorded step and its recomputation.  A step's
-    integers are checked by the function its op calls, and a ``perm``
-    here, before the op runs.  Returns the final labelling, verified
-    graceful.
-    """
-    state: dict = {}
-    for i, step in enumerate(trace.steps):
-        try:
-            params = {k: v for k, v in step.items() if k not in _OUTPUTS}
-            if "perm" in params:
-                params["perm"] = _vertex_permutation(params["perm"], t.n)
-            redone = _do(t, state, step["op"], **params)
-        except KeyError as exc:
-            raise ValueError(f"trace step {i} lacks its input {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"trace step {i} does not replay: {exc}") from None
-        if redone != step:
-            raise ValueError(f"trace step {i} ({step['op']!r}) does not replay")
-
-    if "labelling" not in state:
-        raise ValueError("trace produced no labelling")
-    f = state["labelling"]
-    if not _graceful_ints(t, f.labels):
-        raise ValueError("trace replays to a non-graceful labelling")
-    return f

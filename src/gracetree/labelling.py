@@ -202,15 +202,11 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
-    return _relabel(f, _vertex_permutation(vertex_perm, _labelling(f).n))
-
-
-def _vertex_permutation(vertex_perm: Sequence[int], n: int) -> tuple[int, ...]:
-    """``vertex_perm`` as ints; ValueError unless it is a bijection on 0..n-1."""
+    n = _labelling(f).n
     vertex_perm = _as_ints(vertex_perm, "vertex")
     if not _is_permutation(vertex_perm, n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
-    return vertex_perm
+    return _relabel(f, vertex_perm)
 
 
 def _relabel(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:

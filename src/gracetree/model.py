@@ -31,23 +31,6 @@ from operator import add, index
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
-class UnsupportedConstruction(ValueError):
-    """Raised when a constructive labelling method's domain excludes its input.
-
-    ``reason`` is one of the constants below; ``detail`` elaborates.
-    """
-
-    NOT_CATERPILLAR = "NotCaterpillar"
-    NOT_BROOM = "NotBroom"
-    NO_CONSTRUCTION = "NoConstruction"
-    WRONG_LEVELS = "WrongLevelCount"
-
-    def __init__(self, reason: str, detail: str = "") -> None:
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
 class _Frozen:
     """Base of the immutable classes that validate their fields.
 
@@ -428,14 +411,13 @@ def classify(t: Tree) -> StructureFlags:
 
 
 class BroomDecomposition(NamedTuple):
-    """Split of a rooted symmetric tree into a pendant caterpillar P and
-    the remaining rooted symmetric subtree H, sharing the root.
+    """Split of a rooted symmetric tree into P, the root plus the last
+    root branch, and the remaining rooted symmetric subtree H.
 
-    P is the root plus the last root branch; ``p_map[local]`` is the
-    original vertex of P's local vertex (0 is the shared root, then the
-    branch vertices in breadth-first order).  ``subtree_h`` keeps all
-    root branches except the last; its vertices map into the original
-    tree through ``h_map``.
+    ``p_map[local]`` is the original vertex of P's local vertex (0 is
+    the shared root, then the branch vertices in breadth-first order).
+    ``subtree_h`` keeps all root branches except the last; its vertices
+    map into the original tree through ``h_map``.
     """
 
     p_map: tuple[int, ...]
@@ -446,23 +428,13 @@ class BroomDecomposition(NamedTuple):
 def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     """Strip the last root branch (highest first digit) plus the root as P.
 
-    Raises UnsupportedConstruction(NotCaterpillar) when P is not a
-    caterpillar.  When the root has a single child, H degenerates to the
-    one-vertex tree (sequence with first entry 0).
+    Defined on every tree of two or more levels.  When the root has a
+    single child, H degenerates to the one-vertex tree (sequence with
+    first entry 0).
     """
     if _rooted(t, "decompose").q < 2:
         raise ValueError("decomposition needs at least 2 levels")
     degrees = t.degrees
-    # P is the tree (1, k_2, ..., k_{q-1}).  Its inner vertices are levels
-    # 2..q-1: level 2 has k_2 inner neighbours, a level r in 3..q-2 has
-    # 1 + k_r, and level q-1 has one.  They form a path when none has
-    # more than two.
-    middle = degrees[1:-1]
-    if middle and (middle[0] > 2 or any(k != 1 for k in middle[1:])):
-        raise UnsupportedConstruction(
-            UnsupportedConstruction.NOT_CATERPILLAR,
-            f"last branch of {degrees} plus the root is not a caterpillar",
-        )
     k1 = degrees[0]
     # On every level the last root branch is the last 1/k1 of the level
     # and H is the rest, both in index order.

@@ -184,12 +184,16 @@ def rst_addresses(degrees) -> list[tuple[int, ...]]:
     return addresses
 
 
-def theorem1_label_by_addresses(t: RootedSymmetricTree) -> tuple[int, ...]:
-    """The direct labelling, decoding each vertex's address digits."""
-    hs = t.level_numbers
-    k1 = t.degrees[0]
-    labels = [0] * t.n
-    for i, digits in enumerate(rst_addresses(t.degrees)[1:], 1):
+def theorem1_label_by_addresses(degrees) -> tuple[int, ...]:
+    """The direct labelling of the rooted symmetric tree with daughter
+    degrees ``degrees``, decoding each vertex's address digits."""
+    hs = [1]  # hs[r - 1]: the vertex count of a subtree rooted on level r
+    for k in reversed(degrees):
+        hs.insert(0, 1 + k * hs[0])
+    k1 = degrees[0]
+    addresses = rst_addresses(degrees)
+    labels = [0] * len(addresses)
+    for i, digits in enumerate(addresses[1:], 1):
         r = len(digits) + 1
         if r % 2 == 0:
             acc = (k1 - digits[0]) * hs[1]
@@ -216,32 +220,112 @@ def graceful_on_rst(degrees, labels) -> bool:
     return sorted(abs(labels[parents[v]] - labels[v]) for v in range(1, n)) == list(range(1, n))
 
 
-def decompose_by_addresses(
-    t: RootedSymmetricTree,
-) -> tuple[GeneralTree, tuple[int, ...], tuple[int, ...]]:
-    """``(P, p_map, h_map)`` of the last-branch split, from address digits.
+def decompose_by_addresses(degrees) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(h_degrees, p_map, h_map)`` of the last-branch split of the
+    rooted symmetric tree with daughter degrees ``degrees``, from address
+    digits.
 
     P is the root plus every vertex whose first digit is the last one,
-    on local indices in ``p_map`` order; H's vertex with address ``a``
-    is the tree's vertex with address ``a``.
+    in index order.  H is the tree with one root branch fewer, or the
+    one-vertex tree (0,); its vertex with address ``a`` is the tree's
+    vertex with address ``a``.
     """
-    k1 = t.degrees[0]
-    addresses, parents = rst_addresses(t.degrees), rst_parents(t.degrees)
+    k1 = degrees[0]
+    addresses = rst_addresses(degrees)
     p_map = (0,) + tuple(i for i, a in enumerate(addresses) if a[:1] == (k1 - 1,))
-    local = {g: i for i, g in enumerate(p_map)}
-    p = GeneralTree(len(p_map), tuple((local[parents[g]], local[g]) for g in p_map[1:]))
     if k1 == 1:
-        return p, p_map, (0,)
+        return (0,), p_map, (0,)
+    h_degrees = (k1 - 1,) + tuple(degrees[1:])
     index = {a: i for i, a in enumerate(addresses)}
-    return p, p_map, tuple(index[a] for a in rst_addresses((k1 - 1,) + t.degrees[1:]))
+    return h_degrees, p_map, tuple(index[a] for a in rst_addresses(h_degrees))
 
 
-def is_caterpillar(t: GeneralTree) -> bool:
-    """Whether deleting the leaves leaves a path (or nothing)."""
-    g = nx.Graph(t.edges)
-    g.add_nodes_from(range(t.n))
-    spine = g.subgraph([v for v in g if g.degree(v) >= 2])
-    return all(d <= 2 for _, d in spine.degree())
+def broom_labels(leaf_count: int, spine_length: int, n: int) -> list[int]:
+    """The broom's extreme-value labels as its documentation states them:
+    leaves 0..leaf_count-1, and the spine from its deep end up to the
+    root alternating between the largest unused high label and the
+    smallest unused low label; listed root, spine downwards, leaves."""
+    # From the deep end: n-1, leaf_count, n-2, leaf_count+1, ...
+    deep_to_root = [(n - 1 - pos // 2, leaf_count + pos // 2)[pos % 2] for pos in range(spine_length)]
+    return deep_to_root[::-1] + list(range(leaf_count))
+
+
+# The parameters each trace op records besides its name and its output:
+# the split for decompose, a label snapshot for every other op.
+_TRACE_PARAMS = {
+    "theorem1": (),
+    "apply_permutation": ("swaps",),
+    "complement": (),
+    "relabel_vertices": ("perm",),
+    "decompose": (),
+    "broom": ("leaf_count", "spine_length", "n"),
+    "subtree": (),
+    "shift": ("amount",),
+    "reflect": ("pivot",),
+    "merge": (),
+}
+
+
+def check_trace(degrees, trace: dict) -> list[int]:
+    """Recompute a construction trace, in its ``--explain`` shape
+    ``{"method", "steps"}``, on the rooted symmetric tree with daughter
+    degrees ``degrees``, and return its final labels.
+
+    Each step is recomputed from the earlier steps and its own
+    parameters by the definitions above: the direct formula and the
+    split by addresses, the broom's documented labels, and the plain
+    meaning of each label map.  The merge checks that the broom and the
+    subtree fill P and H and agree on the root.  A step that does not
+    recompute, or a final labelling that is not graceful, raises
+    ValueError naming it.
+    """
+    n = len(rst_parents(degrees))
+    labels = broom = subtree = split = None
+    for i, step in enumerate(trace["steps"]):
+        op = step["op"]
+        if op not in _TRACE_PARAMS:
+            raise ValueError(f"trace step {i} has an unknown op {op!r}")
+        redone = {"op": op, **{k: step[k] for k in _TRACE_PARAMS[op]}}
+        if op == "theorem1":
+            out = labels = list(theorem1_label_by_addresses(degrees))
+        elif op == "apply_permutation":
+            swap = dict(step["swaps"])
+            swap.update((b, a) for a, b in step["swaps"])
+            out = labels = [swap.get(x, x) for x in labels]
+        elif op == "complement":
+            out = labels = [n - 1 - x for x in labels]
+        elif op == "relabel_vertices":
+            if sorted(step["perm"]) != list(range(n)):
+                raise ValueError(f"trace step {i} moves vertices by no permutation")
+            out = [0] * n
+            for old, new in enumerate(step["perm"]):
+                out[new] = labels[old]
+            labels = out
+        elif op == "decompose":
+            split = decompose_by_addresses(degrees)
+            redone.update(zip(("h_degrees", "p_map", "h_map"), map(list, split)))
+        elif op == "broom":
+            out = broom = broom_labels(step["leaf_count"], step["spine_length"], step["n"])
+        elif op == "subtree":
+            out = subtree = list(theorem1_label_by_addresses(split[0]))
+        elif op == "shift":
+            out = subtree = [x + step["amount"] for x in subtree]
+        elif op == "reflect":
+            out = subtree = [step["pivot"] - x for x in subtree]
+        else:  # merge
+            _, p_map, h_map = split
+            if (len(broom), len(subtree)) != (len(p_map), len(h_map)) or broom[0] != subtree[0]:
+                raise ValueError(f"trace step {i} merges a broom and a subtree that do not fit")
+            out = labels = [0] * n
+            for v, x in zip(p_map + h_map, broom + subtree):
+                labels[v] = x
+        if op != "decompose":
+            redone["labels"] = out
+        if redone != step:
+            raise ValueError(f"trace step {i} ({op!r}) does not recompute")
+    if labels is None or not graceful_on_rst(degrees, labels):
+        raise ValueError("trace ends in no graceful labelling")
+    return labels
 
 
 def tree_edges_by_union_find(n: int, edges) -> tuple[tuple[int, int], ...]:

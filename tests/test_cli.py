@@ -19,7 +19,7 @@ from gracetree import ZeroAtRequest, build, evaluate_sequence, theorem1_label, z
 from gracetree.cli import entrypoint, main
 from gracetree.construct import compose_theorem2, lemma1_label
 from gracetree.model import to_general, tree_to_dict
-from oracles import graceful_on_rst
+from oracles import check_trace, graceful_on_rst
 
 
 def run(capsys, *argv):
@@ -64,6 +64,8 @@ def test_label_theorem2_explain_golden(capsys):
     assert code == 0
     golden = Path(__file__).parent / "golden" / "label_rst_2-1-2_zero_at_5_explain.json"
     assert out == golden.read_text()
+    doc = json.loads(out)
+    assert check_trace(doc["tree"]["degrees"], doc["trace"]) == doc["labels"]
 
 
 @pytest.mark.parametrize(
@@ -80,6 +82,8 @@ def test_label_complement_explain_goldens(capsys, argv, name):
     assert code == 0
     golden = Path(__file__).parent / "golden" / f"label_rst_{name}_explain.json"
     assert out == golden.read_text()
+    doc = json.loads(out)
+    assert check_trace(doc["tree"]["degrees"], doc["trace"]) == doc["labels"]
 
 
 def test_label_zero_at(capsys):
@@ -98,7 +102,7 @@ def test_label_zero_at(capsys):
 def test_label_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "label", "--rst", "2,1,1", "--method", "lemma1")
     assert code == 1
-    assert "WrongLevelCount" in err
+    assert err == "error: the swap product needs exactly 3 levels, tree has 4\n"
 
     code, _, err = run(capsys, "label", "--rst", "not-numbers")
     assert code == 1
@@ -108,6 +112,19 @@ def test_label_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "label", "--tree", str(gen))
     assert code == 1
     assert "rooted symmetric" in err
+
+
+@pytest.mark.parametrize(
+    "degrees, level, q",
+    [("2,1,1,1", 3, 5), ("2,3,2", 3, 4)],
+    ids=["middle-level", "deep-level-of-no-broom"],
+)
+def test_label_refuses_a_level_no_construction_reaches(capsys, degrees, level, q):
+    # Vertex 3 sits on level 3: a middle level of a five-level tree, and
+    # the level above the leaves of a tree whose last branch is no broom.
+    code, out, err = run(capsys, "label", "--rst", degrees, "--zero-at", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: no constructive placement for level {level} of a {q}-level tree\n"
 
 
 @pytest.mark.parametrize(

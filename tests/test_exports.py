@@ -166,8 +166,7 @@ def test_each_labelling_is_proven_where_construct_hands_it_out():
     # labelling (its return annotation names Labelling) returns
     # _proven(t, f), which proves f a permutation and graceful with
     # _graceful_ints on f's own tuple and returns f itself.  zero_at
-    # returns its core's result, and replay_trace, whose trace is input,
-    # proves its own and refuses with ValueError.  No Labelling(...) copy
+    # returns its core's result.  No Labelling(...) copy
     # is made and is_graceful is not called; the CLI's label command
     # prints what it is handed without proving it again.
     package = Path(gracetree.__file__).parent
@@ -194,15 +193,14 @@ def test_each_labelling_is_proven_where_construct_hands_it_out():
         name for name, func in funcs.items() if func.returns and "Labelling" in ast.unparse(func.returns)
     }
     proven = {"theorem1_label", "lemma1_label", "compose_theorem2", "_zero_at"}
-    assert handing_out == proven | {"zero_at", "replay_trace", "_proven"}
+    assert handing_out == proven | {"zero_at", "_proven"}
     assert {name: returned[name] for name in handing_out} == {
         **{name: {"_proven"} for name in proven},
         "zero_at": {"_zero_at"},
-        "replay_trace": {"f"},
         "_proven": {"f"},
     }
     assert called["_proven"] == proven
-    assert sorted(graceful) == [("_proven", "f.labels"), ("replay_trace", "f.labels")]
+    assert graceful == [("_proven", "f.labels")]
     assert "Labelling" not in called
     assert "is_graceful" not in called
     cli = ast.parse((package / "cli.py").read_text())
@@ -216,7 +214,7 @@ def test_only_the_public_boundary_converts_labels_and_integers():
     # package's own labels are ints already, so an internal path that
     # re-converts them pays O(n) for nothing.  The private helpers listed
     # convert for their public callers, pinned here too.
-    names = ("_as_ints", "_raw", "_vertex_permutation", "_degree_sequence")
+    names = ("_as_ints", "_raw", "_degree_sequence")
     assert {name: _callers(name) for name in names} == {
         "_as_ints": {
             "model:_degree_sequence",
@@ -224,7 +222,7 @@ def test_only_the_public_boundary_converts_labels_and_integers():
             "labelling:Labelling.__init__",
             "labelling:_raw",
             "labelling:TranspositionProduct.__init__",
-            "labelling:_vertex_permutation",
+            "labelling:relabel_vertices",
             "sweep:SweepSpec.__init__",
         },
         "_raw": {
@@ -234,19 +232,26 @@ def test_only_the_public_boundary_converts_labels_and_integers():
             "labelling:shift",
             "labelling:reflect",
         },
-        "_vertex_permutation": {"labelling:relabel_vertices", "construct:replay_trace"},
         "_degree_sequence": {"model:level_numbers", "model:RootedSymmetricTree.__init__"},
     }
 
 
-def test_only_the_constructions_name_their_refusal():
-    # UnsupportedConstruction is defined in model.py, raised by the
-    # constructions and exported by __init__.  The pipelines ask
-    # construct.zero_at_levels where zero_at reaches and decline by return
-    # value, so no other module may raise, catch or import it.
-    naming = [
-        path.name
-        for path in sorted(Path(gracetree.__file__).parent.glob("*.py"))
-        if "UnsupportedConstruction" in _names_read(ast.parse(path.read_text()))
-    ]
-    assert naming == ["__init__.py", "construct.py", "model.py"]
+def test_the_construction_cores_raise_only_bug_reports():
+    # The public entries refuse what they cannot label with a ValueError;
+    # the cores and the step function trust their callers, so whatever
+    # they raise is a RuntimeError naming a bug.
+    funcs = dict(_functions())
+    raised = {
+        core: {
+            ast.unparse(node.exc.func)
+            for node in ast.walk(funcs[f"construct:{core}"])
+            if isinstance(node, ast.Raise)
+        }
+        for core in ("_zero_at", "_compose", "_theorem1_labels", "_do")
+    }
+    assert raised == {
+        "_zero_at": {"RuntimeError"},
+        "_compose": set(),
+        "_theorem1_labels": set(),
+        "_do": {"RuntimeError"},
+    }

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gracetree import (
     GeneralTree,
     SearchConstraints,
-    UnsupportedConstruction,
     ZeroAtRequest,
     build,
     is_zero_rotatable,
@@ -41,7 +40,6 @@ from oracles import (
     all_trees,
     brute_orbits,
     decompose_by_addresses,
-    is_caterpillar,
     orbits_by_rooted_codes,
     random_tree,
     rst_addresses,
@@ -441,13 +439,8 @@ def test_decompose_golden():
 def test_decompose_matches_address_definition():
     for seq in enumerate_family(SweepSpec("rst_all", nmax=40)):
         t = build(seq)
-        p, p_map, h_map = decompose_by_addresses(t)
-        if not is_caterpillar(p):
-            with pytest.raises(UnsupportedConstruction):
-                decompose(t)
-            continue
         dec = decompose(t)
-        assert (dec.p_map, dec.h_map) == (p_map, h_map), seq
+        assert (dec.subtree_h.degrees, dec.p_map, dec.h_map) == decompose_by_addresses(seq), seq
 
 
 def test_decompose_trivial_subtree():
@@ -465,12 +458,6 @@ def test_decompose_names_a_tree_that_is_not_rooted_symmetric(t, kind):
     # Each escaped as AttributeError: ... has no attribute 'q'.
     with pytest.raises(ValueError, match=f"^decompose needs a rooted symmetric tree, not {kind}$"):
         decompose(t)
-
-
-def test_decompose_rejects_non_caterpillar_branch():
-    with pytest.raises(UnsupportedConstruction) as exc:
-        decompose(build((2, 3, 2)))
-    assert exc.value.reason == UnsupportedConstruction.NOT_CATERPILLAR
 
 
 def test_orbits_golden():

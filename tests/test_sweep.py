@@ -15,7 +15,6 @@ import gracetree.sweep
 from gracetree import (
     GeneralTree,
     SearchConstraints,
-    UnsupportedConstruction,
     ZeroAtRequest,
     build,
     evaluate_sequence,
@@ -357,22 +356,20 @@ def test_rooted_symmetric_trees_are_not_converted(monkeypatch):
 
 
 def test_sweep_calls_zero_at_only_where_it_reaches(monkeypatch):
-    # The decider offers zero_at's core only the orbits on zero_at_levels,
-    # so a sweep asks it only for placements it makes: no refusal is raised.
-    calls, refused = [], []
+    # The decider offers zero_at's core, which trusts its level, only the
+    # orbits on zero_at_levels: the levels where zero_at places a label.
+    calls, outside = [], []
     real = gracetree.construct._zero_at
 
-    def spy(*args):
-        calls.append(args)
-        try:
-            return real(*args)
-        except UnsupportedConstruction:
-            refused.append(args)
-            raise
+    def spy(t, target, level, desired):
+        calls.append(level)
+        if level not in gracetree.construct.zero_at_levels(t):
+            outside.append((t.degrees, level))
+        return real(t, target, level, desired)
 
     monkeypatch.setattr(gracetree.construct, "_zero_at", spy)
     run_sweep(SweepSpec("rst_all", nmax=14, node_budget=50_000, time_budget=None))
-    assert (len(calls), len(refused)) == (288, 0)
+    assert (len(calls), outside) == (288, [])
 
 
 def test_one_method_vocabulary():
