@@ -28,7 +28,9 @@ bug in the construction and raises RuntimeError.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: the steps it ran, each with its parameters and the
-label snapshot it produced.
+label snapshot it produced.  Each construction is straight-line code
+that computes its labellings in turn and records each one with
+``_step``; the ``decompose`` step records index maps, not labels.
 """
 
 from __future__ import annotations
@@ -134,13 +136,14 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
 
 def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     """Label a three-level tree gracefully with 0 at a deepest leaf."""
-    _rooted(t, "lemma1_label")
-    state: dict = {}
+    product = lemma1_product(_rooted(t, "lemma1_label"))
+    base = _trusted(tuple(_theorem1_labels(t)))
+    f = apply_permutation(base, product)
     steps = (
-        _do(t, state, "theorem1"),
-        _do(t, state, "apply_permutation", product=lemma1_product(t)),
+        _step("theorem1", base),
+        _step("apply_permutation", f, swaps=[list(s) for s in product.swaps]),
     )
-    return _proven(t, state["labelling"]), ConstructionTrace(METHOD_LEMMA1, steps)
+    return _proven(t, f), ConstructionTrace(METHOD_LEMMA1, steps)
 
 
 def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]:
@@ -197,27 +200,40 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
         raise ValueError(f"branch composition needs at least 3 levels, tree has {q}")
     if q not in zero_at_levels(t):
         raise ValueError(f"intermediate daughter degrees of {t.degrees} are not all 1")
-    state: dict = {}
-    trace = _compose(t, state)
-    return _proven(t, state["labelling"]), trace
+    labels, trace = _compose(t)
+    return _proven(t, _trusted(labels)), trace
 
 
-def _compose(t: RootedSymmetricTree, state: dict) -> ConstructionTrace:
-    """``compose_theorem2``'s steps on a tree it accepts, run into
-    ``state``; its labelling unproven."""
-    q, n, degrees = t.q, t.n, t.degrees
+def _compose(t: RootedSymmetricTree) -> tuple[tuple[int, ...], ConstructionTrace]:
+    """``compose_theorem2``'s labels, unproven, and trace on a tree it accepts."""
+    q, n, k = t.q, t.n, t.degrees[-1]
+    dec = decompose(t)
+    broom = broom_caterpillar_label(k, q - 1, n)
+    h = _theorem1_labels(dec.subtree_h)
+    # Move the subtree's root onto the broom's root label.
+    if q % 2 == 1:
+        amount = k + (q - 3) // 2
+        moved = tuple(map(add, h, repeat(amount)))
+        move = _step("shift", moved, amount=amount)
+    else:
+        pivot = n - q // 2
+        moved = tuple(map(sub, repeat(pivot), h))
+        move = _step("reflect", moved, pivot=pivot)
+    # The broom's labels on P's vertices, the subtree's on H's; both give
+    # the root, vertex 0, the same label.
+    full = [-1] * n
+    for gi, x in zip(chain(dec.p_map, dec.h_map), chain(broom, moved)):
+        full[gi] = x
     steps = (
-        _do(t, state, "decompose"),
-        _do(t, state, "broom", leaf_count=degrees[-1], spine_length=q - 1, n=n),
-        _do(t, state, "subtree"),
-        # Move the subtree's root onto the broom's root label.
-        _do(t, state, "shift", amount=degrees[-1] + (q - 3) // 2)
-        if q % 2 == 1
-        else _do(t, state, "reflect", pivot=n - q // 2),
-        _do(t, state, "merge"),
+        {"op": "decompose", "h_degrees": list(dec.subtree_h.degrees),
+         "p_map": list(dec.p_map), "h_map": list(dec.h_map)},
+        _step("broom", broom, leaf_count=k, spine_length=q - 1, n=n),
+        _step("subtree", h),
+        move,
+        _step("merge", full),
     )
     method = METHOD_THEOREM2_ODD if q % 2 == 1 else METHOD_THEOREM2_EVEN
-    return ConstructionTrace(method, steps)
+    return tuple(full), ConstructionTrace(method, steps)
 
 
 TargetLike = Union[int, Sequence[int]]
@@ -278,27 +294,29 @@ def _zero_at(
     """``zero_at`` for a vertex ``target`` of ``t`` on ``level``, one of
     ``zero_at_levels(t)``, and a ``desired`` label of 0 or n-1."""
     q = t.q
-    state: dict = {}
     if level <= 2:
         zero_level = 1
-        steps = [_do(t, state, "theorem1")]
+        labels = tuple(_theorem1_labels(t))
+        steps = [_step("theorem1", labels)]
         method = METHOD_STAR if q <= 2 else METHOD_THEOREM1
     else:
         zero_level = q
-        base = _compose(t, state)
+        labels, base = _compose(t)
         steps = list(base.steps)
         method = base.method
+    f = _trusted(labels)
     if (desired == 0) != (level == zero_level):
-        steps.append(_do(t, state, "complement"))
+        f = complement(f)
+        steps.append(_step("complement", f))
         if method == METHOD_THEOREM1:
             method = METHOD_COMPLEMENT
 
-    holder = state["labelling"].vertex_with_label(desired)
+    holder = f.vertex_with_label(desired)
     if holder != target:
         perm = _level_mapping(t, holder, target)
-        steps.append(_do(t, state, "relabel_vertices", perm=perm))
+        f = _relabel(f, perm)
+        steps.append(_step("relabel_vertices", f, perm=list(perm)))
 
-    f = state["labelling"]
     if f[target] != desired:
         raise RuntimeError(f"constructed labelling puts {f[target]} on vertex {target}; this is a bug")
     return _proven(t, f), ConstructionTrace(method, tuple(steps))
@@ -312,56 +330,7 @@ def _proven(t: Tree, f: Labelling) -> Labelling:
     return f
 
 
-def _do(t: RootedSymmetricTree, state: dict, op: str, **params) -> dict:
-    """Run one step of a construction and return it in the ``--explain`` shape.
-
-    ``state`` carries what earlier ops produced: the whole-tree
-    ``labelling``, the broom ``decomposition``, and the ``broom`` and
-    ``subtree`` labels.  The constructions pass the parameters, so no op
-    checks them or proves what it makes; the whole-tree labelling is a
-    ``Labelling`` built unchecked.  An unknown op is a bug.
-    """
-    step: dict = {"op": op}
-    if op == "theorem1":
-        out = state["labelling"] = _trusted(tuple(_theorem1_labels(t)))
-    elif op == "apply_permutation":
-        prod = params["product"]
-        step["swaps"] = [list(s) for s in prod.swaps]
-        out = state["labelling"] = apply_permutation(state["labelling"], prod)
-    elif op == "complement":
-        out = state["labelling"] = complement(state["labelling"])
-    elif op == "relabel_vertices":
-        perm = params["perm"]
-        step["perm"] = list(perm)
-        out = state["labelling"] = _relabel(state["labelling"], perm)
-    elif op == "decompose":
-        dec = state["decomposition"] = decompose(t)
-        step["h_degrees"] = list(dec.subtree_h.degrees)
-        step["p_map"] = list(dec.p_map)
-        step["h_map"] = list(dec.h_map)
-        return step
-    elif op == "broom":
-        step.update((k, params[k]) for k in ("leaf_count", "spine_length", "n"))
-        out = state["broom"] = broom_caterpillar_label(
-            step["leaf_count"], step["spine_length"], step["n"]
-        )
-    elif op == "subtree":
-        out = state["subtree"] = _theorem1_labels(state["decomposition"].subtree_h)
-    elif op == "shift":
-        step["amount"], h = params["amount"], state["subtree"]
-        out = state["subtree"] = tuple(map(add, h, repeat(step["amount"])))
-    elif op == "reflect":
-        step["pivot"], h = params["pivot"], state["subtree"]
-        out = state["subtree"] = tuple(map(sub, repeat(step["pivot"]), h))
-    elif op == "merge":
-        # The broom's labels on P's vertices, the subtree's on H's; both
-        # give the root, vertex 0, the same label.
-        dec, b, h = state["decomposition"], state["broom"], state["subtree"]
-        full = [-1] * t.n
-        for gi, x in zip(chain(dec.p_map, dec.h_map), chain(b, h)):
-            full[gi] = x
-        out = state["labelling"] = _trusted(tuple(full))
-    else:
-        raise RuntimeError(f"unknown trace op {op!r}; this is a bug")
-    step["labels"] = list(out)
-    return step
+def _step(op: str, out: Sequence[int], **params) -> dict:
+    """A construction step in the ``--explain`` shape: ``op``, its
+    parameters, and a snapshot of the labels ``out`` it produced."""
+    return {"op": op, **params, "labels": list(out)}

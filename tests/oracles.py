@@ -69,6 +69,66 @@ def zero_positions(t: GeneralTree) -> set[int]:
     return {f.index(0) for f in enumerate_graceful(t)}
 
 
+def zero_possible_by_vertex_order(n: int, edges, v: int, cap: int | None = None) -> tuple[str, int]:
+    """Whether a graceful labelling of the tree ``(n, edges)`` puts 0 on
+    ``v``: ``(verdict, nodes)``, the verdict ``yes``, ``no`` or, past
+    ``cap`` nodes, ``timeout``.
+
+    Labels vertices, where the package's search places edge differences:
+    in breadth-first order from v, which gets 0, each vertex takes a free
+    label whose difference to its parent is free, the largest such
+    difference first, one node per label placed, v's 0 included.  Two
+    leaves of one parent can swap labels, so such leaves take increasing
+    labels in that order; v, the order's root, is none of them.  An
+    exhausted search visits the same nodes in any try order.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, order = {v: v}, [v]
+    for u in order:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    prev, last = {}, {}
+    for u in order[1:]:
+        if len(adj[u]) == 1:
+            prev[u], last[parent[u]] = last.get(parent[u]), u
+    label = {v: 0}
+    used, diffs = {0}, set()
+    nodes = 1
+
+    def extend(i: int) -> bool | None:
+        nonlocal nodes
+        if i == n:
+            return True
+        u = order[i]
+        up = label[parent[u]]
+        low = label[prev[u]] if prev.get(u) is not None else 0
+        for d in range(n - 1, 0, -1):
+            if d in diffs:
+                continue
+            for b in (up + d, up - d):
+                if b in used or not low < b < n:
+                    continue
+                nodes += 1
+                if cap is not None and nodes > cap:
+                    return None
+                label[u] = b
+                used.add(b)
+                diffs.add(d)
+                found = extend(i + 1)
+                used.discard(b)
+                diffs.discard(d)
+                if found is not False:
+                    return found
+        return False
+
+    return {True: "yes", False: "no", None: "timeout"}[extend(1)], nodes
+
+
 def brute_automorphisms(t: GeneralTree) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, degree-pruned."""
     n = t.n

@@ -21,7 +21,6 @@ from gracetree.construct import (
     METHOD_THEOREM1,
     METHOD_THEOREM2_EVEN,
     METHOD_THEOREM2_ODD,
-    _do,
     broom_caterpillar_label,
     compose_theorem2,
     lemma1_label,
@@ -331,11 +330,6 @@ def test_check_trace_refuses_a_swapped_snapshot():
         check_trace(t.degrees, {**doc, "steps": steps})
 
 
-def test_an_unknown_op_is_a_bug():
-    with pytest.raises(RuntimeError, match="^unknown trace op 'bogus'; this is a bug$"):
-        _do(build((2, 2)), {}, "bogus")
-
-
 def test_trace_dict_roundtrip():
     t = build((2, 2))
     f, trace = lemma1_label(t)
@@ -379,6 +373,27 @@ def test_zero_at_is_pinned_byte_for_byte():
                     out = [seq, v, desired, f.labels, trace.to_dict()]
                 h.update(json.dumps(out).encode())
     assert h.hexdigest() == "59f76793432faf3b66d4b353a275710369b66d452aca710eddbda6695fb0ebd7"
+
+
+def test_lemma1_and_compose_are_pinned_byte_for_byte():
+    # Labels and trace of lemma1_label on every three-level rst_all tree,
+    # and of compose_theorem2 on every rst_all tree it accepts, up to
+    # n = 30: the steps zero_at's digest above never runs (apply_permutation)
+    # or runs only under a complement or a relabelling.  The digest was
+    # taken from the step interpreter the straight-line constructions
+    # replaced.
+    h = hashlib.sha256()
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        if t.q == 3:
+            f, trace = lemma1_label(t)
+            h.update(json.dumps([seq, f.labels, trace.to_dict()]).encode())
+        try:
+            f, trace = compose_theorem2(t)
+        except ValueError:
+            continue
+        h.update(json.dumps([seq, f.labels, trace.to_dict()]).encode())
+    assert h.hexdigest() == "203ecd3db58aa2eea58724f577517f0eb44dea75115f83646e0eef7fa7c98a06"
 
 
 @pytest.mark.parametrize(

@@ -109,10 +109,11 @@ def _callers(name: str) -> set[str]:
 def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check():
     # labelling._trusted builds a Labelling without proving it a
     # permutation.  The label bijections call it, whose image of a
-    # Labelling is one by construction, and so do theorem1_label, the
-    # construction ops and the search's _witness, whose labelling is
-    # proven graceful where a public function hands it out.  Neither the tests nor the
-    # benchmark may name it.
+    # Labelling is one by construction, and so do the constructions that
+    # wrap their own labels (theorem1_label, lemma1_label, compose_theorem2
+    # and _zero_at) and the search's _witness, whose labelling is proven
+    # graceful where a public function hands it out.  Neither the tests
+    # nor the benchmark may name it.
     root = Path(__file__).resolve().parents[1]
     outside = [
         f"{folder}/{path.name}"
@@ -126,20 +127,27 @@ def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check()
         "labelling:apply_permutation",
         "labelling:_relabel",
         "construct:theorem1_label",
-        "construct:_do",
+        "construct:lemma1_label",
+        "construct:compose_theorem2",
+        "construct:_zero_at",
         "search:_witness",
     }
 
 
 def test_only_the_public_entries_and_the_constructions_call_the_cores():
     # Each core runs on arguments its caller built or checked: the public
-    # entry that checks them, or a step of a construction.
+    # entry that checks them, or a construction that runs it as a step.
     cores = ("_zero_at", "_compose", "_theorem1_labels", "_relabel")
     assert {core: _callers(core) for core in cores} == {
         "_zero_at": {"construct:zero_at", "search:is_zero_rotatable"},
         "_compose": {"construct:compose_theorem2", "construct:_zero_at"},
-        "_theorem1_labels": {"construct:theorem1_label", "construct:_do"},
-        "_relabel": {"labelling:relabel_vertices", "construct:_do"},
+        "_theorem1_labels": {
+            "construct:theorem1_label",
+            "construct:lemma1_label",
+            "construct:_compose",
+            "construct:_zero_at",
+        },
+        "_relabel": {"labelling:relabel_vertices", "construct:_zero_at"},
     }
 
 
@@ -166,7 +174,8 @@ def test_each_labelling_is_proven_where_construct_hands_it_out():
     # labelling (its return annotation names Labelling) returns
     # _proven(t, f), which proves f a permutation and graceful with
     # _graceful_ints on f's own tuple and returns f itself.  zero_at
-    # returns its core's result.  No Labelling(...) copy
+    # returns its core's result, and _compose hands its callers a plain
+    # tuple of labels, not a Labelling.  No Labelling(...) copy
     # is made and is_graceful is not called; the CLI's label command
     # prints what it is handed without proving it again.
     package = Path(gracetree.__file__).parent
@@ -238,8 +247,8 @@ def test_only_the_public_boundary_converts_labels_and_integers():
 
 def test_the_construction_cores_raise_only_bug_reports():
     # The public entries refuse what they cannot label with a ValueError;
-    # the cores and the step function trust their callers, so whatever
-    # they raise is a RuntimeError naming a bug.
+    # the cores trust their callers, so whatever they raise is a
+    # RuntimeError naming a bug.
     funcs = dict(_functions())
     raised = {
         core: {
@@ -247,11 +256,10 @@ def test_the_construction_cores_raise_only_bug_reports():
             for node in ast.walk(funcs[f"construct:{core}"])
             if isinstance(node, ast.Raise)
         }
-        for core in ("_zero_at", "_compose", "_theorem1_labels", "_do")
+        for core in ("_zero_at", "_compose", "_theorem1_labels")
     }
     assert raised == {
         "_zero_at": {"RuntimeError"},
         "_compose": set(),
         "_theorem1_labels": set(),
-        "_do": {"RuntimeError"},
     }

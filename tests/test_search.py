@@ -44,6 +44,7 @@ from oracles import (
     random_tree,
     run_reference,
     zero_positions,
+    zero_possible_by_vertex_order,
 )
 
 
@@ -868,3 +869,59 @@ def test_broom_zero_at_vertex_two_follows_k_mod_12():
         out = find_graceful(build((1, 1, 1, k)), cons)
         want = (k + 3) % 3 == 0 or (k + 3) % 4 == 0
         assert out.status == ("found" if want else "exhausted"), k
+
+
+def _by_vertex_order(t, v):
+    return zero_possible_by_vertex_order(t.n, t.edges, v)[0]
+
+
+def test_vertex_order_checker_matches_naive_all_small_trees():
+    for n in range(1, 9):
+        for g in all_trees(n):
+            can = zero_positions(g)
+            assert [_by_vertex_order(g, v) for v in range(n)] == [
+                "yes" if v in can else "no" for v in range(n)
+            ], g.edges
+
+
+def test_vertex_order_checker_matches_the_pinned_search_random():
+    # The checker labels vertices, the search places differences: two
+    # routes to the same verdict.
+    rnd = random.Random(19)
+    cons = {"node_budget": None, "time_budget": None}
+    for _ in range(200):
+        g = random_tree(rnd, rnd.randint(2, 13))
+        v = rnd.randrange(g.n)
+        out = find_graceful(g, SearchConstraints(pins={v: 0}, **cons))
+        assert _by_vertex_order(g, v) == {"found": "yes", "exhausted": "no"}[out.status], (g.edges, v)
+
+
+def test_vertex_order_checker_decides_the_broom_table():
+    # (1,1,1,k) refuses 0 on vertex 2 for k mod 12 in {2, 4, 7, 8, 10, 11}.
+    # An exhaust visits every consistent prefix whatever the try order.
+    verdicts = {k: zero_possible_by_vertex_order(k + 4, build((1, 1, 1, k)).edges, 2) for k in range(2, 11)}
+    assert verdicts == {
+        2: ("no", 86),
+        3: ("yes", 116),
+        4: ("no", 759),
+        5: ("yes", 1_348),
+        6: ("yes", 2_746),
+        7: ("no", 15_528),
+        8: ("no", 40_237),
+        9: ("yes", 45_356),
+        10: ("no", 244_200),
+    }
+    assert zero_possible_by_vertex_order(14, build((1, 1, 1, 10)).edges, 2, cap=1_000) == ("timeout", 1_001)
+
+
+def test_vertex_order_checker_refuses_every_golden_no():
+    golden = Path(__file__).parent / "golden" / "sweep_rst_all_nmax20_50k_verdicts.csv"
+    refused = [
+        (row["tree"], int(rep))
+        for row in csv.DictReader(golden.open())
+        for rep, verdict in zip(row["orbit_reps"].split(), row["verdicts"].split())
+        if verdict == "no"
+    ]
+    assert refused == [("1,1,1,2", 2), ("1,1,1,4", 2)]
+    for seq, v in refused:
+        assert _by_vertex_order(build(tuple(map(int, seq.split(",")))), v) == "no"
