@@ -96,27 +96,48 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
         odd  r:  A + (r - 1)/2
 
     A child's sum is its parent's plus x_{r-1} h_r, so the labels are
-    built one level at a time, without decoding any address: one range
-    per parent, one ``map`` per level.
+    built without decoding any address: one range per parent and one
+    ``map`` per level.  A run of 1s keeps the sums, so two levels down
+    every label of an even level is 1 less and every label of an odd
+    level 1 more.  A run of 1s more than twice as long as its levels
+    are wide is filled by columns instead: two ``range`` slices per
+    vertex of its top level.
     """
     return _proven(t, _trusted(tuple(_theorem1_labels(_rooted(t, "theorem1_label")))))
 
 
 def _theorem1_labels(t: RootedSymmetricTree) -> list[int]:
     """``theorem1_label``'s labels as a list, unproven."""
-    hs = t.level_numbers
-    top = t.degrees[0] * hs[1] if t.q > 1 else 0
+    n, off = t.n, t.level_offsets
+    top = n - 1  # k_1 h_2
     labels = [0]
     sums = [0]
-    for r in range(2, t.q + 1):
-        k, h = t.degrees[r - 2], hs[r - 1]
-        if k > 1:  # the children of sum a: range(a, a + k h, h)
-            sums = list(chain.from_iterable(map(range, sums, map(add, sums, repeat(k * h)), repeat(h))))
-        if r % 2 == 0:
-            labels += map(sub, repeat(top - (r - 2) // 2), sums)
+    r = 2  # the top level below the run
+    for k, m in t.runs:
+        if k == 1 and 2 * len(sums) < m:  # fewer columns than levels
+            # Down a column the labels of levels r, r+2, ... step by dr
+            # and those of levels r+1, r+3, ... by -dr.
+            w, dr = len(sums), -1 if r % 2 == 0 else 1
+            run = [0] * (m * w)
+            for c, (x, y) in enumerate(zip(_level_labels(top, r, sums), _level_labels(top, r + 1, sums))):
+                run[c :: 2 * w] = range(x, x + dr * ((m + 1) // 2), dr)
+                run[c + w :: 2 * w] = range(y, y - dr * (m // 2), -dr)
+            labels += run
         else:
-            labels += map(add, sums, repeat((r - 1) // 2))
+            for s in range(r, r + m):
+                if k > 1:  # the children of sum a: range(a, a + k h, h)
+                    h = (n - off[s - 1]) // (off[s] - off[s - 1])  # h_s
+                    sums = list(chain.from_iterable(map(range, sums, map(add, sums, repeat(k * h)), repeat(h))))
+                labels += _level_labels(top, s, sums)
+        r += m
     return labels
+
+
+def _level_labels(top: int, r: int, sums: list[int]):
+    """The direct labels of level r, whose address sums are ``sums``."""
+    if r % 2 == 0:
+        return map(sub, repeat(top - (r - 2) // 2), sums)
+    return map(add, sums, repeat((r - 1) // 2))
 
 
 def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
@@ -130,7 +151,7 @@ def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:
         raise ValueError(f"the swap product needs exactly 3 levels, tree has {t.q}")
     k1 = t.degrees[0]
     k2 = t.degrees[1]
-    h2 = t.level_numbers[1]
+    h2 = (t.n - 1) // k1
     return TranspositionProduct(tuple((i * h2, i * h2 + k2) for i in range(k1)))
 
 
@@ -170,16 +191,9 @@ def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple
     p = spine_length + leaf_count
     if n < p:
         raise ValueError(f"label budget {n} too small for {p} vertices")
-    deep_to_root = []
-    high = n - 1
-    low = leaf_count
-    for pos in range(spine_length):
-        if pos % 2 == 0:
-            deep_to_root.append(high)
-            high -= 1
-        else:
-            deep_to_root.append(low)
-            low += 1
+    deep_to_root = [0] * spine_length
+    deep_to_root[::2] = range(n - 1, n - 1 - (spine_length + 1) // 2, -1)
+    deep_to_root[1::2] = range(leaf_count, leaf_count + spine_length // 2)
     return tuple(reversed(deep_to_root)) + tuple(range(leaf_count))
 
 
@@ -253,10 +267,12 @@ class ZeroAtRequest(NamedTuple):
 
 
 def zero_at_levels(t: RootedSymmetricTree) -> tuple[int, ...]:
-    """Levels ``zero_at`` reaches: 1 and 2, and q-1 and q if degrees[1:-1] are all 1."""
-    if all(k == 1 for k in _rooted(t, "zero_at_levels").degrees[1:-1]):
-        return (1, 2, t.q - 1, t.q)
-    return (1, 2)
+    """Levels ``zero_at`` reaches, ascending and each once: 1 and 2, and
+    q-1 and q when degrees[1:-1] are all 1, as far as the tree has them."""
+    q = _rooted(t, "zero_at_levels").q
+    if q > 3 and max(t.degrees[1:-1]) > 1:
+        return (1, 2)
+    return (1, 2, 3, 4)[:q] if q < 5 else (1, 2, q - 1, q)
 
 
 def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:

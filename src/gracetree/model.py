@@ -26,8 +26,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, index
+from itertools import accumulate, chain, compress, cycle, groupby, repeat
+from operator import add, index, mul, not_, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
@@ -115,7 +115,7 @@ def _degree_sequence(degrees: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("first entry must be >= 0")
     if degrees[0] == 0 and len(degrees) > 1:
         raise ValueError("a leading 0 must be the only entry")
-    if any(k < 1 for k in degrees[1:]):
+    if min(degrees[1:], default=1) < 1:
         raise ValueError("entries after the first must be positive")
     return degrees
 
@@ -126,11 +126,7 @@ def level_numbers(degrees: Sequence[int]) -> tuple[int, ...]:
     ``h_q = 1`` and ``h_i = 1 + k_i * h_{i+1}``, so ``h_1`` is the size
     of the whole tree.  Exact integer arithmetic throughout.
     """
-    return _level_numbers(_degree_sequence(degrees))
-
-
-def _level_numbers(degrees: tuple[int, ...]) -> tuple[int, ...]:
-    # level_numbers of a validated degree sequence.
+    degrees = _degree_sequence(degrees)
     if degrees[0] == 0:
         return (1,)
     hs = [1]
@@ -151,6 +147,11 @@ class RootedSymmetricTree(_Frozen):
 
     Vertices are numbered level by level, each parent's children in a
     row; level r holds ``level_offsets[r-1]`` up to ``level_offsets[r]``.
+    ``runs`` holds ``(k, m)`` for each maximal run of m equal daughter
+    degrees k, from the root down; the one-vertex tree (0,) has none.
+    A run of 1s is w paths side by side, each level the one above
+    shifted by its width w, so the level arithmetic here and in
+    ``construct`` takes a long run of 1s whole, not level by level.
     Exposes address-to-index conversion, per-vertex level and degree,
     and the same ``edges`` and ``adjacency`` as the equal GeneralTree,
     each built on first use.  Instances are immutable.
@@ -160,33 +161,31 @@ class RootedSymmetricTree(_Frozen):
 
     def __init__(self, degrees: Sequence[int]) -> None:
         degrees = _degree_sequence(degrees)
-        hs = _level_numbers(degrees)
-        sizes = [1]
-        for k in degrees[: len(hs) - 1]:
-            sizes.append(sizes[-1] * k)
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
+        sizes = accumulate(degrees if degrees[0] else (), mul, initial=1)
+        offsets = tuple(accumulate(sizes, initial=0))
         self.__dict__.update(
             degrees=degrees,
-            level_numbers=hs,
-            q=len(hs),
-            n=hs[0],
-            level_offsets=tuple(offsets),
+            runs=tuple([(k, len(tuple(g))) for k, g in groupby(degrees) if k]),
+            q=len(offsets) - 1,
+            n=offsets[-1],
+            level_offsets=offsets,
         )
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """(parent, child) for every child in index order, one level at a
+        """(parent, child) for every child in index order, one run at a
         time; this is the sorted order GeneralTree normalises to."""
         off = self.level_offsets
         edges: list[tuple[int, int]] = []
-        for r in range(1, self.q):
-            k = self.degrees[r - 1]
-            parents = range(off[r - 1], off[r])
+        i = 0
+        for k, m in self.runs:
+            # The parents on levels i+1..i+m are in a row, and so are
+            # their children, k each.
+            parents = range(off[i], off[i + m])
             if k > 1:
                 parents = chain.from_iterable(map(repeat, parents, repeat(k)))
-            edges.extend(zip(parents, range(off[r], off[r + 1])))
+            edges.extend(zip(parents, range(off[i + 1], off[i + m + 1])))
+            i += m
         return tuple(edges)
 
     @cached_property
@@ -436,15 +435,25 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
         raise ValueError("decomposition needs at least 2 levels")
     degrees = t.degrees
     k1 = degrees[0]
-    # On every level the last root branch is the last 1/k1 of the level
-    # and H is the rest, both in index order.
-    p_map = [0]
-    h_map = [0]
-    for r in range(2, t.q + 1):
-        lo, hi = t.level_offsets[r - 1], t.level_offsets[r]
-        split = hi - (hi - lo) // k1
-        p_map.extend(range(split, hi))
-        h_map.extend(range(lo, split))
+    off = t.level_offsets
+    # On every level below the root the last root branch is the last
+    # 1/k1 of the level and H is the rest, both in index order.
+    p_map, h_map = [0], [0]
+    i = 0
+    for k, m in t.runs:
+        w = off[i + 1] - off[i]
+        if k == 1 and 2 * w < m:  # a long run: the m levels below have width w
+            in_p = (False,) * (w - w // k1) + (True,) * (w // k1)
+            below = range(off[i + 1], off[i + m + 1])
+            p_map += compress(below, cycle(in_p))
+            h_map += compress(below, cycle(map(not_, in_p)))
+        else:
+            for j in range(i + 1, i + m + 1):
+                lo, hi = off[j], off[j + 1]
+                split = hi - (hi - lo) // k1
+                p_map += range(split, hi)
+                h_map += range(lo, split)
+        i += m
     subtree_h = RootedSymmetricTree((k1 - 1,) + degrees[1:] if k1 > 1 else (0,))
     return BroomDecomposition(tuple(p_map), subtree_h, tuple(h_map))
 
@@ -556,43 +565,46 @@ def vertex_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
 
 def _level_mapping(t: RootedSymmetricTree, src: int, dst: int) -> tuple[int, ...]:
     """``automorphism_mapping`` for two vertices on one level, built one
-    level at a time from the degree sequence.
+    run of equal daughter degrees at a time from the degree sequence.
 
     Rooted at ``src``, an ancestor's children are its parent and its
     children off the path to ``src``; every other vertex keeps its own
     children.  Pairing those in (code, index) order on both sides sends
     each ancestor of ``src`` to the ancestor of ``dst`` on its level, the
     off-path children of an ancestor in order onto the off-path children
-    of its image, and the children of any other vertex by index: one
-    slice assignment per level, then the ancestors' children reordered.
+    of its image, and the children of any other vertex by index.  A level
+    with k > 1 children each is one slice assignment, then the
+    ancestors' children reordered.  A run of 1s is one slice assignment
+    in all: each of its vertices moves as far as its ancestor on the
+    run's top level, and an ancestor's one child needs no reordering.
     """
-    ks = t.degrees
     off = t.level_offsets
     r = t.level_of_index(src)
-    # Ranks of the ancestors of src and dst on levels 1..r.
-    path_s = [src - off[r - 1]]
-    path_d = [dst - off[r - 1]]
-    for i in range(r - 2, -1, -1):
-        path_s.append(path_s[-1] // ks[i])
-        path_d.append(path_d[-1] // ks[i])
-    path_s.reverse()
-    path_d.reverse()
+    width = off[r] - off[r - 1]
+    xs, xd = src - off[r - 1], dst - off[r - 1]  # their ranks on level r
     perm = [0] * t.n
-    for i in range(t.q - 1):
-        k = ks[i]
-        lo, nlo = off[i], off[i + 1]
-        # The children of vertex p on this level start at nlo + k (p - lo).
+    i = 0
+    for k, m in t.runs:
         if k == 1:
-            perm[nlo : off[i + 2]] = map(add, perm[lo:nlo], repeat(nlo - lo))
+            lo, nlo = off[i], off[i + 1]
+            moves = list(map(sub, perm[lo:nlo], range(lo, nlo)))
+            perm[nlo : off[i + m + 1]] = map(add, range(nlo, off[i + m + 1]), cycle(moves))
         else:
-            firsts = [k * p + nlo - k * lo for p in perm[lo:nlo]]
-            ends = map(add, firsts, repeat(k))
-            perm[nlo : off[i + 2]] = chain.from_iterable(map(range, firsts, ends))
-        if i + 1 < r:
-            xs, xd = path_s[i], path_d[i]
-            kids = list(range(nlo + k * xd, nlo + k * xd + k))
-            kids.insert(path_s[i + 1] - k * xs, kids.pop(path_d[i + 1] - k * xd))
-            perm[nlo + k * xs : nlo + k * xs + k] = kids
+            for j in range(i, i + m):
+                lo, nlo = off[j], off[j + 1]
+                # The children of vertex p on level j+1 start at nlo + k (p - lo).
+                firsts = [k * p + nlo - k * lo for p in perm[lo:nlo]]
+                ends = map(add, firsts, repeat(k))
+                perm[nlo : off[j + 2]] = chain.from_iterable(map(range, firsts, ends))
+                if j + 1 < r:
+                    # a, b: the ranks of the ancestors of src and dst on
+                    # level j+1, each with level-r descendants ``span``.
+                    span = width // (nlo - lo)
+                    a, b = xs // span, xd // span
+                    kids = list(range(nlo + k * b, nlo + k * b + k))
+                    kids.insert(xs // (span // k) - k * a, kids.pop(xd // (span // k) - k * b))
+                    perm[nlo + k * a : nlo + k * a + k] = kids
+        i += m
     return tuple(perm)
 
 

@@ -9,7 +9,8 @@ per orbit and no time budget, and prints only numbers that do not
 depend on the machine: trees, orbits, verdicts, methods and search
 nodes, every ``no`` orbit, and the searched orbits and timeouts split by
 the root's degree (1 or more) and by the orbit's level (a middle one or
-one of the bottom two; the constructions settle the top two).  Equal
+one of the bottom two; the constructions settle the top two), and again
+by broom ``(1^j,k)``, j >= 1 and k >= 2, or not.  Equal
 code prints equal output at any ``--jobs``.  The file name does not
 match ``test_*.py``, so pytest does not collect it.
 """
@@ -43,12 +44,15 @@ def census(nmax: int, jobs: int) -> list[str]:
     for seq, e in entries:
         if e.nodes:
             t = build(seq)
-            where = (
-                "root degree 1" if seq[0] == 1 else "root degree 2+",
-                "bottom two levels" if t.level_of_index(e.representative) >= t.q - 1 else "middle levels",
-            )
-            searched[where] += 1
-            timeouts[where] += e.verdict == "timeout"
+            levels = "bottom two levels" if t.level_of_index(e.representative) >= t.q - 1 else "middle levels"
+            broom = len(seq) > 1 and seq[-1] > 1 and set(seq[:-1]) == {1}
+            for where in (
+                ("root degree 1" if seq[0] == 1 else "root degree 2+", levels),
+                ("broom" if broom else "not a broom", levels),
+                "total",
+            ):
+                searched[where] += 1
+                timeouts[where] += e.verdict == "timeout"
     lines = [
         f"rst_all nmax {nmax}, {NODE_BUDGET:,} nodes per orbit, no time budget",
         f"trees: {len(reports):,}",
@@ -59,11 +63,12 @@ def census(nmax: int, jobs: int) -> list[str]:
         "no: " + " ".join(f"({sequence_label(s)})@{e.representative}" for s, e in entries if e.verdict == "no"),
         "searched orbits / timeouts:",
     ]
-    for root in ("root degree 1", "root degree 2+"):
-        for levels in ("middle levels", "bottom two levels"):
-            where = (root, levels)
-            lines.append(f"  {root}, {levels}: {searched[where]:,} / {timeouts[where]:,}")
-    lines.append(f"  total: {sum(searched.values()):,} / {sum(timeouts.values()):,}")
+    for split in (("root degree 1", "root degree 2+"), ("broom", "not a broom")):
+        for kind in split:
+            for levels in ("middle levels", "bottom two levels"):
+                where = (kind, levels)
+                lines.append(f"  {kind}, {levels}: {searched[where]:,} / {timeouts[where]:,}")
+    lines.append(f"  total: {searched['total']:,} / {timeouts['total']:,}")
     return lines
 
 

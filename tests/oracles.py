@@ -10,6 +10,7 @@ the same nodes in the same order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from typing import Iterator
@@ -64,9 +65,14 @@ def count_graceful_naive(t, bound: int = 9, force: bool = False) -> int:
     return count
 
 
-def zero_positions(t: GeneralTree) -> set[int]:
-    """Vertices that carry label 0 in at least one graceful labelling."""
-    return {f.index(0) for f in enumerate_graceful(t)}
+@functools.cache
+def zero_positions(t: GeneralTree) -> frozenset[int]:
+    """Vertices that carry label 0 in at least one graceful labelling.
+
+    Tries all n! permutations, so each tree's answer is kept for the
+    rest of the session: several tests ask it of every tree with n <= 8.
+    """
+    return frozenset(f.index(0) for f in enumerate_graceful(t))
 
 
 def zero_possible_by_vertex_order(n: int, edges, v: int, cap: int | None = None) -> tuple[str, int]:
@@ -231,6 +237,29 @@ def rst_parents(degrees) -> list[int | None]:
         parents += [p for p in level for _ in range(k)]
         level = range(level.stop, len(parents))
     return parents
+
+
+# Rooted symmetric trees whose degree sequences hold long runs of 1s,
+# q up to about 300: paths, spiders (k,1^L), brooms (1^j,k), (3,1^m,3),
+# bananas (a,1,b) and mixed runs.
+UNIT_RUN_SEQUENCES = (
+    (1,),
+    (1,) * 49,
+    (1,) * 300,
+    (2,) + (1,) * 199,
+    (5,) + (1,) * 60,
+    (1,) * 150 + (4,),
+    (1,) * 37 + (9,),
+    (3,) + (1,) * 250 + (3,),
+    (3,) + (1,) * 31 + (3,),
+    (4, 1, 5),
+    (7, 1, 2),
+    (2, 1, 9),
+    (2, 1, 1, 3, 1, 1, 2),
+    (1, 1, 2, 1, 1, 1, 3, 1, 2),
+    (1,) * 20 + (2,) + (1,) * 20,
+    (2, 2, 2) + (1,) * 40 + (2, 2) + (1,) * 30,
+)
 
 
 def rst_addresses(degrees) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ from gracetree.construct import (
 )
 from gracetree.model import RootedSymmetricTree, path_sequence, to_general
 from gracetree.sweep import SweepSpec, enumerate_family
-from oracles import check_trace, theorem1_label_by_addresses
+from oracles import UNIT_RUN_SEQUENCES, check_trace, theorem1_label_by_addresses
 
 sequences = (
     st.lists(st.integers(1, 5), min_size=1, max_size=5)
@@ -61,6 +61,31 @@ def test_theorem1_matches_address_definition():
     for seq in enumerate_family(SweepSpec("rst_all", nmax=40)):
         t = build(seq)
         assert theorem1_label(t).labels == theorem1_label_by_addresses(seq), seq
+
+
+def test_long_unit_runs_match_the_oracles():
+    # The run arithmetic of the direct formula on trees of up to about
+    # 300 levels, against address decoding; and zero_at's trace, step by
+    # step, on each level zero_at_levels names, at one end of the level.
+    for seq in UNIT_RUN_SEQUENCES:
+        t = build(seq)
+        assert theorem1_label(t).labels == theorem1_label_by_addresses(seq), seq
+        for i, r in enumerate(zero_at_levels(t)):
+            v = t.level_offsets[r - 1] if i % 2 == 0 else t.level_offsets[r] - 1
+            f, trace = zero_at(ZeroAtRequest(t, v, (0, t.n - 1)[i // 2 % 2]))
+            assert check_trace(seq, trace.to_dict()) == list(f.labels), (seq, v)
+
+
+def test_zero_at_levels_names_each_level_once_in_order():
+    assert zero_at_levels(build((0,))) == (1,)
+    assert zero_at_levels(build((5,))) == (1, 2)
+    assert zero_at_levels(build((2, 3))) == (1, 2, 3)
+    assert zero_at_levels(build((1, 1))) == (1, 2, 3)
+    assert zero_at_levels(build((2, 1, 3))) == (1, 2, 3, 4)
+    assert zero_at_levels(build((2, 1, 1, 3))) == (1, 2, 4, 5)
+    assert zero_at_levels(build((2, 2, 3))) == (1, 2)
+    assert zero_at_levels(build((2, 3, 1))) == (1, 2)
+    assert zero_at_levels(build(path_sequence(7))) == (1, 2, 6, 7)
 
 
 @given(sequences)

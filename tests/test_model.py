@@ -37,6 +37,7 @@ from gracetree.model import (
 from gracetree.search import OrbitVerdict, RotatabilityReport, SearchOutcome
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import (
+    UNIT_RUN_SEQUENCES,
     all_trees,
     brute_orbits,
     decompose_by_addresses,
@@ -628,6 +629,23 @@ def test_rst_level_mapping_matches_general_route():
             else:
                 continue
             for a, b in pairs:
+                assert automorphism_mapping(t, a, b) == automorphism_mapping(g, a, b), (seq, a, b)
+
+
+def test_long_unit_runs_match_the_oracles():
+    # The run arithmetic of edges, decompose and the level mapping on
+    # trees of up to about 300 levels, against the per-vertex parent
+    # links, the split by addresses and the AHU route of the same edges.
+    rng = random.Random(42)
+    for seq in UNIT_RUN_SEQUENCES:
+        t = build(seq)
+        assert t.edges == tuple((p, i) for i, p in enumerate(rst_parents(seq)) if i), seq
+        dec = decompose(t)
+        assert (dec.subtree_h.degrees, dec.p_map, dec.h_map) == decompose_by_addresses(seq), seq
+        g = GeneralTree(t.n, t.edges)
+        for r in {2, 3, t.q // 2, t.q - 1, t.q} & set(range(1, t.q + 1)):
+            vs = range(t.level_offsets[r - 1], t.level_offsets[r])
+            for a, b in {(vs[0], vs[-1]), (vs[-1], vs[0]), (rng.choice(vs), rng.choice(vs))}:
                 assert automorphism_mapping(t, a, b) == automorphism_mapping(g, a, b), (seq, a, b)
 
 
