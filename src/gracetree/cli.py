@@ -91,6 +91,29 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, the same text, built faster.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder on every
+    value.  A list whose compact C encoding holds no string and no
+    nested list or dict holds only numbers, booleans and nulls, so that
+    one encoding is broken into lines at its ``", "`` separators; a list
+    that starts with a string, list or dict is not encoded first.  A
+    dict, whose keys must be strings, or any other list recurses.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(k) + ": " + _indented_json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)  # a scalar, {} or []
+    if not isinstance(obj[0], (dict, list, tuple, str)):  # else not flat: encode it once
+        flat = json.dumps(obj)
+        if flat.find("[", 1) < 0 and "{" not in flat and '"' not in flat:
+            return "[" + inner + flat[1:-1].replace(", ", "," + inner) + pad + "]"
+    return "[" + inner + ("," + inner).join(_indented_json(x, inner) for x in obj) + pad + "]"
+
+
 def _add_tree_source(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rst", metavar="K1,K2,...", help="daughter degree sequence")
@@ -254,7 +277,7 @@ def cmd_label(args) -> int:
     }
     if args.explain:
         doc["trace"] = trace.to_dict()
-    _write_text(args.out or "-", json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out or "-", _indented_json(doc) + "\n")
     if args.dot:
         _write_text(args.dot, to_dot(t, f.labels))
     return 0
@@ -301,7 +324,7 @@ def cmd_rotate0(args) -> int:
     if args.csv:
         _write_text(args.csv, rotatability_to_csv(report, include_timing=not args.no_timing))
     if args.json:
-        _write_text(args.json, json.dumps(report.to_dict(not args.no_timing), indent=2) + "\n")
+        _write_text(args.json, _indented_json(report.to_dict(not args.no_timing)) + "\n")
     return _exit_code({report.verdict})
 
 
@@ -337,7 +360,7 @@ def cmd_sweep(args) -> int:
                 "witnesses": {str(rep): list(labels) for rep, labels in row.witnesses},
             }
             name = row.tree_id.replace(",", "-") + ".json"
-            (outdir / name).write_text(json.dumps(doc, indent=2) + "\n")
+            (outdir / name).write_text(_indented_json(doc) + "\n")
     return _exit_code({row.verdict for row in rows})
 
 

@@ -2,8 +2,9 @@
 
 Three constructions are implemented:
 
-* a direct alternating formula that labels any rooted symmetric tree
-  from vertex addresses alone, placing 0 on the root;
+* a direct alternating formula that labels any rooted symmetric tree,
+  placing 0 on the root: defined on vertex addresses, it is computed
+  level by level from the labels of the level above;
 * a transposition product that moves 0 from the root to a deepest leaf
   on three-level trees;
 * a composition that splits off the last root branch as a broom,
@@ -95,13 +96,21 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
         even r:  k_1 h_2 - A - (r - 2)/2
         odd  r:  A + (r - 1)/2
 
-    A child's sum is its parent's plus x_{r-1} h_r, so the labels are
-    built without decoding any address: one range per parent and one
-    ``map`` per level.  A run of 1s keeps the sums, so two levels down
-    every label of an even level is 1 less and every label of an odd
-    level 1 more.  A run of 1s more than twice as long as its levels
-    are wide is filled by columns instead: two ``range`` slices per
-    vertex of its top level.
+    Let top = k_1 h_2 = n - 1.  A parent on level s - 1 with the sum A
+    has the label p = A + (s - 2)/2 if s - 1 is odd and p = top - A -
+    (s - 3)/2 if it is even; its child at digit x has the sum A + x h_s,
+    so that child gets
+
+        even s:  top - p - x h_s
+        odd  s:  top + 1 - p + x h_s
+
+    Each level is built from its parents' labels, without any address
+    sum: one ``range`` per parent, or one ``map`` over the parents where
+    each has one child.  Two levels down a run of 1s every label of an
+    even level is 1 less and every label of an odd level 1 more, so a
+    run of 1s more than twice as long as its levels are wide is filled
+    by columns instead: two ``range`` slices per vertex of the level
+    above it.
     """
     return _proven(t, _trusted(tuple(_theorem1_labels(_rooted(t, "theorem1_label")))))
 
@@ -109,35 +118,35 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
 def _theorem1_labels(t: RootedSymmetricTree) -> list[int]:
     """``theorem1_label``'s labels as a list, unproven."""
     n, off = t.n, t.level_offsets
-    top = n - 1  # k_1 h_2
-    labels = [0]
-    sums = [0]
-    r = 2  # the top level below the run
+    labels, row = [0], [0]  # row: the labels of the last level filled
+    r = 2  # the top level of the run
     for k, m in t.runs:
-        if k == 1 and 2 * len(sums) < m:  # fewer columns than levels
-            # Down a column the labels of levels r, r+2, ... step by dr
-            # and those of levels r+1, r+3, ... by -dr.
-            w, dr = len(sums), -1 if r % 2 == 0 else 1
+        if k == 1 and 2 * len(row) < m:  # fewer columns than levels
+            # Under a parent labelled p, level r gets c - p and level r+1
+            # p - dr; down a column the labels of levels r, r+2, ... step
+            # by dr and those of levels r+1, r+3, ... by -dr.
+            w, c, dr = len(row), n - 1 + r % 2, r % 2 * 2 - 1
             run = [0] * (m * w)
-            for c, (x, y) in enumerate(zip(_level_labels(top, r, sums), _level_labels(top, r + 1, sums))):
-                run[c :: 2 * w] = range(x, x + dr * ((m + 1) // 2), dr)
-                run[c + w :: 2 * w] = range(y, y - dr * (m // 2), -dr)
+            for col, p in enumerate(row):
+                run[col :: 2 * w] = range(c - p, c - p + dr * ((m + 1) // 2), dr)
+                run[col + w :: 2 * w] = range(p - dr, p - dr * (m // 2 + 1), -dr)
             labels += run
+            row = run[-w:]
         else:
             for s in range(r, r + m):
-                if k > 1:  # the children of sum a: range(a, a + k h, h)
+                # Under a parent labelled p the child at digit x gets c - p + x d:
+                # c, d = top, -h_s on an even level s and top + 1, h_s on an odd one.
+                c = n - 1 + s % 2
+                if k > 1:
                     h = (n - off[s - 1]) // (off[s] - off[s - 1])  # h_s
-                    sums = list(chain.from_iterable(map(range, sums, map(add, sums, repeat(k * h)), repeat(h))))
-                labels += _level_labels(top, s, sums)
+                    d = h if s % 2 else -h
+                    starts, stops = map(sub, repeat(c), row), map(sub, repeat(c + k * d), row)
+                    row = list(chain.from_iterable(map(range, starts, stops, repeat(d))))
+                else:
+                    row = list(map(sub, repeat(c), row))
+                labels += row
         r += m
     return labels
-
-
-def _level_labels(top: int, r: int, sums: list[int]):
-    """The direct labels of level r, whose address sums are ``sums``."""
-    if r % 2 == 0:
-        return map(sub, repeat(top - (r - 2) // 2), sums)
-    return map(add, sums, repeat((r - 1) // 2))
 
 
 def lemma1_product(t: RootedSymmetricTree) -> TranspositionProduct:

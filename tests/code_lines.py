@@ -7,8 +7,11 @@ Run from anywhere::
 A code line holds at least one token that is not a comment and not part
 of a docstring (the leading string of a module, class or function body).
 Blank lines, comment lines and docstring lines are not counted; a line
-with code and a trailing comment is.  The file name does not match
-``test_*.py``, so pytest does not collect it.
+with code and a trailing comment is.  The last line totals the modules
+that ``import gracetree`` loads; the benchmark's ``setup_s`` times
+importing exactly these, which with no bytecode cached is mostly
+compiling them.  The file name does not match ``test_*.py``, so pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -64,13 +67,23 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def imported_modules() -> set[str]:
+    """File names of the package modules that ``import gracetree`` loads."""
+    sys.dont_write_bytecode = True  # leave no bytecode for a later timed import
+    sys.path.insert(0, str(PACKAGE.parent))
+    import gracetree  # noqa: F401
+
+    return {Path(m.__file__).name for name, m in sys.modules.items() if name.split(".")[0] == "gracetree"}
+
+
 def main() -> int:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.relative_to(ROOT)}: {count}")
-    print(f"total: {total}")
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{(PACKAGE / name).relative_to(ROOT)}: {count}")
+    print(f"total: {sum(counts.values())}")
+    imported = imported_modules()
+    left_out = ", ".join(sorted(set(counts) - imported))
+    print(f"import gracetree: {sum(counts[name] for name in imported)} (all but {left_out})")
     return 0
 
 

@@ -551,6 +551,51 @@ def test_sweep_csv_and_witnesses_are_pinned_byte_for_byte(capsys, tmp_path, fami
     assert h.hexdigest() == digest
 
 
+def test_the_json_writer_matches_json_dumps_on_every_document_kind(capsys, tmp_path, monkeypatch):
+    # Every document the CLI writes goes through _indented_json; each
+    # must come out as json.dumps(doc, indent=2) would write it, and the
+    # file or stdout must hold exactly that text.
+    from gracetree import cli
+
+    writer, kinds = cli._indented_json, set()
+
+    def checked(doc, pad="\n"):
+        text = writer(doc, pad)
+        if pad == "\n":  # a whole document, not a value the writer recursed into
+            assert text == json.dumps(doc, indent=2)
+            kinds.add(argv[0] + (" --explain" if "trace" in doc else ""))
+        return text
+
+    monkeypatch.setattr(cli, "_indented_json", checked)
+    out_file = tmp_path / "out.json"
+    for argv in (
+        ["label", "--rst", "2,1,2", "--zero-at", "5"],
+        ["label", "--rst", "2,1,2", "--zero-at", "5", "--explain"],
+        ["label", "--rst", "2,2", "--method", "lemma1", "--explain"],
+        ["rotate0", "--rst", "1,1,1,2", "--json", str(out_file)],
+        ["rotate0", "--rst", "1,1,1,2", "--json", str(out_file), "--no-timing"],
+        ["sweep", "--family", "rst_all", "--nmax", "6", "--witnesses", str(tmp_path / "wit")],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 3)
+        if argv[0] == "label":
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        elif argv[0] == "rotate0":
+            text = out_file.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert sorted(kinds) == ["label", "label --explain", "rotate0", "sweep"]
+    for path in (tmp_path / "wit").iterdir():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # Scalars, empty and nested containers, and strings that hold the
+    # list separator or brackets.
+    for doc in (
+        0, None, "a, b", [], {}, [[]], [1.5, True, None, -2], (3, 4),
+        ["a, b", "[", 1], [[1, 2], [], {"k": [3, "x"]}], {"é": {"": []}},
+    ):
+        assert writer(doc) == json.dumps(doc, indent=2), doc
+
+
 def test_sweep_counterexample_exit(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "rst_all", "--nmax", "6")
     assert code == 3

@@ -63,17 +63,39 @@ def test_theorem1_matches_address_definition():
         assert theorem1_label(t).labels == theorem1_label_by_addresses(seq), seq
 
 
+def _assert_matches_the_oracles(seq):
+    # theorem1_label against address decoding, and zero_at's trace, step
+    # by step, on each level zero_at_levels names, at one end of the level.
+    t = build(seq)
+    assert theorem1_label(t).labels == theorem1_label_by_addresses(seq), seq
+    for i, r in enumerate(zero_at_levels(t)):
+        v = t.level_offsets[r - 1] if i % 2 == 0 else t.level_offsets[r] - 1
+        f, trace = zero_at(ZeroAtRequest(t, v, (0, t.n - 1)[i // 2 % 2]))
+        assert check_trace(seq, trace.to_dict()) == list(f.labels), (seq, v)
+
+
 def test_long_unit_runs_match_the_oracles():
     # The run arithmetic of the direct formula on trees of up to about
-    # 300 levels, against address decoding; and zero_at's trace, step by
-    # step, on each level zero_at_levels names, at one end of the level.
+    # 300 levels.
     for seq in UNIT_RUN_SEQUENCES:
-        t = build(seq)
-        assert theorem1_label(t).labels == theorem1_label_by_addresses(seq), seq
-        for i, r in enumerate(zero_at_levels(t)):
-            v = t.level_offsets[r - 1] if i % 2 == 0 else t.level_offsets[r] - 1
-            f, trace = zero_at(ZeroAtRequest(t, v, (0, t.n - 1)[i // 2 % 2]))
-            assert check_trace(seq, trace.to_dict()) == list(f.labels), (seq, v)
+        _assert_matches_the_oracles(seq)
+
+
+def test_wide_and_binary_levels_match_the_oracles():
+    # Levels with k > 1, each built from its parents' labels: one wide
+    # level, wide levels under short runs of 1s, and eleven binary or
+    # seven ternary levels.
+    for seq in (
+        (2999,),
+        (1500, 1),
+        (600, 2),
+        (60, 35),
+        (31, 1, 76),
+        (57, 1, 1, 1, 1, 35),
+        (2,) * 11,
+        (3,) * 7,
+    ):
+        _assert_matches_the_oracles(seq)
 
 
 def test_zero_at_levels_names_each_level_once_in_order():

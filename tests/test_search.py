@@ -272,6 +272,15 @@ def test_rotatability_golden_no():
     assert not rep.all_yes
 
 
+def test_the_six_vertex_counterexample_by_brute_force():
+    # RESULTS.md: (1,1,1,2), also the spider with legs 3, 1 and 1, takes
+    # 0 on every vertex but vertex 2 in some graceful labelling; all 720
+    # labellings tried, no search engine involved.
+    t = build((1, 1, 1, 2))
+    assert sorted(t.edges) == [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]
+    assert zero_positions(GeneralTree(6, t.edges)) == {0, 1, 3, 4, 5}
+
+
 def test_rotatability_timeout():
     cons = SearchConstraints(node_budget=1)
     rep = is_zero_rotatable(build((2, 2, 2)), cons)
