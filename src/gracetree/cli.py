@@ -4,6 +4,13 @@ Subcommands: ``label`` (closed-form graceful labellings), ``verify``
 (check a labelling), ``rotate0`` (0-rotatability of one tree, orbit by
 orbit), ``sweep`` (family-wide runs), and ``tree`` (export structure).
 
+This module alone writes and reads the file formats: tree documents
+(JSON), Graphviz DOT, the labelling and ``rotate0`` report JSON, and
+two CSV schemas, ``gracetree.sweep/1`` (a row per tree) and
+``gracetree.rotate0/1`` (a row per orbit).  ``--no-timing`` blanks
+every time in a report before it is written, so that output is
+byte-stable.
+
 Exit codes: 0 success / all-yes, 1 usage or I/O problems or a tree too
 deep or too large to process, 2 ``verify`` found the labelling not
 graceful, 3 a definite counterexample was found, 4 inconclusive because
@@ -14,6 +21,7 @@ constructions hand out, each proven graceful there.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import Counter
@@ -21,32 +29,18 @@ from pathlib import Path
 
 from .construct import ZeroAtRequest, compose_theorem2, lemma1_label, zero_at
 from .labelling import graceful_defect
-from .model import (
-    RootedSymmetricTree,
-    Tree,
-    _is_int,
-    build,
-    path_sequence,
-    to_dot,
-    tree_from_dict,
-    tree_to_dict,
-)
+from .model import GeneralTree, RootedSymmetricTree, Tree, _is_int, build, path_sequence
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
     VERDICT_NO,
     VERDICT_TIMEOUT,
     VERDICT_YES,
+    RotatabilityReport,
     SearchConstraints,
     is_zero_rotatable,
 )
-from .sweep import (
-    FAMILIES,
-    SweepSpec,
-    rotatability_to_csv,
-    run_sweep,
-    sweep_to_csv,
-)
+from .sweep import FAMILIES, SweepSpec, run_sweep
 
 # Above this many vertices a command would fill n-sized lists until
 # memory runs out.  The largest tree in the tests, (3000, 3000), has
@@ -114,6 +108,145 @@ def _indented_json(obj, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(_indented_json(x, inner) for x in obj) + pad + "]"
 
 
+def _tree_to_dict(t: Tree) -> dict:
+    if isinstance(t, RootedSymmetricTree):
+        return {"kind": "rst", "degrees": list(t.degrees)}
+    return {"kind": "general", "n": t.n, "edges": [list(e) for e in t.edges]}
+
+
+def _tree_from_dict(d) -> Tree:
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError('tree document needs a "kind" field')
+    kind = d["kind"]
+    if kind == "rst":
+        degrees = d.get("degrees")
+        if not isinstance(degrees, list) or not degrees or not all(map(_is_int, degrees)):
+            raise ValueError('rst document needs a non-empty "degrees" list of integers')
+        return RootedSymmetricTree(degrees)
+    if kind == "general":
+        if "n" not in d or "edges" not in d:
+            raise ValueError('general document needs "n" and "edges"')
+        n, edges = d["n"], d["edges"]
+        if not _is_int(n):
+            raise ValueError('"n" must be an integer')
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError('"edges" must be a list of [u, v] integer pairs')
+        return GeneralTree(n, tuple(map(tuple, edges)))
+    raise ValueError(f"unknown tree kind {kind!r}")
+
+
+def _to_dot(t: Tree, labels=None) -> str:
+    """Graphviz DOT text; with ``labels``, one of the package's own
+    labellings of ``t``, each vertex and edge is annotated."""
+    lines = ["graph gracetree {", "  node [shape=circle];"]
+    if labels is None:
+        lines += (f"  {v};" for v in range(t.n))
+        lines += (f"  {u} -- {v};" for u, v in t.edges)
+    else:
+        lines += (f'  {v} [label="{x}"];' for v, x in enumerate(labels))
+        lines += (f'  {u} -- {v} [label="{abs(labels[u] - labels[v])}"];' for u, v in t.edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _untimed(report: RotatabilityReport) -> RotatabilityReport:
+    """``report`` with every time None, as ``--no-timing`` writes it: an
+    empty CSV cell and a JSON null."""
+    entries = tuple(e._replace(elapsed=None) for e in report.entries)
+    return report._replace(entries=entries, elapsed_s=None)
+
+
+def _report_dict(report: RotatabilityReport) -> dict:
+    orbits = [
+        {
+            "representative": e.representative,
+            "orbit": list(e.orbit),
+            "verdict": e.verdict,
+            "method": e.method,
+            "witness": list(e.witness.labels) if e.witness else None,
+            "nodes": e.nodes,
+            "elapsed": e.elapsed,
+        }
+        for e in report.entries
+    ]
+    return {"tree": report.tree_id, "n": report.n, "verdict": report.verdict, "orbits": orbits}
+
+
+SWEEP_SCHEMA = "gracetree.sweep/1"
+SWEEP_COLUMNS = (
+    "schema", "family", "tree", "n", "q", "orbits", "orbit_reps", "verdicts", "methods",
+    "all_yes", "nodes", "elapsed_s",
+)
+ROTATE0_SCHEMA = "gracetree.rotate0/1"
+ROTATE0_COLUMNS = (
+    "schema", "tree", "n", "orbit_rep", "orbit_size", "verdict", "method", "witness", "nodes",
+    "elapsed_s",
+)
+
+
+def _fmt_elapsed(seconds: float | None) -> str:
+    return "" if seconds is None else f"{seconds:.3f}"
+
+
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    """CSV text: the header row ``columns``, then ``rows``."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _sweep_csv(rows: list[RotatabilityReport]) -> str:
+    """Sweep rows under the gracetree.sweep/1 schema, one per tree."""
+    return _csv_text(
+        SWEEP_COLUMNS,
+        (
+            [
+                SWEEP_SCHEMA,
+                row.family,
+                row.tree_id,
+                row.n,
+                row.q,
+                len(row.entries),
+                " ".join(str(r) for r in row.orbit_reps),
+                " ".join(row.verdicts),
+                " ".join(row.methods),
+                "true" if row.all_yes else "false",
+                row.nodes,
+                _fmt_elapsed(row.elapsed_s),
+            ]
+            for row in rows
+        ),
+    )
+
+
+def _rotate0_csv(report: RotatabilityReport) -> str:
+    """A report under the gracetree.rotate0/1 schema, one row per orbit."""
+    return _csv_text(
+        ROTATE0_COLUMNS,
+        (
+            [
+                ROTATE0_SCHEMA,
+                report.tree_id,
+                report.n,
+                e.representative,
+                len(e.orbit),
+                e.verdict,
+                e.method,
+                " ".join(str(x) for x in e.witness.labels) if e.witness else "",
+                e.nodes,
+                _fmt_elapsed(e.elapsed),
+            ]
+            for e in report.entries
+        ),
+    )
+
+
 def _add_tree_source(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rst", metavar="K1,K2,...", help="daughter degree sequence")
@@ -138,7 +271,7 @@ def _load_tree(args) -> Tree:
     elif args.rst is not None:
         t = build(_parse_sequence(args.rst))
     else:
-        t = tree_from_dict(json.loads(_read_text(args.tree)))
+        t = _tree_from_dict(json.loads(_read_text(args.tree)))
     _check_size(t.n)
     return t
 
@@ -269,7 +402,7 @@ def cmd_label(args) -> int:
         desired = t.n - 1 if args.desired == "top" else 0
         f, trace = zero_at(ZeroAtRequest(t, args.zero_at or 0, desired))
     doc = {
-        "tree": tree_to_dict(t),
+        "tree": _tree_to_dict(t),
         "n": t.n,
         "method": trace.method,
         "labels": list(f.labels),
@@ -279,7 +412,7 @@ def cmd_label(args) -> int:
         doc["trace"] = trace.to_dict()
     _write_text(args.out or "-", _indented_json(doc) + "\n")
     if args.dot:
-        _write_text(args.dot, to_dot(t, f.labels))
+        _write_text(args.dot, _to_dot(t, f.labels))
     return 0
 
 
@@ -317,14 +450,16 @@ def cmd_rotate0(args) -> int:
     nodes, secs = _resolve_budgets(args)
     cons = SearchConstraints(node_budget=nodes, time_budget=secs)
     report = is_zero_rotatable(t, cons)
+    if args.no_timing:
+        report = _untimed(report)
     for e in report.entries:
         line = f"orbit rep={e.representative} size={len(e.orbit)} verdict={e.verdict} [{e.method}]"
         print(line)
     print(f"tree {report.tree_id}: {report.verdict}")
     if args.csv:
-        _write_text(args.csv, rotatability_to_csv(report, include_timing=not args.no_timing))
+        _write_text(args.csv, _rotate0_csv(report))
     if args.json:
-        _write_text(args.json, _indented_json(report.to_dict(not args.no_timing)) + "\n")
+        _write_text(args.json, _indented_json(_report_dict(report)) + "\n")
     return _exit_code({report.verdict})
 
 
@@ -339,6 +474,8 @@ def cmd_sweep(args) -> int:
         time_budget=secs,
     )
     rows = run_sweep(spec, jobs=args.jobs)
+    if args.no_timing:
+        rows = [_untimed(row) for row in rows]
     for row in rows:
         print(f"{row.tree_id:<16} n={row.n:<5} orbits={len(row.entries):<3} {row.verdict}")
     verdicts = Counter(v for row in rows for v in row.verdicts)
@@ -349,27 +486,34 @@ def cmd_sweep(args) -> int:
         f"{sum(row.searched for row in rows)} searched, {sum(row.nodes for row in rows)} nodes"
     )
     if args.csv:
-        _write_text(args.csv, sweep_to_csv(rows, include_timing=not args.no_timing))
+        _write_text(args.csv, _sweep_csv(rows))
     if args.witnesses:
         outdir = Path(args.witnesses)
         outdir.mkdir(parents=True, exist_ok=True)
         for row in rows:
             doc = {
-                "tree": tree_to_dict(build(_parse_sequence(row.tree_id))),
+                "tree": _tree_to_dict(build(_parse_sequence(row.tree_id))),
                 "n": row.n,
                 "witnesses": {str(rep): list(labels) for rep, labels in row.witnesses},
             }
-            name = row.tree_id.replace(",", "-") + ".json"
-            (outdir / name).write_text(_indented_json(doc) + "\n")
+            name = row.tree_id.replace(",", "-")
+            # A file name holds at most 255 bytes.  A longer one keeps 185
+            # characters, then the SHA-256 of the whole after a "." that no
+            # kept name has: 255 bytes with ".json", and unique.
+            if len(name) > 250:
+                import hashlib  # only a tree of over 125 levels pays for it
+
+                name = name[:185] + "." + hashlib.sha256(name.encode()).hexdigest()
+            (outdir / (name + ".json")).write_text(_indented_json(doc) + "\n")
     return _exit_code({row.verdict for row in rows})
 
 
 def cmd_tree(args) -> int:
     t = _load_tree(args)
     if args.json or not args.dot:
-        _write_text(args.json or "-", json.dumps(tree_to_dict(t)) + "\n")
+        _write_text(args.json or "-", json.dumps(_tree_to_dict(t)) + "\n")
     if args.dot:
-        _write_text(args.dot, to_dot(t))
+        _write_text(args.dot, _to_dot(t))
     return 0
 
 

@@ -16,9 +16,11 @@ share across threads and worker processes.
 This module also holds the package's two integer rules.  Library
 arguments follow ``operator.index`` (``_as_int``, ``_as_ints``): a
 float or a string is refused where ``int()`` would truncate or parse
-it, and a bool passes as 0 or 1.  Values read from JSON documents,
-search pins and node budgets must be exactly ``int`` (``_is_int``), so
-a bool is refused too.  Either way a refusal is a ValueError.
+it, and a bool passes as 0 or 1.  Values the CLI reads from JSON
+documents, search pins and node budgets must be exactly ``int``
+(``_is_int``), so a bool is refused too.  Either way a refusal is a
+ValueError.  The module writes no file format: tree documents and DOT
+are the CLI's.
 """
 
 from __future__ import annotations
@@ -641,58 +643,3 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
                 raise RuntimeError("child pairing failed despite equal parent codes")
             stack.append((x, y))
     return tuple(perm)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def tree_to_dict(t: Tree) -> dict:
-    if isinstance(t, RootedSymmetricTree):
-        return {"kind": "rst", "degrees": list(t.degrees)}
-    return {"kind": "general", "n": _tree(t).n, "edges": [list(e) for e in t.edges]}
-
-
-def tree_from_dict(d: dict) -> Tree:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError('tree document needs a "kind" field')
-    kind = d["kind"]
-    if kind == "rst":
-        degrees = d.get("degrees")
-        if not isinstance(degrees, list) or not degrees or not all(map(_is_int, degrees)):
-            raise ValueError('rst document needs a non-empty "degrees" list of integers')
-        return RootedSymmetricTree(degrees)
-    if kind == "general":
-        if "n" not in d or "edges" not in d:
-            raise ValueError('general document needs "n" and "edges"')
-        n, edges = d["n"], d["edges"]
-        if not _is_int(n):
-            raise ValueError('"n" must be an integer')
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
-        ):
-            raise ValueError('"edges" must be a list of [u, v] integer pairs')
-        return GeneralTree(n, tuple(map(tuple, edges)))
-    raise ValueError(f"unknown tree kind {kind!r}")
-
-
-def to_dot(t: Tree, labels: Sequence[int] | None = None) -> str:
-    """Graphviz DOT text, with vertex and edge annotations when a
-    labelling is supplied."""
-    _tree(t)
-    if labels is not None:
-        labels = _as_ints(labels, "label")
-        if len(labels) != t.n:
-            raise ValueError("labelling size does not match the tree")
-    lines = ["graph gracetree {", "  node [shape=circle];"]
-    for v in range(t.n):
-        if labels is None:
-            lines.append(f"  {v};")
-        else:
-            lines.append(f'  {v} [label="{labels[v]}"];')
-    for u, v in t.edges:
-        if labels is None:
-            lines.append(f"  {u} -- {v};")
-        else:
-            lines.append(f'  {u} -- {v} [label="{abs(labels[u] - labels[v])}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -474,17 +474,6 @@ class OrbitVerdict(NamedTuple):
     nodes: int
     elapsed: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "representative": self.representative,
-            "orbit": list(self.orbit),
-            "verdict": self.verdict,
-            "method": self.method,
-            "witness": list(self.witness.labels) if self.witness else None,
-            "nodes": self.nodes,
-            "elapsed": self.elapsed if include_timing else None,
-        }
-
 
 class RotatabilityReport(NamedTuple):
     """Per-orbit answers to "is there a graceful labelling with 0 here?".
@@ -541,14 +530,6 @@ class RotatabilityReport(NamedTuple):
     def witnesses(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(representative, labels) for each yes orbit, in orbit order."""
         return tuple((e.representative, e.witness.labels) for e in self.entries if e.witness)
-
-    def to_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "tree": self.tree_id,
-            "n": self.n,
-            "verdict": self.verdict,
-            "orbits": [e.to_dict(include_timing) for e in self.entries],
-        }
 
 
 # Node budget of each short stage of an orbit search (see is_zero_rotatable).

@@ -4,13 +4,10 @@ A sweep enumerates a family of daughter degree sequences, and for each
 tree asks, orbit by orbit, whether label 0 can sit on that orbit.  The
 driver tries the closed-form constructions first and falls back to
 search only when no construction applies, recording per orbit which
-route answered.  Results serialize to CSV with a stable schema tag so
-downstream tooling can detect format drift.
+route answered.  The CLI writes the rows as CSV.
 """
 
 from __future__ import annotations
-
-import io
 
 from .model import _Frozen, _as_int, _as_ints, build, level_numbers
 from .search import (
@@ -39,37 +36,6 @@ _FAMILY_PARAMS = {
     FAMILY_BANANA: {"nmax": False, "branches": True},
     FAMILY_Q3: {"nmax": False},
 }
-
-SWEEP_SCHEMA = "gracetree.sweep/1"
-SWEEP_COLUMNS = (
-    "schema",
-    "family",
-    "tree",
-    "n",
-    "q",
-    "orbits",
-    "orbit_reps",
-    "verdicts",
-    "methods",
-    "all_yes",
-    "nodes",
-    "elapsed_s",
-)
-
-ROTATE0_SCHEMA = "gracetree.rotate0/1"
-ROTATE0_COLUMNS = (
-    "schema",
-    "tree",
-    "n",
-    "orbit_rep",
-    "orbit_size",
-    "verdict",
-    "method",
-    "witness",
-    "nodes",
-    "elapsed_s",
-)
-
 
 class SweepSpec(_Frozen):
     """What to sweep: a family name plus its parameters and budgets."""
@@ -227,68 +193,3 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
             raise
         except BrokenExecutor as exc:
             raise ChildProcessError("a sweep worker process died") from exc
-
-
-def _fmt_elapsed(seconds: float, include_timing: bool) -> str:
-    return f"{seconds:.3f}" if include_timing else ""
-
-
-def _csv_text(columns: tuple[str, ...], rows) -> str:
-    """CSV text: the header row ``columns``, then ``rows``."""
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def sweep_to_csv(rows: list[RotatabilityReport], include_timing: bool = True) -> str:
-    """Render sweep rows under the gracetree.sweep/1 schema.
-
-    With timing excluded the output is byte-stable across runs.
-    """
-    return _csv_text(
-        SWEEP_COLUMNS,
-        (
-            [
-                SWEEP_SCHEMA,
-                row.family,
-                row.tree_id,
-                row.n,
-                row.q,
-                len(row.entries),
-                " ".join(str(r) for r in row.orbit_reps),
-                " ".join(row.verdicts),
-                " ".join(row.methods),
-                "true" if row.all_yes else "false",
-                row.nodes,
-                _fmt_elapsed(row.elapsed_s, include_timing),
-            ]
-            for row in rows
-        ),
-    )
-
-
-def rotatability_to_csv(report: RotatabilityReport, include_timing: bool = True) -> str:
-    """Render a rotatability report, one row per orbit, under the
-    gracetree.rotate0/1 schema."""
-    return _csv_text(
-        ROTATE0_COLUMNS,
-        (
-            [
-                ROTATE0_SCHEMA,
-                report.tree_id,
-                report.n,
-                e.representative,
-                len(e.orbit),
-                e.verdict,
-                e.method,
-                " ".join(str(x) for x in e.witness.labels) if e.witness else "",
-                e.nodes,
-                _fmt_elapsed(e.elapsed, include_timing),
-            ]
-            for e in report.entries
-        ),
-    )

@@ -16,9 +16,9 @@ import pytest
 
 import gracetree
 from gracetree import ZeroAtRequest, build, evaluate_sequence, theorem1_label, zero_at
-from gracetree.cli import entrypoint, main
+from gracetree.cli import _tree_to_dict, entrypoint, main
 from gracetree.construct import compose_theorem2, lemma1_label
-from gracetree.model import to_general, tree_to_dict
+from gracetree.model import to_general
 from oracles import check_trace, graceful_on_rst
 
 
@@ -377,7 +377,7 @@ def test_rotate0_constructs_a_rooted_symmetric_tree_like_the_sweep(
 
 def test_rotate0_searches_every_orbit_of_a_general_tree(capsys, tmp_path):
     tree_file = tmp_path / "t.json"
-    tree_file.write_text(json.dumps(tree_to_dict(to_general(build((12, 2, 1))))))
+    tree_file.write_text(json.dumps(_tree_to_dict(to_general(build((12, 2, 1))))))
     code, out, _ = run(
         capsys, "rotate0", "--tree", str(tree_file), "--budget-nodes", "1000", "--budget-secs", "0"
     )
@@ -549,6 +549,28 @@ def test_sweep_csv_and_witnesses_are_pinned_byte_for_byte(capsys, tmp_path, fami
     for path in witnesses:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_sweep_witness_names_fit_in_a_file_name(capsys, tmp_path):
+    # A spider with 126 levels made a 256-byte name, and the sweep exited
+    # 1 with "File name too long" after the whole run.  A name that fits
+    # is kept; a longer one is cut, with the SHA-256 of the whole name
+    # after a "." that no kept name has.
+    names = []
+    for legs in (125, 126):
+        wit_dir = tmp_path / str(legs)
+        code, _, err = run(
+            capsys, "sweep", "--family", "symmetric_spider", "--legs", str(legs),
+            "--branches", "1..1", "--budget-nodes", "1", "--witnesses", str(wit_dir),
+        )
+        assert (code, err) == (4, "")  # one node leaves the path's middle orbits timed out
+        (path,) = wit_dir.iterdir()
+        names.append(path.name)
+    kept = "-".join(["1"] * 125)
+    assert names[0] == kept + ".json" and len(names[0]) == 254
+    cut = "-".join(["1"] * 126)
+    assert names[1] == cut[:185] + "." + hashlib.sha256(cut.encode()).hexdigest() + ".json"
+    assert len(names[1]) == 255
 
 
 def test_the_json_writer_matches_json_dumps_on_every_document_kind(capsys, tmp_path, monkeypatch):
@@ -816,9 +838,9 @@ def test_module_entry_point_runs_the_command():
 def test_import_loads_no_process_pool():
     # Only sweep --jobs > 1 starts a pool, so only it pays for loading
     # concurrent.futures and multiprocessing (and logging, socket, pickle).
-    # No module loads dataclasses (which pulls in inspect, ast and dis),
-    # and only the functions that serialise load json or csv; the CLI
-    # needs json.
+    # No module loads dataclasses (which pulls in inspect, ast and dis).
+    # Only the CLI writes file formats: it needs json, and loads csv in
+    # its CSV writer alone.
     heavy = {"concurrent", "multiprocessing", "dataclasses", "inspect", "json", "csv"}
     src = str(Path(gracetree.__file__).resolve().parents[1])
     for module, unwanted in (("gracetree", heavy), ("gracetree.cli", heavy - {"json"})):

@@ -24,6 +24,7 @@ from gracetree import (
     is_graceful,
     is_zero_rotatable,
 )
+from gracetree.cli import _report_dict
 from gracetree.labelling import complement, edge_labels, graceful_defect
 from gracetree.model import (
     automorphism_mapping,
@@ -31,9 +32,7 @@ from gracetree.model import (
     path_sequence,
     rooted_sequence_at,
     sequence_label,
-    to_dot,
     to_general,
-    tree_to_dict,
     vertex_orbits,
 )
 from gracetree.search import _run, _tables, count_graceful
@@ -215,8 +214,8 @@ def test_count_bound_guard():
         lambda t: find_graceful(t),
         lambda t: count_graceful(t),
         lambda t: is_zero_rotatable(t),
-        lambda t: tree_to_dict(t),
-        lambda t: to_dot(t),
+        lambda t: count_graceful(t, None),
+        lambda t: is_zero_rotatable(t, SearchConstraints(pins={0: 0})),
         lambda t: to_general(t),
         lambda t: classify(t),
         lambda t: rooted_sequence_at(t, 0),
@@ -225,6 +224,8 @@ def test_count_bound_guard():
 @pytest.mark.parametrize("t", [5, None, (0, 1)])
 def test_entry_points_refuse_a_non_tree(call, t):
     # Each escaped as AttributeError: 'int' object has no attribute ...
+    # Without a bound, count_graceful reaches the tree by another path,
+    # and the tree is named before the pin is refused.
     message = f"tree {t!r} is not a GeneralTree or RootedSymmetricTree"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(t)
@@ -440,7 +441,7 @@ def test_rotatability_rejects_pins():
 
 def test_rotatability_report_json():
     rep = is_zero_rotatable(build((2, 2)), tree_id="2,2")
-    doc = rep.to_dict()
+    doc = _report_dict(rep)
     assert doc["verdict"] == "yes"
     assert len(doc["orbits"]) == 3
     assert json.loads(json.dumps(doc, indent=2)) == doc
@@ -906,9 +907,11 @@ def test_vertex_order_checker_matches_the_pinned_search_random():
 
 
 def test_vertex_order_checker_decides_the_broom_table():
-    # (1,1,1,k) refuses 0 on vertex 2 for k mod 12 in {2, 4, 7, 8, 10, 11}.
+    # (1,1,1,k) refuses 0 on vertex 2 for k mod 12 in {2, 4, 7, 8, 10, 11}:
+    # the broom rule of RESULTS.md, 3 | m or 4 | m with m = k + 3.
     # An exhaust visits every consistent prefix whatever the try order.
-    verdicts = {k: zero_possible_by_vertex_order(k + 4, build((1, 1, 1, k)).edges, 2) for k in range(2, 11)}
+    # k = 13 and 14 agree too, but take about 23 s.
+    verdicts = {k: zero_possible_by_vertex_order(k + 4, build((1, 1, 1, k)).edges, 2) for k in range(2, 13)}
     assert verdicts == {
         2: ("no", 86),
         3: ("yes", 116),
@@ -919,8 +922,30 @@ def test_vertex_order_checker_decides_the_broom_table():
         8: ("no", 40_237),
         9: ("yes", 45_356),
         10: ("no", 244_200),
+        11: ("no", 580_824),
+        12: ("yes", 624_722),
     }
+    rule = {k: "yes" if (k + 3) % 3 == 0 or (k + 3) % 4 == 0 else "no" for k in verdicts}
+    assert {k: verdict for k, (verdict, _) in verdicts.items()} == rule
     assert zero_possible_by_vertex_order(14, build((1, 1, 1, 10)).edges, 2, cap=1_000) == ("timeout", 1_001)
+
+
+def test_the_broom_rule_closed_forms_are_graceful():
+    # The yes half of the broom rule (RESULTS.md): with m = k + 3, the
+    # path a-b-c-d of (1,1,1,k) takes (3m/4, m/2, 0, m) when 4 | m and
+    # (m/3, 2m/3, 0, m) when 3 | m, and d's k leaves the labels left.
+    forms = []
+    for k in range(1, 201):
+        m = k + 3
+        if m % 4 == 0:
+            forms.append((k, 3 * m // 4, m // 2))
+        if m % 3 == 0:
+            forms.append((k, m // 3, 2 * m // 3))
+    assert len(forms) == 116
+    for k, a, b in forms:
+        m = k + 3
+        leaves = [x for x in range(1, m) if x != a and x != b]
+        assert is_graceful(build((1, 1, 1, k)), [a, b, 0, m, *leaves]), (k, a, b)
 
 
 def test_vertex_order_checker_refuses_every_golden_no():

@@ -22,18 +22,17 @@ from gracetree import (
     is_zero_rotatable,
     zero_at,
 )
-from gracetree.construct import METHOD_SEARCH
-from gracetree.model import RootedSymmetricTree, sequence_label, to_general
-from gracetree.sweep import (
+from gracetree.cli import (
     ROTATE0_SCHEMA,
     SWEEP_COLUMNS,
     SWEEP_SCHEMA,
-    SweepSpec,
-    enumerate_family,
-    rotatability_to_csv,
-    run_sweep,
-    sweep_to_csv,
+    _rotate0_csv,
+    _sweep_csv,
+    _untimed,
 )
+from gracetree.construct import METHOD_SEARCH
+from gracetree.model import RootedSymmetricTree, sequence_label, to_general
+from gracetree.sweep import SweepSpec, enumerate_family, run_sweep
 
 
 def brute_sequences(nmax: int) -> list[tuple[int, ...]]:
@@ -204,7 +203,7 @@ def test_run_sweep_jobs_agree():
 def test_sweep_csv_shape_and_stability():
     spec = SweepSpec("q3", nmax=10)
     rows = run_sweep(spec)
-    text = sweep_to_csv(rows, include_timing=False)
+    text = _sweep_csv([_untimed(row) for row in rows])
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == len(rows) + 1
@@ -212,15 +211,15 @@ def test_sweep_csv_shape_and_stability():
         assert line.startswith(SWEEP_SCHEMA + ",")
         assert line.endswith(",")  # timing column blanked
     # byte-stable across runs once timing is excluded
-    again = sweep_to_csv(run_sweep(spec), include_timing=False)
+    again = _sweep_csv([_untimed(row) for row in run_sweep(spec)])
     assert again == text
-    timed = sweep_to_csv(rows, include_timing=True)
+    timed = _sweep_csv(rows)
     assert not timed.strip().split("\n")[1].endswith(",")
 
 
 def test_sweep_csv_golden_row():
     row = evaluate_sequence((2, 1), family="q3")
-    text = sweep_to_csv([row], include_timing=False)
+    text = _sweep_csv([_untimed(row)])
     line = text.strip().split("\n")[1]
     assert line == (
         'gracetree.sweep/1,q3,"2,1",5,3,3,0 1 3,yes yes yes,'
@@ -230,7 +229,7 @@ def test_sweep_csv_golden_row():
 
 def test_rotate0_csv():
     rep = is_zero_rotatable(build((2, 2)), tree_id="2,2")
-    text = rotatability_to_csv(rep, include_timing=False)
+    text = _rotate0_csv(_untimed(rep))
     lines = text.strip().split("\n")
     assert lines[0].startswith("schema,")
     assert len(lines) == 4
@@ -270,7 +269,7 @@ def test_rotate0_csv_golden_yes():
     # As a GeneralTree, the leaf orbit 3 is searched first and its
     # complement settles orbit 1.
     t = to_general(build((2, 2)))
-    text = rotatability_to_csv(is_zero_rotatable(t, tree_id="2,2"), include_timing=False)
+    text = _rotate0_csv(_untimed(is_zero_rotatable(t, tree_id="2,2")))
     assert text == ROTATE0_HEADER + (
         'gracetree.rotate0/1,"2,2",7,0,1,yes,search_fallback,0 3 6 4 5 2 1,7,\n'
         'gracetree.rotate0/1,"2,2",7,1,2,yes,complement_of,4 0 1 6 5 2 3,0,\n'
@@ -283,7 +282,7 @@ def test_rotate0_csv_golden_no():
     # As a GeneralTree, search order 4, 0, 2: the leaf witnesses settle
     # the hub 3 and vertex 1.
     t = to_general(build((1, 1, 1, 2)))
-    text = rotatability_to_csv(is_zero_rotatable(t, tree_id="1,1,1,2"), include_timing=False)
+    text = _rotate0_csv(_untimed(is_zero_rotatable(t, tree_id="1,1,1,2")))
     assert text == ROTATE0_HEADER + (
         'gracetree.rotate0/1,"1,1,1,2",6,0,1,yes,search_fallback,0 5 1 4 3 2,6,\n'
         'gracetree.rotate0/1,"1,1,1,2",6,1,1,yes,complement_of,5 0 4 1 2 3,0,\n'
@@ -296,7 +295,7 @@ def test_rotate0_csv_golden_no():
 
 def test_sweep_csv_golden_row_search_fallback():
     row = evaluate_sequence((1, 1, 1, 2), family="rst_all")
-    line = sweep_to_csv([row], include_timing=False).split("\n")[1]
+    line = _sweep_csv([_untimed(row)]).split("\n")[1]
     assert line == (
         'gracetree.sweep/1,rst_all,"1,1,1,2",6,5,5,0 1 2 3 4,yes yes no yes yes,'
         "theorem1 complement_of search_fallback theorem2_odd complement_of,false,27,"
