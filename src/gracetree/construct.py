@@ -23,9 +23,9 @@ says beforehand where ``zero_at`` reaches; the sweep calls ``_zero_at``
 only there, with the level it already has.  No step of a construction
 checks its parameters, proves what an earlier one built, or copies the
 labels it was handed.  Each function that hands out a whole-tree
-labelling proves it once, a permutation and graceful, with
-``labelling._graceful_ints`` on the tuple it hands out: a failure is a
-bug in the construction and raises RuntimeError.
+labelling proves it through ``labelling._proven``, a permutation and
+graceful with 0 or n-1 where asked, on the tuple it hands out: a failure
+is a bug in the construction and raises RuntimeError.
 
 Every public entry point that performs a multi-step construction also
 returns a trace: the steps it ran, each with its parameters and the
@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence, Union
 from .labelling import (
     Labelling,
     TranspositionProduct,
-    _graceful_ints,
+    _proven,
     _relabel,
     _trusted,
     apply_permutation,
@@ -51,7 +51,6 @@ from .labelling import (
 )
 from .model import (
     RootedSymmetricTree,
-    Tree,
     _as_int,
     _level_mapping,
     _rooted,
@@ -112,7 +111,7 @@ def theorem1_label(t: RootedSymmetricTree) -> Labelling:
     by columns instead: two ``range`` slices per vertex of the level
     above it.
     """
-    return _proven(t, _trusted(tuple(_theorem1_labels(_rooted(t, "theorem1_label")))))
+    return _proven(t, tuple(_theorem1_labels(_rooted(t, "theorem1_label"))))
 
 
 def _theorem1_labels(t: RootedSymmetricTree) -> list[int]:
@@ -173,33 +172,24 @@ def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
         _step("theorem1", base),
         _step("apply_permutation", f, swaps=[list(s) for s in product.swaps]),
     )
-    return _proven(t, f), ConstructionTrace(METHOD_LEMMA1, steps)
+    return _proven(t, f.labels), ConstructionTrace(METHOD_LEMMA1, steps)
 
 
-def broom_caterpillar_label(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]:
+def _broom_labels(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]:
     """Extreme-value labelling of a broom inside an n-label budget.
 
-    The broom is a spine of ``spine_length`` vertices (root included)
-    whose deepest vertex carries ``leaf_count`` pendant leaves.  Leaves
-    take 0..leaf_count-1; the spine, walked from its deep end up to the
-    root, alternates between the largest unused high label and the
-    smallest unused low label.  The edge differences then form one
-    contiguous run at the very top of 1..n-1; a composition proves that
-    with the rest of its labelling, where it hands the labelling out.
+    The broom is a spine of ``spine_length`` >= 1 vertices (root
+    included) whose deepest vertex carries ``leaf_count`` >= 1 pendant
+    leaves, and n is at least its vertex count.  Leaves take
+    0..leaf_count-1; the spine, walked from its deep end up to the root,
+    alternates between the largest unused high label and the smallest
+    unused low label.  The edge differences then form one contiguous run
+    at the very top of 1..n-1; a composition proves that with the rest
+    of its labelling, where it hands the labelling out.
 
     Returns labels in local order: root, spine down to the deep vertex,
     then the leaves.
     """
-    leaf_count = _as_int(leaf_count, "broom leaf_count")
-    spine_length = _as_int(spine_length, "broom spine_length")
-    n = _as_int(n, "broom n")
-    if leaf_count < 1:
-        raise ValueError("a broom needs at least one leaf")
-    if spine_length < 1:
-        raise ValueError("a broom needs at least one spine vertex")
-    p = spine_length + leaf_count
-    if n < p:
-        raise ValueError(f"label budget {n} too small for {p} vertices")
     deep_to_root = [0] * spine_length
     deep_to_root[::2] = range(n - 1, n - 1 - (spine_length + 1) // 2, -1)
     deep_to_root[1::2] = range(leaf_count, leaf_count + spine_length // 2)
@@ -224,14 +214,14 @@ def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTra
     if q not in zero_at_levels(t):
         raise ValueError(f"intermediate daughter degrees of {t.degrees} are not all 1")
     labels, trace = _compose(t)
-    return _proven(t, _trusted(labels)), trace
+    return _proven(t, labels), trace
 
 
 def _compose(t: RootedSymmetricTree) -> tuple[tuple[int, ...], ConstructionTrace]:
     """``compose_theorem2``'s labels, unproven, and trace on a tree it accepts."""
     q, n, k = t.q, t.n, t.degrees[-1]
     dec = decompose(t)
-    broom = broom_caterpillar_label(k, q - 1, n)
+    broom = _broom_labels(k, q - 1, n)
     h = _theorem1_labels(dec.subtree_h)
     # Move the subtree's root onto the broom's root label.
     if q % 2 == 1:
@@ -341,18 +331,7 @@ def _zero_at(
         perm = _level_mapping(t, holder, target)
         f = _relabel(f, perm)
         steps.append(_step("relabel_vertices", f, perm=list(perm)))
-
-    if f[target] != desired:
-        raise RuntimeError(f"constructed labelling puts {f[target]} on vertex {target}; this is a bug")
-    return _proven(t, f), ConstructionTrace(method, tuple(steps))
-
-
-def _proven(t: Tree, f: Labelling) -> Labelling:
-    """``f`` itself, proven a graceful labelling of ``t`` where a
-    construction hands it out."""
-    if not _graceful_ints(t, f.labels):
-        raise RuntimeError("constructed labelling failed its postcondition; this is a bug")
-    return f
+    return _proven(t, f.labels, ((target, desired),)), ConstructionTrace(method, tuple(steps))
 
 
 def _step(op: str, out: Sequence[int], **params) -> dict:

@@ -13,8 +13,8 @@ its caller passes, and refuses anything but a ``Labelling``.  The
 constructions call ``relabel_vertices``'s core ``_relabel`` with an
 automorphism they built, and build their own labellings through
 ``_trusted``.  Each function of ``construct`` and ``search`` that hands
-out a whole-tree labelling proves it there, once: ``_graceful_ints``, a
-permutation and graceful at once, on the tuple it hands out, not a
+out a whole-tree labelling proves it through ``_proven``: a permutation
+and graceful at once, with its pins, on the tuple it hands out, not a
 copy.  ``is_graceful`` checks a raw label sequence for being a
 permutation and trusts a ``Labelling``; the edge differences it checks
 in full either way.  Trees are proven once too: ``to_general`` shares a
@@ -69,8 +69,9 @@ class Labelling(_Frozen):
 def _trusted(labels: tuple[int, ...]) -> Labelling:
     """A Labelling of ``labels`` without ``Labelling``'s check.
 
-    Only for the image of a Labelling under a bijection of 0..n-1, and
-    for a construction's or a search's labels, proven where handed out.
+    Only for the image of a Labelling under a bijection of 0..n-1, for
+    labels ``_proven`` has proven, and for a construction's labels, which
+    it proves where they are handed out.
     """
     f = object.__new__(Labelling)
     f.__dict__["labels"] = labels
@@ -93,11 +94,17 @@ def _raw(labels: LabelsLike) -> tuple[int, ...]:
     return _as_ints(labels, "label")
 
 
-def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
-    """Edge differences in the tree's canonical edge order."""
+def _sized(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
+    """``labels`` as ints; ValueError unless there is one per vertex of ``t``."""
     raw = _raw(labels)
     if len(raw) != _tree(t).n:
         raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
+    return raw
+
+
+def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
+    """Edge differences in the tree's canonical edge order."""
+    raw = _sized(t, labels)
     return tuple(abs(raw[u] - raw[v]) for u, v in t.edges)
 
 
@@ -114,22 +121,27 @@ def is_graceful(t: Tree, labels: LabelsLike) -> bool:
     proven a permutation when it was made, so only raw sequences are
     checked for one here.
     """
-    raw = _raw(labels)
-    if len(raw) != _tree(t).n:
-        raise ValueError(f"labelling has {len(raw)} entries for a {t.n}-vertex tree")
-    return _graceful_ints(t, raw, isinstance(labels, Labelling))
+    return _graceful_ints(t, _sized(t, labels), isinstance(labels, Labelling))
 
 
 def _graceful_ints(t: Tree, raw: Sequence[int], permutation: bool = False) -> bool:
-    """``is_graceful`` on ints, read as they are: the one proof of each
-    labelling ``construct`` and ``search`` hand out.  ``permutation``
-    says ``raw`` is proven one already, as a Labelling's labels are."""
+    """``is_graceful`` on ints, read as they are.  ``permutation`` says
+    ``raw`` is proven one already, as a Labelling's labels are."""
     if not (permutation or _is_permutation(raw, t.n)):
         return False
     # Distinct labels in 0..n-1 give differences in 1..n-1, so n-1
     # distinct ones are all of them.
     # A comprehension: itemgetter or raw.__getitem__ maps over the edges run slower.
     return len({abs(raw[u] - raw[v]) for u, v in t.edges}) == t.n - 1
+
+
+def _proven(t: Tree, labels: tuple[int, ...], pins: Iterable[tuple[int, int]] = ()) -> Labelling:
+    """A Labelling of ``labels`` itself, proven a graceful labelling of
+    ``t`` with label x on vertex v for each (v, x) of ``pins``: the one
+    proof of each labelling ``construct`` and ``search`` hand out."""
+    if not _graceful_ints(t, labels) or any(labels[v] != x for v, x in pins):
+        raise RuntimeError("a labelling handed out is not graceful or misses a pin; this is a bug")
+    return _trusted(labels)
 
 
 def graceful_defect(t: Tree, labels: LabelsLike) -> str | None:

@@ -195,10 +195,7 @@ class RootedSymmetricTree(_Frozen):
         return _adjacency(self.n, self.edges)
 
     def level_of_index(self, i: int) -> int:
-        i = _as_int(i, "vertex index")
-        if not 0 <= i < self.n:
-            raise ValueError(f"vertex index {i} out of range")
-        return bisect_right(self.level_offsets, i)
+        return bisect_right(self.level_offsets, _vertex(self, i))
 
     def degree(self, i: int) -> int:
         """k_r children, plus the parent below the root (k_q = 0)."""
@@ -274,10 +271,7 @@ class GeneralTree(_Frozen):
         return _adjacency(self.n, self.edges)
 
     def degree(self, v: int) -> int:
-        v = _as_int(v, "vertex index")
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex index {v} out of range")
-        return len(self.adjacency[v])
+        return len(self.adjacency[_vertex(self, v)])
 
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -298,6 +292,14 @@ def _tree(t) -> Tree:
     if not isinstance(t, (GeneralTree, RootedSymmetricTree)):
         raise ValueError(f"tree {t!r} is not a GeneralTree or RootedSymmetricTree")
     return t
+
+
+def _vertex(t: Tree, v) -> int:
+    """``v`` as an int; ValueError naming it unless it is a vertex of ``t``."""
+    v = _as_int(v, "vertex index")
+    if not 0 <= v < t.n:
+        raise ValueError(f"vertex index {v} out of range")
+    return v
 
 
 def _rooted(t, who: str) -> RootedSymmetricTree:
@@ -619,10 +621,7 @@ def automorphism_mapping(t: Tree, src: int, dst: int) -> tuple[int, ...]:
     orbit.  Two vertices on one level of a rooted symmetric tree are
     mapped by level arithmetic (``_level_mapping``), with the same result.
     """
-    src, dst = _as_int(src, "vertex index"), _as_int(dst, "vertex index")
-    for v in (src, dst):
-        if not 0 <= v < _tree(t).n:
-            raise ValueError(f"vertex index {v} out of range")
+    src, dst = _vertex(_tree(t), src), _vertex(t, dst)
     if isinstance(t, RootedSymmetricTree) and t.level_of_index(src) == t.level_of_index(dst):
         return _level_mapping(t, src, dst)
     adj = t.adjacency

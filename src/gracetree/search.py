@@ -59,6 +59,9 @@ node with the count of a full walk.  The memo dies with its node.
 tree, not the calls made; on the broom ``(1,1,1,k)`` with vertex 2
 pinned to 0 the two differ by orders of magnitude.
 
+``find_graceful`` and the decider hand out each witness the engine
+finds through ``labelling._proven``: graceful, with its pins.
+
 On top of the engine sits the per-orbit 0-rotatability decider, which
 offers each orbit of a rooted symmetric tree to the paper's
 constructions before it searches, and runs each orbit search as a table
@@ -73,7 +76,7 @@ import time
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import construct
-from .labelling import Labelling, _graceful_ints, _trusted, complement, relabel_vertices
+from .labelling import Labelling, _proven, complement, relabel_vertices
 from .model import (
     RootedSymmetricTree,
     Tree,
@@ -419,18 +422,6 @@ def _run(
     return status, found, count, nodes
 
 
-def _witness(t: Tree, labels: tuple[int, ...], pins: tuple[tuple[int, int], ...]) -> Labelling:
-    """A search's labels as a Labelling: the engine's tuple itself,
-    proven a permutation and graceful by ``_graceful_ints``, and pinned."""
-    if not _graceful_ints(t, labels):
-        raise RuntimeError("search returned a non-graceful labelling; this is a bug")
-    witness = _trusted(labels)
-    for v, x in pins:
-        if witness[v] != x:
-            raise RuntimeError("search witness violates a pin; this is a bug")
-    return witness
-
-
 def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> SearchOutcome:
     """Search for one graceful labelling honouring the constraints.
 
@@ -443,7 +434,7 @@ def find_graceful(t: Tree, constraints: SearchConstraints | None = None) -> Sear
     cons.validate(_tree(t).n)
     deadline = None if cons.time_budget is None else start + cons.time_budget
     status, labels, _, nodes = _run(_tables(t), cons.pins, cons.node_budget, deadline, False)
-    witness = None if labels is None else _witness(t, labels, cons.pins)
+    witness = None if labels is None else _proven(t, labels, cons.pins)
     return SearchOutcome(status, witness, nodes, time.perf_counter() - start)
 
 
@@ -705,7 +696,7 @@ def is_zero_rotatable(
             nodes += spent
             if status != STATUS_TIMEOUT or _passed(deadline):
                 break
-        witness = None if labels is None else _witness(t, labels, pins)
+        witness = None if labels is None else _proven(t, labels, pins)
         settle(
             OrbitVerdict(
                 rep, orbit_of[rep], _VERDICT_OF_STATUS[status], construct.METHOD_SEARCH,

@@ -9,6 +9,8 @@ route answered.  The CLI writes the rows as CSV.
 
 from __future__ import annotations
 
+import os
+
 from .model import _Frozen, _as_int, _as_ints, build, level_numbers
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -147,18 +149,22 @@ def evaluate_sequence(
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RotatabilityReport]:
     """Evaluate the whole family, optionally across worker processes.
 
-    Output order always matches enumerate_family(spec).  ``jobs`` below
-    1 is a ValueError.  At most one worker per tree is started, none for
-    a single tree.  Workers never see SIGINT: on KeyboardInterrupt, from
+    Output order always matches enumerate_family(spec).  ``jobs`` is
+    read by the index rule; below 1 it is a ValueError.  A pool starts
+    all its workers at once, so at most one worker per tree and per CPU
+    this process may use is started, none for a single tree or CPU.
+    Workers never see SIGINT: on KeyboardInterrupt, from
     Ctrl-C or from SIGINT sent to this process alone, the sweep
     terminates and joins them and re-raises, so none outlives the call.
     A worker that dies raises ChildProcessError.
     """
+    jobs = _as_int(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seqs = enumerate_family(spec)
     tasks = [(s, spec.family, spec.node_budget, spec.time_budget) for s in seqs]
-    jobs = min(jobs, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, len(tasks), cpus)
     if jobs <= 1:
         return [evaluate_sequence(*task) for task in tasks]
     # Imported here so that a serial run, and every other command, does

@@ -2,7 +2,7 @@
 
 Run from anywhere::
 
-    python tests/census.py --nmax 30 [--jobs 2]
+    python tests/census.py --nmax 30 [--jobs 2] [--orbits FILE] [--against FILE]
 
 Sweeps the ``rst_all`` family to ``--nmax`` vertices with 50,000 nodes
 per orbit and no time budget, and prints only numbers that do not
@@ -13,6 +13,13 @@ one of the bottom two; the constructions settle the top two), and again
 by broom ``(1^j,k)``, j >= 1 and k >= 2, or not.  Equal
 code prints equal output at any ``--jobs``.  The file name does not
 match ``test_*.py``, so pytest does not collect it.
+
+``--orbits FILE`` writes one line per orbit: tree, representative,
+verdict, method and nodes.  ``--against FILE`` reads such a file, made
+by an earlier version of the code, and prints each orbit whose verdict
+or method moved, with its nodes on both sides, and a tally per kind of
+move.  The exit status is 1 when an orbit moved from yes to timeout or
+a no appeared or went, else 0.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from gracetree.sweep import SweepSpec, enumerate_family, run_sweep  # noqa: E402
 NODE_BUDGET = 50_000
 
 
-def census(nmax: int, jobs: int) -> list[str]:
+def census(nmax: int, jobs: int) -> tuple[list[str], list[str]]:
+    """The printed score, and the orbit lines of ``--orbits``."""
     spec = SweepSpec("rst_all", nmax=nmax, node_budget=NODE_BUDGET, time_budget=None)
     reports = run_sweep(spec, jobs)
     entries = [(seq, e) for seq, rep in zip(enumerate_family(spec), reports) for e in rep.entries]
@@ -69,15 +77,49 @@ def census(nmax: int, jobs: int) -> list[str]:
                 where = (kind, levels)
                 lines.append(f"  {kind}, {levels}: {searched[where]:,} / {timeouts[where]:,}")
     lines.append(f"  total: {searched['total']:,} / {timeouts['total']:,}")
-    return lines
+    orbits = [f"{sequence_label(s)} {e.representative} {e.verdict} {e.method} {e.nodes}" for s, e in entries]
+    return lines, orbits
+
+
+def moves(before: list[str], after: list[str]) -> tuple[list[str], bool]:
+    """The orbits whose verdict or method moved from ``before`` to
+    ``after``, both in the ``--orbits`` format, then a tally per kind
+    of move; and whether a yes became a timeout or a no came or went.
+    An orbit on one side only is "absent" on the other."""
+
+    def keyed(orbit_lines: list[str]) -> dict[tuple[str, str], list[str]]:
+        return {(tree, rep): rest for tree, rep, *rest in map(str.split, orbit_lines)}
+
+    old, new = keyed(before), keyed(after)
+    absent = ["absent", "-", "0"]
+    lines, tally, fault = [], Counter(), False
+    for key in list(new) + [key for key in old if key not in new]:
+        (v0, m0, n0), (v1, m1, n1) = old.get(key, absent), new.get(key, absent)
+        if (v0, m0) == (v1, m1):
+            continue
+        lines.append(f"  ({key[0]})@{key[1]}: {v0} {m0} {n0} nodes -> {v1} {m1} {n1} nodes")
+        tally[f"{v0} {m0} -> {v1} {m1}"] += 1
+        fault |= (v0, v1) == ("yes", "timeout") or (v0 == "no") != (v1 == "no")
+    lines.insert(0, f"moved orbits: {len(lines):,}")
+    lines += [f"  {kind}: {count:,}" for kind, count in sorted(tally.items())]
+    return lines, fault
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--nmax", type=int, default=30)
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--orbits", type=Path, help="write one line per orbit to this file")
+    parser.add_argument("--against", type=Path, help="list the orbits that moved since this --orbits file")
     args = parser.parse_args(argv)
-    print("\n".join(census(args.nmax, args.jobs)))
+    lines, orbits = census(args.nmax, args.jobs)
+    print("\n".join(lines))
+    if args.orbits:
+        args.orbits.write_text("".join(line + "\n" for line in orbits))
+    if args.against:
+        moved, fault = moves(args.against.read_text().splitlines(), orbits)
+        print("\n".join(moved))
+        return int(fault)
     return 0
 
 

@@ -144,7 +144,7 @@ def test_label_ends_with_the_bug_report_of_a_construction(capsys, monkeypatch, c
     # only what a construction proved, so it ends with that error.
     assert not graceful_on_rst((2, 2), range(7))
     monkeypatch.setattr(gracetree.construct, "_theorem1_labels", lambda t: list(range(t.n)))
-    bug = "^constructed labelling failed its postcondition; this is a bug$"
+    bug = "^a labelling handed out is not graceful or misses a pin; this is a bug$"
     with pytest.raises(RuntimeError, match=bug):
         construct(build((2, 2)))
     with pytest.raises(RuntimeError, match=bug):
@@ -308,6 +308,39 @@ def test_verify_refuses_a_document_without_a_labels_list(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err == "error: labelling document must be a list or carry a 'labels' list\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda t: t.level_of_index(7), "vertex index 7 out of range"),
+        (lambda t: t.degree(-1), "vertex index -1 out of range"),
+        (lambda t: to_general(t).degree(7), "vertex index 7 out of range"),
+        (lambda t: to_general(t).degree(2.0), "vertex index 2.0 is not an integer"),
+        (lambda t: gracetree.model.automorphism_mapping(t, 1, 7), "vertex index 7 out of range"),
+        (lambda t: gracetree.model.automorphism_mapping(t, "1", 2), "vertex index '1' is not an integer"),
+        (lambda t: gracetree.labelling.edge_labels(t, (0, 1)), "labelling has 2 entries for a 7-vertex tree"),
+        (lambda t: gracetree.is_graceful(t, range(8)), "labelling has 8 entries for a 7-vertex tree"),
+        ("verify", "labelling has 2 entries for a 7-vertex tree"),
+    ],
+    ids=[
+        "level_of_index", "rst-degree", "general-degree", "general-degree-float",
+        "automorphism_mapping", "automorphism_mapping-str", "edge_labels", "is_graceful", "verify",
+    ],
+)
+def test_each_entry_keeps_its_refusal(capsys, tmp_path, entry, message):
+    # One check serves several entries: model._vertex a vertex index,
+    # labelling._sized a labelling's length.  Each entry refuses with the
+    # ValueError it gave when it had a copy of the check of its own.
+    t = build((2, 2))
+    if entry == "verify":
+        lab = tmp_path / "lab.json"
+        lab.write_text("[0, 1]")
+        code, out, err = run(capsys, "verify", "--rst", "2,2", "--labels", str(lab))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(t)
 
 
 def test_rotate0_yes_and_outputs(capsys, tmp_path):
@@ -696,17 +729,20 @@ def test_sweep_verdict_ledger_nmax20(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "family, jobs, trees, workers",
+    "family, jobs, cpus, trees, workers",
     [
-        (["symmetric_banana", "--branches", "2..3"], "2", 4, [2]),
-        (["symmetric_spider", "--legs", "2", "--branches", "1..2"], "3", 2, [2]),
+        (["symmetric_banana", "--branches", "2..3"], "2", 4, 4, [2]),
+        (["symmetric_spider", "--legs", "2", "--branches", "1..2"], "3", 4, 2, [2]),
         # one tree, or none, runs without a pool
-        (["symmetric_banana", "--branches", "2..2"], "2", 1, []),
-        (["rst_all", "--nmax", "1"], "2", 0, []),
+        (["symmetric_banana", "--branches", "2..2"], "2", 4, 1, []),
+        (["rst_all", "--nmax", "1"], "2", 4, 0, []),
+        # a pool forks all its workers at once, so never more than the CPUs
+        (["symmetric_banana", "--branches", "2..3"], "3000", 2, 4, [2]),
+        (["symmetric_banana", "--branches", "2..3"], "3000", 1, 4, []),
     ],
-    ids=["4-trees", "2-trees", "1-tree", "0-trees"],
+    ids=["4-trees", "2-trees", "1-tree", "0-trees", "2-cpus", "1-cpu"],
 )
-def test_sweep_jobs(capsys, monkeypatch, family, jobs, trees, workers):
+def test_sweep_jobs(capsys, monkeypatch, family, jobs, cpus, trees, workers):
     import concurrent.futures
 
     pools = []
@@ -714,9 +750,13 @@ def test_sweep_jobs(capsys, monkeypatch, family, jobs, trees, workers):
     class Spy(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
+            # More workers than CPUs fails here, before any process starts.
+            assert max_workers <= cpus
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code, out, _ = run(capsys, "sweep", "--jobs", jobs, "--family", *family)
     assert code == 0
     assert f"swept {trees} trees" in out

@@ -21,7 +21,7 @@ from gracetree.construct import (
     METHOD_THEOREM1,
     METHOD_THEOREM2_EVEN,
     METHOD_THEOREM2_ODD,
-    broom_caterpillar_label,
+    _broom_labels,
     compose_theorem2,
     lemma1_label,
     lemma1_product,
@@ -150,15 +150,15 @@ def test_lemma1_needs_three_levels():
 
 
 def test_broom_label_goldens():
-    assert broom_caterpillar_label(4, 2, 16) == (4, 15, 0, 1, 2, 3)
-    assert broom_caterpillar_label(1, 3, 10) == (8, 1, 9, 0)
-    assert broom_caterpillar_label(1, 1, 2) == (1, 0)
+    assert _broom_labels(4, 2, 16) == (4, 15, 0, 1, 2, 3)
+    assert _broom_labels(1, 3, 10) == (8, 1, 9, 0)
+    assert _broom_labels(1, 1, 2) == (1, 0)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 40))
 def test_broom_label_shape(leaves, spine, slack):
     n = leaves + spine + slack
-    labels = broom_caterpillar_label(leaves, spine, n)
+    labels = _broom_labels(leaves, spine, n)
     assert len(labels) == leaves + spine
     assert len(set(labels)) == len(labels)
     assert labels[spine:] == tuple(range(leaves))
@@ -168,24 +168,6 @@ def test_broom_label_shape(leaves, spine, slack):
         + [abs(labels[spine - 1] - leaf) for leaf in range(leaves)]
     )
     assert diffs == list(range(n - (leaves + spine - 1), n))
-
-
-def test_broom_label_validation():
-    with pytest.raises(ValueError):
-        broom_caterpillar_label(0, 2, 10)
-    with pytest.raises(ValueError):
-        broom_caterpillar_label(2, 0, 10)
-    with pytest.raises(ValueError):
-        broom_caterpillar_label(4, 4, 5)
-
-
-@pytest.mark.parametrize(
-    "args, name",
-    [((2.5, 2, 10), "leaf_count 2.5"), ((2, "2", 10), "spine_length '2'"), ((2, 2, 10.0), "n 10.0")],
-)
-def test_broom_label_names_a_non_integer_argument(args, name):
-    with pytest.raises(ValueError, match=f"^broom {name} is not an integer$"):
-        broom_caterpillar_label(*args)
 
 
 def test_compose_golden_three_levels():
@@ -454,11 +436,11 @@ def test_lemma1_and_compose_are_pinned_byte_for_byte():
     ],
 )
 def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, top, method):
-    # Inside zero_at no step proves what it makes; its postcondition is
+    # Inside zero_at no step proves what it makes; labelling._proven is
     # the one check on the way out, a permutation and graceful at once,
     # on the very tuple it hands out.  No other permutation proof runs.
     calls, permutations = [], []
-    check = gracetree.construct._graceful_ints
+    check = gracetree.labelling._graceful_ints
     is_permutation = gracetree.labelling._is_permutation
 
     def counted(t, raw):
@@ -469,7 +451,7 @@ def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, to
         permutations.append(raw)
         return is_permutation(raw, n)
 
-    monkeypatch.setattr(gracetree.construct, "_graceful_ints", counted)
+    monkeypatch.setattr(gracetree.labelling, "_graceful_ints", counted)
     monkeypatch.setattr(gracetree.labelling, "_is_permutation", counted_permutation)
     t = build(seq)
     desired = t.n - 1 if top else 0
@@ -477,6 +459,10 @@ def test_zero_at_proves_its_labelling_graceful_once(monkeypatch, seq, target, to
     assert (trace.method, f[target]) == (method, desired)
     assert calls == permutations == [f.labels]
     assert calls[0] is f.labels
+
+
+# The one bug report of labelling._proven, for any labelling handed out.
+BUG = "^a labelling handed out is not graceful or misses a pin; this is a bug$"
 
 
 def _repeat_a_label(monkeypatch):
@@ -496,18 +482,19 @@ def test_a_labelling_that_is_no_permutation_is_caught_where_it_is_handed_out(mon
     # in one surfaces at the hand-out point, not as a wrong labelling.
     t = build((3, 3))
     _repeat_a_label(monkeypatch)
-    with pytest.raises(RuntimeError, match="failed its postcondition"):
+    with pytest.raises(RuntimeError, match=BUG):
         zero_at(ZeroAtRequest(t, 0, 0))
-    with pytest.raises(RuntimeError, match="failed its postcondition"):
+    with pytest.raises(RuntimeError, match=BUG):
         zero_at(ZeroAtRequest(t, 12, 0))
     for construction in (theorem1_label, lemma1_label, compose_theorem2):
-        with pytest.raises(RuntimeError, match="failed its postcondition"):
+        with pytest.raises(RuntimeError, match=BUG):
             construction(t)
 
 
 def test_a_labelling_that_misses_its_target_is_caught_where_it_is_handed_out(monkeypatch):
     # A transport that leaves every vertex where it is keeps the labelling
-    # graceful but leaves 0 on vertex 1, where the direct formula put n-1.
+    # graceful but leaves 0 on vertex 1, where the direct formula put n-1:
+    # it misses its pin (2, 0).
     monkeypatch.setattr(gracetree.construct, "_level_mapping", lambda t, src, dst: tuple(range(t.n)))
-    with pytest.raises(RuntimeError, match="^constructed labelling puts 3 on vertex 2; this is a bug$"):
+    with pytest.raises(RuntimeError, match=BUG):
         zero_at(ZeroAtRequest(build((2, 2)), 2, 0))

@@ -130,11 +130,11 @@ def test_only_the_cli_imports_a_file_format_module():
 def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check():
     # labelling._trusted builds a Labelling without proving it a
     # permutation.  The label bijections call it, whose image of a
-    # Labelling is one by construction, and so do the constructions that
-    # wrap their own labels (theorem1_label, lemma1_label, compose_theorem2
-    # and _zero_at) and the search's _witness, whose labelling is proven
-    # graceful where a public function hands it out.  Neither the tests
-    # nor the benchmark may name it.
+    # Labelling is one by construction, and so does labelling._proven,
+    # once it has proven its labels.  Two constructions wrap their own
+    # labels to run a bijection on them (lemma1_label and _zero_at), and
+    # hand out only what _proven returns.  Neither the tests nor the
+    # benchmark may name it.
     root = Path(__file__).resolve().parents[1]
     outside = [
         f"{folder}/{path.name}"
@@ -147,11 +147,9 @@ def test_only_the_bijections_and_the_construction_ops_skip_the_labelling_check()
         "labelling:complement",
         "labelling:apply_permutation",
         "labelling:_relabel",
-        "construct:theorem1_label",
+        "labelling:_proven",
         "construct:lemma1_label",
-        "construct:compose_theorem2",
         "construct:_zero_at",
-        "search:_witness",
     }
 
 
@@ -191,15 +189,32 @@ def test_only_to_general_skips_the_tree_check():
 
 
 def test_each_labelling_is_proven_where_construct_hands_it_out():
-    # One rule: a function of construct that hands out a whole-tree
-    # labelling (its return annotation names Labelling) returns
-    # _proven(t, f), which proves f a permutation and graceful with
-    # _graceful_ints on f's own tuple and returns f itself.  zero_at
-    # returns its core's result, and _compose hands its callers a plain
-    # tuple of labels, not a Labelling.  No Labelling(...) copy
-    # is made and is_graceful is not called; the CLI's label command
-    # prints what it is handed without proving it again.
+    # One rule for construct and search: each function that hands out a
+    # whole-tree labelling hands out what labelling._proven returned,
+    # which proves the tuple a permutation and graceful with
+    # _graceful_ints, checks its pins, and wraps that very tuple.  Only
+    # labelling.py reads _graceful_ints, and no other proof is left.
     package = Path(gracetree.__file__).parent
+    assert {"construct:_proven", "search:_witness"} & {where for where, _ in _functions()} == set()
+    readers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "_graceful_ints" in _names_read(ast.parse(path.read_text()))
+    ]
+    assert readers == ["labelling.py"]
+    assert _callers("_graceful_ints") == {"labelling:is_graceful", "labelling:_proven"}
+    assert _callers("_proven") == {
+        "construct:theorem1_label",
+        "construct:lemma1_label",
+        "construct:compose_theorem2",
+        "construct:_zero_at",
+        "search:find_graceful",
+        "search:is_zero_rotatable",
+    }
+    # construct: a function whose return annotation names Labelling
+    # returns _proven(...), or zero_at its core's result.  _compose hands
+    # its callers a plain tuple of labels.  No Labelling(...) copy is
+    # made and is_graceful is not called.
     funcs = {
         func.name: func
         for func in ast.parse((package / "construct.py").read_text()).body
@@ -207,13 +222,10 @@ def test_each_labelling_is_proven_where_construct_hands_it_out():
     }
     called: dict[str, set[str]] = {}
     returned: dict[str, set[str]] = {}
-    graceful = []
     for name, func in funcs.items():
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 called.setdefault(node.func.id, set()).add(name)
-                if node.func.id == "_graceful_ints":
-                    graceful.append((name, ast.unparse(node.args[1])))
             elif isinstance(node, ast.Return) and node.value is not None:
                 value = node.value
                 value = value.elts[0] if isinstance(value, ast.Tuple) else value
@@ -223,19 +235,45 @@ def test_each_labelling_is_proven_where_construct_hands_it_out():
         name for name, func in funcs.items() if func.returns and "Labelling" in ast.unparse(func.returns)
     }
     proven = {"theorem1_label", "lemma1_label", "compose_theorem2", "_zero_at"}
-    assert handing_out == proven | {"zero_at", "_proven"}
+    assert handing_out == proven | {"zero_at"}
     assert {name: returned[name] for name in handing_out} == {
         **{name: {"_proven"} for name in proven},
         "zero_at": {"_zero_at"},
-        "_proven": {"f"},
     }
-    assert called["_proven"] == proven
-    assert graceful == [("_proven", "f.labels")]
     assert "Labelling" not in called
     assert "is_graceful" not in called
+    # search: the labels the engine returns are read only to hand them
+    # to _proven, with the pins of the search that found them.
+    funcs = {
+        func.name: func
+        for func in ast.parse((package / "search.py").read_text()).body
+        if isinstance(func, ast.FunctionDef)
+    }
+    engine_labels = {
+        name: ast.unparse(node.targets[0].elts[1])
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "_run"
+    }
+    assert engine_labels == {"find_graceful": "labels", "is_zero_rotatable": "labels", "count_graceful": "_"}
+    reads = {}
+    for name in ("find_graceful", "is_zero_rotatable"):
+        parent = {child: node for node in ast.walk(funcs[name]) for child in ast.iter_child_nodes(node)}
+        reads[name] = {
+            ast.unparse(parent[node])
+            for node in ast.walk(funcs[name])
+            if isinstance(node, ast.Name) and node.id == "labels" and isinstance(node.ctx, ast.Load)
+        }
+    assert reads == {
+        "find_graceful": {"labels is None", "_proven(t, labels, cons.pins)"},
+        "is_zero_rotatable": {"labels is None", "_proven(t, labels, pins)"},
+    }
+    # The CLI's label command prints what it is handed without proving
+    # it again.
     cli = ast.parse((package / "cli.py").read_text())
     (cmd_label,) = [func for func in cli.body if isinstance(func, ast.FunctionDef) and func.name == "cmd_label"]
-    assert {"is_graceful", "_graceful_ints"} & _names_read(cmd_label) == set()
+    assert {"is_graceful", "_graceful_ints", "_proven"} & _names_read(cmd_label) == set()
 
 
 def test_only_the_public_boundary_converts_labels_and_integers():
@@ -255,8 +293,7 @@ def test_only_the_public_boundary_converts_labels_and_integers():
             "sweep:SweepSpec.__init__",
         },
         "_raw": {
-            "labelling:edge_labels",
-            "labelling:is_graceful",
+            "labelling:_sized",
             "labelling:graceful_defect",
             "labelling:shift",
             "labelling:reflect",
@@ -267,19 +304,23 @@ def test_only_the_public_boundary_converts_labels_and_integers():
 
 def test_the_construction_cores_raise_only_bug_reports():
     # The public entries refuse what they cannot label with a ValueError;
-    # the cores trust their callers, so whatever they raise is a
+    # the cores trust their callers and raise nothing themselves.  What
+    # they hand out goes through labelling._proven, whose one raise is a
     # RuntimeError naming a bug.
     funcs = dict(_functions())
     raised = {
-        core: {
+        where: {
             ast.unparse(node.exc.func)
-            for node in ast.walk(funcs[f"construct:{core}"])
+            for node in ast.walk(funcs[where])
             if isinstance(node, ast.Raise)
         }
-        for core in ("_zero_at", "_compose", "_theorem1_labels")
+        for where in ("construct:_zero_at", "construct:_compose", "construct:_theorem1_labels",
+                      "construct:_broom_labels", "labelling:_proven")
     }
     assert raised == {
-        "_zero_at": {"RuntimeError"},
-        "_compose": set(),
-        "_theorem1_labels": set(),
+        "construct:_zero_at": set(),
+        "construct:_compose": set(),
+        "construct:_theorem1_labels": set(),
+        "construct:_broom_labels": set(),
+        "labelling:_proven": {"RuntimeError"},
     }

@@ -369,15 +369,26 @@ def test_complement_onto_an_exhausted_orbit_is_a_bug(monkeypatch):
 )
 def test_a_search_witness_is_proven_where_it_is_handed_out(monkeypatch, labels):
     # The engine's labels become the witness unchecked by Labelling, so
-    # a fault in the engine surfaces at _witness: a repeated label as
-    # surely as a permutation whose edge differences repeat.
+    # a fault in the engine surfaces at labelling._proven: a repeated
+    # label as surely as a permutation whose edge differences repeat.
     monkeypatch.setattr(gracetree.search, "_run", lambda *args: ("found", labels, 0, 1))
     t = GeneralTree(4, ((0, 1), (1, 2), (2, 3)))
-    message = r"^search returned a non-graceful labelling; this is a bug$"
+    message = "^a labelling handed out is not graceful or misses a pin; this is a bug$"
     with pytest.raises(RuntimeError, match=message):
         find_graceful(t)
     with pytest.raises(RuntimeError, match=message):
         is_zero_rotatable(t)
+
+
+def test_a_search_witness_that_misses_its_pin_is_caught_where_it_is_handed_out(monkeypatch):
+    # (0, 3, 1, 2) is graceful on the path 0-1-2-3 but puts 0, not 3, on
+    # vertex 0, so it misses the pin the search was given.
+    monkeypatch.setattr(gracetree.search, "_run", lambda *args: ("found", (0, 3, 1, 2), 0, 1))
+    t = GeneralTree(4, ((0, 1), (1, 2), (2, 3)))
+    assert is_graceful(t, (0, 3, 1, 2))
+    message = "^a labelling handed out is not graceful or misses a pin; this is a bug$"
+    with pytest.raises(RuntimeError, match=message):
+        find_graceful(t, SearchConstraints(pins={0: 3}))
 
 
 def test_orbit_tries_share_the_time_budget(monkeypatch):

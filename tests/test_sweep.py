@@ -143,6 +143,13 @@ def test_spec_rejects_bad_budgets():
     assert run_sweep(spec) == []
 
 
+@pytest.mark.parametrize("jobs, message", [("2", "jobs '2' is not an integer"), (1.5, "jobs 1.5 is not an integer")])
+def test_run_sweep_refuses_a_jobs_that_is_no_integer(jobs, message):
+    spec = SweepSpec("symmetric_banana", branches=(2, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(spec, jobs=jobs)
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_run_sweep_refuses_fewer_than_one_job(jobs):
     spec = SweepSpec("symmetric_banana", branches=(2, 2))
@@ -385,3 +392,29 @@ def test_one_method_vocabulary():
     seen.update(row["method"] for row in csv.DictReader(io.StringIO(golden.read_text())))
     assert seen - names == set()
     assert {"trivial", "theorem1", "complement_of", "search_fallback"} <= seen
+
+
+def test_census_lists_the_orbits_that_moved():
+    # tests/census.py --against: a method move alone is no fault; a yes
+    # that became a timeout is, and so is a no that came or went.
+    import census
+
+    before = ["2 0 yes star_direct 0", "1,1,1,2 2 no search_fallback 27", "2,2 3 yes theorem2_odd 0"]
+    assert census.moves(before, before) == (["moved orbits: 0"], False)
+    after = ["2 0 yes star_direct 0", "1,1,1,2 2 no search_fallback 27", "2,2 3 yes search_fallback 12"]
+    assert census.moves(before, after) == (
+        [
+            "moved orbits: 1",
+            "  (2,2)@3: yes theorem2_odd 0 nodes -> yes search_fallback 12 nodes",
+            "  yes theorem2_odd -> yes search_fallback: 1",
+        ],
+        False,
+    )
+    for moved in (
+        ["2 0 timeout search_fallback 50001", "1,1,1,2 2 no search_fallback 27", "2,2 3 yes theorem2_odd 0"],
+        ["2 0 yes star_direct 0", "1,1,1,2 2 yes search_fallback 27", "2,2 3 yes theorem2_odd 0"],
+        ["2 0 yes star_direct 0", "2,2 3 yes theorem2_odd 0"],
+        before + ["1,1,1,4 2 no search_fallback 301"],
+    ):
+        lines, fault = census.moves(before, moved)
+        assert lines[0] == "moved orbits: 1" and fault, moved
