@@ -40,7 +40,7 @@ from .search import (
     SearchConstraints,
     is_zero_rotatable,
 )
-from .sweep import FAMILIES, SweepSpec, run_sweep
+from .sweep import FAMILIES, FAMILY_BANANA, FAMILY_SPIDER, SweepSpec, enumerate_family, run_sweep
 
 # Above this many vertices a command would fill n-sized lists until
 # memory runs out.  The largest tree in the tests, (3000, 3000), has
@@ -216,7 +216,7 @@ def _sweep_csv(rows: list[RotatabilityReport]) -> str:
                 " ".join(str(r) for r in row.orbit_reps),
                 " ".join(row.verdicts),
                 " ".join(row.methods),
-                "true" if row.all_yes else "false",
+                "true" if row.verdict == VERDICT_YES else "false",
                 row.nodes,
                 _fmt_elapsed(row.elapsed_s),
             ]
@@ -257,6 +257,18 @@ def _add_tree_source(p: argparse.ArgumentParser) -> None:
 def _check_size(n: int) -> None:
     if n > MAX_VERTICES:
         raise ValueError(f"tree has {n} vertices; gracetree handles at most {MAX_VERTICES}")
+
+
+def _largest_tree(spec: SweepSpec) -> int:
+    """The vertex count of the largest tree ``spec`` names, from its
+    parameters alone: ``nmax`` for ``rst_all`` and ``q3`` (whose default
+    is small), the widest spider or banana otherwise."""
+    if spec.family == FAMILY_SPIDER:
+        return 1 + spec.branches[1] * spec.legs
+    if spec.family == FAMILY_BANANA:
+        hi = spec.branches[1]
+        return 1 + hi * (hi + 2)
+    return spec.nmax or 0
 
 
 def _load_tree(args) -> Tree:
@@ -471,6 +483,7 @@ def cmd_sweep(args) -> int:
         node_budget=nodes,
         time_budget=secs,
     )
+    _check_size(_largest_tree(spec))
     rows = run_sweep(spec, jobs=args.jobs)
     if args.no_timing:
         rows = [_untimed(row) for row in rows]
@@ -488,9 +501,9 @@ def cmd_sweep(args) -> int:
     if args.witnesses:
         outdir = Path(args.witnesses)
         outdir.mkdir(parents=True, exist_ok=True)
-        for row in rows:
+        for seq, row in zip(enumerate_family(spec), rows):
             doc = {
-                "tree": _tree_to_dict(build(_parse_sequence(row.tree_id))),
+                "tree": _tree_to_dict(build(seq)),
                 "n": row.n,
                 "witnesses": {str(rep): list(labels) for rep, labels in row.witnesses},
             }

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import add, sub
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .labelling import (
     Labelling,
@@ -169,8 +169,8 @@ def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     base = _trusted(tuple(_theorem1_labels(t)))
     f = apply_permutation(base, product)
     steps = (
-        _step("theorem1", base),
-        _step("apply_permutation", f, swaps=[list(s) for s in product.swaps]),
+        _step("theorem1", base.labels),
+        _step("apply_permutation", f.labels, swaps=[list(s) for s in product.swaps]),
     )
     return _proven(t, f.labels), ConstructionTrace(METHOD_LEMMA1, steps)
 
@@ -249,19 +249,16 @@ def _compose(t: RootedSymmetricTree) -> tuple[tuple[int, ...], ConstructionTrace
     return tuple(full), ConstructionTrace(method, steps)
 
 
-TargetLike = Union[int, Sequence[int]]
-
-
 class ZeroAtRequest(NamedTuple):
     """Ask for a graceful labelling with a chosen extreme label at a
     chosen vertex.
 
-    ``target`` is a vertex index or an address; ``desired_label`` must
-    be 0 or n-1.
+    ``target`` is a vertex index (``tree.index_of`` gives the one at an
+    address); ``desired_label`` must be 0 or n-1.
     """
 
     tree: RootedSymmetricTree
-    target: TargetLike
+    target: int
     desired_label: int = 0
 
 
@@ -272,14 +269,6 @@ def zero_at_levels(t: RootedSymmetricTree) -> tuple[int, ...]:
     if q > 3 and max(t.degrees[1:-1]) > 1:
         return (1, 2)
     return (1, 2, 3, 4)[:q] if q < 5 else (1, 2, q - 1, q)
-
-
-def _coerce_target(t: RootedSymmetricTree, target: TargetLike) -> int:
-    if isinstance(target, bool):
-        raise ValueError("target must be a vertex index or address")
-    if isinstance(target, Sequence) and not isinstance(target, str):
-        return t.index_of(target)
-    return _as_int(target, "target")
 
 
 def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
@@ -293,7 +282,9 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     is moved onto the target vertex by a tree automorphism when needed.
     """
     t = _rooted(req.tree, "zero_at")
-    target = _coerce_target(t, req.target)
+    if isinstance(req.target, bool):  # else True would pass as vertex 1
+        raise ValueError("target must be a vertex index, not a bool")
+    target = _as_int(req.target, "target")
     desired = _as_int(req.desired_label, "desired label")
     if desired not in (0, t.n - 1):
         raise ValueError(f"desired label must be 0 or {t.n - 1}, got {desired}")
@@ -322,7 +313,7 @@ def _zero_at(
     f = _trusted(labels)
     if (desired == 0) != (level == zero_level):
         f = complement(f)
-        steps.append(_step("complement", f))
+        steps.append(_step("complement", f.labels))
         if method == METHOD_THEOREM1:
             method = METHOD_COMPLEMENT
 
@@ -330,7 +321,7 @@ def _zero_at(
     if holder != target:
         perm = _level_mapping(t, holder, target)
         f = _relabel(f, perm)
-        steps.append(_step("relabel_vertices", f, perm=list(perm)))
+        steps.append(_step("relabel_vertices", f.labels, perm=list(perm)))
     return _proven(t, f.labels, ((target, desired),)), ConstructionTrace(method, tuple(steps))
 
 

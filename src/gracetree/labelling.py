@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .model import Tree, _Frozen, _as_int, _as_ints, _as_tuple, _tree
 
 
 class Labelling(_Frozen):
-    """A bijective assignment of 0..n-1 to vertex indices 0..n-1."""
+    """A bijective assignment of 0..n-1 to vertex indices 0..n-1: vertex
+    v has label ``labels[v]``, and ``vertex_with_label`` reads it back."""
 
     _fields = ("labels",)
 
@@ -44,19 +45,6 @@ class Labelling(_Frozen):
         if not _is_permutation(labels, n):
             raise ValueError("labels must be a permutation of 0..n-1")
         self.__dict__.update(labels=labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, v: int) -> int:
-        return self.labels[v]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     def vertex_with_label(self, value: int) -> int:
         value = _as_int(value, "label")
@@ -162,7 +150,7 @@ def graceful_defect(t: Tree, labels: LabelsLike) -> str | None:
 
 def complement(f: Labelling) -> Labelling:
     """Replace each label b with n-1-b.  Preserves gracefulness."""
-    top = _labelling(f).n - 1
+    top = len(_labelling(f).labels) - 1
     return _trusted(tuple(map(sub, repeat(top), f.labels)))
 
 
@@ -201,7 +189,7 @@ class TranspositionProduct(_Frozen):
 
 def apply_permutation(f: Labelling, perm: TranspositionProduct) -> Labelling:
     """Permute label values (not vertices) by a transposition product."""
-    n = _labelling(f).n
+    n = len(_labelling(f).labels)
     swap = dict(perm.swaps)
     swap.update((b, a) for a, b in perm.swaps)
     if any(x >= n for x in swap):
@@ -215,7 +203,7 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     ``vertex_perm[old] = new``; the new vertex inherits the old vertex's
     label, so automorphisms of the tree preserve gracefulness.
     """
-    n = _labelling(f).n
+    n = len(_labelling(f).labels)
     vertex_perm = _as_ints(vertex_perm, "vertex")
     if not _is_permutation(vertex_perm, n):
         raise ValueError("vertex permutation must be a bijection on 0..n-1")
@@ -225,7 +213,7 @@ def relabel_vertices(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
 def _relabel(f: Labelling, vertex_perm: Sequence[int]) -> Labelling:
     """``relabel_vertices`` for a ``vertex_perm`` known to be a bijection
     on 0..n-1."""
-    out = [0] * f.n
+    out = [0] * len(f.labels)
     for new, b in zip(vertex_perm, f.labels):
         out[new] = b
     return _trusted(tuple(out))

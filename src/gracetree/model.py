@@ -340,23 +340,21 @@ def rooted_sequence_at(t: Tree, root: int) -> tuple[int, ...] | None:
     adj = _tree(t).adjacency
     level = [-1] * t.n
     level[root] = 0
-    order = [root]
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for w in adj[v]:
             if level[w] < 0:
                 level[w] = level[v] + 1
-                order.append(w)
                 queue.append(w)
     depth = max(level)
     counts: list[set[int]] = [set() for _ in range(depth + 1)]
     for v in range(t.n):
         kids = len(adj[v]) - (0 if v == root else 1)
         counts[level[v]].add(kids)
-    if counts[depth] != ({0} if t.n > 0 else set()):
-        return None
     seq = []
+    # The deepest level holds only leaves; a leaf on any other is a
+    # second child count there.
     for lev in range(depth):
         if len(counts[lev]) != 1:
             return None

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 from . import construct
 from .labelling import Labelling, _proven, complement, relabel_vertices
@@ -81,7 +81,6 @@ from .model import (
     RootedSymmetricTree,
     Tree,
     _Frozen,
-    _as_tuple,
     _is_int,
     _tree,
     automorphism_mapping,
@@ -111,50 +110,43 @@ class _Stop(Exception):
     """Internal: a budget ran out mid-search."""
 
 
-PairsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
-
-def _as_pairs(value: PairsLike) -> tuple[tuple[int, int], ...]:
-    items = value.items() if isinstance(value, Mapping) else _as_tuple(value, "pins")
-    pairs = []
-    for pin in items:
-        try:
-            a, b = pin
-        except (TypeError, ValueError):
-            raise ValueError(f"pin {pin!r} is not a (vertex, label) pair") from None
-        if not (_is_int(a) and _is_int(b)):
-            raise ValueError(f"pin {a!r}->{b!r} must map an int vertex to an int label")
-        pairs.append((a, b))
-    return tuple(sorted(pairs))
+def _as_pairs(pins: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """The (vertex, label) items of ``pins`` in vertex order; ValueError
+    naming ``pins`` unless it is a mapping, or naming a pin that is not
+    from an int vertex to an int label."""
+    if not isinstance(pins, Mapping):
+        raise ValueError(f"pins {pins!r} are not a mapping from vertex to label")
+    for v, x in pins.items():
+        if not (_is_int(v) and _is_int(x)):
+            raise ValueError(f"pin {v!r}->{x!r} must map an int vertex to an int label")
+    return tuple(sorted(pins.items()))
 
 
 class SearchConstraints(_Frozen):
     """Pins and budgets for one search run.
 
-    ``pins`` fixes vertex -> label.  A budget of None means unlimited.
+    ``pins`` is a mapping from vertex to label; the ``pins`` attribute
+    holds its (vertex, label) items sorted by vertex.  A budget of None
+    means unlimited.
     """
 
     _fields = ("pins", "node_budget", "time_budget")
 
     def __init__(
         self,
-        pins: PairsLike = (),
+        pins: Mapping[int, int] = {},  # only read, so one shared {} is safe
         node_budget: int | None = DEFAULT_NODE_BUDGET,
         time_budget: float | None = DEFAULT_TIME_BUDGET,
     ) -> None:
         self.__dict__.update(pins=_as_pairs(pins), node_budget=node_budget, time_budget=time_budget)
 
     def validate(self, n: int) -> None:
-        seen_v: set[int] = set()
         seen_x: set[int] = set()
         for v, x in self.pins:
             if not (0 <= v < n and 0 <= x < n):
                 raise ValueError(f"pin {v}->{x} out of range for n={n}")
-            if v in seen_v:
-                raise ValueError(f"vertex {v} pinned twice")
             if x in seen_x:
                 raise ValueError(f"label {x} pinned twice")
-            seen_v.add(v)
             seen_x.add(x)
         # The search stops when its node count equals budget + 1, which
         # a fraction never does.
@@ -230,8 +222,9 @@ def _run(
 
     Stops after ``node_budget`` nodes or once ``time.perf_counter()``
     passes ``deadline``; None means no limit.  No two ``pins`` share a
-    vertex or a label: ``SearchConstraints.validate`` refuses such pins,
-    and the decider's two put 0 and n-1 on neighbouring vertices.
+    vertex or a label: ``SearchConstraints`` takes them from a mapping
+    and ``validate`` refuses a label pinned twice, and the decider's two
+    put 0 and n-1 on neighbouring vertices.
     Returns (status, labels, count, nodes).
     """
     eu, ev, nbrs, leaf = tables
@@ -492,10 +485,6 @@ class RotatabilityReport(NamedTuple):
         return VERDICT_YES
 
     @property
-    def all_yes(self) -> bool:
-        return self.verdict == VERDICT_YES
-
-    @property
     def nodes(self) -> int:
         return sum(e.nodes for e in self.entries)
 
@@ -637,7 +626,7 @@ def is_zero_rotatable(
         flipped = complement(entry.witness)
         if top_holder != rep:
             flipped = relabel_vertices(flipped, automorphism_mapping(t, top_holder, rep))
-        if flipped[rep] != 0:
+        if flipped.labels[rep] != 0:
             raise RuntimeError("complement transport misplaced label 0; this is a bug")
         settled[rep] = OrbitVerdict(
             rep, orbit_of[rep], VERDICT_YES, construct.METHOD_COMPLEMENT, flipped, nodes, elapsed

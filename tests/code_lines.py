@@ -10,8 +10,10 @@ Blank lines, comment lines and docstring lines are not counted; a line
 with code and a trailing comment is.  The last line totals the modules
 that ``import gracetree`` loads; the benchmark's ``setup_s`` times
 importing exactly these, which with no bytecode cached is mostly
-compiling them.  The file name does not match ``test_*.py``, so pytest
-does not collect it.
+compiling them.  A last line counts the names the package imports only
+for perfbench's wrap sites, those of an import marked ``# noqa: F401``.
+The file name does not match ``test_*.py``, so pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def wrap_site_names(source: str) -> int:
+    """How many names ``source`` imports in a ``# noqa: F401`` import."""
+    lines = source.splitlines()
+    return sum(
+        len(node.names)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+    )
+
+
 def imported_modules() -> set[str]:
     """File names of the package modules that ``import gracetree`` loads."""
     sys.dont_write_bytecode = True  # leave no bytecode for a later timed import
@@ -84,6 +97,8 @@ def main() -> int:
     imported = imported_modules()
     left_out = ", ".join(sorted(set(counts) - imported))
     print(f"import gracetree: {sum(counts[name] for name in imported)} (all but {left_out})")
+    wrapped = sum(wrap_site_names(path.read_text()) for path in PACKAGE.glob("*.py"))
+    print(f"wrap-site imports: {wrapped} names")
     return 0
 
 

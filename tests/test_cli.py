@@ -532,6 +532,43 @@ def test_a_tree_above_the_size_limit_is_refused_before_it_is_built(capsys, argv,
     assert (code, out) == (0, '{"kind": "rst", "degrees": [9999999]}\n')
 
 
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (["symmetric_spider", "--legs", "20000000", "--branches", "1..1"], 20000001),
+        (["symmetric_spider", "--legs", "3", "--branches", "1..3333334"], 10000003),
+        (["symmetric_banana", "--branches", "1..3162"], 10004569),
+        (["rst_all", "--nmax", "10000001"], 10000001),
+        (["q3", "--nmax", "10000001"], 10000001),
+        (["symmetric_spider", "--legs", "9999999", "--branches", "1..1"], 10000000),
+        (["symmetric_banana", "--branches", "1..3161"], 9998244),
+        (["rst_all", "--nmax", "10000000"], 10000000),
+        (["q3"], 60),
+    ],
+    ids=["spider-legs", "spider-branches", "banana", "rst_all", "q3", "spider-at-limit",
+         "banana-at-limit", "rst_all-at-limit", "q3-default"],
+)
+def test_a_sweep_above_the_size_limit_is_refused_before_it_enumerates(
+    capsys, monkeypatch, family, n
+):
+    # The largest tree comes from the family's parameters; the spider with
+    # 20 million levels would have been built and searched.
+    enumerated = []
+
+    def enumerate_family(spec):
+        enumerated.append(spec)
+        return []
+
+    monkeypatch.setattr(gracetree.sweep, "enumerate_family", enumerate_family)
+    code, out, err = run(capsys, "sweep", "--family", *family)
+    if n > 10_000_000:
+        assert (code, out, enumerated) == (1, "", [])
+        assert err == f"error: tree has {n} vertices; gracetree handles at most 10000000\n"
+    else:
+        assert (code, err, len(enumerated)) == (0, "", 1)
+        assert out.startswith("swept 0 trees")
+
+
 def test_sweep_cli(capsys, tmp_path):
     csv_file = tmp_path / "s.csv"
     wit_dir = tmp_path / "wit"
@@ -896,10 +933,22 @@ def test_import_loads_no_process_pool():
         assert proc.stdout == "[]\n", module
 
 
+# The CLI with two usable CPUs, so that --jobs 2 starts a pool on any host,
+# and with Ctrl-C raising KeyboardInterrupt as in a foreground command, also
+# where the suite runs with SIGINT ignored (a non-interactive shell ignores
+# it in a background job, and an ignored SIGINT is inherited).
+_ON_TWO_CPUS = (
+    "import os, signal; os.sched_getaffinity = lambda pid: {0, 1}; "
+    "signal.signal(signal.SIGINT, signal.default_int_handler); "
+    "from gracetree.cli import entrypoint; entrypoint()"
+)
+
+
 @contextlib.contextmanager
 def _sweep_in_own_group(*args):
-    """``sweep --jobs 2 ARGS`` in a new process group, killed on the way out."""
-    argv = [sys.executable, "-m", "gracetree.cli", "sweep", "--jobs", "2", *args]
+    """``sweep --jobs 2 ARGS`` in a new process group, killed on the way out.
+    The sweep sees two usable CPUs whatever the host has."""
+    argv = [sys.executable, "-c", _ON_TWO_CPUS, "sweep", "--jobs", "2", *args]
     proc = subprocess.Popen(
         argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         env=_source_env(), start_new_session=True,
@@ -925,7 +974,36 @@ def _assert_ends_alone(proc, returncode: int) -> str:
     return err
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, read from /proc/<pid>/stat."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process has gone
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _workers(proc) -> list[int]:
+    """The sweep's two pool workers, once both have started; the test
+    fails if they have not within 10 s."""
+    deadline = time.monotonic() + 10
+    while len(kids := _children(proc.pid)) < 2:
+        assert proc.poll() is None and time.monotonic() < deadline, "the sweep started no pool"
+        time.sleep(0.02)
+    return kids
+
+
+_POOL_HOST = pytest.mark.skipif(
+    not (hasattr(os, "killpg") and Path("/proc/self/stat").exists()),
+    reason="needs POSIX process groups, and /proc to find the workers",
+)
+
+
+@_POOL_HOST
 @pytest.mark.parametrize("target", ["group", "parent"])
 @pytest.mark.parametrize(
     "family",
@@ -946,32 +1024,19 @@ def test_ctrl_c_under_jobs_exits_130(family, target):
     # every pool worker.  A supervisor may signal the parent alone.  Either
     # way the sweep must stop quietly and leave no worker.
     with _sweep_in_own_group("--family", *family) as proc:
+        _workers(proc)
         time.sleep(1.0)
         (os.killpg if target == "group" else os.kill)(proc.pid, signal.SIGINT)
         _assert_ends_alone(proc, 130)
 
 
-def _children(pid: int) -> list[int]:
-    """The pids whose parent is ``pid``, read from /proc/<pid>/stat."""
-    kids = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            fields = stat.read_text().rpartition(")")[2].split()
-        except OSError:  # the process has gone
-            continue
-        if int(fields[1]) == pid:
-            kids.append(int(stat.parent.name))
-    return kids
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds the workers in /proc")
+@_POOL_HOST
 def test_dead_worker_ends_the_sweep_with_an_error():
     # A worker killed from outside, or for lack of memory, breaks the pool.
     with _sweep_in_own_group(
         "--family", "symmetric_spider", "--legs", "4", "--branches", "20..24",
         "--budget-nodes", "0", "--budget-secs", "3",
     ) as proc:
-        time.sleep(1.0)
-        os.kill(_children(proc.pid)[0], signal.SIGKILL)
+        os.kill(_workers(proc)[0], signal.SIGKILL)
         err = _assert_ends_alone(proc, 1)
         assert err == "error: a sweep worker process died\n"

@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import gracetree
 
 
@@ -324,3 +326,22 @@ def test_the_construction_cores_raise_only_bug_reports():
         "construct:_broom_labels": set(),
         "labelling:_proven": {"RuntimeError"},
     }
+
+
+def test_each_value_has_one_spelling():
+    # Pins are a mapping, a zero_at target is a vertex index, a labelling
+    # is read through .labels, and a report's verdict through .verdict.
+    from gracetree import SearchConstraints, ZeroAtRequest, build, zero_at
+    from gracetree.labelling import Labelling
+    from gracetree.search import RotatabilityReport
+
+    with pytest.raises(ValueError, match=re.escape("pins ((0, 1),) are not a mapping")):
+        SearchConstraints(pins=((0, 1),))
+    t = build((2, 3))
+    with pytest.raises(ValueError, match=re.escape("target (1, 2) is not an integer")):
+        zero_at(ZeroAtRequest(t, (1, 2)))
+    f, _ = zero_at(ZeroAtRequest(t, t.index_of((1, 2))))
+    assert f.vertex_with_label(0) == t.index_of((1, 2))
+    gone = ("n", "__len__", "__getitem__", "__iter__")
+    assert [name for name in gone if hasattr(Labelling, name)] == []
+    assert not hasattr(RotatabilityReport, "all_yes")

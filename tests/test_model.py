@@ -362,7 +362,7 @@ def test_orbits_and_transport_leave_adjacency_unmaterialised():
         assert "edges" not in vars(t) and "adjacency" not in vars(t), seq
     t = build((300, 300))
     f, trace = zero_at(ZeroAtRequest(t, 1500, 0))
-    assert f[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
+    assert f.labels[1500] == 0 and trace.steps[-1]["op"] == "relabel_vertices"
     assert "adjacency" not in vars(t)
     # The decider orders its searches by degree, which is level arithmetic;
     # the search itself reads only the edges.  The constructions settle
@@ -727,7 +727,7 @@ RECORDS = {
     "TranspositionProduct": (lambda: TranspositionProduct([(0, 3)]), None, "swaps"),
     "SearchConstraints": (
         lambda: SearchConstraints({0: 3, 1: 0}, node_budget=7, time_budget=2.5),
-        lambda: SearchConstraints([(1, 0), (0, 3)], 7, 2.5),
+        lambda: SearchConstraints({1: 0, 0: 3}, 7, 2.5),
         "pins",
     ),
     "SweepSpec": (
@@ -739,7 +739,7 @@ RECORDS = {
         lambda: RotatabilityReport("2,1", 5, (_verdict(),), family="q3", q=3), None, "family"
     ),
     "ConstructionTrace": (lambda: ConstructionTrace("theorem1", ()), None, "method"),
-    "ZeroAtRequest": (lambda: ZeroAtRequest(build((2, 1)), (1, 0)), None, "desired_label"),
+    "ZeroAtRequest": (lambda: ZeroAtRequest(build((2, 1)), 4), None, "desired_label"),
     "BroomDecomposition": (lambda: decompose(build((2, 1))), None, "subtree_h"),
     "StructureFlags": (lambda: classify(build((2, 1))), None, "is_path"),
 }

@@ -161,7 +161,7 @@ def test_evaluate_sequence_constructive():
     row = evaluate_sequence((2, 2), family="q3")
     assert row.tree_id == "2,2"
     assert row.n == 7 and row.q == 3
-    assert row.all_yes
+    assert row.verdict == "yes"
     assert METHOD_SEARCH not in row.methods
     assert row.nodes == 0
     for rep, labels in row.witnesses:
@@ -171,7 +171,7 @@ def test_evaluate_sequence_constructive():
 
 def test_evaluate_sequence_search_fallback_and_counterexample():
     row = evaluate_sequence((1, 1, 1, 2))
-    assert not row.all_yes
+    assert row.verdict != "yes"
     assert "no" in row.verdicts
     idx = row.verdicts.index("no")
     assert row.methods[idx] == METHOD_SEARCH
