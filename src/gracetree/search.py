@@ -20,9 +20,10 @@ nothing.  The label pairs for an edge with no labelled endpoint are the
 set bits of ``free & (free >> d)``, listed at most once per node and
 only when such an edge is reached; when there are none, such an edge
 has no child, and the node scans only ``opened & touched``.  Labelling
-a vertex marks its edges to unlabelled neighbours as touched in the
-same neighbour loop that closes its edges to labelled ones; a leaf's
-one edge is the edge being realized, so a leaf skips that loop.
+a vertex is one step, ``close`` in ``_run``: one loop over its
+neighbours closes its edges to labelled ones and touches those to
+unlabelled ones.  Each pin takes that step, and so does each vertex a
+child labels, but a leaf: its one edge is the edge being realized.
 
 The edge order, the neighbour lists and a leaf flag per vertex depend
 only on the tree.  ``_tables`` builds them and ``_run`` takes them as
@@ -234,25 +235,40 @@ def _run(
         return STATUS_FOUND, (0,), 1, 0
 
     label = [-1] * n
+
+    def close(vtx: int, x: int, skip: int, d: int, pending: int, shut: int, touched: int) -> tuple:
+        """Close the edges of ``vtx``, labelled ``x``, to labelled
+        neighbours other than ``skip``, and touch those to unlabelled
+        ones.  Returns the new (pending, shut, touched), with pending -1
+        if a closed edge's difference is ``d`` or more or already pending."""
+        for w, j in nbrs[vtx]:
+            lw = label[w]
+            if lw < 0:
+                touched |= 1 << j
+                continue
+            if w == skip:
+                continue
+            dd = x - lw if x > lw else lw - x
+            b = 1 << dd
+            if dd >= d or pending & b:
+                return -1, shut, touched
+            pending |= b
+            shut |= 1 << j
+        return pending, shut, touched
+
     free = (1 << n) - 1
     pending = 0
     opened = (1 << (n - 1)) - 1
     touched = 0
-    # Label each pin and close its edges to pins already labelled, as a
-    # child does; an edge to a later pin is touched until that pin closes it.
+    # Each pin takes a child's step, close, with no difference too large
+    # (d = n); an edge to a later pin is touched until that pin closes it.
     for v, x in pins:
         label[v] = x
         free ^= 1 << x
-        for w, i in nbrs[v]:
-            lw = label[w]
-            if lw < 0:
-                touched |= 1 << i
-                continue
-            bit = 1 << abs(x - lw)
-            if pending & bit:
-                return STATUS_EXHAUSTED, None, 0, 0
-            pending |= bit
-            opened ^= 1 << i
+        pending, shut, touched = close(v, x, -1, n, pending, 0, touched)
+        if pending < 0:
+            return STATUS_EXHAUSTED, None, 0, 0
+        opened ^= shut
 
     top = n - 1
     sym_break = not count_mode and not pins
@@ -330,25 +346,9 @@ def _run(
                         mirrors[key] = (nodes - before, count - counted)
                         continue
                     label[vtx] = x
-                    p = pending
-                    shut = ebit
-                    tch = touched
-                    for w, j in nbrs[vtx]:
-                        lw = label[w]
-                        if lw < 0:
-                            tch |= 1 << j
-                            continue
-                        if w == skip:
-                            continue
-                        dd = x - lw if x > lw else lw - x
-                        b = 1 << dd
-                        if dd >= d or p & b:
-                            break
-                        p |= b
-                        shut |= 1 << j
-                    else:
-                        if place(d - 1, free ^ (1 << x), p, opened ^ shut, tch):
-                            return True
+                    p, shut, tch = close(vtx, x, skip, d, pending, ebit, touched)
+                    if p >= 0 and place(d - 1, free ^ (1 << x), p, opened ^ shut, tch):
+                        return True
                 label[vtx] = -1
                 continue
             # Neither endpoint is labelled: try each free pair at distance d,
@@ -369,31 +369,13 @@ def _run(
             for xu, xv in cands:
                 label[u] = xu
                 label[v] = xv
-                p = pending
-                shut = ebit
-                tch = touched
-                for vtx, x, skip in ((u, xu, v), (v, xv, u)):
-                    if leaf[vtx]:
-                        continue
-                    for w, j in nbrs[vtx]:
-                        lw = label[w]
-                        if lw < 0:
-                            tch |= 1 << j
-                            continue
-                        if w == skip:
-                            continue
-                        dd = x - lw if x > lw else lw - x
-                        b = 1 << dd
-                        if dd >= d or p & b:
-                            p = -1
-                            break
-                        p |= b
-                        shut |= 1 << j
-                    if p < 0:
-                        break
-                else:
-                    if place(d - 1, free ^ (1 << xu) ^ (1 << xv), p, opened ^ shut, tch):
-                        return True
+                p, shut, tch = pending, ebit, touched
+                if not leaf[u]:
+                    p, shut, tch = close(u, xu, v, d, p, shut, tch)
+                if p >= 0 and not leaf[v]:
+                    p, shut, tch = close(v, xv, u, d, p, shut, tch)
+                if p >= 0 and place(d - 1, free ^ (1 << xu) ^ (1 << xv), p, opened ^ shut, tch):
+                    return True
             label[u] = -1
             label[v] = -1
         return False

@@ -120,12 +120,8 @@ def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
 
     else:
         nmax = spec.nmax if spec.nmax is not None else 60
-        seqs = [
-            (k1, k2)
-            for k1 in range(1, nmax)
-            for k2 in range(1, nmax)
-            if 1 + k1 * (1 + k2) <= nmax
-        ]
+        # 1 + k1 * (1 + k2) <= nmax exactly when k2 < (nmax - 1) // k1.
+        seqs = [(k1, k2) for k1 in range(1, nmax) for k2 in range(1, (nmax - 1) // k1)]
         seqs.sort(key=lambda s: (1 + s[0] * (1 + s[1]), s))
         return seqs
 

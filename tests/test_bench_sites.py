@@ -3,11 +3,16 @@
 perfbench/spans.py names each site as (module, attribute).  A refactor
 that drops one of those names from its module would only surface when
 someone runs the benchmark with tracing, so check them here.
+
+The paired timer ``tests/pair_time.py`` drives the benchmark's workloads
+too, so a smoke run of it is here as well.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -76,3 +81,24 @@ def test_traced_run_sees_every_construction_layer():
     finally:
         tracer.uninstall(undo)
     assert {name: tracer.calls[name] for name in EXPECTED_CALLS} == EXPECTED_CALLS
+
+
+def test_pair_time_runs_one_workload_on_two_trees():
+    # tests/pair_time.py, with src on both sides: both packages load
+    # under their own names, their checked tallies agree, and the
+    # summary names every round.
+    root = SPANS.parents[1]
+    src = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, str(root / "tests" / "pair_time.py"), src, src, "--workload", "sweep_search",
+         "--rounds", "2"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[:3] == [
+        "old: 207 items, 0 wrong outputs",
+        "new: 207 items, 0 wrong outputs",
+        "same tallies on both sides: yes",
+    ]
+    assert [line.split(":")[0] for line in lines[3:6]] == ["old", "new", "new/old"]
+    assert lines[6].endswith(" of 2 rounds")

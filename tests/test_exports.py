@@ -345,3 +345,45 @@ def test_each_value_has_one_spelling():
     gone = ("n", "__len__", "__getitem__", "__iter__")
     assert [name for name in gone if hasattr(Labelling, name)] == []
     assert not hasattr(RotatabilityReport, "all_yes")
+
+
+def test_the_search_labels_and_closes_a_vertex_in_one_step():
+    # search._run labels a vertex and closes its edges in one closure,
+    # close: the only loop over a neighbour list that or-assigns the
+    # closed edges.  The pins, the edge with one labelled endpoint and
+    # the edge with none (once per endpoint) all call it.
+    source = (Path(gracetree.__file__).parent / "search.py").read_text()
+    (run,) = [f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef) and f.name == "_run"]
+    parent = {child: node for node in ast.walk(run) for child in ast.iter_child_nodes(node)}
+
+    def enclosing(node, kind):
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, kind):
+                return node
+        return None
+
+    nbr_loops = [
+        node for node in ast.walk(run)
+        if isinstance(node, ast.For) and ast.unparse(node.iter).startswith("nbrs[")
+    ]
+    assert [enclosing(loop, ast.FunctionDef).name for loop in nbr_loops] == ["close"]
+    (loop,) = nbr_loops
+    assert "shut" in {
+        ast.unparse(node.target) for node in ast.walk(loop)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+    }
+    calls = [
+        node for node in ast.walk(run)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "close"
+    ]
+    sites = sorted(
+        (enclosing(call, ast.FunctionDef).name, ast.unparse(enclosing(call, ast.For).iter))
+        for call in calls
+    )
+    assert sites == [
+        ("_run", "pins"),
+        ("place", "(near - d, near + d)"),
+        ("place", "cands"),
+        ("place", "cands"),
+    ]

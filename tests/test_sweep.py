@@ -60,6 +60,18 @@ def test_enumerate_rst_all_matches_product_filter():
             assert RootedSymmetricTree(seq).n <= nmax
 
 
+def test_enumerate_q3_matches_product_filter():
+    # A plain filter over every (k1, k2) below nmax, in the family's order.
+    for nmax in (-3, 0, 1, 2, 5, 8, 60, 130, 200):
+        got = enumerate_family(SweepSpec("q3", nmax=nmax))
+        sized = [(1 + k1 * (1 + k2), (k1, k2)) for k1, k2 in itertools.product(range(1, nmax), repeat=2)]
+        want = [seq for n, seq in sorted(sized) if n <= nmax]
+        assert got == want
+        assert len(got) == len(set(got))
+        for seq in got:
+            assert RootedSymmetricTree(seq).n <= nmax
+
+
 def test_enumerate_family_goldens():
     spiders = enumerate_family(SweepSpec("symmetric_spider", legs=3, branches=(2, 4)))
     assert spiders == [(2, 1, 1), (3, 1, 1), (4, 1, 1)]
