@@ -72,10 +72,13 @@ def _parse_branches(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse --branches {text!r} (expected A..B or one count)") from None
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+def _read_json(flag: str, path: str):
+    """The JSON document in ``path`` (- for stdin), read for ``flag``;
+    ValueError naming both unless it decodes and parses."""
+    try:
+        return json.loads(sys.stdin.read() if path == "-" else Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{flag} {path} is not JSON: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -283,7 +286,7 @@ def _load_tree(args) -> Tree:
     elif args.rst is not None:
         t = build(_parse_sequence(args.rst))
     else:
-        t = _tree_from_dict(json.loads(_read_text(args.tree)))
+        t = _tree_from_dict(_read_json("--tree", args.tree))
     _check_size(t.n)
     return t
 
@@ -430,7 +433,7 @@ def cmd_label(args) -> int:
 
 def cmd_verify(args) -> int:
     t = _load_tree(args)
-    doc = json.loads(_read_text(args.labels))
+    doc = _read_json("--labels", args.labels)
     if isinstance(doc, dict) and "labels" not in doc:
         raise ValueError("labelling document has no 'labels' key")
     raw = doc["labels"] if isinstance(doc, dict) else doc

@@ -484,8 +484,15 @@ def _subtree_codes(
                 order.append(w)
     parent[root] = -1
     codes = [0] * len(adj)
+    # The walk below meets a childless vertex first, so interning () here
+    # numbers the codes as the walk would; each leaf but the root is
+    # childless and takes it.
+    empty = _intern(ids, ())
     for v in reversed(order):
-        codes[v] = _intern(ids, tuple(sorted(codes[w] for w in adj[v] if parent[w] == v)))
+        if len(adj[v]) == 1 and v != root:
+            codes[v] = empty
+        else:
+            codes[v] = _intern(ids, tuple(sorted(codes[w] for w in adj[v] if parent[w] == v)))
     return codes, parent, order
 
 

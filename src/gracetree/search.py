@@ -23,7 +23,10 @@ has no child, and the node scans only ``opened & touched``.  Labelling
 a vertex is one step, ``close`` in ``_run``: one loop over its
 neighbours closes its edges to labelled ones and touches those to
 unlabelled ones.  Each pin takes that step, and so does each vertex a
-child labels, but a leaf: its one edge is the edge being realized.
+child labels, but a leaf: its one edge is the edge being realized.  An
+edge with one labelled endpoint tests its two candidate labels, at d
+either side of that endpoint's, and whether the other endpoint is a
+leaf once, then loops over the free ones.
 
 The edge order, the neighbour lists and a leaf flag per vertex depend
 only on the tree.  ``_tables`` builds them and ``_run`` takes them as
@@ -195,8 +198,9 @@ def _tables(
     for u, v in t.edges:
         deg[u] += 1
         deg[v] += 1
-    order = t.edges if ascending else reversed(t.edges)
-    edges = sorted(order, key=lambda e: deg[e[0]] > 1 and deg[e[1]] > 1)
+    order = t.edges if ascending else t.edges[::-1]
+    edges = [e for e in order if deg[e[0]] == 1 or deg[e[1]] == 1]
+    edges += [e for e in order if deg[e[0]] > 1 and deg[e[1]] > 1]
     nbrs: list = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         nbrs[u].append((v, i))
@@ -317,38 +321,48 @@ def _run(
                     vtx, near, skip = v, lu, u
                 else:
                     vtx, near, skip = u, lv, v
-                for x in (near - d, near + d):
-                    if x < 0 or not free >> x & 1:
-                        continue
-                    if leaf[vtx]:
-                        # A leaf's one edge is this one: nothing else closes.
-                        # If a leaf of the same neighbour took x at this
-                        # node, this subtree mirrors its exhausted one: add
-                        # that one's nodes and count (see the module doc).
-                        key = skip * n + x
-                        seen = mirrors.get(key) if mirrors else None
-                        if seen is not None and (not stop_at or nodes + seen[0] < stop_at):
-                            before = nodes
-                            nodes += seen[0]
-                            count += seen[1]
-                            # As often as a walk would look at the clock.
-                            if deadline is not None and before >> 8 != nodes >> 8:
-                                if clock() > deadline:
-                                    raise _Stop
-                            continue
-                        before = nodes
-                        counted = count
+                # The free labels at distance d from near, each tested once
+                # per edge; near + d >= n is never free.
+                lo = near - d
+                hi = near + d
+                if lo >= 0 and free >> lo & 1:
+                    at_d = (lo, hi) if free >> hi & 1 else (lo,)
+                elif free >> hi & 1:
+                    at_d = (hi,)
+                else:
+                    continue
+                if not leaf[vtx]:
+                    for x in at_d:
                         label[vtx] = x
-                        if place(d - 1, free ^ (1 << x), pending, opened ^ ebit, touched):
+                        p, shut, tch = close(vtx, x, skip, d, pending, ebit, touched)
+                        if p >= 0 and place(d - 1, free ^ (1 << x), p, opened ^ shut, tch):
                             return True
-                        if mirrors is None:
-                            mirrors = {}
-                        mirrors[key] = (nodes - before, count - counted)
+                    label[vtx] = -1
+                    continue
+                # A leaf's one edge is this one: nothing else closes.  If a
+                # leaf of the same neighbour took x at this node, this
+                # subtree mirrors its exhausted one: add that one's nodes
+                # and count (see the module doc).
+                for x in at_d:
+                    key = skip * n + x
+                    seen = mirrors.get(key) if mirrors else None
+                    if seen is not None and (not stop_at or nodes + seen[0] < stop_at):
+                        before = nodes
+                        nodes += seen[0]
+                        count += seen[1]
+                        # As often as a walk would look at the clock.
+                        if deadline is not None and before >> 8 != nodes >> 8:
+                            if clock() > deadline:
+                                raise _Stop
                         continue
+                    before = nodes
+                    counted = count
                     label[vtx] = x
-                    p, shut, tch = close(vtx, x, skip, d, pending, ebit, touched)
-                    if p >= 0 and place(d - 1, free ^ (1 << x), p, opened ^ shut, tch):
+                    if place(d - 1, free ^ (1 << x), pending, opened ^ ebit, touched):
                         return True
+                    if mirrors is None:
+                        mirrors = {}
+                    mirrors[key] = (nodes - before, count - counted)
                 label[vtx] = -1
                 continue
             # Neither endpoint is labelled: try each free pair at distance d,
@@ -552,8 +566,9 @@ def is_zero_rotatable(
     budget is at most ``_STAGE_NODES``.  The first stage is a prefix of
     the search in the engine's edge order (descending), the second a
     probe in the order that takes each group from the lowest index up
-    (ascending); each order's tables are built once per tree, when first
-    needed.  A stage that finds or exhausts ends the orbit, as does a
+    (ascending); the descending tables are built once per tree when an
+    orbit is left for pass 2, the ascending ones when a probe first runs.
+    A stage that finds or exhausts ends the orbit, as does a
     deadline passed mid-stage; one that runs out of nodes hands on to
     the next.
 
@@ -626,17 +641,19 @@ def is_zero_rotatable(
             witness, trace = construct._zero_at(t, rep, level, 0)
             elapsed = time.perf_counter() - t0
             settle(OrbitVerdict(rep, orbit, VERDICT_YES, trace.method, witness, 0, elapsed))
-    # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.
-    unsettled = sorted(
-        (rep for rep in orbit_of if rep not in settled), key=lambda rep: (t.degree(rep), -rep)
-    )
+    unsettled = [rep for rep in orbit_of if rep not in settled]
+    tables: dict[bool, tuple] = {}
+    if unsettled:
+        tables[False] = _tables(t)
+        adj = tables[False][2]
+        # 0 on a leaf forces n-1 onto its neighbour, so leaves go first.
+        unsettled.sort(key=lambda rep: (len(adj[rep]), -rep))
     top = t.n - 1
     budget = base.node_budget
     if budget is not None and budget <= _STAGE_NODES:
         stages = ((False, budget),)
     else:
         stages = ((False, _STAGE_NODES), (True, _STAGE_NODES), (False, budget))
-    tables: dict[bool, tuple] = {}
     for rep in unsettled:
         if rep in settled:
             continue
@@ -651,10 +668,12 @@ def is_zero_rotatable(
             # of a try's witness settles w's orbit, so neighbours in orbits
             # with no verdict yet go first, each group in the edge order.
             # Each try's first node stands for the shared root, counted once.
-            nbrs = [w for w, _ in order[2][rep]]
-            nbrs.sort(key=lambda w: rep_of[w] in settled or rep_of[w] == rep)
+            fresh, rest = [], []
+            for w, _ in order[2][rep]:
+                w_rep = rep_of[w]
+                (rest if w_rep in settled or w_rep == rep else fresh).append(w)
             status, labels, spent = STATUS_EXHAUSTED, None, 1
-            for w in nbrs:
+            for w in fresh + rest:
                 if _passed(deadline):
                     status = STATUS_TIMEOUT
                     break

@@ -18,8 +18,9 @@ match ``test_*.py``, so pytest does not collect it.
 verdict, method and nodes.  ``--against FILE`` reads such a file, made
 by an earlier version of the code, and prints each orbit whose verdict
 or method moved, with its nodes on both sides, and a tally per kind of
-move.  The exit status is 1 when an orbit moved from yes to timeout or
-a no appeared or went, else 0.
+move, then, when there are any, how many orbits kept their verdict and
+method but changed their nodes.  The exit status is 1 when an orbit
+moved from yes to timeout or a no appeared or went, else 0.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def census(nmax: int, jobs: int) -> tuple[list[str], list[str]]:
 def moves(before: list[str], after: list[str]) -> tuple[list[str], bool]:
     """The orbits whose verdict or method moved from ``before`` to
     ``after``, both in the ``--orbits`` format, then a tally per kind
-    of move; and whether a yes became a timeout or a no came or went.
+    of move and, if nonzero, the count of orbits whose nodes alone
+    moved; and whether a yes became a timeout or a no came or went.
     An orbit on one side only is "absent" on the other."""
 
     def keyed(orbit_lines: list[str]) -> dict[tuple[str, str], list[str]]:
@@ -92,16 +94,19 @@ def moves(before: list[str], after: list[str]) -> tuple[list[str], bool]:
 
     old, new = keyed(before), keyed(after)
     absent = ["absent", "-", "0"]
-    lines, tally, fault = [], Counter(), False
+    lines, tally, fault, nodes_moved = [], Counter(), False, 0
     for key in list(new) + [key for key in old if key not in new]:
         (v0, m0, n0), (v1, m1, n1) = old.get(key, absent), new.get(key, absent)
         if (v0, m0) == (v1, m1):
+            nodes_moved += n0 != n1
             continue
         lines.append(f"  ({key[0]})@{key[1]}: {v0} {m0} {n0} nodes -> {v1} {m1} {n1} nodes")
         tally[f"{v0} {m0} -> {v1} {m1}"] += 1
         fault |= (v0, v1) == ("yes", "timeout") or (v0 == "no") != (v1 == "no")
     lines.insert(0, f"moved orbits: {len(lines):,}")
     lines += [f"  {kind}: {count:,}" for kind, count in sorted(tally.items())]
+    if nodes_moved:
+        lines.append(f"nodes moved: {nodes_moved:,}")
     return lines, fault
 
 

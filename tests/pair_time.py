@@ -15,7 +15,9 @@ the two sides' machine-independent tallies (verdicts, methods, search
 nodes).  Then each round times one whole pass per side, the old side
 first in even rounds and the new side first in odd ones.  Prints each
 side's median and quartiles, the median and quartiles of the per-round
-new/old ratio, and in how many rounds the new side was faster.
+new/old ratio, and in how many rounds the new side was faster.  The
+rounds run either way, but the exit status is 1 when either side has a
+wrong output or the two sides' tallies differ, else 0.
 
 Both sides share one process, so they see the same machine load at
 nearly the same time; separate processes on a shared machine spread
@@ -98,6 +100,7 @@ def main(argv=None) -> int:
             print(f"{side}: {len(items[side])} items, {wrong} wrong outputs")
         same = checked["old"][0] == checked["new"][0]
         print(f"same tallies on both sides: {'yes' if same else 'no'}")
+        sound = same and not any(wrong for _, wrong in checked.values())
 
         times: dict[str, list[float]] = {"old": [], "new": []}
         for i in range(args.rounds):
@@ -109,7 +112,7 @@ def main(argv=None) -> int:
     print(f"new/old: {_quartiles(ratios)}")
     wins = sum(r < 1 for r in ratios)
     print(f"new faster in {wins} of {args.rounds} rounds")
-    return 0
+    return 0 if sound else 1
 
 
 if __name__ == "__main__":

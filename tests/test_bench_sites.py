@@ -11,6 +11,7 @@ too, so a smoke run of it is here as well.
 import ast
 import importlib
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -83,17 +84,21 @@ def test_traced_run_sees_every_construction_layer():
     assert {name: tracer.calls[name] for name in EXPECTED_CALLS} == EXPECTED_CALLS
 
 
-def test_pair_time_runs_one_workload_on_two_trees():
+def _pair_time(old: Path, new: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SPANS.parents[1] / "tests" / "pair_time.py"), str(old), str(new),
+         "--workload", "sweep_search", "--rounds", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_pair_time_runs_one_workload_on_two_trees(tmp_path):
     # tests/pair_time.py, with src on both sides: both packages load
     # under their own names, their checked tallies agree, and the
     # summary names every round.
-    root = SPANS.parents[1]
-    src = str(root / "src")
-    done = subprocess.run(
-        [sys.executable, str(root / "tests" / "pair_time.py"), src, src, "--workload", "sweep_search",
-         "--rounds", "2"],
-        capture_output=True, text=True, timeout=300, check=True,
-    )
+    src = SPANS.parents[1] / "src"
+    done = _pair_time(src, src)
+    assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:3] == [
         "old: 207 items, 0 wrong outputs",
@@ -102,3 +107,14 @@ def test_pair_time_runs_one_workload_on_two_trees():
     ]
     assert [line.split(":")[0] for line in lines[3:6]] == ["old", "new", "new/old"]
     assert lines[6].endswith(" of 2 rounds")
+    # Halving the short stages' budget moves sweep_search's node tally,
+    # so the two sides disagree and the run exits 1.
+    other = tmp_path / "src" / "gracetree"
+    shutil.copytree(src / "gracetree", other, ignore=shutil.ignore_patterns("__pycache__"))
+    search = other / "search.py"
+    text = search.read_text()
+    assert "\n_STAGE_NODES = 100\n" in text
+    search.write_text(text.replace("\n_STAGE_NODES = 100\n", "\n_STAGE_NODES = 50\n"))
+    done = _pair_time(src, other.parent)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[2] == "same tallies on both sides: no"

@@ -311,6 +311,31 @@ def test_verify_refuses_a_document_without_a_labels_list(capsys, tmp_path, doc):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("rotate0", "--tree", "FILE"), "--tree"),
+        (("verify", "--rst", "2", "--labels", "FILE"), "--labels"),
+    ],
+    ids=["tree", "labels"],
+)
+@pytest.mark.parametrize("text", ["", '{"kind": '], ids=["empty", "cut-off"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_a_document_that_is_not_json_names_its_flag_and_file(
+    capsys, monkeypatch, tmp_path, argv, flag, text, from_stdin
+):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    path = "-" if from_stdin else str(doc)
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *(path if arg == "FILE" else arg for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} {path} is not JSON: Expecting value: line 1 column ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         (lambda t: t.level_of_index(7), "vertex index 7 out of range"),

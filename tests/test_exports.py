@@ -383,7 +383,7 @@ def test_the_search_labels_and_closes_a_vertex_in_one_step():
     )
     assert sites == [
         ("_run", "pins"),
-        ("place", "(near - d, near + d)"),
+        ("place", "at_d"),
         ("place", "cands"),
         ("place", "cands"),
     ]

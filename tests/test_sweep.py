@@ -430,3 +430,6 @@ def test_census_lists_the_orbits_that_moved():
     ):
         lines, fault = census.moves(before, moved)
         assert lines[0] == "moved orbits: 1" and fault, moved
+    # Same verdict and method with other nodes is no move, but is counted.
+    fewer = ["2 0 yes star_direct 0", "1,1,1,2 2 no search_fallback 25", "2,2 3 yes theorem2_odd 0"]
+    assert census.moves(before, fewer) == (["moved orbits: 0", "nodes moved: 1"], False)
