@@ -31,14 +31,16 @@ Every public entry point that performs a multi-step construction also
 returns a trace: the steps it ran, each with its parameters and the
 label snapshot it produced.  Each construction is straight-line code
 that computes its labellings in turn and records each one with
-``_step``; the ``decompose`` step records index maps, not labels.
+``_step``; the ``decompose`` step records index maps, not labels.  A
+step holds the construction's own immutable tuples, not copies:
+``ConstructionTrace.to_dict`` writes them out as fresh lists.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import add, sub
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .labelling import (
     Labelling,
@@ -74,7 +76,9 @@ class ConstructionTrace(NamedTuple):
     """How a labelling was produced: a method name plus the steps run.
 
     Each step is a dict in the ``--explain`` shape: an ``op`` key, the
-    op's parameters, and the label snapshot it produced.  Treat steps as
+    op's parameters, and the label snapshot it produced.  A snapshot, an
+    index map or a permutation is the very tuple the construction built,
+    not a copy; ``to_dict`` writes each as a fresh list.  Treat steps as
     read-only.  Dicts are unhashable, so a trace with steps is too.
     """
 
@@ -82,7 +86,13 @@ class ConstructionTrace(NamedTuple):
     steps: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "steps": list(self.steps)}
+        steps = [{key: _lists(value) for key, value in step.items()} for step in self.steps]
+        return {"method": self.method, "steps": steps}
+
+
+def _lists(value: object) -> object:
+    """``value`` with each tuple in it, at any depth, a fresh list."""
+    return [_lists(x) for x in value] if isinstance(value, tuple) else value
 
 
 def theorem1_label(t: RootedSymmetricTree) -> Labelling:
@@ -170,7 +180,7 @@ def lemma1_label(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
     f = apply_permutation(base, product)
     steps = (
         _step("theorem1", base.labels),
-        _step("apply_permutation", f.labels, swaps=[list(s) for s in product.swaps]),
+        _step("apply_permutation", f.labels, swaps=product.swaps),
     )
     return _proven(t, f.labels), ConstructionTrace(METHOD_LEMMA1, steps)
 
@@ -222,7 +232,7 @@ def _compose(t: RootedSymmetricTree) -> tuple[tuple[int, ...], ConstructionTrace
     q, n, k = t.q, t.n, t.degrees[-1]
     dec = decompose(t)
     broom = _broom_labels(k, q - 1, n)
-    h = _theorem1_labels(dec.subtree_h)
+    h = tuple(_theorem1_labels(dec.subtree_h))
     # Move the subtree's root onto the broom's root label.
     if q % 2 == 1:
         amount = k + (q - 3) // 2
@@ -237,16 +247,16 @@ def _compose(t: RootedSymmetricTree) -> tuple[tuple[int, ...], ConstructionTrace
     full = [-1] * n
     for gi, x in zip(chain(dec.p_map, dec.h_map), chain(broom, moved)):
         full[gi] = x
+    full = tuple(full)
     steps = (
-        {"op": "decompose", "h_degrees": list(dec.subtree_h.degrees),
-         "p_map": list(dec.p_map), "h_map": list(dec.h_map)},
+        {"op": "decompose", "h_degrees": dec.subtree_h.degrees, "p_map": dec.p_map, "h_map": dec.h_map},
         _step("broom", broom, leaf_count=k, spine_length=q - 1, n=n),
         _step("subtree", h),
         move,
         _step("merge", full),
     )
     method = METHOD_THEOREM2_ODD if q % 2 == 1 else METHOD_THEOREM2_EVEN
-    return tuple(full), ConstructionTrace(method, steps)
+    return full, ConstructionTrace(method, steps)
 
 
 class ZeroAtRequest(NamedTuple):
@@ -321,11 +331,11 @@ def _zero_at(
     if holder != target:
         perm = _level_mapping(t, holder, target)
         f = _relabel(f, perm)
-        steps.append(_step("relabel_vertices", f.labels, perm=list(perm)))
+        steps.append(_step("relabel_vertices", f.labels, perm=perm))
     return _proven(t, f.labels, ((target, desired),)), ConstructionTrace(method, tuple(steps))
 
 
-def _step(op: str, out: Sequence[int], **params) -> dict:
+def _step(op: str, out: tuple[int, ...], **params) -> dict:
     """A construction step in the ``--explain`` shape: ``op``, its
-    parameters, and a snapshot of the labels ``out`` it produced."""
-    return {"op": op, **params, "labels": list(out)}
+    parameters, and the labels ``out`` it produced, uncopied."""
+    return {"op": op, **params, "labels": out}

@@ -17,9 +17,10 @@ out a whole-tree labelling proves it through ``_proven``: a permutation
 and graceful at once, with its pins, on the tuple it hands out, not a
 copy.  ``is_graceful`` checks a raw label sequence for being a
 permutation and trusts a ``Labelling``; the edge differences it checks
-in full either way.  Trees are proven once too: ``to_general`` shares a
-rooted symmetric tree's edges unchecked.  The transforms map whole label
-tuples.
+in full either way.  A sequence of n ints is proven a permutation by one
+sort: it is one exactly when its sorted copy equals 0..n-1.  Trees are
+proven once too: ``to_general`` shares a rooted symmetric tree's edges
+unchecked.  The transforms map whole label tuples.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def edge_labels(t: Tree, labels: LabelsLike) -> tuple[int, ...]:
 
 
 def _is_permutation(raw: Sequence[int], n: int) -> bool:
-    # n distinct integers between 0 and n-1 are exactly 0..n-1.
-    return len(raw) == len(set(raw)) == n and min(raw) == 0 and max(raw) == n - 1
+    # One C-level sort; a construction's labels are long runs, which it merges.
+    return len(raw) == n and sorted(raw) == list(range(n))
 
 
 def is_graceful(t: Tree, labels: LabelsLike) -> bool:

@@ -357,6 +357,17 @@ def test_trace_dict_roundtrip():
     doc = json.loads(json.dumps(trace.to_dict()))
     assert doc == trace.to_dict()
     assert check_trace(t.degrees, doc) == list(f.labels)
+    # A step holds the construction's own tuple, uncopied; to_dict writes
+    # fresh lists, so changing one result changes neither the steps nor
+    # the next result, down to the swap pairs.
+    fresh = trace.to_dict()
+    fresh["steps"][1]["labels"][0] = fresh["steps"][1]["swaps"][0][0] = -1
+    assert trace.to_dict() == doc
+    f, trace = zero_at(ZeroAtRequest(build((3, 2)), 0, 0))
+    assert trace.steps[0]["labels"] is f.labels
+    fresh = trace.to_dict()
+    fresh["steps"][0]["labels"][0] = -1
+    assert trace.steps[0]["labels"] == f.labels == tuple(trace.to_dict()["steps"][0]["labels"])
 
 
 def test_golden_trace_replays_from_its_json():

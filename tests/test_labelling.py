@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -8,6 +9,7 @@ from gracetree import GeneralTree, build, is_graceful, theorem1_label
 from gracetree.labelling import (
     Labelling,
     TranspositionProduct,
+    _is_permutation,
     apply_permutation,
     complement,
     edge_labels,
@@ -42,6 +44,16 @@ def test_labelling_validation():
     for bad in (1.0, "1", None):
         with pytest.raises(ValueError, match=re.escape(f"label {bad!r} is not an integer")):
             f.vertex_with_label(bad)
+    # The one-sort permutation proof against a three-pass reference (n
+    # distinct ints, the least 0 and the greatest n-1), on every int
+    # sequence of length 0 to 5 with entries in -1..5 and every n from 0
+    # to 6: duplicates, gaps, negatives, out-of-range values and wrong
+    # lengths.  min and max need an entry; () is the permutation of 0..-1.
+    for length in range(6):
+        for raw in product(range(-1, 6), repeat=length):
+            for n in range(7):
+                three_pass = len(raw) == len(set(raw)) == n and (not raw or (min(raw), max(raw)) == (0, n - 1))
+                assert _is_permutation(raw, n) == three_pass, (raw, n)
 
 
 @pytest.mark.parametrize("labels", [(0, 2.7, 1), (0, 1.0, 2), ("0", 1, 2), (0, None, 1)])
