@@ -7,7 +7,7 @@ Three constructions are implemented:
   level by level from the labels of the level above;
 * a transposition product that moves 0 from the root to a deepest leaf
   on three-level trees;
-* a composition that splits off the last root branch as a broom,
+* a composition that splits off the first root branch as a broom,
   labels the broom with extreme values and the remaining subtree with
   a shifted or reflected copy of the direct formula, putting 0 on a
   deepest leaf and n-1 one level up.
@@ -15,6 +15,11 @@ Three constructions are implemented:
 ``zero_at`` places 0 or n-1 on a chosen vertex: it picks the direct
 formula or the composition as the base by the vertex's level, and it
 alone decides whether to complement the base, which swaps 0 and n-1.
+Each base puts 0 and n-1 on the first vertices of two adjacent levels
+(the root and the first of level 2, or the first of levels q and q-1),
+so ``zero_at`` moves a labelling by an automorphism only for another
+target, and the decider, which asks only for the first vertex of a
+level, never has a labelling moved.
 
 Each public entry checks its arguments, refusing what it cannot label
 with a ValueError, and calls a private core that trusts them
@@ -207,10 +212,10 @@ def _broom_labels(leaf_count: int, spine_length: int, n: int) -> tuple[int, ...]
 
 
 def compose_theorem2(t: RootedSymmetricTree) -> tuple[Labelling, ConstructionTrace]:
-    """Graceful labelling with 0 on a deepest leaf and n-1 on that leaf's
-    neighbour one level up.
+    """Graceful labelling with 0 on the first deepest leaf and n-1 on that
+    leaf's neighbour one level up, the first vertex of level q-1.
 
-    Works when the last root branch is a broom: either the tree has
+    Works when the first root branch is a broom: either the tree has
     exactly three levels, or every intermediate daughter degree is 1.
     The branch is labelled with the extreme values, the rest of the tree
     with the direct formula shifted (odd level count) or reflected (even
@@ -289,7 +294,8 @@ def zero_at(req: ZeroAtRequest) -> tuple[Labelling, ConstructionTrace]:
     level q-1) for the two deepest, where ``zero_at_levels`` has them;
     any other level raises ValueError.  The base is complemented
     when it puts the other extreme on the target's level, and the result
-    is moved onto the target vertex by a tree automorphism when needed.
+    is moved onto the target vertex by a tree automorphism when the
+    target is not the first vertex of its level.
     """
     t = _rooted(req.tree, "zero_at")
     if isinstance(req.target, bool):  # else True would pass as vertex 1
@@ -327,7 +333,7 @@ def _zero_at(
         if method == METHOD_THEOREM1:
             method = METHOD_COMPLEMENT
 
-    holder = f.vertex_with_label(desired)
+    holder = t.level_offsets[level - 1]  # the base's ``desired`` is here
     if holder != target:
         perm = _level_mapping(t, holder, target)
         f = _relabel(f, perm)

@@ -412,12 +412,12 @@ def classify(t: Tree) -> StructureFlags:
 
 
 class BroomDecomposition(NamedTuple):
-    """Split of a rooted symmetric tree into P, the root plus the last
+    """Split of a rooted symmetric tree into P, the root plus the first
     root branch, and the remaining rooted symmetric subtree H.
 
     ``p_map[local]`` is the original vertex of P's local vertex (0 is
     the shared root, then the branch vertices in breadth-first order).
-    ``subtree_h`` keeps all root branches except the last; its vertices
+    ``subtree_h`` keeps all root branches except the first; its vertices
     map into the original tree through ``h_map``.
     """
 
@@ -427,7 +427,7 @@ class BroomDecomposition(NamedTuple):
 
 
 def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
-    """Strip the last root branch (highest first digit) plus the root as P.
+    """Strip the first root branch (first digit 0) plus the root as P.
 
     Defined on every tree of two or more levels.  When the root has a
     single child, H degenerates to the one-vertex tree (sequence with
@@ -438,23 +438,23 @@ def decompose(t: RootedSymmetricTree) -> BroomDecomposition:
     degrees = t.degrees
     k1 = degrees[0]
     off = t.level_offsets
-    # On every level below the root the last root branch is the last
+    # On every level below the root the first root branch is the first
     # 1/k1 of the level and H is the rest, both in index order.
     p_map, h_map = [0], [0]
     i = 0
     for k, m in t.runs:
         w = off[i + 1] - off[i]
         if k == 1 and 2 * w < m:  # a long run: the m levels below have width w
-            in_p = (False,) * (w - w // k1) + (True,) * (w // k1)
+            in_p = (True,) * (w // k1) + (False,) * (w - w // k1)
             below = range(off[i + 1], off[i + m + 1])
             p_map += compress(below, cycle(in_p))
             h_map += compress(below, cycle(map(not_, in_p)))
         else:
             for j in range(i + 1, i + m + 1):
                 lo, hi = off[j], off[j + 1]
-                split = hi - (hi - lo) // k1
-                p_map += range(split, hi)
-                h_map += range(lo, split)
+                split = lo + (hi - lo) // k1
+                p_map += range(lo, split)
+                h_map += range(split, hi)
         i += m
     subtree_h = RootedSymmetricTree((k1 - 1,) + degrees[1:] if k1 > 1 else (0,))
     return BroomDecomposition(tuple(p_map), subtree_h, tuple(h_map))

@@ -310,23 +310,24 @@ def graceful_on_rst(degrees, labels) -> bool:
 
 
 def decompose_by_addresses(degrees) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """``(h_degrees, p_map, h_map)`` of the last-branch split of the
+    """``(h_degrees, p_map, h_map)`` of the first-branch split of the
     rooted symmetric tree with daughter degrees ``degrees``, from address
     digits.
 
-    P is the root plus every vertex whose first digit is the last one,
-    in index order.  H is the tree with one root branch fewer, or the
-    one-vertex tree (0,); its vertex with address ``a`` is the tree's
-    vertex with address ``a``.
+    P is the root plus every vertex whose first digit is 0, in index
+    order.  H is the tree with one root branch fewer, or the one-vertex
+    tree (0,); its vertex with address ``(a_1, ...)`` is the tree's
+    vertex with address ``(a_1 + 1, ...)``, and its root the tree's.
     """
     k1 = degrees[0]
     addresses = rst_addresses(degrees)
-    p_map = (0,) + tuple(i for i, a in enumerate(addresses) if a[:1] == (k1 - 1,))
+    p_map = (0,) + tuple(i for i, a in enumerate(addresses) if a[:1] == (0,))
     if k1 == 1:
         return (0,), p_map, (0,)
     h_degrees = (k1 - 1,) + tuple(degrees[1:])
     index = {a: i for i, a in enumerate(addresses)}
-    return h_degrees, p_map, tuple(index[a] for a in rst_addresses(h_degrees))
+    shifted = ((a[0] + 1,) + a[1:] if a else () for a in rst_addresses(h_degrees))
+    return h_degrees, p_map, tuple(index[a] for a in shifted)
 
 
 def broom_labels(leaf_count: int, spine_length: int, n: int) -> list[int]:

@@ -58,8 +58,8 @@ def test_label_explain_and_files(capsys, tmp_path):
 
 def test_label_theorem2_explain_golden(capsys):
     # A theorem2 trace: the decompose step (h_degrees, p_map, h_map), the
-    # broom, the reflected subtree, the merge and the automorphism that
-    # carries 0 onto leaf 5, byte for byte.
+    # broom, the reflected subtree and the merge, which puts 0 on leaf 5,
+    # the first of its level, byte for byte.
     code, out, _ = run(capsys, "label", "--rst", "2,1,2", "--zero-at", "5", "--explain")
     assert code == 0
     golden = Path(__file__).parent / "golden" / "label_rst_2-1-2_zero_at_5_explain.json"
@@ -121,7 +121,7 @@ def test_label_usage_errors(capsys, tmp_path):
 )
 def test_label_refuses_a_level_no_construction_reaches(capsys, degrees, level, q):
     # Vertex 3 sits on level 3: a middle level of a five-level tree, and
-    # the level above the leaves of a tree whose last branch is no broom.
+    # the level above the leaves of a tree whose root branches are no brooms.
     code, out, err = run(capsys, "label", "--rst", degrees, "--zero-at", "3")
     assert (code, out) == (1, "")
     assert err == f"error: no constructive placement for level {level} of a {q}-level tree\n"

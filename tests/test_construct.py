@@ -28,6 +28,7 @@ from gracetree.construct import (
     zero_at_levels,
 )
 from gracetree.model import RootedSymmetricTree, path_sequence, to_general
+from gracetree.search import SearchConstraints, is_zero_rotatable
 from gracetree.sweep import SweepSpec, enumerate_family
 from oracles import UNIT_RUN_SEQUENCES, check_trace, theorem1_label_by_addresses
 
@@ -176,13 +177,13 @@ def test_compose_golden_three_levels():
     g = to_general(t)
     assert is_graceful(g, f)
     assert trace.method == METHOD_THEOREM2_ODD
-    # last branch carries the extremes, the rest is the shifted direct formula
+    # first branch carries the extremes, the rest is the shifted direct formula
     assert f.labels[0] == 4
-    assert f.labels[3] == 15
-    assert [f.labels[v] for v in (12, 13, 14, 15)] == [0, 1, 2, 3]
+    assert f.labels[1] == 15
+    assert [f.labels[v] for v in (4, 5, 6, 7)] == [0, 1, 2, 3]
     h = build((2, 4))
     h_labels = theorem1_label(h)
-    h_map = (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11)
+    h_map = (0, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
     assert [f.labels[v] for v in h_map] == [x + 4 for x in h_labels.labels]
 
 
@@ -190,7 +191,37 @@ def test_compose_golden_even_levels():
     t = build((3, 1, 1))
     f, trace = compose_theorem2(t)
     assert trace.method == METHOD_THEOREM2_EVEN
-    assert f.labels == (8, 2, 5, 1, 7, 4, 9, 3, 6, 0)
+    assert f.labels == (8, 1, 2, 5, 9, 7, 4, 0, 3, 6)
+
+
+def test_compose_puts_its_extremes_first_so_the_decider_moves_no_labelling(monkeypatch):
+    # The broom is the first root branch, so 0 sits on the first vertex
+    # of level q and n-1 on the first of level q-1: the representatives
+    # of their orbits.  The decider then hands out every constructed
+    # witness as built, and transports none.
+    moves = []
+    real = gracetree.construct._level_mapping
+
+    def counting(t, src, dst):
+        moves.append((t.degrees, src, dst))
+        return real(t, src, dst)
+
+    monkeypatch.setattr(gracetree.construct, "_level_mapping", counting)
+    # One node per search: the middle levels' searches move nothing here.
+    budget = SearchConstraints(node_budget=1, time_budget=None)
+    accepted = 0
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=60)):
+        t = build(seq)
+        try:
+            f, _ = compose_theorem2(t)
+        except ValueError:
+            continue
+        accepted += 1
+        off = t.level_offsets
+        assert (f.labels[off[t.q - 1]], f.labels[off[t.q - 2]]) == (0, t.n - 1), seq
+        is_zero_rotatable(t, budget)
+    assert accepted == 2597
+    assert moves == []
 
 
 @given(broom_sequences, st.data())
@@ -371,23 +402,27 @@ def test_trace_dict_roundtrip():
 
 
 def test_golden_trace_replays_from_its_json():
-    # decompose, broom, subtree, reflect, merge and relabel_vertices,
-    # read back from the checked-in --explain output alone.
-    golden = Path(__file__).parent / "golden" / "label_rst_2-1-2_zero_at_5_explain.json"
-    doc = json.loads(golden.read_text())
-    ops = [s["op"] for s in doc["trace"]["steps"]]
-    assert ops == ["decompose", "broom", "subtree", "reflect", "merge", "relabel_vertices"]
-    assert check_trace(doc["tree"]["degrees"], doc["trace"]) == doc["labels"]
+    # Each op of a composition, read back from the checked-in --explain
+    # output alone: vertex 5 is the first of its level, where the
+    # composition puts 0, and vertex 12 the last of its level.
+    merged = ["decompose", "broom", "subtree", "reflect", "merge"]
+    for name, ops in (
+        ("2-1-2_zero_at_5", merged),
+        ("3-1-2_zero_at_12_top", merged + ["complement", "relabel_vertices"]),
+    ):
+        golden = Path(__file__).parent / "golden" / f"label_rst_{name}_explain.json"
+        doc = json.loads(golden.read_text())
+        assert [s["op"] for s in doc["trace"]["steps"]] == ops
+        assert check_trace(doc["tree"]["degrees"], doc["trace"]) == doc["labels"]
 
 
 def test_zero_at_is_pinned_byte_for_byte():
     # Labels and trace of every constructible request, and for each
-    # refusal the reason code refusals carried when the digest was taken
-    # (NotBroom on the two deepest levels, NoConstruction elsewhere),
-    # over each vertex and both extreme labels of every rst_all tree up
+    # refusal a fixed reason code (NotBroom on the two deepest levels,
+    # NoConstruction elsewhere, as refusals were once named), over each vertex and both extreme labels of every rst_all tree up
     # to n = 30; a request succeeds exactly on the levels zero_at_levels
-    # names.  The digest was taken from the
-    # generator-per-vertex formulas the level-wise bulk ones replaced.
+    # names.  The digest was taken when the broom became the first root
+    # branch; the labels digest below held across that change.
     h = hashlib.sha256()
     for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
         t = build(seq)
@@ -404,7 +439,24 @@ def test_zero_at_is_pinned_byte_for_byte():
                     assert reached, (seq, v, desired)
                     out = [seq, v, desired, f.labels, trace.to_dict()]
                 h.update(json.dumps(out).encode())
-    assert h.hexdigest() == "59f76793432faf3b66d4b353a275710369b66d452aca710eddbda6695fb0ebd7"
+    assert h.hexdigest() == "60408173995348e2f9394f7803155f72a3978b3dc9b1fc46966825dec36da013"
+
+
+def test_zero_at_labels_are_pinned_byte_for_byte():
+    # The labels alone of every constructible request in the loop above:
+    # the trace digest moves with the construction's internals (which
+    # root branch is the broom), this one only if a handed-out labelling
+    # does.  The digest was taken when the broom was the last root branch.
+    h = hashlib.sha256()
+    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
+        t = build(seq)
+        levels = zero_at_levels(t)
+        for v in range(t.n):
+            if t.level_of_index(v) in levels:
+                for desired in (0, t.n - 1):
+                    f, _ = zero_at(ZeroAtRequest(t, v, desired))
+                    h.update(json.dumps([seq, v, desired, f.labels]).encode())
+    assert h.hexdigest() == "09205b6bfb94fcf54981bc39e4e4c2b5343a832fb2f502ed84f430f1fa94f904"
 
 
 def test_lemma1_and_compose_are_pinned_byte_for_byte():
@@ -412,8 +464,7 @@ def test_lemma1_and_compose_are_pinned_byte_for_byte():
     # and of compose_theorem2 on every rst_all tree it accepts, up to
     # n = 30: the steps zero_at's digest above never runs (apply_permutation)
     # or runs only under a complement or a relabelling.  The digest was
-    # taken from the step interpreter the straight-line constructions
-    # replaced.
+    # taken when the broom became the first root branch.
     h = hashlib.sha256()
     for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
         t = build(seq)
@@ -425,7 +476,7 @@ def test_lemma1_and_compose_are_pinned_byte_for_byte():
         except ValueError:
             continue
         h.update(json.dumps([seq, f.labels, trace.to_dict()]).encode())
-    assert h.hexdigest() == "203ecd3db58aa2eea58724f577517f0eb44dea75115f83646e0eef7fa7c98a06"
+    assert h.hexdigest() == "daab12a3e374f5461637ec972fbe6013ae62c9a028ebdd3239443813d7341946"
 
 
 @pytest.mark.parametrize(

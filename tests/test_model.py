@@ -430,9 +430,9 @@ def test_rooted_sequence_at():
 def test_decompose_golden():
     t = build((3, 4))
     dec = decompose(t)
-    assert dec.p_map == (0, 3, 12, 13, 14, 15)
+    assert dec.p_map == (0, 1, 4, 5, 6, 7)
     assert dec.subtree_h.degrees == (2, 4)
-    assert dec.h_map == (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11)
+    assert dec.h_map == (0, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
 
 
 def test_decompose_matches_address_definition():
