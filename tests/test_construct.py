@@ -419,11 +419,16 @@ def test_golden_trace_replays_from_its_json():
 def test_zero_at_is_pinned_byte_for_byte():
     # Labels and trace of every constructible request, and for each
     # refusal a fixed reason code (NotBroom on the two deepest levels,
-    # NoConstruction elsewhere, as refusals were once named), over each vertex and both extreme labels of every rst_all tree up
-    # to n = 30; a request succeeds exactly on the levels zero_at_levels
-    # names.  The digest was taken when the broom became the first root
-    # branch; the labels digest below held across that change.
+    # NoConstruction elsewhere, as refusals were once named), over each
+    # vertex and both extreme labels of every rst_all tree up to n = 30;
+    # a request succeeds exactly on the levels zero_at_levels names.
+    # The labels alone have a digest of their own: the traces move with
+    # the construction's internals, such as which root branch is the
+    # broom, the labels only if a handed-out labelling does.  The labels
+    # digest was taken when the broom was the last root branch, the
+    # other when it became the first.
     h = hashlib.sha256()
+    labels_h = hashlib.sha256()
     for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
         t = build(seq)
         for v in range(t.n):
@@ -438,25 +443,10 @@ def test_zero_at_is_pinned_byte_for_byte():
                 else:
                     assert reached, (seq, v, desired)
                     out = [seq, v, desired, f.labels, trace.to_dict()]
+                    labels_h.update(json.dumps(out[:4]).encode())
                 h.update(json.dumps(out).encode())
+    assert labels_h.hexdigest() == "09205b6bfb94fcf54981bc39e4e4c2b5343a832fb2f502ed84f430f1fa94f904"
     assert h.hexdigest() == "60408173995348e2f9394f7803155f72a3978b3dc9b1fc46966825dec36da013"
-
-
-def test_zero_at_labels_are_pinned_byte_for_byte():
-    # The labels alone of every constructible request in the loop above:
-    # the trace digest moves with the construction's internals (which
-    # root branch is the broom), this one only if a handed-out labelling
-    # does.  The digest was taken when the broom was the last root branch.
-    h = hashlib.sha256()
-    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
-        t = build(seq)
-        levels = zero_at_levels(t)
-        for v in range(t.n):
-            if t.level_of_index(v) in levels:
-                for desired in (0, t.n - 1):
-                    f, _ = zero_at(ZeroAtRequest(t, v, desired))
-                    h.update(json.dumps([seq, v, desired, f.labels]).encode())
-    assert h.hexdigest() == "09205b6bfb94fcf54981bc39e4e4c2b5343a832fb2f502ed84f430f1fa94f904"
 
 
 def test_lemma1_and_compose_are_pinned_byte_for_byte():
