@@ -40,7 +40,7 @@ from .search import (
     SearchConstraints,
     is_zero_rotatable,
 )
-from .sweep import FAMILIES, FAMILY_BANANA, FAMILY_SPIDER, SweepSpec, enumerate_family, run_sweep
+from .sweep import FAMILIES, SweepSpec, enumerate_family, largest_tree, run_sweep
 
 # Above this many vertices a command would fill n-sized lists until
 # memory runs out.  The largest tree in the tests, (3000, 3000), has
@@ -262,18 +262,6 @@ def _check_size(n: int) -> None:
         raise ValueError(f"tree has {n} vertices; gracetree handles at most {MAX_VERTICES}")
 
 
-def _largest_tree(spec: SweepSpec) -> int:
-    """The vertex count of the largest tree ``spec`` names, from its
-    parameters alone: ``nmax`` for ``rst_all`` and ``q3`` (whose default
-    is small), the widest spider or banana otherwise."""
-    if spec.family == FAMILY_SPIDER:
-        return 1 + spec.branches[1] * spec.legs
-    if spec.family == FAMILY_BANANA:
-        hi = spec.branches[1]
-        return 1 + hi * (hi + 2)
-    return spec.nmax or 0
-
-
 def _load_tree(args) -> Tree:
     """The tree the arguments name, refused if it has more than
     MAX_VERTICES vertices.  ``--rst``, ``--path`` and an ``"rst"``
@@ -486,7 +474,7 @@ def cmd_sweep(args) -> int:
         node_budget=nodes,
         time_budget=secs,
     )
-    _check_size(_largest_tree(spec))
+    _check_size(largest_tree(spec))
     rows = run_sweep(spec, jobs=args.jobs)
     if args.no_timing:
         rows = [_untimed(row) for row in rows]

@@ -154,7 +154,7 @@ class RootedSymmetricTree(_Frozen):
     A run of 1s is w paths side by side, each level the one above
     shifted by its width w, so the level arithmetic here and in
     ``construct`` takes a long run of 1s whole, not level by level.
-    Exposes address-to-index conversion, per-vertex level and degree,
+    Exposes address-to-index conversion, per-vertex level,
     and the same ``edges`` and ``adjacency`` as the equal GeneralTree,
     each built on first use.  Instances are immutable.
     """
@@ -196,11 +196,6 @@ class RootedSymmetricTree(_Frozen):
 
     def level_of_index(self, i: int) -> int:
         return bisect_right(self.level_offsets, _vertex(self, i))
-
-    def degree(self, i: int) -> int:
-        """k_r children, plus the parent below the root (k_q = 0)."""
-        r = self.level_of_index(i)
-        return (self.degrees[r - 1] if r < self.q else 0) + (r > 1)
 
     def index_of(self, address: Sequence[int]) -> int:
         address = _as_tuple(address, "address")
@@ -269,9 +264,6 @@ class GeneralTree(_Frozen):
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.n, self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[_vertex(self, v)])
 
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:

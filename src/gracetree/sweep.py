@@ -1,7 +1,8 @@
 """Batch evaluation of 0-rotatability over families of trees.
 
-A sweep enumerates a family of daughter degree sequences, and for each
-tree asks, orbit by orbit, whether label 0 can sit on that orbit.  The
+A sweep enumerates a family of daughter degree sequences, each tree
+within the family's largest size (``largest_tree``), and for each tree
+asks, orbit by orbit, whether label 0 can sit on that orbit.  The
 driver tries the closed-form constructions first and falls back to
 search only when no construction applies, recording per orbit which
 route answered.  The CLI writes the rows as CSV.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import os
 
-from .model import _Frozen, _as_int, _as_ints, build, level_numbers
+from .model import _Frozen, _as_int, _as_ints, build
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
@@ -38,6 +39,8 @@ _FAMILY_PARAMS = {
     FAMILY_BANANA: {"nmax": False, "branches": True},
     FAMILY_Q3: {"nmax": False},
 }
+_Q3_NMAX = 60
+
 
 class SweepSpec(_Frozen):
     """What to sweep: a family name plus its parameters and budgets."""
@@ -101,33 +104,44 @@ def _all_sequences(nmax: int) -> list[tuple[int, ...]]:
     return [seq for _, _, seq in out]
 
 
-def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
-    """Daughter degree sequences of the requested family, in a stable order."""
-    if spec.family == FAMILY_RST_ALL:
-        return _all_sequences(spec.nmax)
-
+def largest_tree(spec: SweepSpec) -> int:
+    """The vertex count no tree of ``spec``'s family exceeds, from its
+    parameters alone: ``nmax`` (60 for ``q3`` by default), or, if
+    smaller, the widest spider ``1 + hi·legs`` or banana
+    ``1 + hi·(hi + 2)`` of the branch range ``lo..hi``."""
+    bounds = [] if spec.nmax is None else [spec.nmax]
     if spec.family == FAMILY_SPIDER:
-        lo, hi = spec.branches
-        seqs = [(k,) + (1,) * (spec.legs - 1) for k in range(lo, hi + 1)]
-
+        bounds.append(1 + spec.branches[1] * spec.legs)
     elif spec.family == FAMILY_BANANA:
-        lo, hi = spec.branches
-        seqs = [
-            (a, 1, b)
-            for a in range(lo, hi + 1)
-            for b in range(lo, hi + 1)
-        ]
+        hi = spec.branches[1]
+        bounds.append(1 + hi * (hi + 2))
+    return min(bounds, default=_Q3_NMAX)
 
-    else:
-        nmax = spec.nmax if spec.nmax is not None else 60
-        # 1 + k1 * (1 + k2) <= nmax exactly when k2 < (nmax - 1) // k1.
-        seqs = [(k1, k2) for k1 in range(1, nmax) for k2 in range(1, (nmax - 1) // k1)]
+
+def enumerate_family(spec: SweepSpec) -> list[tuple[int, ...]]:
+    """Daughter degree sequences of the requested family, in a stable
+    order: every tree of the family within ``largest_tree(spec)``
+    vertices, drawn from parameter ranges that stay within it."""
+    top = largest_tree(spec)
+    if spec.family == FAMILY_RST_ALL:
+        return _all_sequences(top)
+    if spec.family == FAMILY_Q3:
+        # 1 + k1 * (1 + k2) <= top exactly when k2 < (top - 1) // k1.
+        seqs = [(k1, k2) for k1 in range(1, top) for k2 in range(1, (top - 1) // k1)]
         seqs.sort(key=lambda s: (1 + s[0] * (1 + s[1]), s))
         return seqs
-
-    if spec.nmax is not None:
-        seqs = [s for s in seqs if level_numbers(s)[0] <= spec.nmax]
-    return seqs
+    lo, hi = spec.branches
+    if spec.family == FAMILY_SPIDER:
+        # A spider of k branches has 1 + k * legs vertices, and top is at
+        # most 1 + hi * legs.
+        ks = range(lo, (top - 1) // spec.legs + 1)
+        return [(k,) + (1,) * (spec.legs - 1) for k in ks]
+    # A banana (a, 1, b) has 1 + a * (b + 2) vertices, and b is at least lo.
+    return [
+        (a, 1, b)
+        for a in range(lo, min(hi, (top - 1) // (lo + 2)) + 1)
+        for b in range(lo, min(hi, (top - 1) // a - 2) + 1)
+    ]
 
 
 def evaluate_sequence(

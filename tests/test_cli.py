@@ -339,9 +339,9 @@ def test_a_document_that_is_not_json_names_its_flag_and_file(
     "entry, message",
     [
         (lambda t: t.level_of_index(7), "vertex index 7 out of range"),
-        (lambda t: t.degree(-1), "vertex index -1 out of range"),
-        (lambda t: to_general(t).degree(7), "vertex index 7 out of range"),
-        (lambda t: to_general(t).degree(2.0), "vertex index 2.0 is not an integer"),
+        (lambda t: t.level_of_index(-1), "vertex index -1 out of range"),
+        (lambda t: gracetree.model.automorphism_mapping(to_general(t), 7, 1), "vertex index 7 out of range"),
+        (lambda t: t.level_of_index(2.0), "vertex index 2.0 is not an integer"),
         (lambda t: gracetree.model.automorphism_mapping(t, 1, 7), "vertex index 7 out of range"),
         (lambda t: gracetree.model.automorphism_mapping(t, "1", 2), "vertex index '1' is not an integer"),
         (lambda t: gracetree.labelling.edge_labels(t, (0, 1)), "labelling has 2 entries for a 7-vertex tree"),
@@ -349,7 +349,7 @@ def test_a_document_that_is_not_json_names_its_flag_and_file(
         ("verify", "labelling has 2 entries for a 7-vertex tree"),
     ],
     ids=[
-        "level_of_index", "rst-degree", "general-degree", "general-degree-float",
+        "level_of_index", "level_of_index-negative", "automorphism_mapping-general", "level_of_index-float",
         "automorphism_mapping", "automorphism_mapping-str", "edge_labels", "is_graceful", "verify",
     ],
 )
@@ -558,31 +558,36 @@ def test_a_tree_above_the_size_limit_is_refused_before_it_is_built(capsys, argv,
 
 
 @pytest.mark.parametrize(
-    "family, n",
+    "family, n, trees",
     [
-        (["symmetric_spider", "--legs", "20000000", "--branches", "1..1"], 20000001),
-        (["symmetric_spider", "--legs", "3", "--branches", "1..3333334"], 10000003),
-        (["symmetric_banana", "--branches", "1..3162"], 10004569),
-        (["rst_all", "--nmax", "10000001"], 10000001),
-        (["q3", "--nmax", "10000001"], 10000001),
-        (["symmetric_spider", "--legs", "9999999", "--branches", "1..1"], 10000000),
-        (["symmetric_banana", "--branches", "1..3161"], 9998244),
-        (["rst_all", "--nmax", "10000000"], 10000000),
-        (["q3"], 60),
+        (["symmetric_spider", "--legs", "20000000", "--branches", "1..1"], 20000001, 0),
+        (["symmetric_spider", "--legs", "3", "--branches", "1..3333334"], 10000003, 0),
+        (["symmetric_banana", "--branches", "1..3162"], 10004569, 0),
+        (["rst_all", "--nmax", "10000001"], 10000001, 0),
+        (["q3", "--nmax", "10000001"], 10000001, 0),
+        (["symmetric_spider", "--legs", "9999999", "--branches", "1..1"], 10000000, 0),
+        (["symmetric_banana", "--branches", "1..3161"], 9998244, 0),
+        (["rst_all", "--nmax", "10000000"], 10000000, 0),
+        (["q3"], 60, 0),
+        (["symmetric_spider", "--legs", "3", "--branches", "1..4000000", "--nmax", "100"], 100, 33),
+        (["symmetric_banana", "--branches", "1..4000", "--nmax", "60"], 60, 161),
     ],
     ids=["spider-legs", "spider-branches", "banana", "rst_all", "q3", "spider-at-limit",
-         "banana-at-limit", "rst_all-at-limit", "q3-default"],
+         "banana-at-limit", "rst_all-at-limit", "q3-default", "spider-nmax", "banana-nmax"],
 )
 def test_a_sweep_above_the_size_limit_is_refused_before_it_enumerates(
-    capsys, monkeypatch, family, n
+    capsys, monkeypatch, family, n, trees
 ):
     # The largest tree comes from the family's parameters; the spider with
-    # 20 million levels would have been built and searched.
+    # 20 million levels would have been built and searched.  --nmax bounds
+    # a branch range too wide to sweep whole, and the cases with trees are
+    # swept for real.
     enumerated = []
+    real = gracetree.sweep.enumerate_family
 
     def enumerate_family(spec):
         enumerated.append(spec)
-        return []
+        return real(spec) if trees else []
 
     monkeypatch.setattr(gracetree.sweep, "enumerate_family", enumerate_family)
     code, out, err = run(capsys, "sweep", "--family", *family)
@@ -591,7 +596,7 @@ def test_a_sweep_above_the_size_limit_is_refused_before_it_enumerates(
         assert err == f"error: tree has {n} vertices; gracetree handles at most 10000000\n"
     else:
         assert (code, err, len(enumerated)) == (0, "", 1)
-        assert out.startswith("swept 0 trees")
+        assert out.splitlines()[-1].startswith(f"swept {trees} trees")
 
 
 def test_sweep_cli(capsys, tmp_path):

@@ -132,12 +132,10 @@ def test_address_roundtrip(seq):
 
 @given(sequences)
 def test_parent_child_consistency(seq):
-    # The tree's edges are the decoded parent links, in index order, and
-    # each vertex's degree counts its children and its parent.
+    # The tree's edges are the decoded parent links, in index order.
     t = build(seq)
     parents, addresses = rst_parents(seq), rst_addresses(seq)
     assert t.edges == tuple((p, i) for i, p in enumerate(parents) if i)
-    assert [t.degree(i) for i in range(t.n)] == [parents.count(i) + (i > 0) for i in range(t.n)]
     for i in range(1, t.n):
         assert addresses[i][:-1] == addresses[parents[i]]
 
@@ -160,22 +158,6 @@ def test_general_tree_validation():
         GeneralTree(2, ((0, 0),))
     t = GeneralTree(3, ((2, 1), (0, 1)))
     assert t.edges == ((0, 1), (1, 2))
-    assert t.degree(1) == 2
-
-
-def test_general_tree_degree_checks_its_vertex():
-    # -1 read the last vertex's degree and 4 raised IndexError.
-    g = GeneralTree(4, ((0, 1), (1, 2), (1, 3)))
-    for v in (-1, 4):
-        with pytest.raises(ValueError, match=f"vertex index {v} out of range"):
-            g.degree(v)
-    with pytest.raises(ValueError, match="vertex index 1.0 is not an integer"):
-        g.degree(1.0)
-    # The rooted side refuses a float too; it read 1.0 as vertex 1.
-    t = build((2, 2))
-    for method in (t.degree, t.level_of_index):
-        with pytest.raises(ValueError, match="vertex index 2.0 is not an integer"):
-            method(2.0)
 
 
 @pytest.mark.parametrize(
@@ -371,14 +353,6 @@ def test_orbits_and_transport_leave_adjacency_unmaterialised():
     report = is_zero_rotatable(broom, SearchConstraints(node_budget=1000, time_budget=None))
     assert report.searched == 1
     assert "adjacency" not in vars(broom)
-
-
-def test_rst_degree_matches_general_route():
-    assert build((0,)).degree(0) == 0
-    for seq in enumerate_family(SweepSpec("rst_all", nmax=30)):
-        t = build(seq)
-        g = to_general(t)
-        assert [t.degree(i) for i in range(t.n)] == [g.degree(i) for i in range(t.n)], seq
 
 
 def test_classify_paths_and_stars():

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import re
@@ -31,8 +32,8 @@ from gracetree.cli import (
     _untimed,
 )
 from gracetree.construct import METHOD_SEARCH
-from gracetree.model import RootedSymmetricTree, sequence_label, to_general
-from gracetree.sweep import SweepSpec, enumerate_family, run_sweep
+from gracetree.model import RootedSymmetricTree, level_numbers, sequence_label, to_general
+from gracetree.sweep import SweepSpec, enumerate_family, largest_tree, run_sweep
 
 
 def brute_sequences(nmax: int) -> list[tuple[int, ...]]:
@@ -84,6 +85,44 @@ def test_enumerate_family_goldens():
 
     capped = enumerate_family(SweepSpec("symmetric_spider", legs=3, branches=(2, 4), nmax=8))
     assert capped == [(2, 1, 1)]
+
+
+def test_spiders_and_bananas_are_the_filtered_branch_grid():
+    # The oracle builds the whole branch grid and drops the trees above
+    # nmax; enumerate_family draws only from ranges within the size.
+    size = functools.cache(lambda seq: level_numbers(seq)[0])
+
+    def grid_then_filter(spec):
+        lo, hi = spec.branches
+        if spec.family == "symmetric_spider":
+            seqs = [(k,) + (1,) * (spec.legs - 1) for k in range(lo, hi + 1)]
+        else:
+            seqs = [(a, 1, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
+        return [s for s in seqs if spec.nmax is None or size(s) <= spec.nmax]
+
+    shapes = [("symmetric_banana", {})] + [("symmetric_spider", {"legs": legs}) for legs in range(1, 6)]
+    for nmax in (None, *range(88)):
+        for lo in range(1, 6):
+            for hi in range(lo, 25):
+                for family, legs in shapes:
+                    spec = SweepSpec(family, nmax=nmax, branches=(lo, hi), **legs)
+                    assert enumerate_family(spec) == grid_then_filter(spec), spec
+
+
+def test_a_family_is_enumerated_within_its_largest_tree():
+    # A billion branch counts, of which 33 spiders fit in 100 vertices,
+    # are never drawn one by one.
+    spec = SweepSpec("symmetric_spider", legs=3, branches=(1, 10**9), nmax=100)
+    assert largest_tree(spec) == 100
+    assert enumerate_family(spec) == [(k, 1, 1) for k in range(1, 34)]
+    # nmax bounds the widest tree of the branch range, and the widest tree
+    # bounds nmax; q3 has 60 vertices at most by default.
+    assert largest_tree(SweepSpec("symmetric_spider", legs=3, branches=(1, 5), nmax=100)) == 16
+    assert largest_tree(SweepSpec("symmetric_banana", branches=(1, 3000), nmax=60)) == 60
+    assert largest_tree(SweepSpec("symmetric_banana", branches=(1, 3000))) == 9006001
+    assert largest_tree(SweepSpec("q3")) == 60
+    assert largest_tree(SweepSpec("q3", nmax=130)) == 130
+    assert largest_tree(SweepSpec("rst_all", nmax=14)) == 14
 
 
 def test_spec_validation():
